@@ -68,6 +68,8 @@ SECTIONS = [
      ["JoinStatistics", "ColumnStatistics"]),
     ("repro.datalog.incremental", "Incremental maintenance — `repro.datalog.incremental`",
      ["MaterializedModel", "UpdateResult", "MaintenanceStatistics"]),
+    ("repro.db.base", "Belief base — `repro.db.base`",
+     ["BeliefBase", "is_ground_atom"]),
     ("repro.db.view", "Database views — `repro.db.view`",
      ["DatalogView"]),
     ("repro.revision.operators", "Belief revision — `repro.revision.operators`",

@@ -129,27 +129,22 @@ class IntegrityChecker:
             satisfied=not violations, violations=tuple(violations), checked=len(active)
         )
 
-    def check_update(self, theory, added=(), removed=(), constraints=None, view=None):
+    def check_update(self, theory, added=(), removed=(), constraints=None):
         """Incremental re-checking (discussion item 4): given that *theory*
         satisfied the constraints before the update, re-check only the
         constraints that mention a predicate touched by the update.
 
-        Without a *view* this is the classical relevance filter of Nicolas
-        (1982) over a from-scratch re-check; it is sound for the constraint
-        forms produced by this package because a constraint whose predicates
-        are untouched by the update cannot change truth value — the models of
-        the unchanged predicates' atoms are unchanged.
-
-        With a *view* (a :class:`~repro.constraints.views.ViolationView`
-        maintained over the same database) the re-check becomes an O(delta)
-        read: the view previews the batch through its materialized violation
-        rules and only the constraints outside the compilable fragment are
-        re-evaluated from scratch — the returned report's ``fallbacks``
-        names them and why.
+        This is the classical relevance filter of Nicolas (1982) over a
+        from-scratch re-check; it is sound for the constraint forms produced
+        by this package because a constraint whose predicates are untouched
+        by the update cannot change truth value — the models of the
+        unchanged predicates' atoms are unchanged.  (The O(delta) alternative
+        is :meth:`~repro.constraints.views.ViolationView.preview_report`.)
+        Returns ``(report, updated theory)``.
         """
-        # Mirror Transaction.commit: each staged retraction removes one
-        # occurrence from the sentence list, so a duplicated sentence stays
-        # in the previewed theory until its last occurrence is retracted.
+        # Each retraction removes one occurrence, earliest first, so a
+        # duplicated sentence stays in the updated theory until its last
+        # occurrence is retracted.
         pending = {}
         for sentence in removed:
             pending[sentence] = pending.get(sentence, 0) + 1
@@ -160,8 +155,6 @@ class IntegrityChecker:
                 continue
             updated_theory.append(sentence)
         updated_theory += list(added)
-        if view is not None:
-            return view.preview_report(added, removed), updated_theory
         touched = set()
         for sentence in list(added) + list(removed):
             touched |= {name for name, _ in predicates_of(sentence)}

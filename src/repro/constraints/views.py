@@ -46,7 +46,8 @@ from repro.constraints.compile import (
 )
 from repro.datalog.incremental import MaterializedModel
 from repro.datalog.program import DatalogProgram
-from repro.db.view import _ground_atoms, _occurrence_counts
+from repro.db.base import is_ground_atom
+from repro.db.view import _edb_update, _ground_atoms
 from repro.logic.substitution import substitute
 from repro.obs.tracing import NOOP_TRACER
 from repro.logic.syntax import (
@@ -60,20 +61,9 @@ from repro.logic.syntax import (
     Not,
     Or,
     free_variables,
-    predicates_of,
 )
-from repro.logic.terms import Parameter, Variable
+from repro.logic.terms import Variable
 from repro.logic.transform import to_admissible_form
-
-
-def _is_ground_atom(sentence):
-    return isinstance(sentence, Atom) and all(
-        isinstance(arg, Parameter) for arg in sentence.args
-    )
-
-
-def _predicate_names(sentence):
-    return {name for name, _ in predicates_of(sentence)}
 
 
 def _support_atoms(formula, positive, out):
@@ -188,16 +178,8 @@ class ViolationView:
             program.add_rule(rule)
         for compiled in self._compiled_set.compiled:
             program.declare_output(compiled.predicate, len(compiled.witnesses))
-        self._nonatomic = {}
-        self._occurrences = {}
-        for sentence in database.sentences():
-            if _is_ground_atom(sentence):
-                count = self._occurrences.get(sentence, 0)
-                self._occurrences[sentence] = count + 1
-                if count == 0:
-                    program.add_fact(sentence)
-            else:
-                self._count_nonatomic(sentence, +1)
+        for sentence in dict.fromkeys(_ground_atoms(database.base)):
+            program.add_fact(sentence)
         self._materialized = MaterializedModel(
             program, strategy=strategy, shards=shards, planner=planner, storage=storage
         )
@@ -249,7 +231,7 @@ class ViolationView:
             return self._report(
                 lambda compiled: self._read_witnesses(self._materialized, compiled),
                 self._database.sentences,
-                self._runtime_nonatomic(),
+                self._database.base.nonatomic_predicates(),
                 with_witnesses=with_witnesses,
                 witness_limit=witness_limit,
             )
@@ -262,49 +244,14 @@ class ViolationView:
         hook of :meth:`~repro.datalog.incremental.MaterializedModel.peek`),
         so neither the maintained state nor the engine cache changes and no
         full model is ever built."""
-        additions = list(additions)
-        retractions = list(retractions)
-        # Mirror Transaction.commit + _on_update exactly: each retraction
-        # removes one occurrence from the sentence list, and the EDB fact
-        # only disappears once no occurrence is left.  The occurrence counts
-        # are maintained incrementally, so this stays O(delta).
-        staged = _occurrence_counts(retractions)
-        deletions = [
-            atom
-            for atom, count in staged.items()
-            if self._occurrences.get(atom, 0) <= count
-        ]
-        insertions = _ground_atoms(additions)
-
-        nonatomic = dict(self._nonatomic)
-        for sentence in retractions:
-            if not _is_ground_atom(sentence):
-                for name in _predicate_names(sentence):
-                    nonatomic[name] = nonatomic.get(name, 0) - 1
-        for sentence in additions:
-            if not _is_ground_atom(sentence):
-                for name in _predicate_names(sentence):
-                    nonatomic[name] = nonatomic.get(name, 0) + 1
-        nonatomic_names = {name for name, count in nonatomic.items() if count > 0}
+        additions, retractions = list(additions), list(retractions)
+        base = self._database.base
+        arriving, gone = base.net_change(additions, retractions)
 
         def fallback_theory():
             # Only materialized when a fallback constraint actually needs a
-            # from-scratch check; mirrors the commit's retraction discipline —
-            # each staged retraction removes ONE occurrence from the sentence
-            # list, so a duplicated sentence survives until its last
-            # occurrence is retracted (set-based removal would drop every
-            # occurrence and could judge a still-violating post-state
-            # satisfied — the differential harness caught exactly that).
-            pending = {}
-            for sentence in retractions:
-                pending[sentence] = pending.get(sentence, 0) + 1
-            theory = []
-            for sentence in self._database.sentences():
-                if pending.get(sentence, 0) > 0:
-                    pending[sentence] -= 1
-                    continue
-                theory.append(sentence)
-            return theory + additions
+            # from-scratch check.
+            return base.updated(additions, retractions)
 
         def read(compiled_constraints):
             def reader(model):
@@ -314,7 +261,9 @@ class ViolationView:
                 }
 
             return self._materialized.peek(
-                insertions=insertions, deletions=deletions, reader=reader
+                insertions=_ground_atoms(arriving),
+                deletions=_ground_atoms(gone),
+                reader=reader,
             )
 
         tracer = getattr(self._database, "tracer", NOOP_TRACER)
@@ -326,7 +275,7 @@ class ViolationView:
             return self._report(
                 read,
                 fallback_theory,
-                nonatomic_names,
+                base.nonatomic_predicates(arriving, gone),
                 with_witnesses=with_witnesses,
                 witness_limit=witness_limit,
                 batched=True,
@@ -353,11 +302,11 @@ class ViolationView:
         for violation in report.violations:
             for witness in violation.witnesses or ((),):
                 for pattern in violation_support(violation.constraint, witness):
-                    if not _is_ground_atom(pattern):
+                    if not is_ground_atom(pattern):
                         continue
                     if pattern in protected_set or pattern in seen:
                         continue
-                    if self._occurrences.get(pattern, 0) > 0:
+                    if pattern in self._database.base:
                         seen.add(pattern)
                         candidates.append(pattern)
         return tuple(candidates)
@@ -382,13 +331,6 @@ class ViolationView:
         self._database.remove_update_listener(self._on_update)
 
     # -- internals ------------------------------------------------------------
-    def _count_nonatomic(self, sentence, delta):
-        for name in _predicate_names(sentence):
-            self._nonatomic[name] = self._nonatomic.get(name, 0) + delta
-
-    def _runtime_nonatomic(self):
-        return {name for name, count in self._nonatomic.items() if count > 0}
-
     def _read_witnesses(self, model, compiled):
         """All witness tuples of one compiled constraint, sorted, read from
         the (possibly peeked) maintained index."""
@@ -479,31 +421,7 @@ class ViolationView:
         )
 
     def _on_update(self, added, removed):
-        # A retraction only deletes the EDB fact once no occurrence of the
-        # sentence is left; an assertion only inserts on the first
-        # occurrence.  Counts are maintained here rather than recomputed, so
-        # the whole notification is O(delta).
-        deletions = []
-        for sentence in removed:
-            if not _is_ground_atom(sentence):
-                self._count_nonatomic(sentence, -1)
-                continue
-            count = self._occurrences.get(sentence, 0) - 1
-            if count <= 0:
-                self._occurrences.pop(sentence, None)
-                if count == 0:
-                    deletions.append(sentence)
-            else:
-                self._occurrences[sentence] = count
-        insertions = []
-        for sentence in added:
-            if not _is_ground_atom(sentence):
-                self._count_nonatomic(sentence, +1)
-                continue
-            count = self._occurrences.get(sentence, 0)
-            self._occurrences[sentence] = count + 1
-            if count == 0:
-                insertions.append(sentence)
+        insertions, deletions = _edb_update(self._database.base, added, removed)
         if not insertions and not deletions:
             return
         result = self._materialized.apply(insertions, deletions)

@@ -2,9 +2,9 @@
 
 A thin, stateful orchestration layer over the rest of the package:
 
-* the **content** is a list of FOPCE sentences (facts, disjunctions,
-  existentials, rules — anything first order), exactly the paper's notion of
-  a database;
+* the **content** is a :class:`~repro.db.base.BeliefBase` of FOPCE
+  sentences (facts, disjunctions, existentials, rules — anything first
+  order), exactly the paper's notion of a database;
 * **queries** are KFOPCE formulas (strings are parsed); ``ask`` returns
   yes/no/unknown for sentences, ``answers`` returns bindings for open
   queries, ``demo`` exposes the Prolog-style evaluator for admissible
@@ -28,6 +28,7 @@ from repro.logic.printer import to_text
 from repro.logic.syntax import Formula, free_variables
 from repro.constraints.checker import IntegrityChecker
 from repro.constraints.triggers import TriggerManager
+from repro.db.base import BeliefBase
 from repro.cwa.evaluation import ClosedWorldEvaluator
 from repro.evaluator.all_answers import all_answers
 from repro.evaluator.demo import DemoEvaluator
@@ -45,6 +46,18 @@ def _as_formula(value):
     if isinstance(value, str):
         return parse(value)
     raise TypeError(f"expected a formula or a string, got {value!r}")
+
+
+def _check_sentence(formula):
+    """Reject what a database may not contain: epistemic or open formulas."""
+    if not is_first_order(formula):
+        raise NotFirstOrderError(
+            "databases contain first-order sentences; epistemic sentences "
+            f"belong in the constraints: {to_text(formula)}"
+        )
+    if free_variables(formula):
+        raise ValueError(f"database sentences must be closed: {to_text(formula)}")
+    return formula
 
 
 class EpistemicDatabase:
@@ -71,7 +84,9 @@ class EpistemicDatabase:
         self.config = config
         self.tracer = NOOP_TRACER if tracer is None else tracer
         self._metrics = MetricsRegistry()
-        self._sentences = []
+        self._base = BeliefBase(_check_sentence(_as_formula(s)) for s in sentences)
+        if self._base:
+            self._metrics.counter("db.tells").inc(len(self._base))
         self._constraints = []
         self._checker = IntegrityChecker(config=config)
         self._triggers = TriggerManager(config=config)
@@ -82,8 +97,6 @@ class EpistemicDatabase:
         self._constraint_checking = constraint_checking
         self._view_options = dict(view_options or {})
         self._violation_view = None
-        for sentence in sentences:
-            self.tell(sentence, check_constraints=False, fire_triggers=False)
         for constraint in constraints:
             self.add_constraint(constraint, check_now=False)
 
@@ -111,8 +124,15 @@ class EpistemicDatabase:
 
     # -- content management -----------------------------------------------------
     def sentences(self):
-        """Return the database content (a copy)."""
-        return list(self._sentences)
+        """Return the database content (a copy), in the order it was told."""
+        return list(self._base)
+
+    @property
+    def base(self):
+        """The :class:`~repro.db.base.BeliefBase` holding the content — the
+        one copy every view and the revisor read.  Change it only through
+        ``tell`` / ``retract`` / transactions."""
+        return self._base
 
     def constraints(self):
         """Return the registered integrity constraints (a copy)."""
@@ -128,10 +148,12 @@ class EpistemicDatabase:
         """Register ``listener(added, removed)`` to be called after every
         *applied* content change — ``tell``, ``retract`` and
         :meth:`~repro.db.transactions.Transaction.commit` (once per batch,
-        with the net change).  Rejected updates and rollbacks never notify,
-        which is what keeps derived caches (e.g. a
-        :class:`~repro.db.view.DatalogView`) consistent with committed state
-        only.  Returns the listener for decorator-style use."""
+        with the sentences added and the occurrences actually removed).
+        Listeners run once :attr:`base` already holds the new state.
+        Rejected updates, rollbacks and empty batches never notify, which is
+        what keeps derived caches (e.g. a :class:`~repro.db.view.DatalogView`)
+        consistent with committed state only.  Returns the listener for
+        decorator-style use."""
         self._update_listeners.append(listener)
         return listener
 
@@ -146,7 +168,8 @@ class EpistemicDatabase:
         """A monotone version counter: incremented once per *applied* content
         change (``tell``, ``retract``, one per committed transaction batch —
         including each belief-change operation of :meth:`revision`, which
-        applies as a single transaction).  Rejected updates and rollbacks
+        applies as a single transaction).  The initial content is epoch 0.
+        Rejected updates, rollbacks and commits whose net change is empty
         never advance it.  :class:`~repro.db.transactions.Transaction`
         records the epoch it created as ``committed_epoch``, and the
         revision layer stamps it on every
@@ -178,77 +201,71 @@ class EpistemicDatabase:
         ``None`` when checking was skipped).
         """
         formula = _as_formula(sentence)
-        if not is_first_order(formula):
-            raise NotFirstOrderError(
-                "databases contain first-order sentences; epistemic sentences "
-                f"belong in the constraints: {to_text(formula)}"
-            )
-        if free_variables(formula):
-            raise ValueError(f"database sentences must be closed: {to_text(formula)}")
-        report = None
-        if check_constraints and self._constraints:
-            # Checked *before* the sentence list changes: the incremental
-            # path previews the batch against the maintained view, which
-            # must see the pre-update state.
-            report, _ = self._checker.check_update(
-                self._sentences, added=[formula], constraints=self._constraints,
-                view=self._update_view(),
-            )
-            if not report.satisfied:
-                raise ConstraintViolationError(
-                    f"asserting {to_text(formula)} violates integrity constraints",
-                    violations=report.violations,
-                )
-        self._sentences.append(formula)
-        self._dirty = True
-        self._metrics.counter("db.tells").inc()
-        self._notify_update([formula], [])
-        if fire_triggers and self._triggers.triggers:
-            self._triggers.fire(self)
-        return report
+        return self._update(
+            [formula], (), self._checking(check_constraints), fire_triggers,
+            "db.tells", lambda: f"asserting {to_text(formula)}",
+        )
 
     def retract(self, sentence, check_constraints=True):
-        """Remove a previously asserted sentence (no-op when absent).
-
-        Under ``constraint_checking="incremental"`` the constraint check is
-        an O(delta) preview of the maintained :meth:`violation_view`; the
-        scratch mode keeps the original remove/re-check/undo discipline."""
+        """Remove the earliest occurrence of a previously asserted sentence
+        (no-op returning ``None`` when absent).  The constraint check is the
+        same as for :meth:`tell`; retraction fires no polling triggers."""
         formula = _as_formula(sentence)
-        if formula not in self._sentences:
+        if formula not in self._base:
             return None
+        return self._update(
+            (), [formula], self._checking(check_constraints), False,
+            "db.retracts", lambda: f"retracting {to_text(formula)}",
+        )
+
+    def _checking(self, check_constraints):
+        return self._constraint_checking if check_constraints else None
+
+    def _update(self, additions, retractions, checking, fire_triggers, counter,
+                describe, applied=None):
+        """Check → apply → notify → triggers: the one update path behind
+        :meth:`tell`, :meth:`retract` and
+        :meth:`~repro.db.transactions.Transaction.commit`.
+
+        *checking* is ``"scratch"``, ``"incremental"`` or ``None`` to skip
+        the check; *describe* names the update in a rejection.  Each
+        retraction removes one occurrence, earliest first, before the
+        additions land.  A batch whose applied change is empty notifies
+        nobody, fires nothing and keeps the epoch.  ``applied(epoch)``, if
+        given, runs once the batch is in, before any trigger fires.  Returns
+        the constraint report."""
+        for formula in additions:
+            _check_sentence(formula)
         report = None
-        if (
-            check_constraints
-            and self._constraints
-            and self._constraint_checking == "incremental"
-        ):
-            report, _ = self._checker.check_update(
-                self._sentences, removed=[formula], constraints=self._constraints,
-                view=self.violation_view(),
-            )
+        if checking and self._constraints:
+            with self.tracer.span("txn.check", mode=checking):
+                if checking == "incremental":
+                    report = self.violation_view().preview_report(
+                        additions, retractions
+                    )
+                else:
+                    report, _ = self._checker.check_update(
+                        self._base, added=additions, removed=retractions,
+                        constraints=self._constraints,
+                    )
             if not report.satisfied:
                 raise ConstraintViolationError(
-                    f"retracting {to_text(formula)} violates integrity constraints",
+                    f"{describe()} violates integrity constraints",
                     violations=report.violations,
                 )
-            self._sentences.remove(formula)
-            self._dirty = True
-            self._metrics.counter("db.retracts").inc()
-            self._notify_update([], [formula])
-            return report
-        self._sentences.remove(formula)
-        self._dirty = True
-        if check_constraints and self._constraints:
-            report = self.check_constraints()
-            if not report.satisfied:
-                self._sentences.append(formula)
+        with self.tracer.span("txn.apply"):
+            removed = [sentence for sentence in retractions if self._base.remove(sentence)]
+            for sentence in additions:
+                self._base.add(sentence)
+            self._metrics.counter(counter).inc()
+            changed = bool(additions or removed)
+            if changed:
                 self._dirty = True
-                raise ConstraintViolationError(
-                    f"retracting {to_text(formula)} violates integrity constraints",
-                    violations=report.violations,
-                )
-        self._metrics.counter("db.retracts").inc()
-        self._notify_update([], [formula])
+                self._notify_update(additions, removed)
+            if applied is not None:
+                applied(self._revision_epoch)
+        if changed and fire_triggers and self._triggers.triggers:
+            self._triggers.fire(self)
         return report
 
     def add_constraint(self, constraint, check_now=True):
@@ -298,14 +315,6 @@ class EpistemicDatabase:
             )
         return self._violation_view
 
-    def _update_view(self):
-        """The view commit-time checks should preview against — ``None``
-        under scratch checking, which keeps ``check_update`` on the
-        classical from-scratch path."""
-        if self._constraint_checking == "incremental" and self._constraints:
-            return self.violation_view()
-        return None
-
     def _close_view(self):
         if self._violation_view is not None:
             self._violation_view.close()
@@ -315,7 +324,7 @@ class EpistemicDatabase:
     def _reducer_for(self, queries):
         if self._dirty or self._reducer is None:
             self._reducer = EpistemicReducer(
-                self._sentences,
+                self.sentences(),
                 config=self.config,
                 queries=list(queries) + list(self._constraints),
             )
@@ -324,11 +333,11 @@ class EpistemicDatabase:
         # Reuse only when the cached universe already covers the new queries.
         from repro.logic.signature import signature_of
 
-        needed = signature_of(self._sentences, queries).parameters
+        needed = signature_of(self._base, queries).parameters
         if needed <= set(self._reducer.universe):
             return self._reducer
         self._reducer = EpistemicReducer(
-            self._sentences, config=self.config, queries=list(queries) + list(self._constraints)
+            self.sentences(), config=self.config, queries=list(queries) + list(self._constraints)
         )
         return self._reducer
 
@@ -340,14 +349,14 @@ class EpistemicDatabase:
         """
         formula = _as_formula(query)
         if strategy == "models":
-            return model_entailment.ask(self._sentences, formula, config=self.config)
+            return model_entailment.ask(self.sentences(), formula, config=self.config)
         return self._reducer_for([formula]).ask(formula)
 
     def answers(self, query, strategy="reduction"):
         """Return the definite answers to an open KFOPCE query."""
         formula = _as_formula(query)
         if strategy == "models":
-            return model_entailment.answers(self._sentences, formula, config=self.config)
+            return model_entailment.answers(self.sentences(), formula, config=self.config)
         return self._reducer_for([formula]).answers(formula)
 
     def indefinite_answers(self, query, max_group_size=3):
@@ -355,7 +364,7 @@ class EpistemicDatabase:
         paper's "Mary or Sue" — via the model-enumeration semantics."""
         formula = _as_formula(query)
         return model_entailment.indefinite_answers(
-            self._sentences, formula, config=self.config, max_group_size=max_group_size
+            self.sentences(), formula, config=self.config, max_group_size=max_group_size
         )
 
     def entails(self, query):
@@ -367,7 +376,7 @@ class EpistemicDatabase:
         return the set of answer tuples (Section 5)."""
         formula = _as_formula(query)
         evaluator = DemoEvaluator(
-            self._sentences,
+            self.sentences(),
             config=self.config,
             prover=self._reducer_for([formula]).prover,
         )
@@ -378,7 +387,7 @@ class EpistemicDatabase:
         current content (for callers who want the generator interface)."""
         parsed = [_as_formula(q) for q in queries]
         return DemoEvaluator(
-            self._sentences, config=self.config, prover=self._reducer_for(parsed).prover
+            self.sentences(), config=self.config, prover=self._reducer_for(parsed).prover
         )
 
     # -- constraints ------------------------------------------------------------------
@@ -394,7 +403,7 @@ class EpistemicDatabase:
         if self._constraint_checking == "incremental" and self._constraints:
             return self.violation_view().check(with_witnesses=with_witnesses)
         return self._checker.check(
-            self._sentences, constraints=self._constraints, with_witnesses=with_witnesses
+            self._base, constraints=self._constraints, with_witnesses=with_witnesses
         )
 
     def satisfies(self, constraint):
@@ -438,12 +447,7 @@ class EpistemicDatabase:
                 f"(something with .violations), got {type(report).__name__}"
             )
         policy = RecencyPolicy() if policy is None else policy
-        counts = {}
-        sequences = {}
-        for position, sentence in enumerate(self._sentences):
-            counts[sentence] = counts.get(sentence, 0) + 1
-            sequences.setdefault(sentence, position)
-        state = EntrenchmentState(sequences)
+        state = EntrenchmentState(self._base.sequences)
         explanations = []
         for violation in violations:
             constraint = violation.constraint
@@ -457,7 +461,7 @@ class EpistemicDatabase:
                 support = tuple(violation_support(constraint, witness))
                 candidates = []
                 for pattern in support:
-                    for candidate in _match(pattern, counts):
+                    for candidate in _match(pattern, self._base.counts):
                         if candidate not in candidates:
                             candidates.append(candidate)
                 candidates.sort(key=lambda sentence: policy.key(sentence, state))
@@ -512,17 +516,17 @@ class EpistemicDatabase:
         """Return a :class:`~repro.cwa.evaluation.ClosedWorldEvaluator` over
         the current content (Section 7)."""
         parsed = [_as_formula(q) for q in queries]
-        return ClosedWorldEvaluator(self._sentences, queries=parsed, config=self.config)
+        return ClosedWorldEvaluator(self._base, queries=parsed, config=self.config)
 
     # -- misc --------------------------------------------------------------------------
     def __len__(self):
-        return len(self._sentences)
+        return len(self._base)
 
     def __contains__(self, sentence):
-        return _as_formula(sentence) in self._sentences
+        return _as_formula(sentence) in self._base
 
     def __repr__(self):
         return (
-            f"EpistemicDatabase(sentences={len(self._sentences)}, "
+            f"EpistemicDatabase(sentences={len(self._base)}, "
             f"constraints={len(self._constraints)})"
         )

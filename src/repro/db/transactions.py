@@ -16,9 +16,7 @@ security number is one update, regardless of the order of the two facts).
   an exception inside it discards the staged changes.
 """
 
-from repro.exceptions import ConstraintViolationError
 from repro.logic.printer import to_text
-from repro.obs.tracing import NOOP_TRACER
 
 
 class Transaction:
@@ -80,66 +78,23 @@ class Transaction:
         mode = database.constraint_checking if constraints is None else constraints
         if mode not in ("scratch", "incremental"):
             raise ValueError("constraints must be 'scratch' or 'incremental'")
-        tracer = getattr(database, "tracer", NOOP_TRACER)
-        with tracer.span(
+        with database.tracer.span(
             "txn.commit",
             additions=len(self._additions),
             retractions=len(self._retractions),
             mode=mode,
         ):
-            report = None
-            if database.constraints():
-                view = None
-                if mode == "incremental":
-                    view = database.violation_view()
-                with tracer.span("txn.check", mode=mode):
-                    report, _ = database._checker.check_update(
-                        database.sentences(),
-                        added=self._additions,
-                        removed=self._retractions,
-                        constraints=database.constraints(),
-                        view=view,
-                    )
-                if not report.satisfied:
-                    staged = ", ".join(
-                        to_text(s) for s in self._additions + self._retractions
-                    )
-                    raise ConstraintViolationError(
-                        f"transaction [{staged}] violates integrity constraints",
-                        violations=report.violations,
-                    )
-            with tracer.span("txn.apply"):
-                # Apply the retractions in one pass over the sentence list
-                # (each staged retraction removes one occurrence, earliest
-                # first — the same net effect as repeated ``list.remove``
-                # without the O(batch × database) rescans that made large
-                # commits quadratic).
-                applied_retractions = []
-                to_remove = {}
-                for sentence in self._retractions:
-                    to_remove[sentence] = to_remove.get(sentence, 0) + 1
-                if to_remove:
-                    kept = []
-                    for sentence in database._sentences:
-                        pending = to_remove.get(sentence, 0)
-                        if pending:
-                            to_remove[sentence] = pending - 1
-                            applied_retractions.append(sentence)
-                        else:
-                            kept.append(sentence)
-                    database._sentences[:] = kept
-                for sentence in self._additions:
-                    database._sentences.append(sentence)
-                database._dirty = True
-                self._committed = True
-                metrics = getattr(database, "_metrics", None)
-                if metrics is not None:
-                    metrics.counter("db.commits").inc()
-                database._notify_update(self._additions, applied_retractions)
-                self._committed_epoch = database.revision_epoch
-            if database.triggers.triggers:
-                database.triggers.fire(database)
-            return report
+            return database._update(
+                self._additions, self._retractions, mode, True, "db.commits",
+                lambda: "transaction [" + ", ".join(
+                    to_text(s) for s in self._additions + self._retractions
+                ) + "]",
+                applied=self._applied,
+            )
+
+    def _applied(self, epoch):
+        self._committed = True
+        self._committed_epoch = epoch
 
     def rollback(self):
         """Discard the staged changes.

@@ -24,28 +24,25 @@ database itself about those.
 
 from repro.datalog.incremental import MaterializedModel
 from repro.datalog.program import DatalogProgram
-from repro.logic.syntax import Atom
-from repro.logic.terms import Parameter
+from repro.db.base import is_ground_atom
 
 
 def _ground_atoms(sentences):
-    """The sentences that take part in the Datalog reading: ground,
-    non-equality atoms."""
-    return [
-        sentence
-        for sentence in sentences
-        if isinstance(sentence, Atom)
-        and all(isinstance(arg, Parameter) for arg in sentence.args)
-    ]
+    """The sentences that take part in the Datalog reading."""
+    return [sentence for sentence in sentences if is_ground_atom(sentence)]
 
 
-def _occurrence_counts(sentences):
-    """How often each ground atomic sentence occurs (the database stores a
-    sentence *list*; its semantics is a theory — a set)."""
-    counts = {}
-    for sentence in _ground_atoms(sentences):
-        counts[sentence] = counts.get(sentence, 0) + 1
-    return counts
+def _edb_update(base, added, removed):
+    """The EDB insertions and deletions that bring the ground atoms an
+    applied update touched in line with *base*, which already holds the
+    new state.  Reading the base rather than counting the update keeps a
+    listener right even when a trigger updated the base again before it
+    ran; the maintained model ignores inserting a present fact and
+    deleting an absent one."""
+    touched = dict.fromkeys(_ground_atoms(added) + _ground_atoms(removed))
+    insertions = [atom for atom in touched if atom in base]
+    deletions = [atom for atom in touched if atom not in base]
+    return insertions, deletions
 
 
 class DatalogView:
@@ -78,7 +75,7 @@ class DatalogView:
         program = DatalogProgram()
         for rule in rules:
             program.add_rule(rule)
-        for sentence in _ground_atoms(database.sentences()):
+        for sentence in _ground_atoms(database.base):
             program.add_fact(sentence)
         self._materialized = MaterializedModel(
             program, strategy=strategy, shards=shards, planner=planner, storage=storage
@@ -124,22 +121,9 @@ class DatalogView:
         """The :class:`~repro.semantics.worlds.World` the view would show if
         *transaction* committed — computed as a side-effect-free peek, so the
         maintained state survives a subsequent rollback untouched."""
-        additions, retractions = transaction.pending
-        # Mirror commit + _on_update exactly: each staged retraction removes
-        # one occurrence from the sentence list, and the EDB fact only
-        # disappears once no occurrence is left.
-        staged = _occurrence_counts(retractions)
-        deletions = []
-        if staged:
-            occurrences = _occurrence_counts(self._database.sentences())
-            deletions = [
-                atom
-                for atom, count in staged.items()
-                if occurrences.get(atom, 0) <= count
-            ]
+        arriving, gone = self._database.base.net_change(*transaction.pending)
         return self._materialized.peek(
-            insertions=_ground_atoms(additions),
-            deletions=deletions,
+            insertions=_ground_atoms(arriving), deletions=_ground_atoms(gone)
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -148,17 +132,7 @@ class DatalogView:
         self._database.remove_update_listener(self._on_update)
 
     def _on_update(self, added, removed):
-        # A retraction only deletes the EDB fact once no occurrence of the
-        # sentence is left — checked with a single pass over the database
-        # rather than one membership scan per removed atom.
-        removed_atoms = _ground_atoms(removed)
-        deletions = []
-        if removed_atoms:
-            occurrences = _occurrence_counts(self._database.sentences())
-            deletions = [
-                atom for atom in set(removed_atoms) if occurrences.get(atom, 0) == 0
-            ]
-        insertions = _ground_atoms(added)
+        insertions, deletions = _edb_update(self._database.base, added, removed)
         if insertions or deletions:
             self._materialized.apply(insertions, deletions)
 

@@ -27,26 +27,19 @@ materialized model follows along in O(delta).  Each applied operation bumps
 the database's ``revision_epoch`` and is recorded in :attr:`BeliefRevisor.history`.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.db.base import is_ground_atom
 from repro.db.database import _as_formula
 from repro.exceptions import NotASentenceError, NotFirstOrderError, RevisionError
 from repro.logic.classify import is_first_order
 from repro.logic.printer import to_text
-from repro.logic.syntax import Atom, free_variables
-from repro.logic.terms import Parameter
+from repro.logic.syntax import free_variables
 from repro.logic.transform import simplify
 from repro.revision.entrenchment import RecencyPolicy
 from repro.obs.tracing import NOOP_TRACER
 from repro.revision.planner import plan_retractions
-
-
-def _is_ground_atom(sentence):
-    return isinstance(sentence, Atom) and all(
-        isinstance(arg, Parameter) for arg in sentence.args
-    )
 
 
 @dataclass(frozen=True)
@@ -91,10 +84,10 @@ class BeliefRevisor:
     check uses the CWA closure (:func:`repro.cwa.closure.closure_is_satisfiable`)
     instead of plain first-order satisfiability.
 
-    The revisor tracks the base through the database's update listeners —
-    occurrence counts and assertion sequence numbers stay O(delta) per
-    update, and out-of-band ``tell``/``retract``/transactions on the same
-    database are observed too.  :meth:`close` unsubscribes.
+    The revisor keeps no state of its own about the beliefs: occurrence
+    counts and assertion sequence numbers are read from the database's
+    :class:`~repro.db.base.BeliefBase`, so out-of-band ``tell`` /
+    ``retract`` / transactions on the same database are seen too.
     """
 
     def __init__(self, database, policy=None, consistency="auto",
@@ -106,14 +99,7 @@ class BeliefRevisor:
         self._consistency = consistency
         self._closed_world = closed_world
         self._max_rounds = max_rounds
-        self._counts = {}
-        self._sequences = {}
-        self._sequence_queues = {}
-        self._next_sequence = 0
-        self._nonatomic = 0
-        for sentence in database.sentences():
-            self._observe_added(sentence)
-        self._listener = database.add_update_listener(self._on_update)
+        self._base = database.base
         self._records = []
 
     # -- introspection ------------------------------------------------------
@@ -135,7 +121,7 @@ class BeliefRevisor:
 
     def believes(self, sentence):
         """Whether *sentence* (normalized) is currently in the base."""
-        return self._counts.get(self._normalize(sentence), 0) > 0
+        return self._normalize(sentence) in self._base
 
     # -- operators ----------------------------------------------------------
     def expand(self, sentence):
@@ -144,7 +130,7 @@ class BeliefRevisor:
         them (a later :meth:`revise`/:meth:`update_batch` repairs).  Adding
         an already-believed sentence is a no-op (the base is a set)."""
         formula = self._normalize(sentence)
-        if self._counts.get(formula, 0) > 0:
+        if formula in self._base:
             return self._record(RevisionResult(
                 "expand", additions=(formula,), epoch=self._database.revision_epoch,
                 changed=False,
@@ -168,7 +154,7 @@ class BeliefRevisor:
         department cascades into its referencing assignments.  Contracting a
         non-belief is a no-op (vacuity)."""
         formula = self._normalize(sentence)
-        if self._counts.get(formula, 0) == 0:
+        if formula not in self._base:
             return self._record(RevisionResult(
                 "contract", removals=(formula,),
                 epoch=self._database.revision_epoch, changed=False,
@@ -193,11 +179,9 @@ class BeliefRevisor:
             formula = self._normalize(sentence)
             if formula in additions or formula in removals:
                 continue
-            if self._counts.get(formula, 0) > 0:
+            if formula in self._base:
                 removals.append(formula)
-        new_additions = [
-            formula for formula in additions if self._counts.get(formula, 0) == 0
-        ]
+        new_additions = [formula for formula in additions if formula not in self._base]
         if not new_additions and not removals:
             return self._record(RevisionResult(
                 operation, additions=tuple(additions),
@@ -215,7 +199,8 @@ class BeliefRevisor:
 
             with tracer.span("revision.plan", operation=operation) as span:
                 extra = plan_retractions(
-                    preview, self._counts, self._sequences, policy=self._policy,
+                    preview, self._base.counts, self._base.sequences,
+                    policy=self._policy,
                     additions=new_additions, removals=removals,
                     protected=additions, max_rounds=self._max_rounds,
                 )
@@ -224,7 +209,7 @@ class BeliefRevisor:
         with tracer.span("revision.apply", operation=operation):
             transaction = self._database.transaction()
             for sentence in removals + list(extra):
-                for _ in range(self._counts.get(sentence, 0)):
+                for _ in range(self._base.count(sentence)):
                     transaction.retract(sentence)
             for sentence in new_additions:
                 transaction.tell(sentence)
@@ -234,11 +219,6 @@ class BeliefRevisor:
             retracted=tuple(extra), epoch=self._database.revision_epoch,
             report=report,
         ))
-
-    # -- lifecycle ----------------------------------------------------------
-    def close(self):
-        """Unsubscribe from the database; the revisor stops tracking."""
-        self._database.remove_update_listener(self._listener)
 
     # -- internals ----------------------------------------------------------
     def _normalize(self, sentence):
@@ -259,10 +239,9 @@ class BeliefRevisor:
     def _check_consistency(self, additions, removals, extra):
         if self._consistency == "off":
             return
-        nonatomic_added = any(
-            not _is_ground_atom(sentence) for sentence in additions
-        )
-        if self._consistency == "auto" and not self._nonatomic and not nonatomic_added:
+        nonatomic_added = any(not is_ground_atom(sentence) for sentence in additions)
+        if (self._consistency == "auto" and not self._base.has_nonatomic
+                and not nonatomic_added):
             return
         dropped = set(removals) | set(extra)
         theory = [
@@ -290,47 +269,6 @@ class BeliefRevisor:
     def _record(self, result):
         self._records.append(result)
         return result
-
-    def _observe_added(self, sentence):
-        # Every occurrence carries its own sequence number; a sentence's
-        # *recency* is that of its first surviving occurrence (queue head).
-        # Tracking per occurrence matters: retracting one copy of a
-        # duplicated belief must advance its recency to the surviving,
-        # later telling — the differential harness caught the scalar
-        # version ranking by a dead occurrence.
-        queue = self._sequence_queues.setdefault(sentence, deque())
-        queue.append(self._next_sequence)
-        self._next_sequence += 1
-        self._counts[sentence] = len(queue)
-        self._sequences[sentence] = queue[0]
-        if len(queue) == 1 and not _is_ground_atom(sentence):
-            self._nonatomic += 1
-
-    def _observe_removed(self, sentence):
-        queue = self._sequence_queues.get(sentence)
-        if not queue:
-            return
-        # The database removes the earliest occurrence first (list.remove /
-        # the commit's one-pass discipline), so the head sequence goes.
-        queue.popleft()
-        if queue:
-            self._counts[sentence] = len(queue)
-            self._sequences[sentence] = queue[0]
-        else:
-            self._sequence_queues.pop(sentence, None)
-            self._counts.pop(sentence, None)
-            self._sequences.pop(sentence, None)
-            if not _is_ground_atom(sentence):
-                self._nonatomic -= 1
-
-    def _on_update(self, added, removed):
-        # Mirrors Transaction.commit's application order: retractions land
-        # before additions, so a retract-and-retell refreshes the sentence's
-        # sequence number (it becomes the newest belief again).
-        for sentence in removed:
-            self._observe_removed(sentence)
-        for sentence in added:
-            self._observe_added(sentence)
 
     def __repr__(self):
         return (
