@@ -14,7 +14,9 @@ the tier-1 verify flow) and runnable as a CLI::
 *Staleness* (``structure_problems``): the committed file must cover every
 sequential engine strategy on every row, verify model agreement, carry the
 indexed-vs-semi-naive headline, include the incremental view-maintenance
-section with its >= 10x apply-vs-recompute speedup, include the magic-set
+section with its >= 10x apply-vs-recompute speedup and a one-fact apply
+that costs at most 2x as much on a 10x larger EDB (the flatness cell),
+include the magic-set
 ``query`` section with answers verified and the headline ``bf`` point-query
 speedup at or above its 5x target, and include the sharded ``parallel``
 section with model agreement verified and a parallel-vs-indexed ratio
@@ -106,6 +108,9 @@ REVISION_SECONDS_CAP = 5.0
 #: the estimated share of an untraced fixpoint spent in no-op
 #: instrumentation points must stay at or below this
 NOOP_OVERHEAD_CAP_PCT = 5.0
+#: a one-fact apply on a 10x larger EDB may cost at most this many times
+#: the apply on the smaller one (delta cost is flat in the database size)
+FLATNESS_RATIO_CAP = 2.0
 #: every recorded ``seconds`` must be the best of at least this many runs
 MIN_REPEATS = 3
 
@@ -155,6 +160,12 @@ def structure_problems(report):
         if speedup is None or speedup < 10.0:
             problems.append(
                 f"incremental apply speedup {speedup} is below the 10x target"
+            )
+        ratio = incremental.get("flatness", {}).get("ratio_large_vs_small")
+        if ratio is None or ratio > FLATNESS_RATIO_CAP:
+            problems.append(
+                f"incremental one-fact apply is not flat: 10x the EDB costs "
+                f"{ratio}x (cap {FLATNESS_RATIO_CAP}x) — re-run benchmarks/run_bench.py"
             )
     query_rows = report.get("query")
     if not query_rows:

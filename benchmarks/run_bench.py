@@ -6,7 +6,8 @@ across a grid of workload sizes — transitive closure, same-generation and
 join-heavy chains — verifying along the way that every strategy computes the
 identical least model, then replays a tell/retract update stream to measure
 incremental view maintenance (``MaterializedModel.apply``) against full
-recomputation, times goal-directed (magic-set) point queries against full
+recomputation and times one-fact applies at two EDB sizes 10x apart (the
+``incremental.flatness`` cell: delta cost must not grow with the database), times goal-directed (magic-set) point queries against full
 materialization at several binding patterns (the ``query`` section), and
 times the sharded parallel strategy against indexed across shard counts (the
 ``parallel`` section — model agreement verified per cell, the recorded
@@ -79,7 +80,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.datalog.analyze import analyze_program  # noqa: E402
 from repro.datalog.engine import STRATEGIES, DatalogEngine  # noqa: E402
 from repro.datalog.incremental import MaterializedModel  # noqa: E402
-from repro.logic.terms import Variable  # noqa: E402
+from repro.logic.terms import Parameter, Variable  # noqa: E402
 from repro.logic.syntax import Atom  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
     independent_components_program,
@@ -274,6 +275,75 @@ def run_incremental(chains=400, length=5, batches=20, churn=0.01, seed=0):
         f"incremental {cell['params']} ({facts} facts, {len(batch_stream)} batches of "
         f"{max(1, int(facts * churn))}): apply {apply_mean * 1000:.2f} ms vs recompute "
         f"{recompute_mean * 1000:.1f} ms -> {cell['speedup_incremental_vs_recompute']}x"
+    )
+    return cell
+
+
+def run_incremental_flatness(chains=1000, length=5, scale=10, applies=200, repeats=5):
+    """Time one-fact applies on transitive-closure models whose EDB differs
+    by a factor of *scale* (``chains * length`` and ``scale`` times as many
+    edges): delta cost means the per-apply time stays flat as the database
+    grows.
+
+    Each apply deletes or re-inserts the middle edge of one chain (the same
+    chains at both sizes), so every batch does the same DRed work; the cell
+    records the best-of-*repeats* mean over *applies* such batches per size
+    and their ratio, and checks each model against a fresh engine.  As in
+    ``timeit``, the garbage collector is paused while timing: a full
+    collection walks every live object, so it would charge the size of the
+    heap, not of the update, to whichever apply it interrupts.
+    """
+    sizes = []
+    for factor in (1, scale):
+        program = transitive_closure_program(chains=chains * factor, length=length)
+        materialized = MaterializedModel(program, storage="columnar")
+        middle = length // 2
+        edges = [
+            Atom("edge", (Parameter(f"c{chain}_n{middle}"),
+                          Parameter(f"c{chain}_n{middle + 1}")))
+            for chain in range(applies // 2)
+        ]
+        best = None
+        for _ in range(repeats):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                for edge in edges:
+                    materialized.apply(deletions=[edge])
+                    materialized.apply(insertions=[edge])
+                elapsed = (time.perf_counter() - start) / (2 * len(edges))
+            finally:
+                gc.enable()
+            best = elapsed if best is None else min(best, elapsed)
+        identical = materialized.model() == DatalogEngine(program).least_model()
+        if not identical:
+            raise SystemExit(
+                f"incremental maintenance disagrees with recomputation on "
+                f"transitive_closure chains={chains * factor}"
+            )
+        sizes.append({
+            "edb_facts": len(program.facts),
+            "model_facts": len(materialized),
+            "apply_mean_seconds": round(best, 7),
+        })
+        del program, materialized
+        gc.collect()
+    small, large = sizes
+    cell = {
+        "workload": "transitive_closure",
+        "length": length,
+        "applies": 2 * (applies // 2),
+        "small": small,
+        "large": large,
+        "ratio_large_vs_small": round(
+            large["apply_mean_seconds"] / small["apply_mean_seconds"], 3
+        ),
+    }
+    print(
+        f"incremental flatness: one-fact apply {small['apply_mean_seconds'] * 1000:.3f} ms "
+        f"at {small['edb_facts']} edges vs {large['apply_mean_seconds'] * 1000:.3f} ms "
+        f"at {large['edb_facts']} edges -> {cell['ratio_large_vs_small']}x"
     )
     return cell
 
@@ -1243,6 +1313,9 @@ def main(argv=None):
             report["incremental"] = run_incremental(
                 chains=1600, length=5, batches=20, churn=0.0025
             )
+        report["incremental"]["flatness"] = run_incremental_flatness(
+            chains=200 if args.quick else 1000
+        )
     if not args.no_query:
         report["query"] = run_query_bench(
             QUICK_QUERY_GRID if args.quick else QUERY_GRID,
@@ -1305,6 +1378,11 @@ def main(argv=None):
         if incremental_speedup is None or incremental_speedup < 10.0:
             raise SystemExit(
                 f"--check failed: incremental speedup {incremental_speedup} < 10.0"
+            )
+        flatness = report["incremental"]["flatness"]["ratio_large_vs_small"]
+        if flatness > 2.0:
+            raise SystemExit(
+                f"--check failed: one-fact apply on a 10x EDB costs {flatness}x > 2.0x"
             )
     if "parallel" in report and report["parallel"]:
         tc_parallel = [

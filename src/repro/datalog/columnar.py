@@ -573,6 +573,15 @@ class ColumnarFactIndex:
         needed, sizes are representation-independent."""
         return self._store.histogram_sizes(predicate, arity, position)
 
+    def bucket_size(self, predicate, arity, position, value):
+        """How many facts of ``predicate/arity`` carry the parameter
+        *value* at argument *position* (O(1); the FactIndex contract)."""
+        relation = self._store.get((predicate, arity))
+        ident = self._interner.id_of(value)
+        if relation is None or ident is None:
+            return 0
+        return len(relation.buckets[position].get(ident, EMPTY))
+
     def selectivity(self, predicate, arity, positions):
         """The uniform-distribution selectivity estimate (numerically equal
         to the object index's on the same fact set)."""

@@ -35,20 +35,28 @@ increment passes evaluate in the new database and decrement passes in the
 old one.  A derivation whose status changed is then enumerated exactly once
 — at its first changed body position — which is what keeps the counts exact.
 
-``apply(insertions, deletions)`` also rewrites ``program.facts`` so the
-wrapped engine, the materialized index and the program never disagree, and
-installs the maintained model into the engine's cache so a subsequent
-``engine.least_model()`` is O(1).  :meth:`MaterializedModel.peek` answers
-"what would the model be if this batch were applied?" without leaving any
-trace — the safe way for transaction previews to look at pending state.
+``apply(insertions, deletions)`` also updates ``program.facts`` (a
+:class:`~repro.datalog.program.FactList`, keyed by atom, so the update
+costs O(batch)) so the wrapped engine, the materialized index and the
+program never disagree, and the maintained model is what a subsequent
+``engine.least_model()`` returns without a fixpoint.
+:meth:`MaterializedModel.peek` answers "what would the model be if this
+batch were applied?" without leaving any trace — the safe way for
+transaction previews to look at pending state.
 
 The maintenance joins are planned like the engine's: under the default
 ``planner="histogram"`` the per-batch passes (and the initial counting
 fixpoint) order their body literals greedily by observed bucket-size
-histograms (:class:`~repro.datalog.stats.JoinStatistics`, re-snapshotted
-per apply / per build round) instead of textual order; ``"uniform"`` keeps
-the unplanned ordering as an ablation baseline.  When the wrapped engine
-uses ``strategy="parallel"``, the materialized state lives in a
+histograms (:class:`~repro.datalog.stats.JoinStatistics`) instead of
+textual order; ``"uniform"`` keeps the unplanned ordering as an ablation
+baseline.  The histograms are snapshotted only while the model is
+(re)built, once per build round; every batch afterwards folds its net
+index changes into them (:meth:`JoinStatistics.update
+<repro.datalog.stats.JoinStatistics.update>`), so they always equal a fresh
+snapshot of the index while costing O(batch + touched buckets).  Together
+with the keyed fact list this makes ``apply``, ``peek``, ``query`` and
+``holds`` independent of the size of the database.  When the wrapped
+engine uses ``strategy="parallel"``, the materialized state lives in a
 :class:`~repro.datalog.shard.ShardedFactIndex` with the engine's shard
 count, so counting updates, DRed overdeletion (``retract_all``) and
 rederivation all apply shard-locally.
@@ -111,10 +119,6 @@ class UpdateResult:
     derived_added: frozenset
     derived_removed: frozenset
 
-    def inverse(self):
-        """The EDB delta that undoes this update (used by ``peek``)."""
-        return self.edb_removed, self.edb_added
-
 
 class _Component:
     """One maintenance unit: a strongly connected component of the IDB
@@ -147,10 +151,10 @@ class MaterializedModel:
     :meth:`apply`; everything else (``model()``, ``holds()``, ``query()``)
     reads the maintained state.
 
-    Rule changes are not maintained incrementally: if the program's rules are
-    mutated behind our back, the next access notices (content comparison, the
-    same discipline the engine's cache uses) and falls back to a full
-    rebuild.
+    Changes that bypass :meth:`apply` are not maintained incrementally: if
+    the program's rules or facts are mutated behind our back, the next
+    access notices (the fact list's version stamp, a comparison of the
+    rules) and falls back to a full rebuild.
 
     ``strategy`` (plus ``shards`` when it is ``"parallel"``, plus
     ``storage``) configures the wrapped engine when one has to be built;
@@ -196,12 +200,11 @@ class MaterializedModel:
         self.program = self.engine.program
         self.statistics = MaintenanceStatistics()
         self._index = None
-        self._edb = None
         self._counts = None
         self._components = None
         self._kind = None
         self._world = None
-        self._facts_key = None
+        self._facts_version = None
         self._rules_key = None
         self.refresh()
         # From now on the engine's least_model() pulls from the maintained
@@ -228,7 +231,7 @@ class MaterializedModel:
     def holds(self, atom):
         """Return True when the ground *atom* is in the maintained model —
         an index probe with no world construction (preceded, like every
-        read, by the cheap program-content check of
+        read, by the O(rules) staleness check of
         :meth:`_ensure_consistent`)."""
         self._ensure_consistent()
         return _as_ground_atom(atom) in self._index
@@ -287,44 +290,23 @@ class MaterializedModel:
         :class:`~repro.datalog.program.DatalogFact`).  Set semantics: a fact
         both deleted and inserted in the same batch stays present, inserting
         a present fact and deleting an absent one are no-ops.
-        ``program.facts`` is rewritten to match, so the program remains the
-        single source of truth.  Returns an :class:`UpdateResult`.
+        ``program.facts`` is updated to match (deleted atoms lose every
+        occurrence, inserted ones are appended in sorted order), so the
+        program remains the single source of truth.  Returns an
+        :class:`UpdateResult`.
         """
         self._ensure_consistent()
-        insertions = {_as_ground_atom(a) for a in insertions}
-        deletions = {_as_ground_atom(a) for a in deletions}
-        edb_removed = (deletions & self._edb) - insertions
-        edb_added = insertions - self._edb
+        edb_added, edb_removed = self._net_change(insertions, deletions)
         self.statistics.applies += 1
-        if not edb_added and not edb_removed:
-            return UpdateResult(frozenset(), frozenset(), frozenset(), frozenset())
-
-        # Keep the program in sync (set semantics over the fact list).
-        if edb_removed:
-            self.program.facts[:] = [
-                fact for fact in self.program.facts if fact.atom not in edb_removed
-            ]
+        derived_added, derived_removed = self._maintain(edb_added, edb_removed)
+        facts = self.program.facts
+        for atom in edb_removed:
+            facts.discard(atom)
         for atom in sorted(
             edb_added, key=lambda a: (a.predicate, tuple(p.name for p in a.args))
         ):
-            self.program.facts.append(DatalogFact(atom))
-        self._edb = (self._edb - edb_removed) | edb_added
-
-        with self.engine.tracer.span(
-            "maintenance.batch",
-            insertions=len(edb_added),
-            deletions=len(edb_removed),
-        ) as span:
-            derived_added, derived_removed = self._propagate(edb_added, edb_removed)
-            span.annotate(
-                facts_added=len(derived_added), facts_removed=len(derived_removed)
-            )
-
-        self._facts_key = tuple(self.program.facts)
-        self._world = None
-        self.engine._model = None  # stale until model() reinstalls
-        self.statistics.facts_added += len(derived_added)
-        self.statistics.facts_removed += len(derived_removed)
+            facts.append(DatalogFact(atom))
+        self._facts_version = facts.version
         return UpdateResult(
             frozenset(edb_added),
             frozenset(edb_removed),
@@ -336,11 +318,13 @@ class MaterializedModel:
         """Return the :class:`~repro.semantics.worlds.World` the model would
         have if the batch were applied — without changing anything.
 
-        Implemented as apply + exact inverse apply (counting is integer-exact
-        and DRed is set-exact, so the round trip restores the state
-        bit-for-bit); :attr:`statistics` is snapshotted around the round
-        trip, so not even the maintenance counters record the peek.  This is
-        the API transaction previews should use: a peek can never poison the
+        Implemented as maintenance of the batch + maintenance of its exact
+        inverse (counting is integer-exact, DRed is set-exact and the
+        planner statistics follow the index, so the round trip restores the
+        state bit-for-bit); ``program.facts`` is never touched, and
+        :attr:`statistics` is swapped out around the round trip, so not even
+        the maintenance counters record the peek.  This is the API
+        transaction previews should use: a peek can never poison the
         maintained state or the engine's cache.
 
         Building a :class:`World` materializes the whole model — O(model)
@@ -351,24 +335,20 @@ class MaterializedModel:
         the whole round trip O(delta + touched buckets).  The reader must
         not mutate the model.
         """
-        facts_before = list(self.program.facts)
+        self._ensure_consistent()
+        edb_added, edb_removed = self._net_change(insertions, deletions)
         saved_statistics = self.statistics
         self.statistics = MaintenanceStatistics()
-        result = self.apply(insertions, deletions)
         try:
-            if reader is None:
-                outcome = World.from_fact_index(self._index)
-            else:
-                outcome = reader(self)
+            self._maintain(edb_added, edb_removed)
+            try:
+                if reader is None:
+                    return World.from_fact_index(self._index)
+                return reader(self)
+            finally:
+                self._maintain(edb_removed, edb_added)
         finally:
-            self.apply(*result.inverse())
-            # The inverse apply restores the fact *set*; restore the exact
-            # list order too so the peek is invisible to order-sensitive
-            # readers of program.facts.
-            self.program.facts[:] = facts_before
-            self._facts_key = tuple(facts_before)
             self.statistics = saved_statistics
-        return outcome
 
     def refresh(self):
         """Rebuild the materialized state from scratch (full fixpoint with
@@ -384,19 +364,20 @@ class MaterializedModel:
         # is identical either way.
         self.engine.ensure_checked()
         self._analyze()
-        self._schedules = {}
-        self._maintenance_stats = None
-        self._edb = {fact.atom for fact in self.program.facts}
-        self._index = self._new_index(self._edb)
+        facts = self.program.facts
+        edb = list(facts.atoms())
+        self._index = self._new_index(edb)
         self._counts = defaultdict(int)
         encode = self._interner.encode_atom if self._interner is not None else None
-        for atom in self._edb:
+        for atom in edb:
             if self._kind.get((atom.predicate, len(atom.args))) == "counting":
                 self._counts[atom if encode is None else encode(atom)] += 1
+        self._schedules = {}
+        self._refresh_planner_stats()
         for component in self._components:
             self._build_component(component)
         self._world = None
-        self._facts_key = tuple(self.program.facts)
+        self._facts_version = facts.version
         self._rules_key = tuple(self.program.rules)
 
     def metrics(self):
@@ -453,9 +434,10 @@ class MaterializedModel:
 
     def _refresh_planner_stats(self):
         """Re-snapshot the maintenance planner's histograms from the live
-        index; the snapshot also invalidates the cached maintenance
-        schedules, which were ordered against the previous snapshot.  Under
-        the uniform planner there is no snapshot and schedules never change
+        index — O(distinct values), so only the (re)build calls it, once per
+        build round; the snapshot also invalidates the cached maintenance
+        schedules, which were ordered against the previous one.  Under the
+        uniform planner there is no snapshot and schedules never change
         shape, so both are left alone (a no-op returning ``None``)."""
         if self.planner != "histogram":
             self._maintenance_stats = None
@@ -494,13 +476,46 @@ class MaterializedModel:
 
     def _ensure_consistent(self):
         """Fall back to a full rebuild when the program was mutated outside
-        :meth:`apply` (same content-comparison discipline as the engine's
-        model cache)."""
+        :meth:`apply`: the fact list's version stamp moved (or the list was
+        replaced) or the rules differ.  O(rules), independent of the
+        facts."""
         if (
-            self._rules_key != tuple(self.program.rules)
-            or self._facts_key != tuple(self.program.facts)
+            self._facts_version != self.program.facts.version
+            or self._rules_key != tuple(self.program.rules)
         ):
             self.refresh()
+
+    def _net_change(self, insertions, deletions):
+        """Validate a batch and reduce it to its net EDB change ``(added,
+        removed)`` against ``program.facts`` (set semantics)."""
+        facts = self.program.facts
+        insertions = {_as_ground_atom(a) for a in insertions}
+        deletions = {_as_ground_atom(a) for a in deletions}
+        added = {atom for atom in insertions if atom not in facts}
+        removed = {atom for atom in deletions - insertions if atom in facts}
+        return added, removed
+
+    def _maintain(self, edb_added, edb_removed):
+        """Bring the index, the counts and the planner statistics to the
+        model of the EDB changed by ``(edb_added, edb_removed)``, which
+        ``program.facts`` may or may not reflect yet; returns the net
+        derived ``(added, removed)``.  An empty change is a no-op."""
+        if not edb_added and not edb_removed:
+            return set(), set()
+        with self.engine.tracer.span(
+            "maintenance.batch",
+            insertions=len(edb_added),
+            deletions=len(edb_removed),
+        ) as span:
+            derived_added, derived_removed = self._propagate(edb_added, edb_removed)
+            span.annotate(
+                facts_added=len(derived_added), facts_removed=len(derived_removed)
+            )
+        self._world = None
+        self.engine._model = None  # stale until model() reinstalls
+        self.statistics.facts_added += len(derived_added)
+        self.statistics.facts_removed += len(derived_removed)
+        return derived_added, derived_removed
 
     # -- initial (counting) fixpoint -------------------------------------------
     def _build_component(self, component):
@@ -516,13 +531,10 @@ class MaterializedModel:
         delta = None
         first_round = True
         while True:
-            # Feed the observed bucket shapes of the growing index into the
-            # build joins, exactly as the engine's own fixpoint does.
-            stats = (
-                self.planner_statistics.refresh(self._index)
-                if self.planner == "histogram"
-                else None
-            )
+            # The observed bucket shapes of the growing index feed the build
+            # joins, exactly as in the engine's own fixpoint (re-snapshotted
+            # after every round's growth below).
+            stats = self._maintenance_stats
             new_facts = set()
             for rule in component.rules:
                 if first_round:
@@ -554,6 +566,7 @@ class MaterializedModel:
                 return
             delta = FactIndex(new_facts)
             self._index.absorb(delta)
+            self._refresh_planner_stats()
             first_round = False
 
     # -- delta propagation ------------------------------------------------------
@@ -564,11 +577,12 @@ class MaterializedModel:
         (EDB and lower components); each component sees them as its round-one
         delta and contributes its own net changes for the components above.
         Returns the net (added, removed) over the whole model.
+
+        The maintenance passes of every component order their joins against
+        the pre-batch histograms (deltas are tiny next to the index, so
+        mid-batch drift is noise); the batch's net changes are folded into
+        them at the end, which invalidates the cached schedules.
         """
-        # One histogram snapshot per batch: the maintenance passes of every
-        # component order their joins against the pre-batch bucket shapes
-        # (deltas are tiny next to the index, so mid-batch drift is noise).
-        self._refresh_planner_stats()
         acc_plus = FactIndex()
         acc_minus = FactIndex()
         idb = self._kind
@@ -596,6 +610,10 @@ class MaterializedModel:
             for key in component.predicates:
                 own_plus |= pending_plus.get(key, set())
                 own_minus |= pending_minus.get(key, set())
+            if not (own_plus or own_minus) and not self._relevant(
+                component, acc_plus, acc_minus
+            ):
+                continue  # nothing below changed what its rules read
             if component.recursive:
                 added, removed = self._maintain_dred(
                     component, acc_plus, acc_minus, own_plus, own_minus
@@ -606,6 +624,9 @@ class MaterializedModel:
                 )
             acc_plus.add_all(added)
             acc_minus.add_all(removed)
+        if self._maintenance_stats is not None and (acc_plus or acc_minus):
+            self._maintenance_stats.update(self._index, acc_plus, acc_minus)
+            self._schedules = {}
         return set(acc_plus) - set(edb_added), set(acc_minus) - set(edb_removed)
 
     def _relevant(self, component, dplus, dminus):
@@ -751,9 +772,17 @@ class MaterializedModel:
         self.statistics.overdeleted += len(overdeleted)
 
         # Phase 2 — rederivation (one sweep; phase 3 propagates the rest).
+        # A fact is in the new EDB when the batch inserts it, or when the
+        # program holds it and the batch does not delete it — true whether
+        # or not program.facts has caught up with the batch yet.
+        facts = self.program.facts
         rederived = set()
         for fact in overdeleted:
-            if fact in self._edb or self._derivable(component, fact):
+            if (
+                fact in edb_plus
+                or (fact not in edb_minus and fact in facts)
+                or self._derivable(component, fact)
+            ):
                 self._index.add(fact)
                 rederived.add(fact)
         self.statistics.rederived += len(rederived)
@@ -826,8 +855,9 @@ class MaterializedModel:
         they keep their textual order.  Negative non-delta literals are
         deferred until the prefix binds their variables, exactly as in the
         engine's scheduler.  Schedules are cached per
-        ``(rule, delta_position)`` and invalidated with every histogram
-        re-snapshot.
+        ``(rule, delta_position)`` and invalidated whenever the histograms
+        change: every (re)build round and every batch that changed the
+        index.
         """
         cached = self._schedules.get((rule, delta_position))
         if cached is not None:

@@ -229,6 +229,15 @@ class FactIndex:
             return []
         return [len(bucket) for bucket in positional[position].values()]
 
+    def bucket_size(self, predicate, arity, position, value):
+        """How many facts of ``predicate/arity`` carry *value* at argument
+        *position* — one bucket of :meth:`histogram`, read in O(1) (what
+        the planner's incremental statistics update consumes)."""
+        positional = self._arguments.get((predicate, arity))
+        if positional is None:
+            return 0
+        return len(positional[position].get(value, EMPTY))
+
     def selectivity(self, predicate, arity, positions):
         """Estimate how many facts of ``predicate/arity`` survive binding
         the given argument *positions* (an iterable of position indexes).

@@ -15,6 +15,7 @@ Section 5.1.
 """
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Tuple
 
 from repro.exceptions import ReproError, UnsafeRuleError
@@ -101,11 +102,95 @@ class DatalogRule:
         return f"{head} :- {', '.join(str(l) for l in self.body)}."
 
 
+_VERSIONS = count()
+
+
+class FactList:
+    """The facts of a :class:`DatalogProgram`: an insertion-ordered
+    sequence of :class:`DatalogFact` occurrences, keyed by atom.
+
+    It answers what the rest of the library asks of a fact list —
+    iteration in insertion order, ``len``, ``in`` and ``append`` — and
+    adds O(1) membership by atom and :meth:`discard` of every occurrence
+    of an atom, which is how
+    :class:`~repro.datalog.incremental.MaterializedModel` keeps the
+    program in step with its maintained model without rewriting the
+    list.  Duplicates are kept, as in a list: appending a fact twice
+    stores two occurrences, both counted by ``len`` and both yielded, in
+    place, by iteration.
+
+    :attr:`version` changes with every mutation and is never shared
+    between two lists, so a reader that remembers it can tell whether the
+    facts changed (or were replaced) since, without comparing contents.
+    """
+
+    __slots__ = ("_entries", "_repeats", "version")
+
+    def __init__(self, facts=()):
+        # The first occurrence of each atom is keyed by the atom itself,
+        # every later one by a token of its own; values are the facts.
+        self._entries = {}
+        # atom -> the tokens of its later occurrences (duplicates only).
+        self._repeats = {}
+        self.version = next(_VERSIONS)
+        for fact in facts:
+            self.append(fact)
+
+    def append(self, fact):
+        """Add one occurrence of *fact* (a :class:`DatalogFact`) at the
+        end."""
+        if not isinstance(fact, DatalogFact):
+            raise TypeError(f"expected a DatalogFact, got {fact!r}")
+        atom = fact.atom
+        if atom in self._entries:
+            token = object()
+            self._repeats.setdefault(atom, []).append(token)
+            self._entries[token] = fact
+        else:
+            self._entries[atom] = fact
+        self.version = next(_VERSIONS)
+
+    def discard(self, atom):
+        """Remove every occurrence of the fact of *atom*; return True when
+        there was one."""
+        if self._entries.pop(atom, None) is None:
+            return False
+        for token in self._repeats.pop(atom, ()):
+            del self._entries[token]
+        self.version = next(_VERSIONS)
+        return True
+
+    def atoms(self):
+        """The distinct atoms, in order of first occurrence."""
+        return (
+            fact.atom for key, fact in self._entries.items() if key is fact.atom
+        )
+
+    def __contains__(self, item):
+        """True for a held :class:`DatalogFact` or the atom of one."""
+        if isinstance(item, DatalogFact):
+            item = item.atom
+        return isinstance(item, Atom) and item in self._entries
+
+    def __iter__(self):
+        return iter(self._entries.values())
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __repr__(self):
+        return f"FactList({list(self)!r})"
+
+
 class DatalogProgram:
-    """A collection of facts and rules over an implicit schema."""
+    """A collection of facts and rules over an implicit schema.
+
+    :attr:`facts` is a :class:`FactList`; assigning any other iterable of
+    facts wraps it in one.
+    """
 
     def __init__(self, facts=(), rules=()):
-        self.facts = []
+        self.facts = FactList()
         self.rules = []
         # Declared output predicates (``(name, arity)`` pairs): the static
         # analyzer's reachability checks treat everything that cannot feed
@@ -116,6 +201,15 @@ class DatalogProgram:
             self.add_fact(fact)
         for rule in rules:
             self.add_rule(rule)
+
+    @property
+    def facts(self):
+        """The program's facts (a :class:`FactList`)."""
+        return self._facts
+
+    @facts.setter
+    def facts(self, facts):
+        self._facts = facts if isinstance(facts, FactList) else FactList(facts)
 
     # -- construction ------------------------------------------------------
     def add_fact(self, fact):

@@ -324,6 +324,14 @@ class ShardedFactIndex:
                     merged[value] = merged.get(value, 0) + size
         return list(merged.values())
 
+    def bucket_size(self, predicate, arity, position, value):
+        """How many facts of ``predicate/arity`` carry *value* at argument
+        *position*, summed across shards (O(shards))."""
+        return sum(
+            shard.bucket_size(predicate, arity, position, value)
+            for shard in self._shards
+        )
+
     def selectivity(self, predicate, arity, positions):
         """The uniform-distribution estimate of how many facts survive
         binding the given argument *positions* — total cardinality divided

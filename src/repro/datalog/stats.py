@@ -29,9 +29,15 @@ The engine refreshes the histograms at the start of every fixpoint round
 (:meth:`JoinStatistics.refresh`), so derived relations that grow during
 evaluation — the typical recursive predicate — feed their observed shape
 back into the next round's join plans.  The snapshot is O(distinct values)
-per relation, which is negligible next to the joins themselves.
+per relation, which is negligible next to a fixpoint's joins but not next
+to a one-fact update of a large model, so the incremental maintainer
+(:class:`~repro.datalog.incremental.MaterializedModel`) snapshots only when
+it (re)builds and afterwards folds each batch's net changes in with
+:meth:`JoinStatistics.update`: O(changed facts + touched buckets), with the
+same result as a fresh snapshot.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -76,22 +82,27 @@ class JoinStatistics:
     selectivity estimate built on them.
 
     One instance belongs to one evaluation (the engine creates a fresh one
-    per fixpoint); :meth:`refresh` re-snapshots every relation, and
-    :meth:`selectivity` answers the planner with the frequency-weighted
-    estimate, falling back to the index's uniform estimate for relations
-    not yet snapshotted.
+    per fixpoint) or one maintained model; :meth:`refresh` re-snapshots
+    every relation, :meth:`update` folds one batch of index changes into
+    the snapshot, and :meth:`selectivity` answers the planner with the
+    frequency-weighted estimate.
     """
 
-    __slots__ = ("_columns", "refreshes")
+    __slots__ = ("_columns", "_frequencies", "refreshes")
 
     def __init__(self):
         self._columns = {}
+        # (predicate, arity) -> per position, a Counter of bucket sizes
+        # (size -> how many buckets have it): what keeps max_bucket exact
+        # under deletions without rescanning the column.
+        self._frequencies = {}
         self.refreshes = 0
 
     def refresh(self, index):
         """Re-snapshot the bucket-size histograms of every relation held by
-        *index*.  Called by the engine at the start of each fixpoint round;
-        returns ``self`` for chaining.
+        *index* — O(distinct values).  Called by the engine at the start of
+        each fixpoint round and by the incremental maintainer when it
+        (re)builds; returns ``self`` for chaining.
 
         Only bucket *sizes* feed the summary, so indexes exposing
         ``histogram_sizes`` (both storage backends do) hand them over
@@ -103,30 +114,81 @@ class JoinStatistics:
         if sizes_of is None:
             def sizes_of(predicate, arity, position):
                 return index.histogram(predicate, arity, position).values()
-        columns = {}
+        self._columns = {}
+        self._frequencies = {}
         for key in index.relations():
             predicate, arity = key
             total = index.count(predicate, arity)
-            columns[key] = tuple(
-                self._summarise(sizes_of(predicate, arity, position), total)
-                for position in range(arity)
+            frequencies = tuple(
+                Counter(sizes_of(predicate, arity, position)) for position in range(arity)
             )
-        self._columns = columns
+            self._frequencies[key] = frequencies
+            self._columns[key] = tuple(
+                ColumnStatistics(
+                    total,
+                    sum(counts.values()),
+                    max(counts, default=0),
+                    sum(size * size * count for size, count in counts.items()),
+                )
+                for counts in frequencies
+            )
         return self
 
-    @staticmethod
-    def _summarise(sizes, total):
-        """Fold an iterable of bucket *sizes* into a
-        :class:`ColumnStatistics`."""
-        distinct = 0
-        max_bucket = 0
-        sum_of_squares = 0
-        for size in sizes:
-            distinct += 1
-            if size > max_bucket:
-                max_bucket = size
-            sum_of_squares += size * size
-        return ColumnStatistics(total, distinct, max_bucket, sum_of_squares)
+    def update(self, index, added, removed):
+        """Fold one batch of net changes into the histograms, leaving
+        exactly what ``refresh(index)`` would.
+
+        *index* already holds the batch; *added* and *removed* are
+        :class:`~repro.datalog.index.FactIndex` objects of the facts it
+        gained and lost (disjoint).  Each touched bucket moves from its old
+        size (read off the index and the batch) to its new one, and the
+        column's bucket-size counts follow, so no column is rescanned.
+        Cost: O(changed facts + touched buckets).  Returns ``self``.
+        """
+        for key in added.relations() | removed.relations():
+            predicate, arity = key
+            total = index.count(predicate, arity)
+            if not total:
+                self._columns.pop(key, None)
+                self._frequencies.pop(key, None)
+                continue
+            old = self._columns.get(key)
+            if old is None:  # a relation the batch created
+                old = (ColumnStatistics(0, 0, 0, 0),) * arity
+                self._frequencies[key] = tuple(Counter() for _ in range(arity))
+            columns = []
+            for position, counts in enumerate(self._frequencies[key]):
+                change = added.histogram(predicate, arity, position)
+                for value, size in removed.histogram(predicate, arity, position).items():
+                    change[value] = change.get(value, 0) - size
+                column = old[position]
+                distinct = column.distinct
+                max_bucket = column.max_bucket
+                sum_of_squares = column.sum_of_squares
+                for value, difference in change.items():
+                    if not difference:
+                        continue
+                    size = index.bucket_size(predicate, arity, position, value)
+                    before = size - difference
+                    distinct += (size > 0) - (before > 0)
+                    sum_of_squares += size * size - before * before
+                    if before:
+                        counts[before] -= 1
+                        if not counts[before]:
+                            del counts[before]
+                    if size:
+                        counts[size] += 1
+                    if size > max_bucket:
+                        max_bucket = size
+                    elif before == max_bucket and before not in counts:
+                        # The last largest bucket shrank: the next largest
+                        # size present (the counts hold a few distinct sizes).
+                        max_bucket = max(counts, default=0)
+                columns.append(
+                    ColumnStatistics(total, distinct, max_bucket, sum_of_squares)
+                )
+            self._columns[key] = tuple(columns)
+        return self
 
     def column(self, predicate, arity, position):
         """The :class:`ColumnStatistics` of one argument position, or

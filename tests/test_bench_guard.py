@@ -7,7 +7,8 @@ columnar-vs-objects storage section, the static-analysis section, the
 violation-view constraints section or the belief-revision section is
 missing, model/answer/verdict/result
 agreement was not verified, the no-op tracing overhead of the observability
-section rose above its 5% cap, the incremental speedup slipped below its 10x target, the
+section rose above its 5% cap, the incremental speedup slipped below its 10x target or a
+one-fact apply on a 10x larger EDB cost more than 2x as much, the
 magic point-query speedup below its 5x target, the columnar fixpoint
 speedup / peak-memory advantage below its 3x / <1x targets or the
 incremental constraint-checking or belief-revision speedups below their 5x
@@ -50,6 +51,15 @@ def test_structure_check_catches_missing_incremental(report):
     stale = dict(report)
     stale.pop("incremental", None)
     assert any("incremental" in p for p in check_bench.structure_problems(stale))
+
+
+def test_structure_check_catches_non_flat_apply(report):
+    flatness = {**report["incremental"]["flatness"], "ratio_large_vs_small": 9.5}
+    stale = {**report, "incremental": {**report["incremental"], "flatness": flatness}}
+    assert any("not flat" in p for p in check_bench.structure_problems(stale))
+    missing = {k: v for k, v in report["incremental"].items() if k != "flatness"}
+    stale = {**report, "incremental": missing}
+    assert any("not flat" in p for p in check_bench.structure_problems(stale))
 
 
 def test_structure_check_catches_missing_strategy(report):
