@@ -18,9 +18,7 @@ section with its >= 10x apply-vs-recompute speedup and a one-fact apply
 that costs at most 2x as much on a 10x larger EDB (the flatness cell),
 include the magic-set
 ``query`` section with answers verified and the headline ``bf`` point-query
-speedup at or above its 5x target, and include the sharded ``parallel``
-section with model agreement verified and a parallel-vs-indexed ratio
-recorded on a transitive-closure row, include the columnar-vs-objects
+speedup at or above its 5x target, include the columnar-vs-objects
 ``storage`` section with fixpoint agreement verified and both the >= 3x
 columnar fixpoint speedup and the peak-memory advantage holding on the
 largest row, include the static-analysis section (analyzer timings with
@@ -43,8 +41,7 @@ against unindexed semi-naive on a committed transitive-closure row and fails
 when the measured speedup falls below half the committed one; likewise
 (``query_regression_problems``) re-times a magic-set point query against
 full materialization on the committed quick query row, and
-(``parallel_regression_problems``) the parallel strategy against indexed on
-a committed parallel row, and (``storage_regression_problems``) the
+(``storage_regression_problems``) the
 columnar ``least_index()`` fixpoint against object storage on a committed
 storage row, and (``violations_regression_problems``) one incremental
 view check against one from-scratch constraint check on the committed HR
@@ -72,10 +69,6 @@ from repro.workloads.generators import (  # noqa: E402
     same_generation_program,
     transitive_closure_program,
 )
-
-#: the strategies every matrix row must cover (the parallel strategy lives
-#: in its own section, keyed by shard count).
-MATRIX_STRATEGIES = tuple(s for s in STRATEGIES if s != "parallel")
 
 BENCH_PATH = ROOT / "BENCH_datalog.json"
 #: measured speedup may be at most this factor below the committed one
@@ -134,7 +127,7 @@ def structure_problems(report):
         problems.append("no benchmark rows")
     for row in rows:
         strategies = row.get("strategies", {})
-        missing = [s for s in MATRIX_STRATEGIES if s not in strategies]
+        missing = [s for s in STRATEGIES if s not in strategies]
         if missing:
             problems.append(
                 f"row {row.get('workload')} {row.get('params')} lacks "
@@ -188,35 +181,6 @@ def structure_problems(report):
             problems.append(
                 f"magic point-query speedup {speedup} is below the "
                 f"{QUERY_SPEEDUP_TARGET}x target on the largest query row"
-            )
-    parallel_rows = report.get("parallel")
-    if not parallel_rows:
-        problems.append(
-            "missing sharded parallel section — re-run benchmarks/run_bench.py"
-        )
-    else:
-        for row in parallel_rows:
-            if not row.get("models_identical", False):
-                problems.append(
-                    f"parallel row {row.get('workload')} {row.get('params')} did "
-                    "not verify model agreement with indexed"
-                )
-            cells = row.get("shards") or {}
-            if not cells:
-                problems.append(
-                    f"parallel row {row.get('workload')} {row.get('params')} has "
-                    "no shard cells"
-                )
-            for shards, cell in cells.items():
-                if not cell or cell.get("speedup_parallel_vs_indexed") is None:
-                    problems.append(
-                        f"parallel row {row.get('workload')} {row.get('params')} "
-                        f"shards={shards} lacks a parallel-vs-indexed ratio"
-                    )
-        if not any(r.get("workload") == "transitive_closure" for r in parallel_rows):
-            problems.append(
-                "parallel section lacks a transitive-closure row — the "
-                "parallel-vs-indexed ratio must be recorded on the TC workload"
             )
     storage_rows = report.get("storage")
     if not storage_rows:
@@ -515,61 +479,6 @@ def query_regression_problems(report, full=False):
     return []
 
 
-def parallel_regression_row(report, full=False):
-    """Pick the committed parallel row the regression check re-measures: the
-    largest transitive-closure one (any with ``full=True``, otherwise the
-    largest whose committed indexed cell is quick enough to re-time on every
-    test run)."""
-    candidates = []
-    for row in report.get("parallel", []) or []:
-        if row.get("workload") != "transitive_closure":
-            continue
-        if not row.get("shards"):
-            continue
-        if not full and row.get("indexed_seconds", 0.0) > QUERY_SECONDS_CAP:
-            continue
-        candidates.append(row)
-    if not candidates:
-        return None
-    return max(candidates, key=lambda r: r.get("facts", 0))
-
-
-def parallel_regression_problems(report, full=False):
-    """Re-measure parallel vs indexed on a committed row (at its best
-    committed shard count); return problems when the measured ratio
-    regressed more than ``REGRESSION_TOLERANCE``x against the committed one
-    — i.e. when the sharded scheduler got relatively slower, whatever the
-    host's core count."""
-    row = parallel_regression_row(report, full=full)
-    if row is None:
-        return ["no committed parallel transitive-closure row suitable for re-measurement"]
-    shards, cell = min(
-        row["shards"].items(), key=lambda item: item[1]["seconds"]
-    )
-    committed = row["indexed_seconds"] / max(cell["seconds"], 1e-9)
-    timings = {}
-    # Both cells are fast (tens to hundreds of ms); best-of-3 keeps the
-    # ratio stable against scheduler hiccups.
-    for name, kwargs in (("indexed", {}), ("parallel", dict(shards=int(shards)))):
-        best = None
-        for _ in range(3):
-            program = transitive_closure_program(**row["params"])
-            engine = DatalogEngine(program, strategy=name, **kwargs)
-            start = time.perf_counter()
-            engine.least_model()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-        timings[name] = best
-    measured = timings["indexed"] / max(timings["parallel"], 1e-9)
-    if measured < committed / REGRESSION_TOLERANCE:
-        return [
-            f"parallel evaluation regressed: measured parallel-vs-indexed ratio "
-            f"{measured:.2f}x vs committed {committed:.2f}x on {row['facts']} TC "
-            f"facts at {shards} shard(s) (tolerance {REGRESSION_TOLERANCE}x)"
-        ]
-    return []
-
-
 def storage_regression_row(report, full=False):
     """Pick the committed storage row the regression check re-measures: the
     largest one (the headline row with ``full=True``, otherwise the largest
@@ -768,7 +677,6 @@ def main(argv=None):
     if not args.no_measure:
         problems += regression_problems(report, full=args.full)
         problems += query_regression_problems(report, full=args.full)
-        problems += parallel_regression_problems(report, full=args.full)
         problems += storage_regression_problems(report, full=args.full)
         problems += violations_regression_problems(report, full=args.full)
         problems += revision_regression_problems(report, full=args.full)

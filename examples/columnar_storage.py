@@ -67,16 +67,12 @@ def main():
           f"columnar {timings['columnar'] * 1000:.1f} ms "
           f"({timings['objects'] / timings['columnar']:.1f}x)")
 
-    # -- the same switch on maintenance and sharded parallel ----------------
+    # -- the same switch on maintenance --------------------------------------
     maintained = MaterializedModel(build(), storage="columnar")
     maintained.apply(insertions=[atom("edge", "c0_n8", "c1_n0")], deletions=[])
     print(f"  columnar MaterializedModel after an insert: "
           f"{maintained.holds(atom('path', 'c0_n0', 'c1_n8'))} "
           f"(path now crosses into chain 1)")
-    parallel = DatalogEngine(build(), strategy="parallel", shards=4,
-                             workers=2, storage="columnar")
-    print(f"  parallel columnar model identical: "
-          f"{parallel.least_model() == objects_model}")
     return 0
 
 

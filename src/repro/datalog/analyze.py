@@ -1,6 +1,6 @@
 """Static program analysis for Datalog: diagnostics plus optimization.
 
-The engine family (indexed / incremental / magic / parallel / columnar)
+The engine family (indexed / incremental / magic / columnar)
 evaluates whatever program it is handed; this module is the pass that looks
 at the *program as an object* first — Reiter's KB-as-first-class-artifact
 view applied to the Datalog substrate.  :func:`analyze_program` runs a
@@ -32,13 +32,12 @@ consumes:
   never defines.
 
 Byproducts shared with the engine: the predicate dependency condensation
-(:func:`condensation_of`, also the substrate of
-``DatalogEngine._condensation`` and the parallel scheduler's waves),
+(:func:`condensation_of`, also the substrate of ``DatalogEngine._stratify``),
 per-predicate :class:`PredicateSignature` objects (inferred arity plus
 per-column constant kinds, pre-validating the columnar/interner layout),
 and the never-fire rule set that
 :meth:`ProgramAnalysis.pruned_program` strips — the dead-rule pruner the
-engine applies before magic rewriting and shard scheduling.  Pruning is
+engine applies before stratification and magic rewriting.  Pruning is
 *semantics-preserving*: only rules whose positive body mentions a provably
 empty predicate are removed, so the least model is unchanged by
 construction (output-unreachability is diagnosed but never pruned).
@@ -299,8 +298,7 @@ def strongly_connected_components(nodes, successors):
     component-position map.
 
     This is the one SCC routine of the Datalog layer: the engine's
-    stratifier, the parallel scheduler's wave grouping and the incremental
-    maintainer all condense with it.
+    stratifier and the incremental maintainer both condense with it.
     """
     preorder = {}
     lowlink = {}
@@ -350,7 +348,7 @@ def strongly_connected_components(nodes, successors):
 def condensation_of(rules):
     """The dependency condensation of a rule set: ``(components,
     component_of, positive_edges, negative_edges)``, components emitted
-    dependencies-first.  Unlike ``DatalogEngine._condensation`` (which is
+    dependencies-first.  Unlike ``DatalogEngine._stratify`` (which is
     built on this and *raises* on non-stratifiable programs) this never
     raises — the analyzer reports negative in-component edges as ``DL005``
     diagnostics instead."""

@@ -17,8 +17,8 @@ become **rows** — tuples of ids — living in per-``(predicate, arity)``
   Python ``__hash__`` dispatch);
 * per-argument-position **columns** (``array('q')`` — one machine word per
   value, no per-value object overhead), materialised lazily from the live
-  rows for compact export (:meth:`RowStore.to_arrays` — the int-array form
-  sharded delta exchange ships instead of pickled atom objects);
+  rows for compact export (:meth:`RowStore.to_arrays` — an int-array form
+  that can cross a process boundary instead of pickled atom objects);
 * per-position **bucket maps** ``id -> set of rows``, the same probe
   structure :class:`~repro.datalog.index.FactIndex` keeps per value, so
   the engine's greedy bound-prefix planning carries over unchanged.
@@ -41,8 +41,7 @@ Three faces are exposed, innermost first:
 
 Everything here is selected by ``storage="columnar"`` on
 :class:`~repro.datalog.engine.DatalogEngine`,
-:class:`~repro.datalog.incremental.MaterializedModel`,
-:class:`~repro.datalog.shard.ShardedFactIndex` and
+:class:`~repro.datalog.incremental.MaterializedModel` and
 ``EpistemicDatabase.datalog_view``; ``storage="objects"`` keeps the
 original representation, and the two are property-tested equivalent
 (``tests/test_datalog_columnar.py``).
@@ -385,8 +384,8 @@ class RowStore:
     def to_arrays(self):
         """Export every relation as ``{key: (count, [array('q'), ...])}`` —
         one machine-word array per column.  This is the compact shipping
-        form for shard exchange: no atom objects, no per-value boxing, and
-        ``array`` supports zero-copy buffer transport."""
+        form for exchange between processes: no atom objects, no per-value
+        boxing, and ``array`` supports zero-copy buffer transport."""
         return {
             key: (len(relation.rows), [array("q", column) for column in relation.columns])
             for key, relation in self._relations.items()
@@ -443,7 +442,7 @@ class ColumnarFactIndex:
 
     @property
     def interner(self):
-        """The shared symbol table (one per engine / model / shard group)."""
+        """The shared symbol table (one per engine / model)."""
         return self._interner
 
     @property
@@ -595,25 +594,22 @@ class ColumnarFactIndex:
         return f"ColumnarFactIndex({len(self._store)} facts; {rendered})"
 
 
-def decode_world(stores, interner):
-    """Decode one or more :class:`RowStore` / :class:`ColumnarRelation`
-    holders into a :class:`~repro.semantics.worlds.World`, seeding the
-    world's per-predicate index in the same pass (the columnar analogue of
+def decode_world(store, interner):
+    """Decode a :class:`RowStore` into a
+    :class:`~repro.semantics.worlds.World`, seeding the world's
+    per-predicate index in the same pass (the columnar analogue of
     :meth:`World.from_fact_index <repro.semantics.worlds.World.from_fact_index>`)."""
-    if isinstance(stores, RowStore):
-        stores = (stores,)
     parameters = interner.parameters
     atoms = []
     buckets = {}
-    for store in stores:
-        for (predicate, _arity), relation in store.items():
-            if not relation.rows:
-                continue
-            bucket = buckets.setdefault(predicate, [])
-            for row in relation.rows:
-                atom = fast_atom(predicate, tuple([parameters[i] for i in row]))
-                atoms.append(atom)
-                bucket.append(atom)
+    for (predicate, _arity), relation in store.items():
+        if not relation.rows:
+            continue
+        bucket = buckets.setdefault(predicate, [])
+        for row in relation.rows:
+            atom = fast_atom(predicate, tuple([parameters[i] for i in row]))
+            atoms.append(atom)
+            bucket.append(atom)
     world = World.__new__(World)
     world._atoms = frozenset(atoms)
     world._hash = hash(world._atoms)
@@ -634,15 +630,6 @@ def decode_world(stores, interner):
 # executes only local loads, int compares and C-level dict/set operations —
 # no Atom allocation and no Python-level ``__hash__`` dispatch — which is
 # where the columnar backend's speedup over the object index comes from.
-#
-# The generated function takes tuples of :class:`RowStore` fragments:
-# ``sources`` form the full database (one store sequentially; the shard
-# stores plus a private overlay under the parallel scheduler), ``delta_enum``
-# is what the ``"delta"`` step enumerates (one slice under shard fan-out)
-# and ``delta_full`` the whole round delta consulted by the ``"old"``
-# discipline — exactly the split :class:`~repro.datalog.parallel._DeltaShard`
-# makes on the object path.  Store-fragment counts are baked into the
-# generated membership chains, so the compilation cache keys on them.
 
 
 def _entry_expression(arg, slots, interner):
@@ -662,15 +649,15 @@ def _row_expression(args, slots, interner):
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
-def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
+def compile_schedule(rule, schedule, interner, provenance=False):
     """Compile a ``(literal, source)`` schedule (the output of
     :meth:`DatalogEngine._schedule
     <repro.datalog.engine.DatalogEngine._schedule>`) into a join-pass
-    function ``pass_(sources, delta_full, delta_enum, out)`` that adds the
-    derived ``(key, row)`` facts not already stored to *out* (a set).
-
-    *shape* is ``(len(sources), len(delta_full))`` — membership chains over
-    the store fragments are unrolled at generation time.
+    function ``pass_(source, delta, out)`` that adds the derived ``(key,
+    row)`` facts not already in *source* to *out* (a set).  *source* is the
+    full database; *delta* is the round delta :class:`RowStore` that the
+    ``"delta"`` step enumerates and the ``"old"`` steps exclude (``None``
+    for a pass without a delta position).
 
     With *provenance* the generated function takes one extra parameter,
     ``rec``, called as ``rec((v0, ..., vN))`` — the bound slot values, in
@@ -680,7 +667,6 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
     values back into a binding; the non-provenance variant emits *no* extra
     code, keeping the default inner loop byte-for-byte unchanged.
     """
-    source_count, delta_count = shape
     slots = {}
     for literal, _source in schedule:
         for arg in literal.atom.args:
@@ -692,36 +678,28 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
     def emit(depth, text):
         lines.append("    " * depth + text)
 
-    parameters = "sources, delta_full, delta_enum, out" + (
-        ", rec" if provenance else ""
-    )
+    parameters = "source, delta, out" + (", rec" if provenance else "")
     emit(0, f"def pass_({parameters}):")
     emit(1, "__add = out.add")
     head_key_name = "__HK"
     env[head_key_name] = (rule.head.predicate, rule.head.arity)
-    for fragment in range(source_count):
-        emit(1, f"__t = sources[{fragment}].get({head_key_name})")
-        emit(1, f"__hr{fragment} = __t.rows if __t is not None else __EMPTY")
+    emit(1, f"__t = source.get({head_key_name})")
+    emit(1, "__hr = __t.rows if __t is not None else __EMPTY")
     for index, (literal, source) in enumerate(schedule):
         key_name = f"__K{index}"
         env[key_name] = (literal.atom.predicate, len(literal.atom.args))
         if literal.positive:
-            pool = "delta_enum" if source == "delta" else "sources"
-            emit(1, f"__p{index} = []")
-            emit(1, f"for __s in {pool}:")
-            emit(2, f"__r = __s.get({key_name})")
-            emit(2, "if __r is not None and __r.rows:")
-            emit(3, f"__p{index}.append(__r)")
+            # An empty positive relation admits no derivation at all.
+            store = "delta" if source == "delta" else "source"
+            emit(1, f"__r{index} = {store}.get({key_name})")
+            emit(1, f"if __r{index} is None or not __r{index}.rows:")
+            emit(2, "return")
             if source == "old":
-                for fragment in range(delta_count):
-                    emit(1, f"__t = delta_full[{fragment}].get({key_name})")
-                    emit(1, f"__sk{index}_{fragment} = "
-                            "__t.rows if __t is not None else __EMPTY")
+                emit(1, f"__t = delta.get({key_name})")
+                emit(1, f"__sk{index} = __t.rows if __t is not None else __EMPTY")
         else:
-            for fragment in range(source_count):
-                emit(1, f"__t = sources[{fragment}].get({key_name})")
-                emit(1, f"__nr{index}_{fragment} = "
-                        "__t.rows if __t is not None else __EMPTY")
+            emit(1, f"__t = source.get({key_name})")
+            emit(1, f"__nr{index} = __t.rows if __t is not None else __EMPTY")
 
     # The body proper: a one-iteration dummy loop makes guard `continue`s
     # valid even before the first real candidate loop.
@@ -732,11 +710,7 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
         atom = literal.atom
         if not literal.positive:
             row_expr = _row_expression(atom.args, slots, interner)
-            emit(depth, f"__n = {row_expr}")
-            membership = " or ".join(
-                f"__n in __nr{index}_{fragment}" for fragment in range(source_count)
-            )
-            emit(depth, f"if {membership}:")
+            emit(depth, f"if {row_expr} in __nr{index}:")
             emit(depth + 1, "continue")
             continue
         const_probes = []
@@ -765,11 +739,9 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
                 const_probes.append((position, ident))
                 const_checks.append((position, ident))
         bound.update(seen_here)
-        emit(depth, f"for __r in __p{index}:")
-        depth += 1
-        emit(depth, "__best = __r.rows")
+        emit(depth, f"__best = __r{index}.rows")
         if const_probes or var_probes:
-            emit(depth, "__bk = __r.buckets")
+            emit(depth, f"__bk = __r{index}.buckets")
             for position, ident in const_probes:
                 emit(depth, f"__b = __bk[{position}].get({ident})")
                 emit(depth, "if not __b:")
@@ -785,11 +757,8 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
         row = f"__row{index}"
         emit(depth, f"for {row} in __best:")
         depth += 1
-        if source == "old" and delta_count:
-            membership = " or ".join(
-                f"{row} in __sk{index}_{fragment}" for fragment in range(delta_count)
-            )
-            emit(depth, f"if {membership}:")
+        if source == "old":
+            emit(depth, f"if {row} in __sk{index}:")
             emit(depth + 1, "continue")
         for position, ident in const_checks:
             emit(depth, f"if {row}[{position}] != {ident}:")
@@ -806,11 +775,7 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
     head_expr = _row_expression(rule.head.args, slots, interner)
     emit(depth, f"__h = {head_expr}")
     emit(depth, f"__f = ({head_key_name}, __h)")
-    absent = " and ".join(
-        ["__f not in out"]
-        + [f"__h not in __hr{fragment}" for fragment in range(source_count)]
-    )
-    emit(depth, f"if {absent}:")
+    emit(depth, "if __f not in out and __h not in __hr:")
     emit(depth + 1, "__add(__f)")
     if provenance:
         ordered_slots = sorted(slots.values())
@@ -826,16 +791,15 @@ def compile_schedule(rule, schedule, interner, shape=(1, 0), provenance=False):
     return pass_
 
 
-def compiled_for(cache, rule, delta_position, schedule, interner, shape=(1, 0),
-                 provenance=False):
+def compiled_for(cache, rule, delta_position, schedule, interner, provenance=False):
     """The generated join-pass function for one (rule, delta position,
-    schedule, fragment shape, provenance) combination, memoized in *cache* —
-    schedules stabilise after a round or two, so generation is paid once per
-    distinct plan."""
-    key = (rule, delta_position, tuple(schedule), shape, provenance)
+    schedule, provenance) combination, memoized in *cache* — schedules
+    stabilise after a round or two, so generation is paid once per distinct
+    plan."""
+    key = (rule, delta_position, tuple(schedule), provenance)
     compiled = cache.get(key)
     if compiled is None:
-        compiled = compile_schedule(rule, schedule, interner, shape, provenance)
+        compiled = compile_schedule(rule, schedule, interner, provenance)
         cache[key] = compiled
     return compiled
 
@@ -911,9 +875,7 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
     sink = engine._provenance_sink
     recording = sink is not None
     parameters = interner.parameters
-    sources = (store,)
     delta = None
-    delta_sources = ()
     first_round = True
     while True:
         statistics.iterations += 1
@@ -925,16 +887,14 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                 if first_round:
                     statistics.rule_applications += 1
                     schedule = engine._schedule(rule, index=store, stats=stats)
-                    join = compiled_for(
-                        cache, rule, None, schedule, interner, (1, 0), recording
-                    )
+                    join = compiled_for(cache, rule, None, schedule, interner, recording)
                     with tracer.span("join.pass", rule=rule.head.predicate):
                         if recording:
-                            join(sources, (), (), new_facts, _edge_recorder(
+                            join(store, None, new_facts, _edge_recorder(
                                 sink, rule, join.slot_variables, parameters
                             ))
                         else:
-                            join(sources, (), (), new_facts)
+                            join(store, None, new_facts)
                     continue
                 produced_this_rule = set()
                 for delta_position, literal in enumerate(rule.body):
@@ -948,8 +908,7 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                         rule, delta_position=delta_position, index=store, stats=stats
                     )
                     join = compiled_for(
-                        cache, rule, delta_position, schedule, interner, (1, 1),
-                        recording,
+                        cache, rule, delta_position, schedule, interner, recording
                     )
                     with tracer.span(
                         "join.pass",
@@ -957,24 +916,16 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                         delta_position=delta_position,
                     ):
                         if recording:
-                            join(
-                                sources, delta_sources, delta_sources,
-                                produced_this_rule,
-                                _edge_recorder(
-                                    sink, rule, join.slot_variables, parameters
-                                ),
-                            )
+                            join(store, delta, produced_this_rule, _edge_recorder(
+                                sink, rule, join.slot_variables, parameters
+                            ))
                         else:
-                            join(
-                                sources, delta_sources, delta_sources,
-                                produced_this_rule,
-                            )
+                            join(store, delta, produced_this_rule)
                 new_facts |= produced_this_rule
             round_span.annotate(facts_derived=len(new_facts))
         if not new_facts:
             return
         statistics.facts_derived += len(new_facts)
         delta = fresh_delta(new_facts)
-        delta_sources = (delta,)
         store.absorb(delta)
         first_round = False

@@ -19,15 +19,7 @@ are provided, forming the ablation ladder the E9 benchmark measures:
   are reordered greedily by estimated selectivity (delta literal first, then
   whichever remaining literal has the most bound argument positions and the
   smallest surviving-fact estimate), and each join step probes the index
-  with the currently bound prefix instead of scanning the fact set;
-* **parallel** — the indexed strategy over a hash-partitioned
-  :class:`~repro.datalog.shard.ShardedFactIndex`, scheduled by
-  :class:`~repro.datalog.parallel.ParallelScheduler`: independent
-  components of the dependency condensation evaluate concurrently, and a
-  recursive component's delta-join passes fan out across shards on a worker
-  pool, with a deterministic reduction so the least model is identical to
-  every sequential strategy (``shards=`` / ``workers=`` tune the layout;
-  ``engine.parallel_statistics`` reports waves/widths/shard tasks).
+  with the currently bound prefix instead of scanning the fact set.
 
 In every strategy, negated body literals are deferred until the join prefix
 has bound all of their variables, so range-restricted rules evaluate
@@ -100,7 +92,7 @@ from repro.obs.provenance import ProvenanceError, ProvenanceRecorder, derivation
 from repro.obs.tracing import NOOP_TRACER
 from repro.semantics.worlds import World
 
-STRATEGIES = ("naive", "semi-naive", "indexed", "parallel")
+STRATEGIES = ("naive", "semi-naive", "indexed")
 PLANNERS = ("histogram", "uniform")
 STORAGES = ("objects", "columnar")
 QUERY_MODES = ("auto", "magic", "full")
@@ -200,12 +192,7 @@ class DatalogEngine:
     bucket-size histograms, see :mod:`repro.datalog.stats`) or
     ``"uniform"`` (the distinct-value-count estimate of
     :meth:`~repro.datalog.index.FactIndex.selectivity`, kept as an
-    ablation baseline).  With ``strategy="parallel"``, ``shards`` sets the
-    partition width of the backing
-    :class:`~repro.datalog.shard.ShardedFactIndex` (default
-    :data:`~repro.datalog.shard.DEFAULT_SHARDS`) and ``workers`` the thread
-    pool size (default: one per shard, capped by the CPU count); both are
-    rejected under the sequential strategies.
+    ablation baseline).
 
     ``storage`` selects the fact representation (one of :data:`STORAGES`):
     ``"objects"`` (hash-sets of :class:`~repro.logic.syntax.Atom`) or
@@ -213,10 +200,10 @@ class DatalogEngine:
     as id rows and joined by generated id-space loops — see
     :mod:`repro.datalog.columnar`).  The two produce identical models,
     query answers and evaluation counters; columnar is the fast path for
-    large fact sets and is available under the ``indexed`` and ``parallel``
-    strategies (the scanning strategies are set-based baselines and reject
-    it).  The default (``storage=None``) resolves to ``"columnar"`` under
-    those two strategies and ``"objects"`` under the scanning baselines.
+    large fact sets and is available under the ``indexed`` strategy (the
+    scanning strategies are set-based baselines and reject it).  The
+    default (``storage=None``) resolves to ``"columnar"`` under ``indexed``
+    and ``"objects"`` under the scanning baselines.
 
     ``check`` selects the static-analysis mode (one of :data:`CHECK_MODES`,
     see :mod:`repro.datalog.analyze`): ``"warn"`` (the default) runs the
@@ -225,7 +212,7 @@ class DatalogEngine:
     ``engine.diagnostics``, surfaces error-severity ones through
     :class:`~repro.exceptions.ProgramAnalysisWarning` and prunes rules the
     analyzer proves can never fire (a semantics-preserving rewrite applied
-    before stratification, magic rewriting and shard scheduling, so every
+    before stratification and magic rewriting, so every
     strategy inherits it); ``"strict"`` runs the analysis eagerly at
     construction and raises :class:`~repro.exceptions.ProgramAnalysisError`
     on *any* non-informational finding, before evaluation starts;
@@ -239,37 +226,23 @@ class DatalogEngine:
     only) records one rule-level derivation edge per derived fact during
     evaluation, enabling :meth:`explain`; it is off by default because the
     edge store is O(derived facts).  :meth:`metrics` snapshots the
-    engine's metrics registry, which the ``statistics`` /
-    ``parallel_statistics`` façades and the ``query.*`` counters share.
+    engine's metrics registry, which the ``statistics`` façade and the
+    ``query.*`` counters share.
     """
 
     def __init__(self, program, strategy="indexed", planner="histogram",
-                 shards=None, workers=None, storage=None, check="warn",
+                 storage=None, check="warn",
                  tracer=None, provenance=False):
         if strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}")
         if planner not in PLANNERS:
             raise ValueError(f"planner must be one of {', '.join(PLANNERS)}")
         if storage is None:
-            storage = "columnar" if strategy in ("indexed", "parallel") else "objects"
+            storage = "columnar" if strategy == "indexed" else "objects"
         if storage not in STORAGES:
             raise ValueError(f"storage must be one of {', '.join(STORAGES)}")
-        if storage == "columnar" and strategy not in ("indexed", "parallel"):
-            raise ValueError(
-                "columnar storage requires the indexed or parallel strategy"
-            )
-        if strategy == "parallel":
-            from repro.datalog.shard import DEFAULT_SHARDS
-
-            shards = DEFAULT_SHARDS if shards is None else int(shards)
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            if workers is not None:
-                workers = int(workers)
-                if workers < 1:
-                    raise ValueError(f"workers must be >= 1, got {workers}")
-        elif shards is not None or workers is not None:
-            raise ValueError("shards/workers are only meaningful with strategy='parallel'")
+        if storage == "columnar" and strategy != "indexed":
+            raise ValueError("columnar storage requires the indexed strategy")
         if check not in CHECK_MODES:
             raise ValueError(f"check must be one of {', '.join(CHECK_MODES)}")
         if provenance and strategy != "indexed":
@@ -280,8 +253,6 @@ class DatalogEngine:
         self.program = program
         self.strategy = strategy
         self.planner = planner
-        self.shards = shards
-        self.workers = workers
         self.storage = storage
         self.tracer = NOOP_TRACER if tracer is None else tracer
         # One symbol table per engine: append-only, so ids stay stable
@@ -298,9 +269,6 @@ class DatalogEngine:
         self._provenance = ProvenanceRecorder() if provenance else None
         self._provenance_key = None
         self._provenance_sink = None
-        # Filled per parallel evaluation by ParallelScheduler (waves, wave
-        # widths, shard fan-out tasks); None under the sequential strategies.
-        self.parallel_statistics = None
         # query()'s magic cache: rewrite templates per (predicate, arity,
         # adornment) and evaluated goal-relevant models per (..., bound
         # constants), both valid for exactly one program content key.
@@ -343,8 +311,8 @@ class DatalogEngine:
         error-severity diagnostics are surfaced as
         :class:`~repro.exceptions.ProgramAnalysisWarning` and evaluation
         proceeds.  Either way the analyzer's never-fire rules are pruned
-        from the *effective* program that stratification, magic planning
-        and the parallel scheduler read (a semantics-preserving rewrite —
+        from the *effective* program that stratification and magic planning
+        read (a semantics-preserving rewrite —
         only rules with a provably empty positive body predicate go).
         """
         if self.check == "off":
@@ -415,9 +383,7 @@ class DatalogEngine:
             "engine.least_model", strategy=self.strategy, storage=self.storage
         ):
             try:
-                if self.strategy == "parallel":
-                    model = self._evaluate_parallel()
-                elif self.strategy == "indexed":
+                if self.strategy == "indexed":
                     if self.storage == "columnar":
                         model = self._evaluate_columnar()
                     else:
@@ -433,23 +399,21 @@ class DatalogEngine:
 
     def least_index(self):
         """Evaluate the fixpoint and return the final fact storage — a
-        :class:`~repro.datalog.index.FactIndex`,
-        :class:`~repro.datalog.columnar.ColumnarFactIndex` or
-        :class:`~repro.datalog.shard.ShardedFactIndex` holding the least
+        :class:`~repro.datalog.index.FactIndex` or
+        :class:`~repro.datalog.columnar.ColumnarFactIndex` holding the least
         model's atoms — *without* materialising a
         :class:`~repro.semantics.worlds.World`.
 
-        This is the fixpoint product for index-consuming pipelines (shard
-        exchange, feeding another engine, bulk export): skipping the
-        World's frozen atom-set construction avoids decoding/validating
-        every atom at the API edge, which for large models costs more than
-        the fixpoint itself.  Only the ``indexed`` and ``parallel``
-        strategies materialise an index; the scanning strategies raise
-        ``ValueError``.  The result is freshly evaluated (never cached) and
+        This is the fixpoint product for index-consuming pipelines (feeding
+        another engine, bulk export): skipping the World's frozen atom-set
+        construction avoids decoding/validating every atom at the API edge,
+        which for large models costs more than the fixpoint itself.  Only
+        the ``indexed`` strategy materialises an index; the scanning
+        strategies raise ``ValueError``.  The result is freshly evaluated (never cached) and
         must be treated as read-only if the engine is reused.
         """
-        if self.strategy not in ("indexed", "parallel"):
-            raise ValueError("least_index requires the indexed or parallel strategy")
+        if self.strategy != "indexed":
+            raise ValueError("least_index requires the indexed strategy")
         self.ensure_checked()
         key = self._program_key()
         if self._strata_key != key:
@@ -459,9 +423,7 @@ class DatalogEngine:
             "engine.least_index", strategy=self.strategy, storage=self.storage
         ):
             try:
-                if self.strategy == "parallel":
-                    result = self._parallel_fixpoint()
-                elif self.storage == "columnar":
+                if self.storage == "columnar":
                     result = ColumnarFactIndex.from_store(
                         self._columnar_fixpoint(), self.interner
                     )
@@ -608,14 +570,11 @@ class DatalogEngine:
                 template = magic.plan(self._effective_program(), atom)
             self._magic_templates[template_key] = template
         magic_program = magic.instantiate(template, self.program, atom)
-        # shards/workers are None under the sequential strategies, which the
-        # constructor accepts as "not set".  The rewrite output is generated
-        # code — full of benign duplicates by construction — so the inner
-        # engine skips the static analyzer.
+        # The rewrite output is generated code — full of benign duplicates
+        # by construction — so the inner engine skips the static analyzer.
         inner = DatalogEngine(
             magic_program.program, strategy=self.strategy, planner=self.planner,
-            shards=self.shards, workers=self.workers, storage=self.storage,
-            check="off", tracer=self.tracer,
+            storage=self.storage, check="off", tracer=self.tracer,
         )
         with self.tracer.span(
             "magic.evaluate", goal=atom.predicate, adornment=adornment
@@ -684,10 +643,8 @@ class DatalogEngine:
     def metrics(self):
         """One flat snapshot of every instrument of this engine's
         :class:`~repro.obs.metrics.MetricsRegistry`: the fixpoint counters
-        behind ``engine.statistics`` (``engine.*``), the cumulative query
-        counters (``query.*``) and — under ``strategy="parallel"`` — the
-        scheduler counters behind ``parallel_statistics``
-        (``parallel.*``)."""
+        behind ``engine.statistics`` (``engine.*``) and the cumulative query
+        counters (``query.*``)."""
         return self._metrics.snapshot()
 
     def explain(self, atom):
@@ -791,60 +748,26 @@ class DatalogEngine:
     def _evaluate_columnar(self):
         return decode_world(self._columnar_fixpoint(), self.interner)
 
-    def _parallel_fixpoint(self):
-        """Evaluate over a :class:`~repro.datalog.shard.ShardedFactIndex`
-        with :class:`~repro.datalog.parallel.ParallelScheduler` and return
-        the index: independent dependency components run concurrently and
-        delta passes fan out across shards; the resulting model is
-        identical to the sequential strategies (set-union reductions are
-        order-independent)."""
-        from repro.datalog.parallel import ParallelScheduler
-        from repro.datalog.shard import ShardedFactIndex
-
-        index = ShardedFactIndex(
-            (fact.atom for fact in self.program.facts),
-            shards=self.shards,
-            storage=self.storage,
-            interner=self.interner,
-        )
-        scheduler = ParallelScheduler(self)
-        self.parallel_statistics = scheduler.statistics
-        scheduler.evaluate(index)
-        self.statistics.strata = len(self._strata)
-        return index
-
-    def _evaluate_parallel(self):
-        index = self._parallel_fixpoint()
-        if self.storage == "columnar":
-            return decode_world(
-                [shard.store for shard in index.shard_indexes()], self.interner
-            )
-        return World.from_fact_index(index)
-
     def _planner_stats(self, index):
         """Refresh and return the histogram statistics for *index*, or
-        ``None`` under the uniform planner (the scheduler then falls back
-        to ``index.selectivity``)."""
+        ``None`` under the uniform planner (:meth:`_schedule` then falls
+        back to ``index.selectivity``)."""
         if self.planner != "histogram":
             return None
         return self.planner_statistics.refresh(index)
 
     # -- stratification -----------------------------------------------------
-    def _condensation(self):
-        """The predicate dependency condensation: Tarjan components of the
-        IDB dependency graph (emitted dependencies-first) plus the positive
-        and negative edge maps they were built from, as ``(components,
-        component_of, positive_edges, negative_edges)``.
+    def _stratify(self):
+        """Split the intensional predicates into strata; extensional
+        predicates live in stratum 0 implicitly.
 
-        This is the shared substrate of :meth:`_stratify` (which levels the
-        components into strata) and of the parallel scheduler's wave
-        grouping (:meth:`ParallelScheduler.waves
-        <repro.datalog.parallel.ParallelScheduler.waves>`).  The
-        stratifiability check happens here and is exact: the program is
-        rejected precisely when a negative edge lies inside a component —
-        the error spells out the offending cycle as a predicate path
-        (computed by the static analyzer's
-        :func:`~repro.datalog.analyze.negative_cycle`), e.g.
+        Strata are levels of the predicate dependency condensation (Tarjan
+        components of the IDB dependency graph, emitted dependencies-first
+        by :func:`~repro.datalog.analyze.condensation_of`).  The
+        stratifiability check is exact: the program is rejected precisely
+        when a negative edge lies inside a component — the error spells out
+        the offending cycle as a predicate path (computed by the static
+        analyzer's :func:`~repro.datalog.analyze.negative_cycle`), e.g.
         ``p/1 -not-> q/1 -> p/1``.
         """
         components, component_of, positive_edges, negative_edges = condensation_of(
@@ -862,16 +785,6 @@ class DatalogEngine:
                         "program is not stratifiable: negation inside a "
                         f"recursive component — {format_cycle(cycle)}"
                     )
-        return components, component_of, positive_edges, negative_edges
-
-    def _stratify(self):
-        """Split the intensional predicates into strata; extensional
-        predicates live in stratum 0 implicitly.
-
-        Built on :meth:`_condensation`, which performs the exact
-        stratifiability check.
-        """
-        components, component_of, positive_edges, negative_edges = self._condensation()
         if not components:
             return [set()]
         # Components are emitted dependencies-first, so one pass suffices.

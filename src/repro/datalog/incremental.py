@@ -55,11 +55,7 @@ index changes into them (:meth:`JoinStatistics.update
 <repro.datalog.stats.JoinStatistics.update>`), so they always equal a fresh
 snapshot of the index while costing O(batch + touched buckets).  Together
 with the keyed fact list this makes ``apply``, ``peek``, ``query`` and
-``holds`` independent of the size of the database.  When the wrapped
-engine uses ``strategy="parallel"``, the materialized state lives in a
-:class:`~repro.datalog.shard.ShardedFactIndex` with the engine's shard
-count, so counting updates, DRed overdeletion (``retract_all``) and
-rederivation all apply shard-locally.
+``holds`` independent of the size of the database.
 """
 
 from collections import defaultdict
@@ -156,10 +152,8 @@ class MaterializedModel:
     access notices (the fact list's version stamp, a comparison of the
     rules) and falls back to a full rebuild.
 
-    ``strategy`` (plus ``shards`` when it is ``"parallel"``, plus
-    ``storage``) configures the wrapped engine when one has to be built;
-    with a parallel engine the materialized index is sharded (see the
-    module docstring).  When the engine stores columnar
+    ``strategy`` (plus ``storage``) configures the wrapped engine when one
+    has to be built.  When the engine stores columnar
     (``storage="columnar"``), the materialized index is a
     :class:`~repro.datalog.columnar.ColumnarFactIndex` over the engine's
     interner — membership, DRed overdeletion/rederivation set algebra and
@@ -170,22 +164,13 @@ class MaterializedModel:
     (unplanned textual order); default: the wrapped engine's planner.
     """
 
-    def __init__(self, program_or_engine, strategy="indexed", shards=None, planner=None,
+    def __init__(self, program_or_engine, strategy="indexed", planner=None,
                  storage=None):
         if isinstance(program_or_engine, DatalogEngine):
-            if shards is not None:
-                raise ValueError("pass shards via the engine when wrapping one")
             if storage is not None:
                 raise ValueError("pass storage via the engine when wrapping one")
             self.engine = program_or_engine
-        elif strategy == "parallel":
-            self.engine = DatalogEngine(
-                program_or_engine, strategy=strategy, shards=shards,
-                storage="objects" if storage is None else storage,
-            )
         else:
-            if shards is not None:
-                raise ValueError("shards are only meaningful with strategy='parallel'")
             self.engine = DatalogEngine(
                 program_or_engine, strategy=strategy,
                 storage="objects" if storage is None else storage,
@@ -406,18 +391,9 @@ class MaterializedModel:
         )
 
     def _new_index(self, atoms=()):
-        """A fresh materialized index: sharded with the engine's shard count
-        when the wrapped engine evaluates in parallel, columnar over the
-        engine's interner when the engine stores columnar, a plain
+        """A fresh materialized index: columnar over the engine's interner
+        when the engine stores columnar, a plain
         :class:`~repro.datalog.index.FactIndex` otherwise."""
-        engine = self.engine
-        if engine.strategy == "parallel":
-            from repro.datalog.shard import ShardedFactIndex
-
-            return ShardedFactIndex(
-                atoms, shards=engine.shards,
-                storage=self.storage, interner=self._interner,
-            )
         if self.storage == "columnar":
             from repro.datalog.columnar import ColumnarFactIndex
 

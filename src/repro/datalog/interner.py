@@ -14,11 +14,10 @@ decoded back to the *original* parameter objects only at the API edge.
 
 The table is bidirectional and append-only: ids are never reused and an
 interned parameter keeps its id for the lifetime of the table, so id-tuples
-remain stable across evaluation rounds, incremental updates and shard
-repartitions.  Interning happens on the single-threaded write paths (EDB
-load, rule compilation, ``apply`` batches); the parallel scheduler's worker
-threads only ever *read* the table (derived facts recombine ids that already
-exist), so no locking is needed.
+remain stable across evaluation rounds and incremental updates.  Interning
+happens on the write paths (EDB load, rule compilation, ``apply`` batches);
+the joins only ever *read* the table (derived facts recombine ids that
+already exist).
 """
 
 from repro.logic.syntax import Atom
@@ -69,11 +68,10 @@ class Interner:
     :class:`~repro.logic.terms.Parameter` objects to dense integer ids.
 
     One interner is shared by everything that must agree on ids: an engine
-    and its columnar store, a materialized model and its deltas, the shards
-    of a :class:`~repro.datalog.shard.ShardedFactIndex`.  Decoding returns
-    the identical parameter objects that were interned (not equal copies),
-    so no string is ever re-parsed and decoded atoms share their arguments
-    with the program that produced them.
+    and its columnar store, a materialized model and its deltas.  Decoding
+    returns the identical parameter objects that were interned (not equal
+    copies), so no string is ever re-parsed and decoded atoms share their
+    arguments with the program that produced them.
     """
 
     __slots__ = ("_ids", "_parameters")

@@ -104,16 +104,11 @@ class JoinStatistics:
         each fixpoint round and by the incremental maintainer when it
         (re)builds; returns ``self`` for chaining.
 
-        Only bucket *sizes* feed the summary, so indexes exposing
-        ``histogram_sizes`` (both storage backends do) hand them over
-        without materialising a value-keyed dict per refresh; others fall
-        back to the full :meth:`histogram
-        <repro.datalog.index.FactIndex.histogram>` contract."""
+        Only bucket *sizes* feed the summary, so the index hands them over
+        through ``histogram_sizes`` without materialising a value-keyed
+        dict per refresh."""
         self.refreshes += 1
-        sizes_of = getattr(index, "histogram_sizes", None)
-        if sizes_of is None:
-            def sizes_of(predicate, arity, position):
-                return index.histogram(predicate, arity, position).values()
+        sizes_of = index.histogram_sizes
         self._columns = {}
         self._frequencies = {}
         for key in index.relations():

@@ -10,14 +10,14 @@ package gives every layer one vocabulary for both:
 
 * :mod:`repro.obs.tracing` — a zero-dependency span tracer
   (``tracer.span("fixpoint.round", **attrs)`` context managers,
-  thread-safe for the parallel scheduler, a shared near-zero-overhead
-  no-op by default) with JSON-lines export and an aggregating CLI
+  thread-safe for callers that share one tracer across threads, a shared
+  near-zero-overhead no-op by default) with JSON-lines export and an
+  aggregating CLI
   (``python -m repro.obs summarize trace.jsonl`` renders a per-operation
   count/total/p50/p99 tree);
 * :mod:`repro.obs.metrics` — a registry of named counters, gauges and
-  histograms that the existing statistics objects
-  (:class:`~repro.datalog.engine.EvaluationStatistics`,
-  :class:`~repro.datalog.parallel.ParallelStatistics`) are thin façades
+  histograms that the existing statistics object
+  (:class:`~repro.datalog.engine.EvaluationStatistics`) is a thin façade
   over, snapshot-able via ``DatalogEngine.metrics()`` /
   ``EpistemicDatabase.metrics()``;
 * :mod:`repro.obs.provenance` — rule-level derivation edges recorded

@@ -4,17 +4,15 @@ One :class:`MetricsRegistry` per instrumented object (a
 :class:`~repro.datalog.engine.DatalogEngine`, an
 :class:`~repro.db.database.EpistemicDatabase`) holds every number that
 object reports.  The pre-existing statistics surfaces —
-``engine.statistics``, ``engine.parallel_statistics``, the
-:class:`~repro.datalog.engine.QueryResult` counters — are thin façades
-over registry instruments (see :class:`MetricsFacade`), so the public
-APIs are unchanged while ``engine.metrics()`` / ``db.metrics()`` give one
-flat snapshot of everything.
+``engine.statistics``, the :class:`~repro.datalog.engine.QueryResult`
+counters — are thin façades over registry instruments (see
+:class:`MetricsFacade`), so the public APIs are unchanged while
+``engine.metrics()`` / ``db.metrics()`` give one flat snapshot of
+everything.
 
 Instruments are plain mutable objects, not locks-and-atomics: the
-evaluation machinery confines all counter writes to the coordinating
-thread (the parallel scheduler's per-component counters are private and
-merged at barriers, exactly as before), so the registry inherits that
-discipline rather than re-paying for it per increment.
+evaluation machinery is single-threaded, so the registry does not pay for
+synchronisation on every increment.
 """
 
 from bisect import insort
@@ -62,8 +60,8 @@ class Gauge:
 
 class Histogram:
     """A distribution instrument: observations kept sorted for exact
-    percentiles (the populations here — wave widths, batch sizes, span
-    durations — are small; exactness beats approximate sketches)."""
+    percentiles (the populations here — batch sizes, span durations — are
+    small; exactness beats approximate sketches)."""
 
     __slots__ = ("name", "values", "total")
 
@@ -108,7 +106,7 @@ class MetricsRegistry:
     """A flat namespace of instruments, created on first use.
 
     Names are dotted paths (``"engine.iterations"``,
-    ``"parallel.shard_tasks"``, ``"db.commits"``); :meth:`snapshot`
+    ``"query.calls"``, ``"db.commits"``); :meth:`snapshot`
     returns them as one plain dict — numbers for counters and gauges,
     ``{count, total, p50, p99}`` dicts for histograms.
     """

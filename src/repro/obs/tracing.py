@@ -6,8 +6,8 @@ commit stage — opened as a context manager::
     with tracer.span("fixpoint.round", iteration=3, stratum=1):
         ...
 
-Spans nest: each thread keeps its own open-span stack, so the parallel
-scheduler's worker threads produce correctly-parented spans without any
+Spans nest: each thread keeps its own open-span stack, so threads that
+share one tracer produce correctly-parented spans without any
 coordination beyond one lock around the shared entry list.  A finished
 span becomes one plain dict entry (``name``, ``start``, ``duration``,
 ``attrs``, ``id``, ``parent``, ``thread``), exportable as JSON lines
@@ -115,7 +115,7 @@ class Tracer:
 
     Thread-safe by construction — per-thread open-span stacks for
     parenting, one lock around the shared entry list and the id counter —
-    so one tracer can serve the parallel scheduler's whole worker pool.
+    so one tracer can serve several user threads at once.
 
     *entries* is the list of finished-span dicts, in completion order
     (children complete before parents, which is what the summarize tree

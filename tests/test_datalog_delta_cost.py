@@ -30,7 +30,6 @@ from repro.datalog import (
 )
 from repro.datalog.columnar import ColumnarFactIndex, ColumnarRelation, RowStore
 from repro.datalog.program import DatalogLiteral, FactList
-from repro.datalog.shard import ShardedFactIndex
 from repro.datalog.stats import JoinStatistics
 from repro.exceptions import ReproError
 from repro.logic.builders import atom
@@ -40,13 +39,11 @@ from repro.workloads.generators import transitive_closure_program
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
-#: Every index kind a MaterializedModel can hold: a FactIndex, a
-#: ColumnarFactIndex, and a ShardedFactIndex over either storage.
+#: Every index kind a MaterializedModel can hold: a FactIndex or a
+#: ColumnarFactIndex.
 MODEL_KINDS = {
     "objects": dict(storage="objects"),
     "columnar": dict(storage="columnar"),
-    "sharded-objects": dict(strategy="parallel", shards=2, storage="objects"),
-    "sharded-columnar": dict(strategy="parallel", shards=3, storage="columnar"),
 }
 
 
@@ -229,8 +226,7 @@ def test_one_fact_updates_and_reads_are_delta_cost(kind, monkeypatch):
     monkeypatch.setattr(
         JoinStatistics, "refresh", counted("refresh", JoinStatistics.refresh)
     )
-    for owner in (FactIndex, ColumnarFactIndex, RowStore, ColumnarRelation,
-                  ShardedFactIndex):
+    for owner in (FactIndex, ColumnarFactIndex, RowStore, ColumnarRelation):
         monkeypatch.setattr(
             owner, "histogram_sizes",
             counted(f"{owner.__name__}.histogram_sizes", owner.histogram_sizes),

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
     DatalogEngine,
+    DatalogLiteral,
     DatalogProgram,
+    DatalogRule,
     FactIndex,
     MaterializedModel,
 )
@@ -368,3 +370,52 @@ def test_update_stream_drives_materialized_model():
     for insertions, deletions in update_stream(program, batches=10, churn=0.05, seed=9):
         materialized.apply(insertions, deletions)
         assert materialized.model() == DatalogEngine(program).least_model()
+
+
+# ---------------------------------------------------------------------------
+# Histogram-planned maintenance
+# ---------------------------------------------------------------------------
+
+class TestMaintenancePlanning:
+    def test_histogram_and_uniform_maintenance_agree(self):
+        for planner in ("histogram", "uniform"):
+            program = transitive_closure_program(chains=6, length=4)
+            materialized = MaterializedModel(program, planner=planner)
+            for batch in update_stream(program, batches=6, churn=0.05, seed=5):
+                materialized.apply(*batch)
+            assert materialized.model() == DatalogEngine(program).least_model()
+            if planner == "histogram":
+                assert materialized.planner_statistics.refreshes > 0
+            else:
+                assert materialized.planner_statistics.refreshes == 0
+
+    def test_maintenance_schedules_are_reordered_by_histograms(self):
+        # joined(x, z) :- r1(x, y), r2(y, z) with r2 much smaller than r1:
+        # the histogram planner starts the no-delta (rederivation) schedule
+        # from the small relation, the uniform planner keeps textual order.
+        program = DatalogProgram()
+        for i in range(30):
+            program.add_fact(atom("r1", f"a{i}", "hub"))
+        program.add_fact(atom("r2", "hub", "t"))
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        rule = DatalogRule(
+            Atom("joined", (x, z)),
+            (DatalogLiteral(Atom("r1", (x, y))), DatalogLiteral(Atom("r2", (y, z)))),
+        )
+        program.add_rule(rule)
+
+        ordered = MaterializedModel(program, planner="histogram")
+        ordered._refresh_planner_stats()
+        schedule = ordered._maintenance_schedule(rule, None)
+        assert schedule[0][0].atom.predicate == "r2"
+
+        textual = MaterializedModel(program, planner="uniform")
+        textual._refresh_planner_stats()
+        schedule = textual._maintenance_schedule(rule, None)
+        assert schedule[0][0].atom.predicate == "r1"
+
+    def test_invalid_planner_rejected(self):
+        with pytest.raises(ValueError):
+            MaterializedModel(
+                transitive_closure_program(chains=2, length=2), planner="psychic"
+            )

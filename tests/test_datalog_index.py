@@ -181,6 +181,18 @@ class TestExactStratification:
         with pytest.raises(StratificationError):
             DatalogEngine(program)
 
+    def test_self_negating_rule_rejected(self):
+        program = DatalogProgram()
+        program.add_fact(atom("e", "a"))
+        program.add_rule(
+            DatalogRule(
+                Atom("p", (x,)),
+                (DatalogLiteral(Atom("e", (x,))), DatalogLiteral(Atom("p", (x,)), False)),
+            )
+        )
+        with pytest.raises(StratificationError):
+            DatalogEngine(program, strategy="indexed")
+
     def test_negative_edge_through_positive_recursion_rejected(self):
         program = DatalogProgram()
         program.add_fact(atom("seed", "a"))

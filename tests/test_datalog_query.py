@@ -28,6 +28,11 @@ from repro.exceptions import MagicRewriteError
 from repro.logic.builders import atom
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter, Variable
+from repro.workloads.generators import (
+    point_query,
+    same_generation_program,
+    transitive_closure_program,
+)
 
 x, y, z, w = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
@@ -39,6 +44,13 @@ def path_program(edges=(("a", "b"), ("b", "c"), ("c", "d"), ("e", "f"))):
     program.rule(Atom("path", (x, y)), Atom("edge", (x, y)))
     program.rule(Atom("path", (x, z)), Atom("edge", (x, y)), Atom("path", (y, z)))
     return program
+
+
+def canonical(result):
+    return sorted(
+        sorted((variable.name, parameter.name) for variable, parameter in binding.items())
+        for binding in result
+    )
 
 
 def _names(bindings, variable):
@@ -349,6 +361,76 @@ class TestJoinStatistics:
 
 
 # ---------------------------------------------------------------------------
+# Magic query cache
+# ---------------------------------------------------------------------------
+
+class TestMagicQueryCache:
+    def test_repeated_point_query_is_served_from_cache(self):
+        program = same_generation_program(depth=3, branching=2)
+        engine = DatalogEngine(program)
+        goal = point_query(program, "sg")
+        first = engine.query(goal, mode="magic")
+        second = engine.query(goal, mode="magic")
+        assert not first.cached and second.cached
+        assert canonical(first) == canonical(second)
+        assert second.join_passes == 0 and second.facts_derived == 0
+        assert second.mode == "magic" and second.adornment == first.adornment
+
+    def test_same_adornment_shares_the_rewrite_template(self):
+        program = same_generation_program(depth=3, branching=2)
+        engine = DatalogEngine(program)
+        leaves = sorted(
+            {f.atom.args[0] for f in program.facts if f.atom.predicate == "parent"},
+            key=lambda p: p.name,
+        )
+        first = engine.query(Atom("sg", (leaves[0], Variable("z"))), mode="magic")
+        second = engine.query(Atom("sg", (leaves[1], Variable("z"))), mode="magic")
+        assert not first.cached and not second.cached  # different constants
+        assert len(engine._magic_templates) == 1  # one bf template shared
+        assert len(engine._magic_models) == 2
+
+    def test_fact_changes_invalidate_the_cache(self):
+        program = transitive_closure_program(chains=2, length=3)
+        engine = DatalogEngine(program)
+        goal = Atom("path", (Parameter("c0_n0"), Variable("z")))
+        before = engine.query(goal, mode="magic")
+        assert engine.query(goal, mode="magic").cached
+        program.add_fact(Atom("edge", (Parameter("c0_n3"), Parameter("c0_n99"))))
+        after = engine.query(goal, mode="magic")
+        assert not after.cached
+        assert len(after) == len(before) + 1
+
+    def test_cache_is_bounded(self):
+        from repro.datalog.engine import MAGIC_MODEL_CACHE_SIZE
+
+        program = transitive_closure_program(chains=8, length=4)
+        engine = DatalogEngine(program)
+        constants = sorted(program.parameters(), key=lambda p: p.name)
+        assert len(constants) > MAGIC_MODEL_CACHE_SIZE
+        for constant in constants[: MAGIC_MODEL_CACHE_SIZE + 4]:
+            engine.query(Atom("path", (constant, Variable("z"))), mode="magic")
+        assert len(engine._magic_models) == MAGIC_MODEL_CACHE_SIZE
+
+    def test_plan_instantiate_roundtrip_matches_rewrite(self):
+        from repro.datalog import magic
+
+        program = same_generation_program(depth=3, branching=2)
+        goal = point_query(program, "sg")
+        template = magic.plan(program, goal)
+        assert template.adornment == "bf"
+        via_template = magic.instantiate(template, program, goal)
+        direct = magic.rewrite(program, goal)
+        assert via_template.answer_predicate == direct.answer_predicate
+        assert via_template.seed == direct.seed
+        assert set(via_template.program.rules) == set(direct.program.rules)
+        wrong = Atom("sg", (Variable("a"), Variable("b")))
+        from repro.exceptions import MagicRewriteError
+
+        with pytest.raises(MagicRewriteError):
+            magic.instantiate(template, program, wrong)
+
+
+# ---------------------------------------------------------------------------
 # The equivalence property: magic ≡ full
 # ---------------------------------------------------------------------------
 
@@ -415,7 +497,4 @@ def test_magic_answers_equal_full_answers(
     build = lambda: build_random_program(edges, with_same_generation, with_negation)
     auto = DatalogEngine(build()).query(goal)            # magic or fallback
     full = DatalogEngine(build()).query(goal, mode="full")
-    canonical = lambda result: sorted(
-        sorted((v.name, p.name) for v, p in binding.items()) for binding in result
-    )
     assert canonical(auto) == canonical(full)

@@ -9,7 +9,7 @@ conflicting update streams through both stacks:
 
 * :class:`~repro.revision.operators.BeliefRevisor` over an
   ``EpistemicDatabase`` with incremental checking, across ``objects`` /
-  ``columnar`` storage and the parallel scheduler at shards 1 / 2 / 7;
+  ``columnar`` storage;
 * :func:`~repro.revision.naive.naive_update_batch` over a plain sentence
   list, every probe a full :class:`~repro.constraints.checker.IntegrityChecker`
   re-evaluation;
@@ -74,9 +74,6 @@ CONSTRAINT_POOL = [
 ENGINE_CELLS = {
     "objects": dict(storage="objects", strategy="indexed"),
     "columnar": dict(storage="columnar", strategy="indexed"),
-    "shards1": dict(strategy="parallel", shards=1),
-    "shards2": dict(strategy="parallel", shards=2),
-    "shards7": dict(strategy="parallel", shards=7),
 }
 
 
