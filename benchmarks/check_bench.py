@@ -18,10 +18,7 @@ section with its >= 10x apply-vs-recompute speedup and a one-fact apply
 that costs at most 2x as much on a 10x larger EDB (the flatness cell),
 include the magic-set
 ``query`` section with answers verified and the headline ``bf`` point-query
-speedup at or above its 5x target, include the columnar-vs-objects
-``storage`` section with fixpoint agreement verified and both the >= 3x
-columnar fixpoint speedup and the peak-memory advantage holding on the
-largest row, include the static-analysis section (analyzer timings with
+speedup at or above its 5x target, include the static-analysis section (analyzer timings with
 zero findings on the shipped generators, and the dead-rule pruning cell
 with ``check="off"``-vs-``check="warn"`` model agreement verified),
 include the ``violations`` section (incremental commit-time constraint
@@ -32,18 +29,15 @@ the ``revision`` section (view-backed belief revision against the naive
 retract-until-consistent baseline: per-step result agreement verified, the
 >= 5x speedup holding on the HR comparison row, and operator-only scale
 rows with every retraction as expected), and
-have been timed best-of-3 or better (``repeats``) — a PR that adds a mode,
-strategy or storage backend without re-running ``run_bench.py`` fails
-here.
+have been timed best-of-3 or better (``repeats``) — a PR that adds a mode
+or strategy without re-running ``run_bench.py`` fails here.
 
 *Regression* (``regression_problems``): re-times the indexed strategy
 against unindexed semi-naive on a committed transitive-closure row and fails
 when the measured speedup falls below half the committed one; likewise
 (``query_regression_problems``) re-times a magic-set point query against
 full materialization on the committed quick query row, and
-(``storage_regression_problems``) the
-columnar ``least_index()`` fixpoint against object storage on a committed
-storage row, and (``violations_regression_problems``) one incremental
+(``violations_regression_problems``) one incremental
 view check against one from-scratch constraint check on the committed HR
 comparison row, and (``revision_regression_problems``) one view-backed
 revision against one naive retract-until-consistent revision on the
@@ -79,12 +73,6 @@ QUICK_SECONDS_CAP = 2.0
 QUERY_SECONDS_CAP = 1.0
 #: the committed headline bf point-query speedup must stay at or above this
 QUERY_SPEEDUP_TARGET = 5.0
-#: the committed columnar-vs-objects fixpoint speedup must stay at or above
-#: this on the largest storage row
-STORAGE_SPEEDUP_TARGET = 3.0
-#: storage regression row: skip rows whose committed objects fixpoint cell
-#: is slower
-STORAGE_SECONDS_CAP = 1.0
 #: the committed incremental-vs-scratch constraint-checking speedup must
 #: stay at or above this on the HR comparison row
 VIOLATION_SPEEDUP_TARGET = 5.0
@@ -181,39 +169,6 @@ def structure_problems(report):
             problems.append(
                 f"magic point-query speedup {speedup} is below the "
                 f"{QUERY_SPEEDUP_TARGET}x target on the largest query row"
-            )
-    storage_rows = report.get("storage")
-    if not storage_rows:
-        problems.append(
-            "missing columnar-vs-objects storage section — "
-            "re-run benchmarks/run_bench.py"
-        )
-    else:
-        for row in storage_rows:
-            if not row.get("models_identical", False):
-                problems.append(
-                    f"storage row {row.get('params')} did not verify "
-                    "fixpoint agreement between backends"
-                )
-            cells = row.get("storages") or {}
-            missing = [s for s in ("objects", "columnar") if s not in cells]
-            if missing:
-                problems.append(
-                    f"storage row {row.get('params')} lacks backends: "
-                    f"{', '.join(missing)}"
-                )
-        largest = max(storage_rows, key=lambda r: r.get("facts", 0))
-        speedup = largest.get("speedup_columnar_vs_objects")
-        if speedup is None or speedup < STORAGE_SPEEDUP_TARGET:
-            problems.append(
-                f"columnar fixpoint speedup {speedup} is below the "
-                f"{STORAGE_SPEEDUP_TARGET}x target on the largest storage row"
-            )
-        memory_ratio = largest.get("memory_ratio_objects_vs_columnar")
-        if memory_ratio is None or memory_ratio <= 1.0:
-            problems.append(
-                f"columnar peak memory is not below object storage on the "
-                f"largest storage row (objects/columnar ratio {memory_ratio})"
             )
     violations = report.get("violations")
     if violations is None:
@@ -479,59 +434,6 @@ def query_regression_problems(report, full=False):
     return []
 
 
-def storage_regression_row(report, full=False):
-    """Pick the committed storage row the regression check re-measures: the
-    largest one (the headline row with ``full=True``, otherwise the largest
-    whose committed objects fixpoint cell is quick enough to re-time on
-    every test run)."""
-    candidates = []
-    for row in report.get("storage", []) or []:
-        cells = row.get("storages") or {}
-        if "objects" not in cells or "columnar" not in cells:
-            continue
-        if not full and cells["objects"].get("fixpoint_seconds", 0.0) > STORAGE_SECONDS_CAP:
-            continue
-        candidates.append(row)
-    if not candidates:
-        return None
-    return max(candidates, key=lambda r: r.get("facts", 0))
-
-
-def storage_regression_problems(report, full=False):
-    """Re-measure the columnar-vs-objects ``least_index()`` ratio on a
-    committed storage row; return problems when the measured speedup
-    regressed more than ``REGRESSION_TOLERANCE``x against the committed
-    one."""
-    row = storage_regression_row(report, full=full)
-    if row is None:
-        return ["no committed storage row suitable for re-measurement"]
-    cells = row["storages"]
-    committed = cells["objects"]["fixpoint_seconds"] / max(
-        cells["columnar"]["fixpoint_seconds"], 1e-9
-    )
-    timings = {}
-    # Both fixpoint cells are fast (tens to hundreds of ms); best-of-3
-    # keeps the ratio stable against scheduler hiccups.
-    for storage in ("objects", "columnar"):
-        best = None
-        for _ in range(3):
-            program = transitive_closure_program(**row["params"])
-            engine = DatalogEngine(program, storage=storage)
-            start = time.perf_counter()
-            engine.least_index()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-        timings[storage] = best
-    measured = timings["objects"] / max(timings["columnar"], 1e-9)
-    if measured < committed / REGRESSION_TOLERANCE:
-        return [
-            f"columnar storage regressed: measured fixpoint speedup "
-            f"{measured:.1f}x vs committed {committed:.1f}x on {row['facts']} "
-            f"TC facts (tolerance {REGRESSION_TOLERANCE}x)"
-        ]
-    return []
-
-
 def violations_regression_problems(report, full=False):
     """Re-measure one incremental-vs-scratch constraint check on the
     committed HR comparison row; return problems when the measured speedup
@@ -677,7 +579,6 @@ def main(argv=None):
     if not args.no_measure:
         problems += regression_problems(report, full=args.full)
         problems += query_regression_problems(report, full=args.full)
-        problems += storage_regression_problems(report, full=args.full)
         problems += violations_regression_problems(report, full=args.full)
         problems += revision_regression_problems(report, full=args.full)
     for problem in problems:

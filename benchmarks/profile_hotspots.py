@@ -1,18 +1,15 @@
 #!/usr/bin/env python
 """Profile the indexed fixpoint hot path with cProfile.
 
-Runs ``least_index()`` over a transitive-closure workload under cProfile for
-each requested storage backend and prints the top cumulative-time frames —
-the quickest way to see where a storage or join change actually spends its
-time before reaching for the full benchmark matrix.  Under columnar storage
-the hot frames should be the generated ``pass_`` join functions and
-``RowStore`` absorption; under object storage, ``FactIndex`` candidate
-enumeration and ``Atom`` hashing.
+Runs ``least_index()`` over a transitive-closure workload under cProfile and
+prints the top cumulative-time frames — the quickest way to see where a
+storage or join change actually spends its time before reaching for the
+full benchmark matrix.  The hot frames should be the generated ``pass_``
+join functions and ``RowStore`` absorption.
 
 Usage::
 
-    python benchmarks/profile_hotspots.py                    # both backends
-    python benchmarks/profile_hotspots.py --storage columnar
+    python benchmarks/profile_hotspots.py
     python benchmarks/profile_hotspots.py --chains 400 --length 25 --top 30
     python benchmarks/profile_hotspots.py --sort tottime     # self time
 """
@@ -31,10 +28,10 @@ from repro.datalog.engine import DatalogEngine  # noqa: E402
 from repro.workloads.generators import transitive_closure_program  # noqa: E402
 
 
-def profile_storage(storage, chains, length, top, sort):
-    """Profile one backend's fixpoint; returns (facts, derived, stats text)."""
+def profile_fixpoint(chains, length, top, sort):
+    """Profile one fixpoint; returns (facts, derived, stats text)."""
     program = transitive_closure_program(chains=chains, length=length)
-    engine = DatalogEngine(program, storage=storage)
+    engine = DatalogEngine(program)
     profiler = cProfile.Profile()
     profiler.enable()
     index = engine.least_index()
@@ -49,28 +46,24 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chains", type=int, default=200)
     parser.add_argument("--length", type=int, default=25)
-    parser.add_argument("--storage", choices=("objects", "columnar", "both"),
-                        default="both")
     parser.add_argument("--top", type=int, default=25,
-                        help="frames to print per backend (default 25)")
+                        help="frames to print (default 25)")
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime", "ncalls"),
                         help="pstats sort key (default cumulative)")
     args = parser.parse_args(argv)
 
-    storages = ("objects", "columnar") if args.storage == "both" else (args.storage,)
-    for storage in storages:
-        facts, derived, rendered = profile_storage(
-            storage, args.chains, args.length, args.top, args.sort
-        )
-        banner = (
-            f"storage={storage}  transitive_closure(chains={args.chains}, "
-            f"length={args.length})  {facts} facts -> {derived} in the fixpoint"
-        )
-        print("=" * len(banner))
-        print(banner)
-        print("=" * len(banner))
-        print(rendered)
+    facts, derived, rendered = profile_fixpoint(
+        args.chains, args.length, args.top, args.sort
+    )
+    banner = (
+        f"transitive_closure(chains={args.chains}, length={args.length})  "
+        f"{facts} facts -> {derived} in the fixpoint"
+    )
+    print("=" * len(banner))
+    print(banner)
+    print("=" * len(banner))
+    print(rendered)
     return 0
 
 

@@ -8,10 +8,7 @@ identical least model, then replays a tell/retract update stream to measure
 incremental view maintenance (``MaterializedModel.apply``) against full
 recomputation and times one-fact applies at two EDB sizes 10x apart (the
 ``incremental.flatness`` cell: delta cost must not grow with the database), times goal-directed (magic-set) point queries against full
-materialization at several binding patterns (the ``query`` section),
-races the columnar interned storage backend against object-graph storage on
-the indexed fixpoint (the ``storage`` section — ``least_index()`` seconds
-and peak memory per backend, fact-for-fact equivalence verified), and
+materialization at several binding patterns (the ``query`` section), and
 replays 1%-churn constraint-update streams against the scaled HR workload
 (the ``violations`` section — commit-time checking through the maintained
 violation view against the from-scratch ``IntegrityChecker``, verdict and
@@ -43,8 +40,6 @@ Usage::
     python benchmarks/run_bench.py --no-incremental  # skip the update stream
     python benchmarks/run_bench.py --no-query      # skip the magic-set
                                                    # query section
-    python benchmarks/run_bench.py --no-storage    # skip the columnar-vs-
-                                                   # objects storage section
     python benchmarks/run_bench.py --no-violations # skip the violation-view
                                                    # constraint-checking
                                                    # section
@@ -104,7 +99,7 @@ QUICK_MATRIX = [
 ]
 
 
-def measure(builder, params, strategy, repeats, engine_kwargs=None):
+def measure(builder, params, strategy, repeats):
     """Time ``least_model()`` for one cell (best of ``repeats`` runs); the
     program (and so the index) is rebuilt for every repeat so index
     construction is always included, and the cyclic collector runs between
@@ -115,7 +110,7 @@ def measure(builder, params, strategy, repeats, engine_kwargs=None):
     engine = None
     for _ in range(repeats):
         program = builder(**params)
-        engine = DatalogEngine(program, strategy=strategy, **(engine_kwargs or {}))
+        engine = DatalogEngine(program, strategy=strategy)
         gc.collect()
         start = time.perf_counter()
         model = engine.least_model()
@@ -126,8 +121,7 @@ def measure(builder, params, strategy, repeats, engine_kwargs=None):
     return best, model, statistics, engine
 
 
-def measure_peak(builder, params, strategy, engine_kwargs=None,
-                 method="least_model"):
+def measure_peak(builder, params, strategy):
     """Peak traced memory (bytes) over one evaluation.
 
     Runs as its *own* pass, never inside the timed repeats: tracemalloc
@@ -139,8 +133,8 @@ def measure_peak(builder, params, strategy, engine_kwargs=None,
     program = builder(**params)
     gc.collect()
     tracemalloc.start()
-    engine = DatalogEngine(program, strategy=strategy, **(engine_kwargs or {}))
-    getattr(engine, method)()
+    engine = DatalogEngine(program, strategy=strategy)
+    engine.least_model()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return peak
@@ -285,7 +279,7 @@ def run_incremental_flatness(chains=1000, length=5, scale=10, applies=200, repea
     sizes = []
     for factor in (1, scale):
         program = transitive_closure_program(chains=chains * factor, length=length)
-        materialized = MaterializedModel(program, storage="columnar")
+        materialized = MaterializedModel(program)
         middle = length // 2
         edges = [
             Atom("edge", (Parameter(f"c{chain}_n{middle}"),
@@ -455,100 +449,6 @@ def run_query_bench(grid=None, repeats=1):
         print(
             f"query {params} ({facts} facts): full {full_seconds * 1000:.0f} ms, "
             f"magic speedups {rendered}"
-        )
-    return rows
-
-
-#: the storage section's grid: transitive closure deep enough that join and
-#: membership costs dominate.  The small row is the one
-#: ``check_bench.storage_regression_problems`` re-times on every test run;
-#: the large row is the acceptance row the >= 3x columnar-vs-objects
-#: fixpoint gate is read from.
-STORAGE_GRID = [dict(chains=100, length=10), dict(chains=400, length=25)]
-
-QUICK_STORAGE_GRID = [dict(chains=100, length=10)]
-
-
-def run_storage_bench(grid=None, repeats=3):
-    """Time object-graph storage against columnar interned storage on the
-    indexed strategy, per transitive-closure workload.
-
-    Two numbers per storage backend, each best-of-``repeats``:
-    ``fixpoint_seconds`` times ``least_index()`` — the storage-level
-    fixpoint, which is what the backends actually compete on — and
-    ``model_seconds`` times ``least_model()``, the end-to-end figure
-    including the columnar path's decode of every derived id-row back into
-    ``Atom`` objects.  Peak memory over the fixpoint is taken in a separate
-    traced pass.  Before any timing is trusted the two backends' fixpoints
-    are verified fact-for-fact identical.
-    """
-    rows = []
-    for params in grid or STORAGE_GRID:
-        program = transitive_closure_program(**params)
-        facts = len(program.facts)
-        row = {
-            "workload": "transitive_closure",
-            "params": params,
-            "facts": facts,
-            "storages": {},
-        }
-        fixpoints = {}
-        for storage in ("objects", "columnar"):
-            fixpoint_best = None
-            index = None
-            for _ in range(repeats):
-                engine = DatalogEngine(
-                    transitive_closure_program(**params), storage=storage
-                )
-                gc.collect()
-                start = time.perf_counter()
-                index = engine.least_index()
-                elapsed = time.perf_counter() - start
-                if fixpoint_best is None or elapsed < fixpoint_best:
-                    fixpoint_best = elapsed
-            fixpoints[storage] = set(index)
-            index = None
-            model_best, model, _, _ = measure(
-                transitive_closure_program, params, "indexed", repeats,
-                engine_kwargs=dict(storage=storage),
-            )
-            peak = measure_peak(
-                transitive_closure_program, params, "indexed",
-                engine_kwargs=dict(storage=storage), method="least_index",
-            )
-            row["storages"][storage] = {
-                "fixpoint_seconds": round(fixpoint_best, 6),
-                "model_seconds": round(model_best, 6),
-                "fixpoint_peak_kb": round(peak / 1024, 1),
-                "model_size": len(model),
-            }
-        row["models_identical"] = fixpoints["objects"] == fixpoints["columnar"]
-        if not row["models_identical"]:
-            raise SystemExit(
-                f"storage backends disagree on {row['workload']} {params}: "
-                + ", ".join(f"{s}={len(f)}" for s, f in fixpoints.items())
-            )
-        objects_cell = row["storages"]["objects"]
-        columnar_cell = row["storages"]["columnar"]
-        row["speedup_columnar_vs_objects"] = round(
-            objects_cell["fixpoint_seconds"]
-            / max(columnar_cell["fixpoint_seconds"], 1e-9),
-            2,
-        )
-        row["memory_ratio_objects_vs_columnar"] = round(
-            objects_cell["fixpoint_peak_kb"]
-            / max(columnar_cell["fixpoint_peak_kb"], 1e-9),
-            2,
-        )
-        rows.append(row)
-        print(
-            f"storage {params} ({facts} facts): objects fixpoint "
-            f"{objects_cell['fixpoint_seconds'] * 1000:.1f} ms / "
-            f"{objects_cell['fixpoint_peak_kb'] / 1024:.1f} MB peak, columnar "
-            f"{columnar_cell['fixpoint_seconds'] * 1000:.1f} ms / "
-            f"{columnar_cell['fixpoint_peak_kb'] / 1024:.1f} MB peak -> "
-            f"{row['speedup_columnar_vs_objects']}x faster, "
-            f"{row['memory_ratio_objects_vs_columnar']}x less memory"
         )
     return rows
 
@@ -1059,7 +959,7 @@ def run_observability_bench(params=None, repeats=3):
         model = None
         for _ in range(repeats):
             program = transitive_closure_program(**params)
-            engine_kwargs = {"storage": "columnar"}
+            engine_kwargs = {}
             if name == "traced":
                 engine_kwargs["tracer"] = Tracer()
             elif name == "provenance":
@@ -1179,8 +1079,6 @@ def main(argv=None):
                         help="skip the incremental view-maintenance stream")
     parser.add_argument("--no-query", action="store_true",
                         help="skip the magic-set query section")
-    parser.add_argument("--no-storage", action="store_true",
-                        help="skip the columnar-vs-objects storage section")
     parser.add_argument("--no-analysis", action="store_true",
                         help="skip the static-analyzer section")
     parser.add_argument("--no-violations", action="store_true",
@@ -1225,11 +1123,6 @@ def main(argv=None):
     if not args.no_query:
         report["query"] = run_query_bench(
             QUICK_QUERY_GRID if args.quick else QUERY_GRID,
-            repeats=args.repeats,
-        )
-    if not args.no_storage:
-        report["storage"] = run_storage_bench(
-            QUICK_STORAGE_GRID if args.quick else STORAGE_GRID,
             repeats=args.repeats,
         )
     if not args.no_analysis:
@@ -1297,24 +1190,6 @@ def main(argv=None):
         if args.check and (query_speedup is None or query_speedup < 5.0):
             raise SystemExit(
                 f"--check failed: magic query speedup {query_speedup} < 5.0"
-            )
-    if "storage" in report and report["storage"]:
-        largest = max(report["storage"], key=lambda r: r["facts"])
-        storage_speedup = largest["speedup_columnar_vs_objects"]
-        memory_ratio = largest["memory_ratio_objects_vs_columnar"]
-        print(
-            f"storage headline: columnar fixpoint is {storage_speedup}x faster "
-            f"and uses {memory_ratio}x less peak memory than object storage "
-            f"on {largest['facts']} TC facts"
-        )
-        if args.check and storage_speedup < 3.0:
-            raise SystemExit(
-                f"--check failed: columnar storage speedup {storage_speedup} < 3.0"
-            )
-        if args.check and memory_ratio <= 1.0:
-            raise SystemExit(
-                f"--check failed: columnar peak memory is not below object "
-                f"storage (ratio {memory_ratio})"
             )
     if "violations" in report and report["violations"].get("comparison"):
         comparison = report["violations"]["comparison"]

@@ -149,18 +149,17 @@ class ViolationView:
             txn.tell("emp(Fred)")
             report = view.preview_report(*txn.pending)   # O(delta) peek
 
-    ``strategy`` / ``planner`` / ``storage`` configure the
-    maintaining :class:`~repro.datalog.incremental.MaterializedModel`
-    exactly as for :class:`~repro.db.view.DatalogView`; the default is the
-    columnar indexed engine.  ``checker`` is the
+    The violation rules are maintained by a
+    :class:`~repro.datalog.incremental.MaterializedModel` over columnar
+    storage, exactly as for :class:`~repro.db.view.DatalogView`.
+    ``checker`` is the
     :class:`~repro.constraints.checker.IntegrityChecker` used for fallback
     constraints (the database passes its own so strategy/config agree).
 
     The view stays subscribed to the database until :meth:`close`.
     """
 
-    def __init__(self, database, constraints=None, config=None, strategy="indexed",
-                 planner=None, storage="columnar", checker=None):
+    def __init__(self, database, constraints=None, config=None, checker=None):
         self._database = database
         active = list(database.constraints() if constraints is None else constraints)
         self._constraints = active
@@ -180,9 +179,7 @@ class ViolationView:
             program.declare_output(compiled.predicate, len(compiled.witnesses))
         for sentence in dict.fromkeys(_ground_atoms(database.base)):
             program.add_fact(sentence)
-        self._materialized = MaterializedModel(
-            program, strategy=strategy, planner=planner, storage=storage
-        )
+        self._materialized = MaterializedModel(program)
         # Maintenance rounds driven by this view show up in the database's
         # trace (the wrapped engine defaults to the no-op tracer).
         self._materialized.engine.tracer = getattr(

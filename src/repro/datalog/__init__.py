@@ -18,17 +18,16 @@ This subpackage provides that substrate:
   condensation shared with the engine, the dead-rule pruner behind
   ``DatalogEngine(check=...)``, and a linter CLI
   (``python -m repro.datalog.analyze``);
-* :mod:`repro.datalog.index` — hash indexes over ground facts (per
-  relation and per argument position) backing the indexed strategy;
+* :mod:`repro.datalog.index` — hash indexes over ground atoms (per
+  relation and per argument position) holding the incremental
+  maintainer's per-batch deltas;
 * :mod:`repro.datalog.interner` — the bidirectional symbol table
   (:class:`~repro.datalog.interner.Interner`) mapping constants to dense
   integer ids at the program boundary;
 * :mod:`repro.datalog.columnar` — columnar interned fact storage
   (:class:`~repro.datalog.columnar.ColumnarFactIndex` over per-column
-  integer arrays) and the generated id-space joins; the default backend of
-  the indexed strategy (``storage="columnar"``), with
-  object-graph storage (``storage="objects"``) kept as the ablation
-  baseline;
+  integer arrays) and the generated id-space joins; the one fact store of
+  the indexed strategy and of every materialized model;
 * :mod:`repro.datalog.incremental` — incremental view maintenance: a
   :class:`~repro.datalog.incremental.MaterializedModel` keeps the least
   model consistent under EDB insertions *and* deletions at delta cost
@@ -57,7 +56,6 @@ from repro.datalog.analyze import (
 )
 from repro.datalog.engine import (
     CHECK_MODES,
-    PLANNERS,
     QUERY_MODES,
     STRATEGIES,
     DatalogEngine,
@@ -92,7 +90,6 @@ __all__ = [
     "MagicTemplate",
     "MaintenanceStatistics",
     "MaterializedModel",
-    "PLANNERS",
     "PredicateSignature",
     "ProgramAnalysis",
     "QUERY_MODES",

@@ -558,6 +558,12 @@ class ProgramAnalysis:
         return "\n".join(str(d) for d in self.diagnostics)
 
 
+def _witness_text(where):
+    """The diagnostic text of one occurrence witness: rule witnesses are
+    stored as text already, fact witnesses as the fact itself."""
+    return where if isinstance(where, str) else f"fact {where}"
+
+
 def analyze_program(program, outputs=None, rule_lines=None):
     """Statically analyze *program* and return a :class:`ProgramAnalysis`.
 
@@ -584,12 +590,12 @@ def analyze_program(program, outputs=None, rule_lines=None):
             unsafe_indexes.add(index)
             diagnostics.extend(found)
 
-    # 2. Arity conflicts: one predicate name, two arities.
-    occurrences = defaultdict(dict)  # name -> arity -> first occurrence text
+    # 2. Arity conflicts: one predicate name, two arities.  Witnesses are
+    # rule texts or the fact objects themselves: a fact is formatted (see
+    # _witness_text) only when a diagnostic cites it, not once per fact.
+    occurrences = defaultdict(dict)  # name -> arity -> first occurrence
     for fact in facts:
-        occurrences[fact.atom.predicate].setdefault(
-            len(fact.atom.args), f"fact {fact}"
-        )
+        occurrences[fact.atom.predicate].setdefault(len(fact.atom.args), fact)
     for index, rule in enumerate(rules):
         occurrences[rule.head.predicate].setdefault(
             rule.head.arity, f"rule #{index} head {rule_text(rule)}"
@@ -602,7 +608,8 @@ def analyze_program(program, outputs=None, rule_lines=None):
         arities = occurrences[name]
         if len(arities) > 1:
             witnesses = "; ".join(
-                f"arity {arity} in {where}" for arity, where in sorted(arities.items())
+                f"arity {arity} in {_witness_text(where)}"
+                for arity, where in sorted(arities.items())
             )
             diagnostics.append(Diagnostic(
                 code=ARITY_CONFLICT,
@@ -630,7 +637,7 @@ def analyze_program(program, outputs=None, rule_lines=None):
         key = (fact.atom.predicate, len(fact.atom.args))
         fact_counts[key] += 1
         for position, argument in enumerate(fact.atom.args):
-            observe(key, position, argument, f"fact {fact}")
+            observe(key, position, argument, fact)
     for index, rule in enumerate(rules):
         head_counts[(rule.head.predicate, rule.head.arity)] += 1
         for atom in [rule.head] + [literal.atom for literal in rule.body]:
@@ -654,7 +661,7 @@ def analyze_program(program, outputs=None, rule_lines=None):
         for position, kinds in enumerate(signature.column_kinds):
             if len(kinds) > 1:
                 witnesses = "; ".join(
-                    f"{kind} in {kind_witness[(key, position, kind)]}"
+                    f"{kind} in {_witness_text(kind_witness[(key, position, kind)])}"
                     for kind in sorted(kinds)
                 )
                 diagnostics.append(Diagnostic(

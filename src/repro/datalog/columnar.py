@@ -1,14 +1,12 @@
 """Columnar interned fact storage: dense-id relations for the Datalog engine.
 
-The object storage layer (:mod:`repro.datalog.index`) stores facts as hash
-sets of :class:`~repro.logic.syntax.Atom` objects.  That is the right API
-surface — every caller speaks atoms — but the wrong inner loop: each join
-probe pays a Python-level ``__hash__``/``__eq__`` on atoms and parameters,
-each derived head allocates an ``Atom``, and the resident model is a graph
-of millions of small objects the cyclic GC must keep re-tracing (the ~20x
-GC tax measured in the PR 5 benchmarks).
+Every caller speaks :class:`~repro.logic.syntax.Atom` objects, but hash
+sets of atoms are the wrong inner loop: each join probe would pay a
+Python-level ``__hash__``/``__eq__`` on atoms and parameters, each derived
+head would allocate an ``Atom``, and the resident model would be a graph of
+millions of small objects the cyclic GC must keep re-tracing.
 
-This module keeps the surface and replaces the loop.  Constants are
+This module keeps the atom surface and replaces the loop.  Constants are
 interned to dense integer ids (:mod:`repro.datalog.interner`), and facts
 become **rows** — tuples of ids — living in per-``(predicate, arity)``
 :class:`ColumnarRelation` instances:
@@ -27,24 +25,22 @@ Three faces are exposed, innermost first:
 
 * :class:`RowStore` — a set of ``(key, row)`` facts with the FactIndex
   method surface (``add``/``absorb``/``discard``/``retract_all``/
-  ``candidates``/``histogram``/``selectivity``/iteration), used by the
-  incremental maintenance drivers, which treat facts as opaque tokens;
+  ``candidates``/``histogram``/iteration) over opaque row facts;
 * the **compiled join** (:func:`compile_schedule` / :func:`compiled_for` /
   :func:`columnar_fixpoint`) — the engine's semi-naive indexed fixpoint
   with each rule-body schedule *generated as a specialized Python
   function* (constants become int literals, variables become locals), so
   the inner loop compares machine ints instead of unifying atom objects
   and never allocates a dict or an ``Atom`` per candidate;
-* :class:`ColumnarFactIndex` — the public Atom-face drop-in for
-  :class:`~repro.datalog.index.FactIndex`: atoms in, atoms out (decoded to
-  the identical interned parameter objects), rows inside.
+* :class:`ColumnarFactIndex` — the Atom-face store with the
+  :class:`~repro.datalog.index.FactIndex` contract: atoms in, atoms out
+  (decoded to the identical interned parameter objects), rows inside.
 
-Everything here is selected by ``storage="columnar"`` on
-:class:`~repro.datalog.engine.DatalogEngine`,
-:class:`~repro.datalog.incremental.MaterializedModel` and
-``EpistemicDatabase.datalog_view``; ``storage="objects"`` keeps the
-original representation, and the two are property-tested equivalent
-(``tests/test_datalog_columnar.py``).
+This is the only indexed fact storage: the ``indexed`` strategy of
+:class:`~repro.datalog.engine.DatalogEngine` evaluates over it, and
+:class:`~repro.datalog.incremental.MaterializedModel` (hence every view)
+maintains its model in it.  ``tests/test_datalog_columnar.py``
+property-tests it against the set-based ``semi-naive`` oracle.
 """
 
 from array import array
@@ -364,22 +360,6 @@ class RowStore:
         relation = self._relations.get((predicate, arity))
         return relation.histogram_sizes(position) if relation is not None else []
 
-    def selectivity(self, predicate, arity, positions):
-        """The uniform-distribution estimate of
-        :meth:`FactIndex.selectivity
-        <repro.datalog.index.FactIndex.selectivity>`, numerically identical
-        under the id <-> parameter bijection (same cardinalities, same
-        distinct counts), so both storages produce the same join plans."""
-        relation = self._relations.get((predicate, arity))
-        if relation is None or not relation.rows:
-            return 0.0
-        estimate = float(len(relation.rows))
-        for position in positions:
-            distinct = len(relation.buckets[position])
-            if distinct > 1:
-                estimate /= distinct
-        return estimate
-
     # -- array exchange ------------------------------------------------------
     def to_arrays(self):
         """Export every relation as ``{key: (count, [array('q'), ...])}`` —
@@ -414,8 +394,9 @@ class RowStore:
 
 
 class ColumnarFactIndex:
-    """The Atom-face drop-in for :class:`~repro.datalog.index.FactIndex`
-    backed by a :class:`RowStore` and an :class:`Interner`.
+    """The Atom-face fact store with the
+    :class:`~repro.datalog.index.FactIndex` contract, backed by a
+    :class:`RowStore` and an :class:`Interner`.
 
     Atoms go in (encoded to id rows), atoms come out (decoded to the
     identical interned parameter objects); every method of the FactIndex
@@ -580,11 +561,6 @@ class ColumnarFactIndex:
         if relation is None or ident is None:
             return 0
         return len(relation.buckets[position].get(ident, EMPTY))
-
-    def selectivity(self, predicate, arity, positions):
-        """The uniform-distribution selectivity estimate (numerically equal
-        to the object index's on the same fact set)."""
-        return self._store.selectivity(predicate, arity, positions)
 
     def __repr__(self):
         rendered = ", ".join(
@@ -860,11 +836,10 @@ def _edge_recorder(sink, rule, slot_variables, parameters):
 
 
 def columnar_fixpoint(engine, rules, store, interner, cache):
-    """The engine's indexed semi-naive fixpoint in id space: the exact
-    round/pass structure (and statistics counters) of
-    :meth:`DatalogEngine._indexed_fixpoint
-    <repro.datalog.engine.DatalogEngine._indexed_fixpoint>`, with joins
-    executed by the generated pass functions over *store*.
+    """The engine's indexed semi-naive fixpoint in id space: the
+    non-duplicating round/pass structure (and statistics counters) of the
+    ``semi-naive`` oracle, with joins planned from the observed histograms
+    of *store* and executed by the generated pass functions over it.
 
     When the engine's provenance sink is armed, the provenance variants of
     the compiled joins are used instead (see :func:`compile_schedule`); the
@@ -881,12 +856,12 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
         statistics.iterations += 1
         round_span = tracer.span("fixpoint.round", iteration=statistics.iterations)
         with round_span:
-            stats = engine._planner_stats(store)
+            stats = engine.planner_statistics.refresh(store)
             new_facts = set()
             for rule in rules:
                 if first_round:
                     statistics.rule_applications += 1
-                    schedule = engine._schedule(rule, index=store, stats=stats)
+                    schedule = engine._schedule(rule, stats=stats)
                     join = compiled_for(cache, rule, None, schedule, interner, recording)
                     with tracer.span("join.pass", rule=rule.head.predicate):
                         if recording:
@@ -905,7 +880,7 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                         continue
                     statistics.rule_applications += 1
                     schedule = engine._schedule(
-                        rule, delta_position=delta_position, index=store, stats=stats
+                        rule, delta_position=delta_position, stats=stats
                     )
                     join = compiled_for(
                         cache, rule, delta_position, schedule, interner, recording

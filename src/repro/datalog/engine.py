@@ -13,13 +13,15 @@ are provided, forming the ablation ladder the E9 benchmark measures:
   ``pi`` against the delta and the rest against the full database, so each
   new derivation is produced by exactly one pass.  Passes whose delta
   position holds a predicate absent from the delta are skipped entirely;
-* **indexed** (the default) — semi-naive evaluation driven by a
-  :class:`~repro.datalog.index.FactIndex`: facts are hashed per
-  ``(predicate, arity)`` relation and per argument position, body literals
-  are reordered greedily by estimated selectivity (delta literal first, then
-  whichever remaining literal has the most bound argument positions and the
-  smallest surviving-fact estimate), and each join step probes the index
-  with the currently bound prefix instead of scanning the fact set.
+* **indexed** (the default) — semi-naive evaluation over columnar
+  interned storage (:mod:`repro.datalog.columnar`): constants become dense
+  integer ids, facts become id rows hashed per ``(predicate, arity)``
+  relation and per argument position, body literals are reordered greedily
+  by estimated selectivity (delta literal first, then whichever remaining
+  literal has bound argument positions and the smallest observed-histogram
+  estimate), and each scheduled body runs as a generated id-space join
+  function that probes the buckets of the currently bound prefix instead
+  of scanning the fact set.
 
 In every strategy, negated body literals are deferred until the join prefix
 has bound all of their variables, so range-restricted rules evaluate
@@ -55,8 +57,7 @@ Magic work is cached per program content: the rewrite template per
 ``(predicate, adornment, bound constants)``, so repeated point queries
 share their sub-goal work (``result.cached`` says a cache answered).
 The join planner of the indexed strategy is fed by observed bucket-size
-histograms (:mod:`repro.datalog.stats`) rather than the uniform-distribution
-estimate, refreshed every fixpoint round.
+histograms (:mod:`repro.datalog.stats`), refreshed every fixpoint round.
 """
 
 import warnings
@@ -67,7 +68,6 @@ from repro.datalog.analyze import (
     condensation_of,
     format_cycle,
     negative_cycle,
-    strongly_connected_components,
 )
 from repro.datalog.columnar import (
     ColumnarFactIndex,
@@ -75,7 +75,6 @@ from repro.datalog.columnar import (
     columnar_fixpoint,
     decode_world,
 )
-from repro.datalog.index import FactIndex
 from repro.datalog.interner import Interner
 from repro.datalog.stats import JoinStatistics
 from repro.exceptions import (
@@ -93,8 +92,6 @@ from repro.obs.tracing import NOOP_TRACER
 from repro.semantics.worlds import World
 
 STRATEGIES = ("naive", "semi-naive", "indexed")
-PLANNERS = ("histogram", "uniform")
-STORAGES = ("objects", "columnar")
 QUERY_MODES = ("auto", "magic", "full")
 CHECK_MODES = ("off", "warn", "strict")
 
@@ -187,23 +184,11 @@ class DatalogEngine:
     """Evaluates a :class:`~repro.datalog.program.DatalogProgram`.
 
     ``strategy`` selects the fixpoint machinery (one of
-    :data:`STRATEGIES`); ``planner`` selects the join-planning estimate of
-    the indexed strategy — ``"histogram"`` (the default: observed
-    bucket-size histograms, see :mod:`repro.datalog.stats`) or
-    ``"uniform"`` (the distinct-value-count estimate of
-    :meth:`~repro.datalog.index.FactIndex.selectivity`, kept as an
-    ablation baseline).
-
-    ``storage`` selects the fact representation (one of :data:`STORAGES`):
-    ``"objects"`` (hash-sets of :class:`~repro.logic.syntax.Atom`) or
-    ``"columnar"`` (constants interned to dense integer ids, facts stored
-    as id rows and joined by generated id-space loops — see
-    :mod:`repro.datalog.columnar`).  The two produce identical models,
-    query answers and evaluation counters; columnar is the fast path for
-    large fact sets and is available under the ``indexed`` strategy (the
-    scanning strategies are set-based baselines and reject it).  The
-    default (``storage=None``) resolves to ``"columnar"`` under ``indexed``
-    and ``"objects"`` under the scanning baselines.
+    :data:`STRATEGIES`).  ``"indexed"`` (the default) stores facts as
+    interned id rows (:mod:`repro.datalog.columnar`), plans joins from
+    observed bucket-size histograms (:mod:`repro.datalog.stats`) and runs
+    them as generated id-space loops; ``"naive"`` and ``"semi-naive"``
+    are the set-based reference oracles it is tested against.
 
     ``check`` selects the static-analysis mode (one of :data:`CHECK_MODES`,
     see :mod:`repro.datalog.analyze`): ``"warn"`` (the default) runs the
@@ -230,41 +215,26 @@ class DatalogEngine:
     ``query.*`` counters share.
     """
 
-    def __init__(self, program, strategy="indexed", planner="histogram",
-                 storage=None, check="warn",
+    def __init__(self, program, strategy="indexed", check="warn",
                  tracer=None, provenance=False):
         if strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}")
-        if planner not in PLANNERS:
-            raise ValueError(f"planner must be one of {', '.join(PLANNERS)}")
-        if storage is None:
-            storage = "columnar" if strategy == "indexed" else "objects"
-        if storage not in STORAGES:
-            raise ValueError(f"storage must be one of {', '.join(STORAGES)}")
-        if storage == "columnar" and strategy != "indexed":
-            raise ValueError("columnar storage requires the indexed strategy")
         if check not in CHECK_MODES:
             raise ValueError(f"check must be one of {', '.join(CHECK_MODES)}")
         if provenance and strategy != "indexed":
-            raise ValueError(
-                "provenance recording requires the indexed strategy "
-                "(objects or columnar storage)"
-            )
+            raise ValueError("provenance recording requires the indexed strategy")
         self.program = program
         self.strategy = strategy
-        self.planner = planner
-        self.storage = storage
         self.tracer = NOOP_TRACER if tracer is None else tracer
         # One symbol table per engine: append-only, so ids stay stable
         # across evaluations; the compiled-join cache shares its lifetime.
-        self.interner = Interner() if storage == "columnar" else None
-        self._compiled_cache = {} if storage == "columnar" else None
+        self.interner = Interner()
+        self._compiled_cache = {}
         self._metrics = MetricsRegistry()
         self.statistics = EvaluationStatistics(registry=self._metrics)
         self.planner_statistics = JoinStatistics()
         # Provenance: one derivation edge per derived fact, recorded only
-        # while _provenance_sink is armed (engine-owned fixpoints; the
-        # incremental maintainer's joins never record).
+        # while _provenance_sink is armed (the engine's own fixpoints).
         self.provenance = bool(provenance)
         self._provenance = ProvenanceRecorder() if provenance else None
         self._provenance_key = None
@@ -379,15 +349,10 @@ class DatalogEngine:
         if self._strata_key != key:
             self._refresh_strata(key)
         self._begin_evaluation()
-        with self.tracer.span(
-            "engine.least_model", strategy=self.strategy, storage=self.storage
-        ):
+        with self.tracer.span("engine.least_model", strategy=self.strategy):
             try:
                 if self.strategy == "indexed":
-                    if self.storage == "columnar":
-                        model = self._evaluate_columnar()
-                    else:
-                        model = self._evaluate_indexed()
+                    model = decode_world(self._columnar_fixpoint(), self.interner)
                 else:
                     model = self._evaluate_scanning()
             finally:
@@ -399,9 +364,8 @@ class DatalogEngine:
 
     def least_index(self):
         """Evaluate the fixpoint and return the final fact storage — a
-        :class:`~repro.datalog.index.FactIndex` or
         :class:`~repro.datalog.columnar.ColumnarFactIndex` holding the least
-        model's atoms — *without* materialising a
+        model's atoms over the engine's interner — *without* materialising a
         :class:`~repro.semantics.worlds.World`.
 
         This is the fixpoint product for index-consuming pipelines (feeding
@@ -419,16 +383,11 @@ class DatalogEngine:
         if self._strata_key != key:
             self._refresh_strata(key)
         self._begin_evaluation()
-        with self.tracer.span(
-            "engine.least_index", strategy=self.strategy, storage=self.storage
-        ):
+        with self.tracer.span("engine.least_index", strategy=self.strategy):
             try:
-                if self.storage == "columnar":
-                    result = ColumnarFactIndex.from_store(
-                        self._columnar_fixpoint(), self.interner
-                    )
-                else:
-                    result = self._indexed_fixpoint_index()
+                result = ColumnarFactIndex.from_store(
+                    self._columnar_fixpoint(), self.interner
+                )
             finally:
                 self._provenance_sink = None
         self._provenance_key = key if self.provenance else None
@@ -573,8 +532,8 @@ class DatalogEngine:
         # The rewrite output is generated code — full of benign duplicates
         # by construction — so the inner engine skips the static analyzer.
         inner = DatalogEngine(
-            magic_program.program, strategy=self.strategy, planner=self.planner,
-            storage=self.storage, check="off", tracer=self.tracer,
+            magic_program.program, strategy=self.strategy, check="off",
+            tracer=self.tracer,
         )
         with self.tracer.span(
             "magic.evaluate", goal=atom.predicate, adornment=adornment
@@ -709,18 +668,6 @@ class DatalogEngine:
                 database = self._semi_naive_fixpoint(rules, database)
         return World(database)
 
-    def _indexed_fixpoint_index(self):
-        index = FactIndex(fact.atom for fact in self.program.facts)
-        for stratum_index, stratum in enumerate(self._strata):
-            self.statistics.strata = stratum_index + 1
-            rules = self._stratum_rules(stratum)
-            if rules:
-                self._indexed_fixpoint(rules, index)
-        return index
-
-    def _evaluate_indexed(self):
-        return World(self._indexed_fixpoint_index())
-
     def _columnar_fixpoint(self):
         """Run the full stratified fixpoint in id space and return the
         resulting :class:`~repro.datalog.columnar.RowStore` (the engine's
@@ -744,17 +691,6 @@ class DatalogEngine:
             if rules:
                 columnar_fixpoint(self, rules, store, interner, self._compiled_cache)
         return store
-
-    def _evaluate_columnar(self):
-        return decode_world(self._columnar_fixpoint(), self.interner)
-
-    def _planner_stats(self, index):
-        """Refresh and return the histogram statistics for *index*, or
-        ``None`` under the uniform planner (:meth:`_schedule` then falls
-        back to ``index.selectivity``)."""
-        if self.planner != "histogram":
-            return None
-        return self.planner_statistics.refresh(index)
 
     # -- stratification -----------------------------------------------------
     def _stratify(self):
@@ -804,7 +740,7 @@ class DatalogEngine:
         return [ordered[i] for i in sorted(ordered)]
 
     # -- join planning -------------------------------------------------------
-    def _schedule(self, rule, delta_position=None, index=None, stats=None):
+    def _schedule(self, rule, delta_position=None, stats=None):
         """Order the body of *rule* for evaluation.
 
         Returns a list of ``(literal, source)`` pairs where ``source`` is
@@ -812,11 +748,10 @@ class DatalogEngine:
         or ``"old"`` (the database minus the delta — literals textually
         before the delta position, per the non-duplicating decomposition).
         Negative literals are deferred until every variable they mention is
-        bound by the positive prefix.  When *index* is given, positive
-        literals are greedily reordered by estimated selectivity — taken
-        from *stats* (a :class:`~repro.datalog.stats.JoinStatistics`
-        histogram snapshot) when provided, otherwise from the index's
-        uniform estimate; without an index their program order is
+        bound by the positive prefix.  When *stats* (a
+        :class:`~repro.datalog.stats.JoinStatistics` histogram snapshot) is
+        given, positive literals are greedily reordered by its selectivity
+        estimate; without it (the scanning oracles) their program order is
         preserved.
         """
         pending_negative = [l for l in rule.body if not l.positive]
@@ -845,10 +780,8 @@ class DatalogEngine:
         emit_ready_negatives()
 
         while positives:
-            if index is None:
-                choice = 0
-            else:
-                choice = 0
+            choice = 0
+            if stats is not None:
                 best_score = None
                 for slot, (_, literal) in enumerate(positives):
                     atom = literal.atom
@@ -857,8 +790,7 @@ class DatalogEngine:
                         for p, arg in enumerate(atom.args)
                         if isinstance(arg, Parameter) or arg in bound
                     ]
-                    estimator = stats if stats is not None else index
-                    estimate = estimator.selectivity(
+                    estimate = stats.selectivity(
                         atom.predicate, len(atom.args), bound_positions
                     )
                     score = (0 if bound_positions else 1, estimate)
@@ -947,62 +879,6 @@ class DatalogEngine:
             delta = new_facts
             first_round = False
 
-    def _indexed_fixpoint(self, rules, index):
-        tracer = self.tracer
-        delta = None
-        first_round = True
-        while True:
-            self.statistics.iterations += 1
-            round_span = tracer.span(
-                "fixpoint.round", iteration=self.statistics.iterations
-            )
-            with round_span:
-                # Feed the planner the observed bucket shapes of this round's
-                # database, so derived relations that grew last round reorder
-                # this round's joins.
-                stats = self._planner_stats(index)
-                new_facts = set()
-                for rule in rules:
-                    if first_round:
-                        self.statistics.rule_applications += 1
-                        schedule = self._schedule(rule, index=index, stats=stats)
-                        with tracer.span("join.pass", rule=rule.head.predicate):
-                            for derived in self._indexed_join(
-                                rule, schedule, index, None, {}, 0
-                            ):
-                                if derived not in index:
-                                    new_facts.add(derived)
-                        continue
-                    produced_this_rule = set()
-                    for delta_position, literal in enumerate(rule.body):
-                        if not literal.positive:
-                            continue
-                        if not delta.count(literal.atom.predicate, len(literal.atom.args)):
-                            self.statistics.delta_passes_skipped += 1
-                            continue
-                        self.statistics.rule_applications += 1
-                        schedule = self._schedule(
-                            rule, delta_position=delta_position, index=index, stats=stats
-                        )
-                        with tracer.span(
-                            "join.pass",
-                            rule=rule.head.predicate,
-                            delta_position=delta_position,
-                        ):
-                            for derived in self._indexed_join(
-                                rule, schedule, index, delta, {}, 0
-                            ):
-                                if derived not in index:
-                                    produced_this_rule.add(derived)
-                    new_facts |= produced_this_rule
-                round_span.annotate(facts_derived=len(new_facts))
-            if not new_facts:
-                return
-            self.statistics.facts_derived += len(new_facts)
-            delta = FactIndex(new_facts)
-            index.absorb(delta)
-            first_round = False
-
     # -- join execution --------------------------------------------------------
     def _scan_join(self, rule, schedule, database, delta, binding, position):
         """Evaluate a scheduled body by scanning Python sets (the unindexed
@@ -1033,18 +909,11 @@ class DatalogEngine:
                 )
 
     def _indexed_join(self, rule, schedule, index, delta, binding, position):
-        """Evaluate a scheduled body by probing :class:`FactIndex` buckets
-        with the currently bound argument prefix."""
+        """Evaluate a scheduled body at the atom face of a fact index
+        (:meth:`candidates` probes with the currently bound argument
+        prefix) — the join the incremental maintainer builds with."""
         if position == len(schedule):
-            head = _head_atom(rule, binding)
-            sink = self._provenance_sink
-            if sink is not None and head not in index:
-                # Only genuinely new derivations get an edge (facts already
-                # in the index — EDB or earlier rounds — keep their first
-                # explanation); the recorder's setdefault keeps the first
-                # edge among same-round re-derivations.
-                sink(head, rule, _ground_positive_body(rule, binding))
-            yield head
+            yield _head_atom(rule, binding)
             return
         literal, source = schedule[position]
         atom = literal.atom
@@ -1100,23 +969,6 @@ def _head_atom(rule, binding):
     )
 
 
-def _ground_positive_body(rule, binding):
-    """The rule's positive body literals instantiated at *binding*, in body
-    order — the premises of one provenance edge (negated literals are
-    absences and carry none)."""
-    return tuple(
-        Atom(
-            literal.atom.predicate,
-            tuple(
-                binding[a] if isinstance(a, Variable) else a
-                for a in literal.atom.args
-            ),
-        )
-        for literal in rule.body
-        if literal.positive
-    )
-
-
 def _ground_negative(literal, binding):
     """Instantiate a negated literal under *binding*; scheduling guarantees
     groundness for range-restricted rules."""
@@ -1132,12 +984,6 @@ def _ground_negative(literal, binding):
         else:
             args.append(arg)
     return Atom(literal.atom.predicate, tuple(args))
-
-
-# The one SCC routine of the Datalog layer now lives with the rest of the
-# graph analyses in :mod:`repro.datalog.analyze`; the historical name is
-# kept for in-tree importers (the incremental maintainer condenses with it).
-_strongly_connected_components = strongly_connected_components
 
 
 def _match(pattern_args, fact_args, binding):

@@ -44,12 +44,11 @@ program never disagree, and the maintained model is what a subsequent
 batch were applied?" without leaving any trace — the safe way for
 transaction previews to look at pending state.
 
-The maintenance joins are planned like the engine's: under the default
-``planner="histogram"`` the per-batch passes (and the initial counting
-fixpoint) order their body literals greedily by observed bucket-size
-histograms (:class:`~repro.datalog.stats.JoinStatistics`) instead of
-textual order; ``"uniform"`` keeps the unplanned ordering as an ablation
-baseline.  The histograms are snapshotted only while the model is
+The maintenance joins are planned like the engine's: the per-batch passes
+(and the initial counting fixpoint) order their body literals greedily by
+observed bucket-size histograms
+(:class:`~repro.datalog.stats.JoinStatistics`) instead of textual order.
+The histograms are snapshotted only while the model is
 (re)built, once per build round; every batch afterwards folds its net
 index changes into them (:meth:`JoinStatistics.update
 <repro.datalog.stats.JoinStatistics.update>`), so they always equal a fresh
@@ -61,13 +60,13 @@ with the keyed fact list this makes ``apply``, ``peek``, ``query`` and
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.datalog.analyze import strongly_connected_components
+from repro.datalog.columnar import ColumnarFactIndex, decode_world
 from repro.datalog.engine import (
-    PLANNERS,
     DatalogEngine,
     _head_atom,
     _ground_negative,
     _match,
-    _strongly_connected_components,
 )
 from repro.datalog.index import FactIndex
 from repro.datalog.program import DatalogFact
@@ -75,7 +74,6 @@ from repro.datalog.stats import JoinStatistics
 from repro.exceptions import ReproError
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter
-from repro.semantics.worlds import World
 
 
 @dataclass
@@ -141,45 +139,35 @@ def _as_ground_atom(value):
 class MaterializedModel:
     """A continuously maintained least model of a Datalog program.
 
-    Wraps a :class:`~repro.datalog.engine.DatalogEngine` (one is built when
-    not supplied) and keeps the model of ``engine.program`` materialized in a
-    :class:`~repro.datalog.index.FactIndex`.  EDB updates arrive through
-    :meth:`apply`; everything else (``model()``, ``holds()``, ``query()``)
-    reads the maintained state.
+    Wraps a :class:`~repro.datalog.engine.DatalogEngine` of the ``indexed``
+    strategy (a default one is built for a bare program; wrapping any other
+    strategy raises ``ValueError``) and keeps the model of
+    ``engine.program`` materialized in a
+    :class:`~repro.datalog.columnar.ColumnarFactIndex` over the engine's
+    interner — membership, DRed overdeletion/rederivation set algebra and
+    the counting table are all keyed on interned id rows, while the
+    maintenance joins run at the atom face through
+    :meth:`~repro.datalog.columnar.ColumnarFactIndex.candidates`.  EDB
+    updates arrive through :meth:`apply`; everything else (``model()``,
+    ``holds()``, ``query()``) reads the maintained state.
 
     Changes that bypass :meth:`apply` are not maintained incrementally: if
     the program's rules or facts are mutated behind our back, the next
     access notices (the fact list's version stamp, a comparison of the
     rules) and falls back to a full rebuild.
-
-    ``strategy`` (plus ``storage``) configures the wrapped engine when one
-    has to be built.  When the engine stores columnar
-    (``storage="columnar"``), the materialized index is a
-    :class:`~repro.datalog.columnar.ColumnarFactIndex` over the engine's
-    interner — membership, DRed overdeletion/rederivation set algebra and
-    the counting table are all keyed on interned id-tuples, while the
-    maintenance joins keep running at the atom face through the identical
-    index contract.  ``planner`` selects the maintenance join planning —
-    ``"histogram"`` (observed bucket-size histograms) or ``"uniform"``
-    (unplanned textual order); default: the wrapped engine's planner.
     """
 
-    def __init__(self, program_or_engine, strategy="indexed", planner=None,
-                 storage=None):
+    def __init__(self, program_or_engine):
         if isinstance(program_or_engine, DatalogEngine):
-            if storage is not None:
-                raise ValueError("pass storage via the engine when wrapping one")
+            if program_or_engine.strategy != "indexed":
+                raise ValueError(
+                    "MaterializedModel maintains an indexed engine, not "
+                    f"strategy={program_or_engine.strategy!r}"
+                )
             self.engine = program_or_engine
         else:
-            self.engine = DatalogEngine(
-                program_or_engine, strategy=strategy,
-                storage="objects" if storage is None else storage,
-            )
-        self.storage = self.engine.storage
+            self.engine = DatalogEngine(program_or_engine)
         self._interner = self.engine.interner
-        self.planner = self.engine.planner if planner is None else planner
-        if self.planner not in PLANNERS:
-            raise ValueError(f"planner must be one of {', '.join(PLANNERS)}")
         self.planner_statistics = JoinStatistics()
         self._maintenance_stats = None
         self.program = self.engine.program
@@ -201,15 +189,15 @@ class MaterializedModel:
         """The maintained least model as an immutable
         :class:`~repro.semantics.worlds.World`.
 
-        The world is built lazily from the fact index (seeding its
-        per-predicate buckets from the index's relation buckets) and cached
-        until the next :meth:`apply`; it is also installed into the wrapped
+        The world is decoded lazily from the fact index in one pass (seeding
+        its per-predicate buckets as it goes) and cached until the next
+        :meth:`apply`; it is also installed into the wrapped
         engine's cache, so ``engine.least_model()`` returns the same object
         without re-running the fixpoint.
         """
         self._ensure_consistent()
         if self._world is None:
-            self._world = World.from_fact_index(self._index)
+            self._world = decode_world(self._index.store, self._interner)
             self.engine.install_model(self._world)
         return self._world
 
@@ -265,7 +253,7 @@ class MaterializedModel:
         atom = _as_ground_atom(atom)
         key = (atom.predicate, len(atom.args))
         if self._kind.get(key) == "counting":
-            return self._counts.get(self._count_key(atom), 0)
+            return self._counts.get(self._interner.encode_atom(atom), 0)
         return 1 if atom in self._index else 0
 
     def apply(self, insertions=(), deletions=()):
@@ -328,7 +316,7 @@ class MaterializedModel:
             self._maintain(edb_added, edb_removed)
             try:
                 if reader is None:
-                    return World.from_fact_index(self._index)
+                    return decode_world(self._index.store, self._interner)
                 return reader(self)
             finally:
                 self._maintain(edb_removed, edb_added)
@@ -351,13 +339,12 @@ class MaterializedModel:
         self._analyze()
         facts = self.program.facts
         edb = list(facts.atoms())
-        self._index = self._new_index(edb)
+        self._index = ColumnarFactIndex(edb, interner=self._interner)
         self._counts = defaultdict(int)
-        encode = self._interner.encode_atom if self._interner is not None else None
+        encode = self._interner.encode_atom
         for atom in edb:
             if self._kind.get((atom.predicate, len(atom.args))) == "counting":
-                self._counts[atom if encode is None else encode(atom)] += 1
-        self._schedules = {}
+                self._counts[encode(atom)] += 1
         self._refresh_planner_stats()
         for component in self._components:
             self._build_component(component)
@@ -390,37 +377,13 @@ class MaterializedModel:
             f"{self.statistics.applies} applies)"
         )
 
-    def _new_index(self, atoms=()):
-        """A fresh materialized index: columnar over the engine's interner
-        when the engine stores columnar, a plain
-        :class:`~repro.datalog.index.FactIndex` otherwise."""
-        if self.storage == "columnar":
-            from repro.datalog.columnar import ColumnarFactIndex
-
-            return ColumnarFactIndex(atoms, interner=self._interner)
-        return FactIndex(atoms)
-
-    def _count_key(self, atom):
-        """The key a derivation count is stored under: the atom itself under
-        object storage, its interned ``((predicate, arity), id-row)`` under
-        columnar — so the counting table never pins decoded atoms."""
-        if self._interner is None:
-            return atom
-        return self._interner.encode_atom(atom)
-
     def _refresh_planner_stats(self):
         """Re-snapshot the maintenance planner's histograms from the live
         index — O(distinct values), so only the (re)build calls it, once per
         build round; the snapshot also invalidates the cached maintenance
-        schedules, which were ordered against the previous one.  Under the
-        uniform planner there is no snapshot and schedules never change
-        shape, so both are left alone (a no-op returning ``None``)."""
-        if self.planner != "histogram":
-            self._maintenance_stats = None
-        else:
-            self._schedules = {}
-            self._maintenance_stats = self.planner_statistics.refresh(self._index)
-        return self._maintenance_stats
+        schedules, which were ordered against the previous one."""
+        self._schedules = {}
+        self._maintenance_stats = self.planner_statistics.refresh(self._index)
 
     # -- program analysis ------------------------------------------------------
     def _analyze(self):
@@ -435,7 +398,7 @@ class MaterializedModel:
                 body_key = (literal.atom.predicate, literal.atom.arity)
                 if body_key in idb:
                     successors[head_key].add(body_key)
-        components, _ = _strongly_connected_components(idb, successors)
+        components, _ = strongly_connected_components(idb, successors)
         rules_for = defaultdict(list)
         for rule in program.rules:
             rules_for[(rule.head.predicate, rule.head.arity)].append(rule)
@@ -498,12 +461,14 @@ class MaterializedModel:
         """Run the component's fixpoint over the shared index, counting every
         derivation for counting components.  The engine's non-duplicating
         delta discipline guarantees each derivation is enumerated exactly
-        once across the whole fixpoint, so the counts come out exact."""
+        once across the whole fixpoint, so the counts come out exact.  The
+        counts are keyed on interned ``((predicate, arity), id-row)`` pairs,
+        so the counting table never pins decoded atoms."""
         if not component.rules:
             return
         engine = self.engine
         counting = not component.recursive
-        encode = self._interner.encode_atom if self._interner is not None else None
+        encode = self._interner.encode_atom
         delta = None
         first_round = True
         while True:
@@ -514,12 +479,12 @@ class MaterializedModel:
             new_facts = set()
             for rule in component.rules:
                 if first_round:
-                    schedule = engine._schedule(rule, index=self._index, stats=stats)
+                    schedule = engine._schedule(rule, stats=stats)
                     for derived in engine._indexed_join(
                         rule, schedule, self._index, None, {}, 0
                     ):
                         if counting:
-                            self._counts[derived if encode is None else encode(derived)] += 1
+                            self._counts[encode(derived)] += 1
                         if derived not in self._index:
                             new_facts.add(derived)
                     continue
@@ -529,13 +494,13 @@ class MaterializedModel:
                     if not delta.count(literal.atom.predicate, len(literal.atom.args)):
                         continue
                     schedule = engine._schedule(
-                        rule, delta_position=position, index=self._index, stats=stats
+                        rule, delta_position=position, stats=stats
                     )
                     for derived in engine._indexed_join(
                         rule, schedule, self._index, delta, {}, 0
                     ):
                         if counting:
-                            self._counts[derived if encode is None else encode(derived)] += 1
+                            self._counts[encode(derived)] += 1
                         if derived not in self._index:
                             new_facts.add(derived)
             if not new_facts:
@@ -600,7 +565,7 @@ class MaterializedModel:
                 )
             acc_plus.add_all(added)
             acc_minus.add_all(removed)
-        if self._maintenance_stats is not None and (acc_plus or acc_minus):
+        if acc_plus or acc_minus:
             self._maintenance_stats.update(self._index, acc_plus, acc_minus)
             self._schedules = {}
         return set(acc_plus) - set(edb_added), set(acc_minus) - set(edb_removed)
@@ -627,15 +592,15 @@ class MaterializedModel:
         """
         added_net = set()
         removed_net = set()
-        encode = self._interner.encode_atom if self._interner is not None else None
+        encode = self._interner.encode_atom
         born, died = set(), set()
         for atom in edb_plus:
-            key = atom if encode is None else encode(atom)
+            key = encode(atom)
             self._counts[key] += 1
             if self._counts[key] == 1:
                 born.add(atom)
         for atom in edb_minus:
-            key = atom if encode is None else encode(atom)
+            key = encode(atom)
             self._counts[key] -= 1
             if self._counts[key] <= 0:
                 died.add(atom)
@@ -656,7 +621,7 @@ class MaterializedModel:
                         for derived in self._pass_join(
                             rule, schedule, "increment", dplus, dminus, {}, 0
                         ):
-                            self._counts[derived if encode is None else encode(derived)] += 1
+                            self._counts[encode(derived)] += 1
                             touched.add(derived)
                     if removed_support.count(*key):
                         self.statistics.delta_passes += 1
@@ -664,16 +629,12 @@ class MaterializedModel:
                         for derived in self._pass_join(
                             rule, schedule, "decrement", dplus, dminus, {}, 0
                         ):
-                            self._counts[derived if encode is None else encode(derived)] -= 1
+                            self._counts[encode(derived)] -= 1
                             touched.add(derived)
-            if encode is None:
-                born = {f for f in touched if self._counts[f] > 0 and f not in self._index}
-                died = {f for f in touched if self._counts[f] <= 0 and f in self._index}
-            else:
-                born = {f for f in touched
-                        if self._counts[encode(f)] > 0 and f not in self._index}
-                died = {f for f in touched
-                        if self._counts[encode(f)] <= 0 and f in self._index}
+            born = {f for f in touched
+                    if self._counts[encode(f)] > 0 and f not in self._index}
+            died = {f for f in touched
+                    if self._counts[encode(f)] <= 0 and f in self._index}
             dplus, dminus = FactIndex(), FactIndex()
             self._transition(born, died, dplus, dminus, added_net, removed_net)
         return added_net, removed_net
@@ -689,7 +650,7 @@ class MaterializedModel:
                 else:
                     added_net.add(fact)
         for fact in died:
-            key = self._count_key(fact)
+            key = self._interner.encode_atom(fact)
             if self._counts.get(key, 0) <= 0:
                 self._counts.pop(key, None)
             if self._index.discard(fact):
@@ -822,13 +783,12 @@ class MaterializedModel:
         literal whose support changed — evaluated first, enumerating the
         delta), ``"before"`` (textually before the delta position: support
         must be *unchanged*, which is what makes each changed derivation
-        count exactly once) or ``"after"`` (unrestricted).  Under the
-        histogram planner the positive non-delta literals are greedily
-        reordered by estimated selectivity against the current
-        :class:`~repro.datalog.stats.JoinStatistics` snapshot (roles stay
-        attached to their *textual* positions, so the enumerated derivation
-        set is unchanged — only the join order); under the uniform planner
-        they keep their textual order.  Negative non-delta literals are
+        count exactly once) or ``"after"`` (unrestricted).  The positive
+        non-delta literals are greedily reordered by estimated selectivity
+        against the current :class:`~repro.datalog.stats.JoinStatistics`
+        snapshot (roles stay attached to their *textual* positions, so the
+        enumerated derivation set is unchanged — only the join order).
+        Negative non-delta literals are
         deferred until the prefix binds their variables, exactly as in the
         engine's scheduler.  Schedules are cached per
         ``(rule, delta_position)`` and invalidated whenever the histograms
@@ -868,21 +828,20 @@ class MaterializedModel:
         emit_ready_negatives()
         while positives:
             choice = 0
-            if stats is not None:
-                best_score = None
-                for slot, (_, literal) in enumerate(positives):
-                    atom = literal.atom
-                    bound_positions = [
-                        p
-                        for p, arg in enumerate(atom.args)
-                        if isinstance(arg, Parameter) or arg in bound
-                    ]
-                    estimate = stats.selectivity(
-                        atom.predicate, len(atom.args), bound_positions
-                    )
-                    score = (0 if bound_positions else 1, estimate)
-                    if best_score is None or score < best_score:
-                        best_score, choice = score, slot
+            best_score = None
+            for slot, (_, literal) in enumerate(positives):
+                atom = literal.atom
+                bound_positions = [
+                    p
+                    for p, arg in enumerate(atom.args)
+                    if isinstance(arg, Parameter) or arg in bound
+                ]
+                estimate = stats.selectivity(
+                    atom.predicate, len(atom.args), bound_positions
+                )
+                score = (0 if bound_positions else 1, estimate)
+                if best_score is None or score < best_score:
+                    best_score, choice = score, slot
             position, literal = positives.pop(choice)
             schedule.append((literal, role_for(position)))
             bound |= literal.variables()

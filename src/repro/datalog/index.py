@@ -1,24 +1,25 @@
-"""Hash indexes over ground Datalog facts.
+"""Hash indexes over ground Datalog atoms.
 
-The engine's joins are driven by a :class:`FactIndex`, which maintains two
-levels of hashing over a set of ground atoms:
+A :class:`FactIndex` maintains two levels of hashing over a set of ground
+atoms:
 
 * a **relation index** — one bucket per ``(predicate, arity)`` pair, so a
   join never scans facts of the wrong predicate;
 * an **argument index** — for every relation, one hash map per argument
   position from a parameter value to the facts carrying that value at that
   position.  Probing with the currently bound join prefix returns only the
-  facts that can possibly match, which is what turns the engine's
-  nested-loop joins into hash joins.
+  facts that can possibly match, which is what turns nested-loop joins
+  into hash joins.
 
-Indexes are cheap to build incrementally: the semi-naive fixpoint keeps one
-index for the full database and a small one for the per-round delta, and
-merges the delta into the database bucket-wise with :meth:`FactIndex.absorb`
-(no per-fact rehashing of the receiving side).  Deletion is symmetric:
+It is the atom-face delta structure of incremental view maintenance
+(:mod:`repro.datalog.incremental`): each batch's insertions and deletions,
+and each propagation round's changes, are small ``FactIndex`` instances
+that the maintenance joins probe next to the materialized model (a
+:class:`~repro.datalog.columnar.ColumnarFactIndex`, which implements the
+same contract over interned id rows).  Merging is bucket-wise
+(:meth:`FactIndex.absorb`), and deletion is symmetric:
 :meth:`FactIndex.discard` removes one fact and :meth:`FactIndex.retract_all`
-subtracts a whole delta bucket-wise, which is what the incremental
-view-maintenance layer (:mod:`repro.datalog.incremental`) uses to keep a
-materialized least model consistent under retractions.
+subtracts a whole delta bucket-wise.
 """
 
 from itertools import chain
@@ -105,8 +106,8 @@ class FactIndex:
 
         The deletion dual of :meth:`add`: the fact is removed from its
         relation bucket and from every per-argument-position bucket, and
-        emptied value buckets are dropped so that :meth:`selectivity` keeps
-        seeing honest distinct-value counts.
+        emptied value buckets are dropped so that :meth:`histogram` keeps
+        reporting honest distinct-value counts.
         """
         key = (atom.predicate, len(atom.args))
         bucket = self._relations.get(key)
@@ -237,28 +238,6 @@ class FactIndex:
         if positional is None:
             return 0
         return len(positional[position].get(value, EMPTY))
-
-    def selectivity(self, predicate, arity, positions):
-        """Estimate how many facts of ``predicate/arity`` survive binding
-        the given argument *positions* (an iterable of position indexes).
-
-        This is the *uniform-distribution* estimate — relation cardinality
-        divided by the distinct-value count of each bound position — used
-        by the join planner when no observed histograms are available (see
-        :class:`~repro.datalog.stats.JoinStatistics` for the
-        histogram-based replacement).  Returns a float fact-count estimate.
-        """
-        key = (predicate, arity)
-        bucket = self._relations.get(key)
-        if not bucket:
-            return 0.0
-        estimate = float(len(bucket))
-        positional = self._arguments[key]
-        for position in positions:
-            distinct = len(positional[position])
-            if distinct > 1:
-                estimate /= distinct
-        return estimate
 
     def __repr__(self):
         rendered = ", ".join(

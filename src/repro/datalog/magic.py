@@ -410,11 +410,11 @@ def _rewrite_rule(rewritten, rule, rule_index, pattern, idb, worklist):
     )
 
 
-def answer(program, goal, strategy="indexed", planner="histogram"):
+def answer(program, goal, strategy="indexed"):
     """Answer *goal* against *program* by magic-set rewriting: rewrite,
     evaluate the rewritten program with a fresh
-    :class:`~repro.datalog.engine.DatalogEngine` of the given *strategy*
-    and *planner*, and extract the goal's bindings.
+    :class:`~repro.datalog.engine.DatalogEngine` of the given *strategy*,
+    and extract the goal's bindings.
 
     Returns ``(bindings, magic_program, engine)`` — the engine is the inner
     one that evaluated the rewrite; its ``statistics`` describe the
@@ -425,8 +425,6 @@ def answer(program, goal, strategy="indexed", planner="histogram"):
     from repro.datalog.engine import DatalogEngine
 
     magic_program = rewrite(program, goal)
-    engine = DatalogEngine(
-        magic_program.program, strategy=strategy, planner=planner, check="off",
-    )
+    engine = DatalogEngine(magic_program.program, strategy=strategy, check="off")
     model = engine.least_model()
     return magic_program.answers(model), magic_program, engine

@@ -1,18 +1,17 @@
 """Observed join statistics for the Datalog planner.
 
 The indexed engine orders rule bodies greedily by estimated selectivity.
-Until this module existed the only estimate available was
-:meth:`~repro.datalog.index.FactIndex.selectivity` — relation cardinality
-divided by the distinct-value count of each bound position, i.e. a
-*uniform-distribution* assumption: every value of a column is presumed to
-own an equally sized bucket.  Real workloads are skewed (a hub node in a
-graph, a hot key in a join chain), and under skew the uniform estimate
-systematically underestimates the cost of probing a column whose few heavy
-values carry most of the facts.
+The textbook estimate — relation cardinality divided by the distinct-value
+count of each bound position — assumes a *uniform distribution*: every
+value of a column is presumed to own an equally sized bucket.  Real
+workloads are skewed (a hub node in a graph, a hot key in a join chain),
+and under skew the uniform estimate systematically underestimates the cost
+of probing a column whose few heavy values carry most of the facts.
 
 :class:`JoinStatistics` replaces that assumption with *observed* per-column
-bucket-size histograms, snapshotted from the live
-:class:`~repro.datalog.index.FactIndex` as evaluation proceeds:
+bucket-size histograms, snapshotted from the live fact index (a
+:class:`~repro.datalog.columnar.ColumnarFactIndex` or its
+:class:`~repro.datalog.columnar.RowStore`) as evaluation proceeds:
 
 * for every ``(predicate, arity)`` relation and every argument position, a
   :class:`ColumnStatistics` records the total fact count, the distinct-value
@@ -23,7 +22,7 @@ bucket-size histograms, snapshotted from the live
   data distribution itself (which is exactly what a join does: probe values
   come from the facts of the other literals).  For a uniform column this
   collapses to ``total / distinct``, so the histogram estimate strictly
-  generalises the old one.
+  generalises the uniform one.
 
 The engine refreshes the histograms at the start of every fixpoint round
 (:meth:`JoinStatistics.refresh`), so derived relations that grow during
@@ -78,8 +77,7 @@ class ColumnStatistics:
 
 class JoinStatistics:
     """Per-relation, per-argument-position histograms observed from a live
-    :class:`~repro.datalog.index.FactIndex`, plus the planner-facing
-    selectivity estimate built on them.
+    fact index, plus the planner-facing selectivity estimate built on them.
 
     One instance belongs to one evaluation (the engine creates a fresh one
     per fixpoint) or one maintained model; :meth:`refresh` re-snapshots

@@ -76,7 +76,7 @@ class EpistemicDatabase:
     """
 
     def __init__(self, sentences=(), constraints=(), config=DEFAULT_CONFIG,
-                 constraint_checking="scratch", view_options=None, tracer=None):
+                 constraint_checking="scratch", tracer=None):
         if constraint_checking not in ("scratch", "incremental"):
             raise ValueError(
                 "constraint_checking must be 'scratch' or 'incremental'"
@@ -95,7 +95,6 @@ class EpistemicDatabase:
         self._update_listeners = []
         self._revision_epoch = 0
         self._constraint_checking = constraint_checking
-        self._view_options = dict(view_options or {})
         self._violation_view = None
         for constraint in constraints:
             self.add_constraint(constraint, check_now=False)
@@ -301,8 +300,7 @@ class EpistemicDatabase:
         the registered constraints compiled to materialized violation rules,
         maintained through the update listeners.  Shared by every incremental
         check; invalidated (and rebuilt on next use) when the constraint set
-        changes.  ``view_options`` passed to the constructor configure its
-        engine (``strategy`` / ``planner`` / ``storage``)."""
+        changes."""
         if self._violation_view is None:
             from repro.constraints.views import ViolationView
 
@@ -311,7 +309,6 @@ class EpistemicDatabase:
                 constraints=self._constraints,
                 config=self.config,
                 checker=self._checker,
-                **self._view_options,
             )
         return self._violation_view
 
@@ -496,18 +493,19 @@ class EpistemicDatabase:
         return BeliefRevisor(self, policy=policy, **options)
 
     # -- datalog view -------------------------------------------------------------------
-    def datalog_view(self, rules=(), strategy="indexed", planner=None, storage=None):
+    def datalog_view(self, rules=(), storage="columnar"):
         """Return a :class:`~repro.db.view.DatalogView`: the Prolog-like
         reading of this database (its ground atomic sentences plus the given
-        Datalog *rules*) with the least model materialized and incrementally
-        maintained across every subsequent ``tell`` / ``retract`` /
-        transaction commit (*planner* tunes the maintenance join planning;
-        ``storage="columnar"`` keeps the view's index in interned dense-id
-        columnar relations)."""
+        Datalog *rules*) with the least model materialized in interned
+        dense-id columnar relations and incrementally maintained across
+        every subsequent ``tell`` / ``retract`` / transaction commit.
+        Columnar is the only view storage; ``storage`` accepts just
+        ``"columnar"`` and any other value raises ``ValueError``."""
         from repro.db.view import DatalogView
 
-        return DatalogView(self, rules=rules, strategy=strategy, planner=planner,
-                           storage=storage)
+        if storage != "columnar":
+            raise ValueError(f"views store columnar only, not storage={storage!r}")
+        return DatalogView(self, rules=rules)
 
     # -- closed world -------------------------------------------------------------------
     def closed_world(self, queries=()):

@@ -58,24 +58,19 @@ class DatalogView:
         view.holds(parse("path(a, c)"))        # False — maintained, not recomputed
 
     The view stays subscribed to the database until :meth:`close` is called.
-
-    ``strategy`` / ``planner`` / ``storage`` configure the maintaining
-    :class:`~repro.datalog.incremental.MaterializedModel` (and through it
-    the wrapped engine): ``storage="columnar"`` interns the EDB constants
-    and keeps the materialized state in dense-id columnar relations
-    (:class:`~repro.datalog.columnar.ColumnarFactIndex`).
+    The maintaining :class:`~repro.datalog.incremental.MaterializedModel`
+    interns the EDB constants and keeps the materialized state in dense-id
+    columnar relations (:class:`~repro.datalog.columnar.ColumnarFactIndex`).
     """
 
-    def __init__(self, database, rules=(), strategy="indexed", planner=None, storage=None):
+    def __init__(self, database, rules=()):
         self._database = database
         program = DatalogProgram()
         for rule in rules:
             program.add_rule(rule)
         for sentence in _ground_atoms(database.base):
             program.add_fact(sentence)
-        self._materialized = MaterializedModel(
-            program, strategy=strategy, planner=planner, storage=storage
-        )
+        self._materialized = MaterializedModel(program)
         database.add_update_listener(self._on_update)
 
     # -- reading ------------------------------------------------------------

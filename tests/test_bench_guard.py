@@ -2,18 +2,17 @@
 
 The committed ``BENCH_datalog.json`` is the perf trajectory future PRs diff
 against; these tests fail when it goes stale (a strategy, the incremental
-mode, the magic-set query section, the columnar-vs-objects storage section, the static-analysis section, the
+mode, the magic-set query section, the static-analysis section, the
 violation-view constraints section or the belief-revision section is
 missing, model/answer/verdict/result
 agreement was not verified, the no-op tracing overhead of the observability
 section rose above its 5% cap, the incremental speedup slipped below its 10x target or a
 one-fact apply on a 10x larger EDB cost more than 2x as much, the
-magic point-query speedup below its 5x target, the columnar fixpoint
-speedup / peak-memory advantage below its 3x / <1x targets or the
+magic point-query speedup below its 5x target or the
 incremental constraint-checking or belief-revision speedups below their 5x
 targets, or cells were
 timed with fewer than 3 repeats) or when indexed evaluation, magic-set
-querying, columnar storage, incremental
+querying, incremental
 constraint checking or belief revision regresses more than 2x against the
 committed ratios on a quick re-measurement.
 """
@@ -102,41 +101,6 @@ def test_structure_check_catches_query_speedup_below_target(report):
 def test_structure_check_catches_single_repeat_timing(report):
     stale = {**report, "repeats": 1}
     assert any("best-of-3" in p for p in check_bench.structure_problems(stale))
-
-
-def test_structure_check_catches_missing_storage_section(report):
-    stale = dict(report)
-    stale.pop("storage", None)
-    assert any("storage section" in p for p in check_bench.structure_problems(stale))
-
-
-def test_structure_check_catches_unverified_storage_fixpoints(report):
-    stale = dict(report)
-    stale["storage"] = [
-        {**row, "models_identical": False} for row in report["storage"]
-    ]
-    assert any(
-        "fixpoint agreement" in p for p in check_bench.structure_problems(stale)
-    )
-
-
-def test_structure_check_catches_storage_speedup_below_target(report):
-    stale = dict(report)
-    stale["storage"] = [
-        {**row, "speedup_columnar_vs_objects": 1.4} for row in report["storage"]
-    ]
-    assert any("3.0x target" in p for p in check_bench.structure_problems(stale))
-
-
-def test_structure_check_catches_storage_memory_regression(report):
-    stale = dict(report)
-    stale["storage"] = [
-        {**row, "memory_ratio_objects_vs_columnar": 0.8}
-        for row in report["storage"]
-    ]
-    assert any(
-        "peak memory is not below" in p for p in check_bench.structure_problems(stale)
-    )
 
 
 def test_structure_check_catches_missing_analysis_section(report):
@@ -329,12 +293,6 @@ def test_indexed_speedup_has_not_regressed(report):
 @pytest.mark.slow
 def test_magic_query_speedup_has_not_regressed(report):
     problems = check_bench.query_regression_problems(report)
-    assert not problems, "; ".join(problems)
-
-
-@pytest.mark.slow
-def test_columnar_storage_speedup_has_not_regressed(report):
-    problems = check_bench.storage_regression_problems(report)
     assert not problems, "; ".join(problems)
 
 

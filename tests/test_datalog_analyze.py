@@ -146,6 +146,11 @@ class TestSeededDefects:
         assert diagnostic.severity == "error"
         assert "'edge'" in diagnostic.message
         assert "arity 2" in diagnostic.message and "arity 3" in diagnostic.message
+        # Fact witnesses are formatted only when cited, but exactly as before.
+        assert diagnostic.message == (
+            "predicate 'edge' is used with conflicting arities: "
+            "arity 2 in fact edge(n0, n1).; arity 3 in fact edge(a, b, c)."
+        )
         assert_strict_rejects(program, ARITY_CONFLICT)
 
     def test_dl003_rejected_by_columnar_validation(self):
@@ -163,6 +168,10 @@ class TestSeededDefects:
         (diagnostic,) = analysis.by_code(KIND_CONFLICT)
         assert diagnostic.severity == "warning"
         assert "column 0 of edge/2" in diagnostic.message
+        assert diagnostic.message == (
+            "column 0 of edge/2 mixes constant kinds: "
+            "int in fact edge(1, n3).; symbol in fact edge(n0, n1)."
+        )
         assert_strict_rejects(program, KIND_CONFLICT)
 
     def test_dl005_negative_cycle(self):

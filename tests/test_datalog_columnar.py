@@ -2,19 +2,20 @@
 
 Unit coverage for :mod:`repro.datalog.interner` (the bidirectional symbol
 table) and :mod:`repro.datalog.columnar` (the :class:`RowStore` /
-:class:`ColumnarFactIndex` backend and the generated id-space joins), plus
-the ``storage="columnar"`` wiring of
-:class:`~repro.datalog.engine.DatalogEngine`,
+:class:`ColumnarFactIndex` store and the generated id-space joins), plus
+its wiring as the one fact store of
+:class:`~repro.datalog.engine.DatalogEngine` (``indexed`` strategy),
 :class:`~repro.datalog.incremental.MaterializedModel` and
 :class:`~repro.db.view.DatalogView`.
 
-The load-bearing guarantee is *representation independence*: columnar
-storage must be observationally identical to the object index — same least
-models, same incremental apply results, same query answers, same evaluation
-counters.  The hypothesis properties at the bottom prove it on random
-add/discard/absorb sequences against the :class:`FactIndex` contract and on
-random stratified programs (including negation), with the semi-naive
-scanning strategy as a third, independent reference.
+The load-bearing guarantee is *correctness against the set-based
+oracles*: the columnar engine computes the least models, query answers and
+evaluation counters of the ``semi-naive`` scanning strategy, and a
+maintained model applies insert/delete streams to exactly what a
+``semi-naive`` recompute gives.  The hypothesis properties at the bottom
+prove it on random add/discard/absorb sequences against the
+:class:`FactIndex` contract and on random stratified programs (including
+negation).
 """
 
 import pytest
@@ -104,7 +105,7 @@ class TestRowStore:
         relation.discard((0, 2))
         assert relation.buckets[0][0] == {(0, 1)}
 
-    def test_histogram_and_selectivity_match_fact_index(self):
+    def test_histogram_matches_fact_index(self):
         facts = edge_atoms([(0, 1), (0, 2), (1, 2), (3, 2)])
         plain = FactIndex(facts)
         columnar = ColumnarFactIndex(facts)
@@ -112,9 +113,8 @@ class TestRowStore:
             assert sorted(plain.histogram_sizes("edge", 2, position)) == sorted(
                 columnar.histogram_sizes("edge", 2, position)
             )
-        for positions in ([], [0], [1], [0, 1]):
-            assert plain.selectivity("edge", 2, positions) == pytest.approx(
-                columnar.selectivity("edge", 2, positions)
+            assert plain.histogram("edge", 2, position) == columnar.histogram(
+                "edge", 2, position
             )
 
     def test_to_arrays_roundtrip(self):
@@ -233,33 +233,27 @@ class TestEngineStorage:
         )
         return program
 
-    def test_default_storage_resolution(self):
-        program = self.program()
-        assert DatalogEngine(program).storage == "columnar"
-        assert DatalogEngine(program, strategy="semi-naive").storage == "objects"
+    def test_storage_keyword_rejected(self):
+        # Columnar is the only storage: there is no knob left to set.
+        for storage in ("columnar", "objects"):
+            with pytest.raises(TypeError):
+                DatalogEngine(self.program(), storage=storage)
+        with pytest.raises(TypeError):
+            DatalogEngine(self.program(), planner="histogram")
 
-    def test_columnar_rejected_under_scanning_strategies(self):
-        with pytest.raises(ValueError):
-            DatalogEngine(self.program(), strategy="semi-naive", storage="columnar")
-        with pytest.raises(ValueError):
-            DatalogEngine(self.program(), storage="rowwise")
-
-    def test_models_and_counters_identical_across_storages(self):
-        program = self.program()
-        objects = DatalogEngine(self.program(), storage="objects")
-        columnar = DatalogEngine(program, storage="columnar")
-        assert columnar.least_model() == objects.least_model()
-        assert columnar.statistics == objects.statistics
+    def test_models_and_counters_identical_to_semi_naive(self):
+        reference = DatalogEngine(self.program(), strategy="semi-naive")
+        columnar = DatalogEngine(self.program())
+        assert columnar.least_model() == reference.least_model()
+        assert columnar.statistics == reference.statistics
 
     def test_least_index_returns_storage_level_index(self):
-        reference = set(DatalogEngine(self.program(), storage="objects").least_index())
-        for kwargs, expected in (
-            (dict(storage="objects"), FactIndex),
-            (dict(storage="columnar"), ColumnarFactIndex),
-        ):
-            index = DatalogEngine(self.program(), **kwargs).least_index()
-            assert isinstance(index, expected)
-            assert set(index) == reference
+        engine = DatalogEngine(self.program())
+        index = engine.least_index()
+        assert isinstance(index, ColumnarFactIndex)
+        assert index.interner is engine.interner
+        reference = DatalogEngine(self.program(), strategy="semi-naive").least_model()
+        assert set(index) == set(reference.atoms)
 
     def test_least_index_rejected_under_scanning_strategies(self):
         with pytest.raises(ValueError):
@@ -273,8 +267,8 @@ class TestEngineStorage:
         program.add_fact(atom("pair", "a", "a"))
         program.add_fact(atom("pair", "a", "b"))
         program.add_rule(DatalogRule(Atom("same", (X,)), (DatalogLiteral(Atom("pair", (X, X))),)))
-        model = DatalogEngine(program, storage="columnar").least_model()
-        assert model == DatalogEngine(program, storage="objects").least_model()
+        model = DatalogEngine(program).least_model()
+        assert model == DatalogEngine(program, strategy="semi-naive").least_model()
         assert atom("same", "a") in model.atoms
 
     def test_zero_arity_predicates(self):
@@ -287,13 +281,13 @@ class TestEngineStorage:
                 (DatalogLiteral(Atom("go", ())), DatalogLiteral(Atom("edge", (X, Y)))),
             )
         )
-        model = DatalogEngine(program, storage="columnar").least_model()
-        assert model == DatalogEngine(program, storage="objects").least_model()
+        model = DatalogEngine(program).least_model()
+        assert model == DatalogEngine(program, strategy="semi-naive").least_model()
         assert atom("path", "a", "b") in model.atoms
 
 
 # ---------------------------------------------------------------------------
-# The equivalence properties: columnar ≡ objects
+# The equivalence properties: columnar ≡ the semi-naive oracle
 # ---------------------------------------------------------------------------
 
 def build_random_program(edges, with_two_hop, with_negation, with_same_generation):
@@ -374,8 +368,8 @@ update_moves = st.lists(
 @given(index_moves)
 def test_columnar_index_equals_fact_index_under_mutation(moves):
     """A random add/discard/absorb sequence leaves ColumnarFactIndex and
-    FactIndex holding identical fact sets, counts, histograms and
-    selectivities — the whole observable FactIndex contract."""
+    FactIndex holding identical fact sets, counts, histograms and bucket
+    sizes — the whole observable FactIndex contract."""
     plain = FactIndex()
     columnar = ColumnarFactIndex()
     for action, a, b in moves:
@@ -394,30 +388,28 @@ def test_columnar_index_equals_fact_index_under_mutation(moves):
     assert plain.relations() == columnar.relations()
     for predicate, arity in plain.relations():
         for position in range(arity):
-            assert plain.histogram(predicate, arity, position) == columnar.histogram(
-                predicate, arity, position
-            )
-        assert plain.selectivity(predicate, arity, [0]) == pytest.approx(
-            columnar.selectivity(predicate, arity, [0])
-        )
+            histogram = plain.histogram(predicate, arity, position)
+            assert histogram == columnar.histogram(predicate, arity, position)
+            for value, size in histogram.items():
+                assert columnar.bucket_size(predicate, arity, position, value) == size
 
 
 @settings(max_examples=25, deadline=None)
 @given(datalog_edges, st.booleans(), st.booleans(), st.booleans())
-def test_columnar_least_model_and_queries_match_objects(
+def test_columnar_least_model_and_queries_match_semi_naive(
     edges, with_two_hop, with_negation, with_same_generation
 ):
-    """Columnar storage computes exactly the least model, the evaluation
-    counters and the query answers of object storage, and the least model
-    of semi-naive scanning evaluation, stratified negation included."""
+    """The columnar engine computes exactly the least model, the evaluation
+    counters and the query answers of semi-naive scanning evaluation,
+    stratified negation included."""
     build = lambda: build_random_program(
         edges, with_two_hop, with_negation, with_same_generation
     )
-    objects = DatalogEngine(build(), storage="objects")
-    reference = objects.least_model()
-    columnar = DatalogEngine(build(), storage="columnar")
+    oracle = DatalogEngine(build(), strategy="semi-naive")
+    reference = oracle.least_model()
+    columnar = DatalogEngine(build())
     assert columnar.least_model() == reference
-    assert columnar.statistics == objects.statistics
+    assert columnar.statistics == oracle.statistics
     goals = [
         Atom("path", (Variable("a"), Variable("b"))),
         Atom("path", (Parameter(f"n{edges[0][0]}"), Variable("b"))),
@@ -425,30 +417,34 @@ def test_columnar_least_model_and_queries_match_objects(
     if with_negation:
         goals.append(Atom("unreachable", (Parameter(f"n{edges[0][0]}"), Variable("b"))))
     for goal in goals:
-        expected = canonical(DatalogEngine(build(), storage="objects").query(goal, mode="magic"))
-        assert canonical(
-            DatalogEngine(build(), storage="columnar").query(goal, mode="magic")
-        ) == expected
-    assert DatalogEngine(build(), strategy="semi-naive").least_model() == reference
+        expected = canonical(
+            DatalogEngine(build(), strategy="semi-naive").query(goal, mode="magic")
+        )
+        assert canonical(DatalogEngine(build()).query(goal, mode="magic")) == expected
 
 
 @settings(max_examples=20, deadline=None)
 @given(datalog_edges, update_moves, st.booleans())
-def test_columnar_incremental_apply_matches_objects(edges, moves, with_negation):
-    """A columnar MaterializedModel applies the same insert/delete stream to
-    the same models and UpdateResults as an object one, and agrees with a
-    from-scratch recompute at the end."""
+def test_columnar_incremental_apply_matches_semi_naive(edges, moves, with_negation):
+    """A MaterializedModel applies an insert/delete stream to exactly the
+    model a semi-naive recompute of the updated program gives after every
+    batch, and reports exactly the EDB and derived differences between
+    consecutive recomputed models."""
     build = lambda: build_random_program(edges, False, with_negation, False)
-    models = [
-        MaterializedModel(build(), storage="objects"),
-        MaterializedModel(build(), storage="columnar"),
-    ]
+    model = MaterializedModel(build())
+    before = DatalogEngine(build(), strategy="semi-naive").least_model()
     for is_insert, source, target in moves:
         fact = atom("edge", f"n{source}", f"n{target}")
         batch = ([fact], []) if is_insert else ([], [fact])
-        results = [model.apply(*batch) for model in models]
-        assert results[1] == results[0]
-        assert models[1].model() == models[0].model()
-    recomputed = DatalogEngine(models[0].program, storage="objects").least_model()
-    for model in models:
-        assert model.model() == recomputed
+        edb_before = {f.atom for f in model.program.facts}
+        result = model.apply(*batch)
+        edb_after = {f.atom for f in model.program.facts}
+        assert result.edb_added == edb_after - edb_before
+        assert result.edb_removed == edb_before - edb_after
+        after = DatalogEngine(model.program, strategy="semi-naive").least_model()
+        assert model.model() == after
+        assert result.derived_added == (after.atoms - before.atoms) - result.edb_added
+        assert result.derived_removed == (
+            (before.atoms - after.atoms) - result.edb_removed
+        )
+        before = after

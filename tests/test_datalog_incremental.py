@@ -51,12 +51,15 @@ class TestFactIndexDeletion:
         assert len(index) == 1
 
     def test_discard_updates_selectivity(self):
+        # The bucket sizes are what the planner's selectivity estimate is
+        # built from (JoinStatistics): an emptied value bucket must go.
         index = FactIndex([Atom("p", (a, b)), Atom("p", (b, b))])
-        before = index.selectivity("p", 2, [0])
+        assert index.histogram("p", 2, 0) == {a: 1, b: 1}
         index.discard(Atom("p", (a, b)))
         # only one distinct value remains at position 0
-        assert index.selectivity("p", 2, [0]) == 1.0
-        assert before < 2.0
+        assert index.histogram("p", 2, 0) == {b: 1}
+        assert index.bucket_size("p", 2, 0, a) == 0
+        assert index.histogram_sizes("p", 2, 1) == [1]
 
     def test_discard_all_counts_only_present_facts(self):
         index = FactIndex([Atom("p", (a, b)), Atom("q", (c,))])
@@ -377,22 +380,10 @@ def test_update_stream_drives_materialized_model():
 # ---------------------------------------------------------------------------
 
 class TestMaintenancePlanning:
-    def test_histogram_and_uniform_maintenance_agree(self):
-        for planner in ("histogram", "uniform"):
-            program = transitive_closure_program(chains=6, length=4)
-            materialized = MaterializedModel(program, planner=planner)
-            for batch in update_stream(program, batches=6, churn=0.05, seed=5):
-                materialized.apply(*batch)
-            assert materialized.model() == DatalogEngine(program).least_model()
-            if planner == "histogram":
-                assert materialized.planner_statistics.refreshes > 0
-            else:
-                assert materialized.planner_statistics.refreshes == 0
-
     def test_maintenance_schedules_are_reordered_by_histograms(self):
         # joined(x, z) :- r1(x, y), r2(y, z) with r2 much smaller than r1:
         # the histogram planner starts the no-delta (rederivation) schedule
-        # from the small relation, the uniform planner keeps textual order.
+        # from the small relation, not from the textually first one.
         program = DatalogProgram()
         for i in range(30):
             program.add_fact(atom("r1", f"a{i}", "hub"))
@@ -404,18 +395,19 @@ class TestMaintenancePlanning:
         )
         program.add_rule(rule)
 
-        ordered = MaterializedModel(program, planner="histogram")
-        ordered._refresh_planner_stats()
+        ordered = MaterializedModel(program)
+        assert ordered.planner_statistics.refreshes > 0
         schedule = ordered._maintenance_schedule(rule, None)
+        assert rule.body[0].atom.predicate == "r1"
         assert schedule[0][0].atom.predicate == "r2"
 
-        textual = MaterializedModel(program, planner="uniform")
-        textual._refresh_planner_stats()
-        schedule = textual._maintenance_schedule(rule, None)
-        assert schedule[0][0].atom.predicate == "r1"
-
-    def test_invalid_planner_rejected(self):
-        with pytest.raises(ValueError):
-            MaterializedModel(
-                transitive_closure_program(chains=2, length=2), planner="psychic"
-            )
+    def test_non_indexed_engine_rejected(self):
+        program = transitive_closure_program(chains=2, length=2)
+        for strategy in ("naive", "semi-naive"):
+            with pytest.raises(ValueError, match="indexed"):
+                MaterializedModel(DatalogEngine(program, strategy=strategy))
+        # The engine is the only option left to pass.
+        with pytest.raises(TypeError):
+            MaterializedModel(program, planner="histogram")
+        with pytest.raises(TypeError):
+            MaterializedModel(program, storage="columnar")

@@ -56,12 +56,6 @@ class TestFactIndex:
         assert index.candidates("p", 2, [(0, a)]) == {Atom("p", (a, b)), Atom("p", (a, c))}
         assert Atom("q", (b,)) in index
 
-    def test_selectivity_shrinks_with_bound_positions(self):
-        index = FactIndex([Atom("p", (a, b)), Atom("p", (b, c)), Atom("p", (c, a))])
-        assert index.selectivity("p", 2, []) == 3.0
-        assert index.selectivity("p", 2, [0]) < index.selectivity("p", 2, [])
-        assert index.selectivity("missing", 2, []) == 0.0
-
 
 def edge_closure_program():
     """edge facts as EDB, e as IDB copy, t joining e with itself — the shape

@@ -5,7 +5,7 @@ batch, rollbacks (and previews of pending state) leave it untouched."""
 import pytest
 
 from repro.constraints.library import mandatory_known_attribute
-from repro.datalog import DatalogLiteral, DatalogRule
+from repro.datalog import ColumnarFactIndex, DatalogLiteral, DatalogRule
 from repro.db import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError
 from repro.logic.builders import atom
@@ -179,3 +179,15 @@ class TestDatalogView:
         db.tell("edge(c, d)")
         assert view.holds("path(a, d)")
         assert db.ask("K edge(c, d)").is_yes
+
+    def test_views_store_columnar_only(self):
+        db = edge_database()
+        view = db.datalog_view(rules=path_rules(), storage="columnar")
+        assert isinstance(view.materialized._index, ColumnarFactIndex)
+        assert view.holds("path(a, c)")
+        for storage in ("objects", "rowwise"):
+            with pytest.raises(ValueError, match="columnar"):
+                db.datalog_view(rules=path_rules(), storage=storage)
+        # The views forward no engine options any more.
+        with pytest.raises(TypeError):
+            db.datalog_view(rules=path_rules(), planner="histogram")

@@ -10,10 +10,11 @@ Four kinds of guarantees are pinned here:
   whose every rule instance *re-evaluates* against the least model
   (matching substitution exists, positive premises hold, negated premises
   are absent), for every derived atom of transitive-closure and
-  same-generation workloads, on both storage backends;
+  same-generation workloads, whose least model is also checked against
+  the ``semi-naive`` oracle;
 * **equivalence** — turning tracing/provenance on changes no model, no
-  query answer and no statistic, across objects/columnar storage
-  (hypothesis property), and the no-op default records
+  query answer and no statistic, under the indexed engine and the
+  ``semi-naive`` oracle (hypothesis property), and the no-op default records
   exactly zero entries (directed);
 * **pinning** — the registry-backed counters report the same numbers the
   pre-façade dataclasses did on a fixed workload (regression).
@@ -333,12 +334,12 @@ def assert_tree_reevaluates(tree, model):
                 assert _instantiate(literal.atom, binding) not in model
 
 
-@pytest.mark.parametrize("storage", ["objects", "columnar"])
 @pytest.mark.parametrize("make", [tc_program, sg_program], ids=["tc", "sg"])
-def test_explain_every_derived_atom(storage, make):
+def test_explain_every_derived_atom(make):
     program = make(DIAMOND)
-    engine = DatalogEngine(program, storage=storage, provenance=True)
+    engine = DatalogEngine(program, provenance=True)
     model = engine.least_model()
+    assert model == DatalogEngine(make(DIAMOND), strategy="semi-naive").least_model()
     edb = {fact.atom for fact in program.facts}
     derived = [a for a in model.atoms if a not in edb]
     assert derived
@@ -406,11 +407,11 @@ edge_lists = st.lists(
 
 
 @settings(max_examples=20, deadline=None)
-@given(edges=edge_lists, storage=st.sampled_from(["objects", "columnar"]))
-def test_observability_on_changes_nothing(edges, storage):
+@given(edges=edge_lists, strategy=st.sampled_from(["semi-naive", "indexed"]))
+def test_observability_on_changes_nothing(edges, strategy):
     goal = Atom("path", (Variable("qx"), Variable("qy")))
-    plain = DatalogEngine(tc_program(edges), storage=storage)
-    observed = DatalogEngine(tc_program(edges), storage=storage, tracer=Tracer())
+    plain = DatalogEngine(tc_program(edges), strategy=strategy)
+    observed = DatalogEngine(tc_program(edges), strategy=strategy, tracer=Tracer())
     assert plain.least_model() == observed.least_model()
     plain_answers = plain.query(goal)
     observed_answers = observed.query(goal)
@@ -420,8 +421,8 @@ def test_observability_on_changes_nothing(edges, storage):
     assert plain.statistics == observed.statistics
     assert plain.metrics() == observed.metrics()
 
-    indexed_plain = DatalogEngine(tc_program(edges), storage=storage)
-    indexed_prov = DatalogEngine(tc_program(edges), storage=storage, provenance=True)
+    indexed_plain = DatalogEngine(tc_program(edges))
+    indexed_prov = DatalogEngine(tc_program(edges), provenance=True)
     assert indexed_plain.least_model() == indexed_prov.least_model()
     assert indexed_plain.statistics == indexed_prov.statistics
 
@@ -563,7 +564,7 @@ def test_summarize_cli_on_large_fixpoint_trace(tmp_path, capsys):
         for i in range(15):
             edges.append((f"c{chain}_{i}", f"c{chain}_{i + 1}"))
     tracer = Tracer()
-    engine = DatalogEngine(tc_program(edges), storage="columnar", tracer=tracer)
+    engine = DatalogEngine(tc_program(edges), tracer=tracer)
     model = engine.least_model()
     assert len(model) > 10_000
     path = tmp_path / "trace.jsonl"
