@@ -49,8 +49,6 @@ SECTIONS = [
       "parse_program", "main"]),
     ("repro.datalog.engine", "Evaluation — `repro.datalog.engine`",
      ["DatalogEngine", "QueryResult", "EvaluationStatistics"]),
-    ("repro.datalog.index", "Fact indexes — `repro.datalog.index`",
-     ["FactIndex"]),
     ("repro.datalog.interner", "Constant interning — `repro.datalog.interner`",
      ["Interner", "fast_atom", "constant_kind"]),
     ("repro.datalog.columnar", "Columnar storage — `repro.datalog.columnar`",

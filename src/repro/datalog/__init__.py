@@ -18,21 +18,20 @@ This subpackage provides that substrate:
   condensation shared with the engine, the dead-rule pruner behind
   ``DatalogEngine(check=...)``, and a linter CLI
   (``python -m repro.datalog.analyze``);
-* :mod:`repro.datalog.index` — hash indexes over ground atoms (per
-  relation and per argument position) holding the incremental
-  maintainer's per-batch deltas;
 * :mod:`repro.datalog.interner` — the bidirectional symbol table
   (:class:`~repro.datalog.interner.Interner`) mapping constants to dense
   integer ids at the program boundary;
 * :mod:`repro.datalog.columnar` — columnar interned fact storage
-  (:class:`~repro.datalog.columnar.ColumnarFactIndex` over per-column
-  integer arrays) and the generated id-space joins; the one fact store of
-  the indexed strategy and of every materialized model;
+  (:class:`~repro.datalog.columnar.RowStore` id rows, read at the atom
+  face through :class:`~repro.datalog.columnar.ColumnarFactIndex`) and the
+  generated id-space joins; the one fact store and the one join executor
+  of the indexed strategy and of every materialized model;
 * :mod:`repro.datalog.incremental` — incremental view maintenance: a
   :class:`~repro.datalog.incremental.MaterializedModel` keeps the least
   model consistent under EDB insertions *and* deletions at delta cost
   (derivation counting for non-recursive predicates, DRed
-  overdelete/rederive for recursive ones);
+  overdelete/rederive for recursive ones), in id space with the engine's
+  planner and compiled kernels;
 * :mod:`repro.datalog.magic` — goal-directed query evaluation: adornment
   propagation and magic-set rewriting (supplementary predicates / sideways
   information passing), behind ``DatalogEngine.query``;
@@ -63,7 +62,6 @@ from repro.datalog.engine import (
     QueryResult,
 )
 from repro.datalog.columnar import ColumnarFactIndex, RowStore
-from repro.datalog.index import FactIndex
 from repro.datalog.incremental import MaintenanceStatistics, MaterializedModel, UpdateResult
 from repro.datalog.interner import Interner
 from repro.datalog.magic import MagicProgram, MagicTemplate, adornment_of
@@ -83,7 +81,6 @@ __all__ = [
     "DatalogRule",
     "Diagnostic",
     "EvaluationStatistics",
-    "FactIndex",
     "Interner",
     "JoinStatistics",
     "MagicProgram",

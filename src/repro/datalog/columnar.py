@@ -17,24 +17,26 @@ become **rows** — tuples of ids — living in per-``(predicate, arity)``
   value, no per-value object overhead), materialised lazily from the live
   rows for compact export (:meth:`RowStore.to_arrays` — an int-array form
   that can cross a process boundary instead of pickled atom objects);
-* per-position **bucket maps** ``id -> set of rows``, the same probe
-  structure :class:`~repro.datalog.index.FactIndex` keeps per value, so
-  the engine's greedy bound-prefix planning carries over unchanged.
+* per-position **bucket maps** ``id -> set of rows``, the probe structure
+  the engine's greedy bound-prefix planning and the generated joins use.
 
 Three faces are exposed, innermost first:
 
-* :class:`RowStore` — a set of ``(key, row)`` facts with the FactIndex
-  method surface (``add``/``absorb``/``discard``/``retract_all``/
-  ``candidates``/``histogram``/iteration) over opaque row facts;
+* :class:`RowStore` — a mutable set of ``(key, row)`` facts
+  (``add``/``absorb``/``discard``/``retract_all``/``candidates``/
+  ``histogram``/``bucket_size``/iteration): the model, the deltas and
+  everything the planner statistics read;
 * the **compiled join** (:func:`compile_schedule` / :func:`compiled_for` /
-  :func:`columnar_fixpoint`) — the engine's semi-naive indexed fixpoint
-  with each rule-body schedule *generated as a specialized Python
-  function* (constants become int literals, variables become locals), so
-  the inner loop compares machine ints instead of unifying atom objects
-  and never allocates a dict or an ``Atom`` per candidate;
-* :class:`ColumnarFactIndex` — the Atom-face store with the
-  :class:`~repro.datalog.index.FactIndex` contract: atoms in, atoms out
-  (decoded to the identical interned parameter objects), rows inside.
+  :func:`columnar_fixpoint`) — the one join executor: each rule-body
+  schedule is *generated as a specialized Python function* (constants
+  become int literals, variables become locals), so the inner loop
+  compares machine ints instead of unifying atom objects and never
+  allocates a dict or an ``Atom`` per candidate.  The engine's semi-naive
+  fixpoint and every maintenance pass of
+  :class:`~repro.datalog.incremental.MaterializedModel` run through it;
+* :class:`ColumnarFactIndex` — the Atom-face read view: membership,
+  iteration and bound-prefix candidates in atoms (decoded to the identical
+  interned parameter objects), rows inside.
 
 This is the only indexed fact storage: the ``indexed`` strategy of
 :class:`~repro.datalog.engine.DatalogEngine` evaluates over it, and
@@ -45,7 +47,7 @@ property-tests it against the set-based ``semi-naive`` oracle.
 
 from array import array
 
-from repro.datalog.interner import Interner, fast_atom
+from repro.datalog.interner import fast_atom
 from repro.logic.terms import Variable
 from repro.semantics.worlds import World
 
@@ -60,9 +62,8 @@ class ColumnarRelation:
     lazily from it and kept consistent only while they exist:
 
     * :attr:`buckets` — one ``id -> set of rows`` map per argument
-      position, the probe structure mirroring
-      :class:`~repro.datalog.index.FactIndex`'s per-value buckets (emptied
-      value buckets are dropped so distinct-value counts stay honest).
+      position, the join's probe structure (emptied value buckets are
+      dropped so distinct-value counts stay honest).
       Built on first probe; short-lived relations that are only ever
       enumerated — the per-round semi-naive deltas — never pay for them.
     * :attr:`columns` — one ``array('q')`` per position, the at-rest /
@@ -144,9 +145,7 @@ class ColumnarRelation:
 
     def absorb(self, other):
         """Merge another relation of the same arity set-wise, assuming
-        disjointness (the semi-naive delta guarantee) — the columnar
-        counterpart of :meth:`FactIndex.absorb
-        <repro.datalog.index.FactIndex.absorb>`.  Materialised probe
+        disjointness (the semi-naive delta guarantee).  Materialised probe
         buckets are maintained in place: bucket-wise when *other* has its
         own, row-wise when it was enumeration-only (the typical delta)."""
         buckets = self._buckets
@@ -175,8 +174,7 @@ class ColumnarRelation:
     def best_bucket(self, bound):
         """The smallest bucket consistent with *bound* ``(position, id)``
         pairs — a superset of the matching rows, empty as soon as any bound
-        position has no rows with that id (mirrors
-        :meth:`FactIndex.candidates <repro.datalog.index.FactIndex.candidates>`)."""
+        position has no rows with that id."""
         best = self.rows
         if not best:
             return EMPTY
@@ -213,10 +211,9 @@ class ColumnarRelation:
 
 class RowStore:
     """A mutable set of ``(key, row)`` facts — ``key`` a ``(predicate,
-    arity)`` pair, ``row`` a tuple of interned ids — offering the
-    :class:`~repro.datalog.index.FactIndex` method surface over opaque
-    row facts plus a key-explicit hot face (:meth:`get`) for the compiled
-    join."""
+    arity)`` pair, ``row`` a tuple of interned ids — with per-relation and
+    per-position indexes, plus a key-explicit hot face (:meth:`get`) for
+    the compiled join."""
 
     __slots__ = ("_relations", "_size")
 
@@ -340,8 +337,7 @@ class RowStore:
     def candidates(self, predicate, arity, bound):
         """The ``(key, row)`` facts a join step may match given *bound*
         ``(position, id)`` pairs — the smallest consistent bucket, as a
-        generator of row facts (the driver face the incremental maintenance
-        passes probe)."""
+        generator of row facts."""
         key = (predicate, arity)
         relation = self._relations.get(key)
         if relation is None:
@@ -359,6 +355,15 @@ class RowStore:
         refresh face)."""
         relation = self._relations.get((predicate, arity))
         return relation.histogram_sizes(position) if relation is not None else []
+
+    def bucket_size(self, predicate, arity, position, ident):
+        """How many rows of ``predicate/arity`` carry id *ident* at argument
+        *position* — one bucket of :meth:`histogram`, read in O(1) (what
+        the planner's incremental statistics update consumes)."""
+        relation = self._relations.get((predicate, arity))
+        if relation is None:
+            return 0
+        return len(relation.buckets[position].get(ident, EMPTY))
 
     # -- array exchange ------------------------------------------------------
     def to_arrays(self):
@@ -394,28 +399,23 @@ class RowStore:
 
 
 class ColumnarFactIndex:
-    """The Atom-face fact store with the
-    :class:`~repro.datalog.index.FactIndex` contract, backed by a
-    :class:`RowStore` and an :class:`Interner`.
+    """The Atom-face read view of a :class:`RowStore`: membership,
+    iteration and bound-prefix :meth:`candidates` speak atoms (decoded to
+    the identical interned parameter objects) over the id rows inside.
 
-    Atoms go in (encoded to id rows), atoms come out (decoded to the
-    identical interned parameter objects); every method of the FactIndex
-    contract is preserved, including bucket-wise :meth:`absorb` /
-    :meth:`retract_all` fast paths when both sides share an interner.
+    It is what :meth:`DatalogEngine.least_index
+    <repro.datalog.engine.DatalogEngine.least_index>` returns and what a
+    :class:`~repro.datalog.incremental.MaterializedModel` answers
+    ``holds`` and ``query`` through; every write goes to the backing
+    :attr:`store` in id space.
     """
 
     __slots__ = ("_interner", "_store")
 
-    def __init__(self, atoms=(), interner=None):
-        self._interner = interner if interner is not None else Interner()
-        self._store = RowStore()
-        self.add_all(atoms)
-
     @classmethod
     def from_store(cls, store, interner):
         """Wrap an existing :class:`RowStore` (no copy) — the engine's
-        zero-cost handoff from the id-space fixpoint to the Atom-face
-        index."""
+        zero-cost handoff from the id-space fixpoint to the Atom face."""
         index = cls.__new__(cls)
         index._interner = interner
         index._store = store
@@ -431,58 +431,6 @@ class ColumnarFactIndex:
         """The backing :class:`RowStore` (the id-space face)."""
         return self._store
 
-    # -- construction --------------------------------------------------------
-    def add(self, atom):
-        """Insert *atom*; return True when it was not already present."""
-        key, row = self._interner.encode_atom(atom)
-        return self._store.add_row(key, row)
-
-    def add_all(self, atoms):
-        """Insert every atom; return how many were new."""
-        added = 0
-        encode = self._interner.encode_atom
-        store = self._store
-        for atom in atoms:
-            key, row = encode(atom)
-            if store.add_row(key, row):
-                added += 1
-        return added
-
-    def absorb(self, other):
-        """Merge another index; relation/bucket-wise (no re-encoding) when
-        *other* is columnar over the same interner and assumed disjoint,
-        atom-by-atom otherwise."""
-        if isinstance(other, ColumnarFactIndex) and other._interner is self._interner:
-            self._store.absorb(other._store)
-            return self
-        self.add_all(iter(other))
-        return self
-
-    # -- deletion ------------------------------------------------------------
-    def discard(self, atom):
-        """Remove *atom*; return True when it was present."""
-        row = self._interner.row_of(atom)
-        if row is None:
-            return False
-        return self._store.discard_row((atom.predicate, len(atom.args)), row)
-
-    def discard_all(self, atoms):
-        """Remove every atom; return how many were actually present."""
-        removed = 0
-        for atom in atoms:
-            if self.discard(atom):
-                removed += 1
-        return removed
-
-    def retract_all(self, other):
-        """Subtract another index; row-wise (no re-encoding) when *other*
-        is columnar over the same interner.  Returns how many facts were
-        removed."""
-        if isinstance(other, ColumnarFactIndex) and other._interner is self._interner:
-            return self._store.retract_all(other._store)
-        return self.discard_all(iter(other))
-
-    # -- lookup --------------------------------------------------------------
     def __contains__(self, atom):
         row = self._interner.row_of(atom)
         if row is None:
@@ -497,25 +445,6 @@ class ColumnarFactIndex:
         for (predicate, _arity), relation in self._store.items():
             for row in relation.rows:
                 yield fast_atom(predicate, tuple([parameters[i] for i in row]))
-
-    def __bool__(self):
-        return bool(self._store)
-
-    def relations(self):
-        """The set of ``(predicate, arity)`` keys with at least one fact."""
-        return self._store.relations()
-
-    def relation(self, predicate, arity):
-        """All facts of ``predicate/arity``, decoded (a new set)."""
-        parameters = self._interner.parameters
-        return {
-            fast_atom(predicate, tuple([parameters[i] for i in row]))
-            for row in self._store.relation(predicate, arity)
-        }
-
-    def count(self, predicate, arity):
-        """How many facts of ``predicate/arity`` are held."""
-        return self._store.count(predicate, arity)
 
     def candidates(self, predicate, arity, bound):
         """The decoded facts of the smallest indexed bucket consistent with
@@ -539,29 +468,6 @@ class ColumnarFactIndex:
             fast_atom(predicate, tuple([parameters[i] for i in row])) for row in bucket
         )
 
-    def histogram(self, predicate, arity, position):
-        """The bucket-size histogram of one argument position, keyed by
-        decoded parameter (the FactIndex contract)."""
-        parameter = self._interner.parameter
-        return {
-            parameter(value): size
-            for value, size in self._store.histogram(predicate, arity, position).items()
-        }
-
-    def histogram_sizes(self, predicate, arity, position):
-        """Just the bucket sizes of one argument position — no decoding
-        needed, sizes are representation-independent."""
-        return self._store.histogram_sizes(predicate, arity, position)
-
-    def bucket_size(self, predicate, arity, position, value):
-        """How many facts of ``predicate/arity`` carry the parameter
-        *value* at argument *position* (O(1); the FactIndex contract)."""
-        relation = self._store.get((predicate, arity))
-        ident = self._interner.id_of(value)
-        if relation is None or ident is None:
-            return 0
-        return len(relation.buckets[position].get(ident, EMPTY))
-
     def __repr__(self):
         rendered = ", ".join(
             f"{predicate}/{arity}:{len(relation.rows)}"
@@ -573,8 +479,8 @@ class ColumnarFactIndex:
 def decode_world(store, interner):
     """Decode a :class:`RowStore` into a
     :class:`~repro.semantics.worlds.World`, seeding the world's
-    per-predicate index in the same pass (the columnar analogue of
-    :meth:`World.from_fact_index <repro.semantics.worlds.World.from_fact_index>`)."""
+    per-predicate index in the same pass, so the result equals ``World``
+    built from the same atoms without re-bucketing them on first use."""
     parameters = interner.parameters
     atoms = []
     buckets = {}
@@ -625,26 +531,39 @@ def _row_expression(args, slots, interner):
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
-def compile_schedule(rule, schedule, interner, provenance=False):
-    """Compile a ``(literal, source)`` schedule (the output of
+def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
+    """Compile a ``(literal, tag)`` schedule (the output of
     :meth:`DatalogEngine._schedule
     <repro.datalog.engine.DatalogEngine._schedule>`) into a join-pass
-    function ``pass_(source, delta, out)`` that adds the derived ``(key,
-    row)`` facts not already in *source* to *out* (a set).  *source* is the
-    full database; *delta* is the round delta :class:`RowStore` that the
-    ``"delta"`` step enumerates and the ``"old"`` steps exclude (``None``
-    for a pass without a delta position).
+    function ``pass_(db, added, removed, out)``.
 
-    With *provenance* the generated function takes one extra parameter,
-    ``rec``, called as ``rec((v0, ..., vN))`` — the bound slot values, in
-    slot order — for each genuinely new derivation (inside the same absence
-    guard that admits the fact).  The variable of each slot is published on
-    the function as ``pass_.slot_variables``, so the driver can decode the
-    values back into a binding; the non-provenance variant emits *no* extra
-    code, keeping the default inner loop byte-for-byte unchanged.
+    *db* is the database the pass evaluates in; *added* and *removed* are
+    the round's delta :class:`RowStore` objects.  The tags read them as:
+
+    * ``"delta"`` — enumerate *added* for a positive literal and *removed*
+      for a negated one (the literal whose support changed);
+    * ``"old"`` — a positive literal's row is in *db* but not in *added*; a
+      negated literal's row is absent from both *db* and *removed* (support
+      unchanged — the literals before the delta position);
+    * ``"full"`` — a positive literal's row is in *db*; a negated literal's
+      row is absent from *db*.
+
+    A store a schedule never reads may be passed as ``None``.  The output
+    *mode* is a compile-time variant: ``"new"`` adds the derived ``(key,
+    row)`` facts absent from *db* to the set *out* (the fixpoint's
+    kernel); ``"count"`` tallies every derivation into the dict *out*,
+    ``fact -> derivations`` (the maintainer's derivation counts).
+
+    With *provenance* (``"new"`` mode only) the generated function takes one
+    extra parameter, ``rec``, called as ``rec((v0, ..., vN))`` — the bound
+    slot values, in slot order — for each genuinely new derivation (inside
+    the same absence guard that admits the fact).  The variable of each slot
+    is published on the function as ``pass_.slot_variables``, so the caller
+    can decode the values back into a binding; the non-provenance variant
+    emits *no* extra code.
     """
     slots = {}
-    for literal, _source in schedule:
+    for literal, _tag in schedule:
         for arg in literal.atom.args:
             if isinstance(arg, Variable) and arg not in slots:
                 slots[arg] = len(slots)
@@ -654,39 +573,49 @@ def compile_schedule(rule, schedule, interner, provenance=False):
     def emit(depth, text):
         lines.append("    " * depth + text)
 
-    parameters = "source, delta, out" + (", rec" if provenance else "")
+    parameters = "db, added, removed, out" + (", rec" if provenance else "")
     emit(0, f"def pass_({parameters}):")
-    emit(1, "__add = out.add")
     head_key_name = "__HK"
     env[head_key_name] = (rule.head.predicate, rule.head.arity)
-    emit(1, f"__t = source.get({head_key_name})")
-    emit(1, "__hr = __t.rows if __t is not None else __EMPTY")
-    for index, (literal, source) in enumerate(schedule):
+    if mode == "new":
+        emit(1, "__add = out.add")
+        emit(1, f"__t = db.get({head_key_name})")
+        emit(1, "__hr = __t.rows if __t is not None else __EMPTY")
+    else:
+        emit(1, "__get = out.get")
+    for index, (literal, tag) in enumerate(schedule):
         key_name = f"__K{index}"
         env[key_name] = (literal.atom.predicate, len(literal.atom.args))
-        if literal.positive:
-            # An empty positive relation admits no derivation at all.
-            store = "delta" if source == "delta" else "source"
+        if literal.positive or tag == "delta":
+            # An empty enumerated relation admits no derivation at all.
+            store = "db" if tag != "delta" else "added" if literal.positive else "removed"
             emit(1, f"__r{index} = {store}.get({key_name})")
             emit(1, f"if __r{index} is None or not __r{index}.rows:")
             emit(2, "return")
-            if source == "old":
-                emit(1, f"__t = delta.get({key_name})")
+            if tag == "old":
+                emit(1, f"__t = added.get({key_name})")
                 emit(1, f"__sk{index} = __t.rows if __t is not None else __EMPTY")
         else:
-            emit(1, f"__t = source.get({key_name})")
+            emit(1, f"__t = db.get({key_name})")
             emit(1, f"__nr{index} = __t.rows if __t is not None else __EMPTY")
+            if tag == "old":
+                emit(1, f"__t = removed.get({key_name})")
+                emit(1, f"__nx{index} = __t.rows if __t is not None else __EMPTY")
 
     # The body proper: a one-iteration dummy loop makes guard `continue`s
     # valid even before the first real candidate loop.
     emit(1, "for __once in ((),):")
     depth = 2
     bound = set()
-    for index, (literal, source) in enumerate(schedule):
+    for index, (literal, tag) in enumerate(schedule):
         atom = literal.atom
-        if not literal.positive:
+        if not literal.positive and tag != "delta":
             row_expr = _row_expression(atom.args, slots, interner)
-            emit(depth, f"if {row_expr} in __nr{index}:")
+            if tag == "old":
+                emit(depth, f"__n = {row_expr}")
+                emit(depth, f"if __n in __nr{index} or __n in __nx{index}:")
+            else:
+                emit(depth, f"if {row_expr} in __nr{index}:")
             emit(depth + 1, "continue")
             continue
         const_probes = []
@@ -733,7 +662,7 @@ def compile_schedule(rule, schedule, interner, provenance=False):
         row = f"__row{index}"
         emit(depth, f"for {row} in __best:")
         depth += 1
-        if source == "old":
+        if tag == "old":
             emit(depth, f"if {row} in __sk{index}:")
             emit(depth + 1, "continue")
         for position, ident in const_checks:
@@ -749,16 +678,20 @@ def compile_schedule(rule, schedule, interner, provenance=False):
             emit(depth, f"v{slot} = {row}[{position}]")
 
     head_expr = _row_expression(rule.head.args, slots, interner)
-    emit(depth, f"__h = {head_expr}")
-    emit(depth, f"__f = ({head_key_name}, __h)")
-    emit(depth, "if __f not in out and __h not in __hr:")
-    emit(depth + 1, "__add(__f)")
-    if provenance:
-        ordered_slots = sorted(slots.values())
-        values = ", ".join(f"v{slot}" for slot in ordered_slots)
-        if len(ordered_slots) == 1:
-            values += ","
-        emit(depth + 1, f"rec(({values}))")
+    if mode == "count":
+        emit(depth, f"__f = ({head_key_name}, {head_expr})")
+        emit(depth, "out[__f] = __get(__f, 0) + 1")
+    else:
+        emit(depth, f"__h = {head_expr}")
+        emit(depth, f"__f = ({head_key_name}, __h)")
+        emit(depth, "if __f not in out and __h not in __hr:")
+        emit(depth + 1, "__add(__f)")
+        if provenance:
+            ordered_slots = sorted(slots.values())
+            values = ", ".join(f"v{slot}" for slot in ordered_slots)
+            if len(ordered_slots) == 1:
+                values += ","
+            emit(depth + 1, f"rec(({values}))")
 
     code = compile("\n".join(lines), f"<columnar join: {rule}>", "exec")
     exec(code, env)
@@ -767,15 +700,16 @@ def compile_schedule(rule, schedule, interner, provenance=False):
     return pass_
 
 
-def compiled_for(cache, rule, delta_position, schedule, interner, provenance=False):
+def compiled_for(cache, rule, delta_position, schedule, interner, mode="new",
+                 provenance=False):
     """The generated join-pass function for one (rule, delta position,
-    schedule, provenance) combination, memoized in *cache* — schedules
-    stabilise after a round or two, so generation is paid once per distinct
-    plan."""
-    key = (rule, delta_position, tuple(schedule), provenance)
+    schedule, mode, provenance) combination, memoized in *cache* —
+    schedules stabilise after a round or two, so generation is paid once
+    per distinct plan."""
+    key = (rule, delta_position, tuple(schedule), mode, provenance)
     compiled = cache.get(key)
     if compiled is None:
-        compiled = compile_schedule(rule, schedule, interner, provenance)
+        compiled = compile_schedule(rule, schedule, interner, mode, provenance)
         cache[key] = compiled
     return compiled
 
@@ -850,6 +784,8 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
     sink = engine._provenance_sink
     recording = sink is not None
     parameters = interner.parameters
+    # The fixpoint never retracts: its negated literals read no removals.
+    nothing = RowStore()
     delta = None
     first_round = True
     while True:
@@ -862,14 +798,16 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                 if first_round:
                     statistics.rule_applications += 1
                     schedule = engine._schedule(rule, stats=stats)
-                    join = compiled_for(cache, rule, None, schedule, interner, recording)
+                    join = compiled_for(
+                        cache, rule, None, schedule, interner, provenance=recording
+                    )
                     with tracer.span("join.pass", rule=rule.head.predicate):
                         if recording:
-                            join(store, None, new_facts, _edge_recorder(
+                            join(store, None, nothing, new_facts, _edge_recorder(
                                 sink, rule, join.slot_variables, parameters
                             ))
                         else:
-                            join(store, None, new_facts)
+                            join(store, None, nothing, new_facts)
                     continue
                 produced_this_rule = set()
                 for delta_position, literal in enumerate(rule.body):
@@ -883,7 +821,8 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                         rule, delta_position=delta_position, stats=stats
                     )
                     join = compiled_for(
-                        cache, rule, delta_position, schedule, interner, recording
+                        cache, rule, delta_position, schedule, interner,
+                        provenance=recording,
                     )
                     with tracer.span(
                         "join.pass",
@@ -891,11 +830,12 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                         delta_position=delta_position,
                     ):
                         if recording:
-                            join(store, delta, produced_this_rule, _edge_recorder(
-                                sink, rule, join.slot_variables, parameters
-                            ))
+                            join(store, delta, nothing, produced_this_rule,
+                                 _edge_recorder(
+                                     sink, rule, join.slot_variables, parameters
+                                 ))
                         else:
-                            join(store, delta, produced_this_rule)
+                            join(store, delta, nothing, produced_this_rule)
                 new_facts |= produced_this_rule
             round_span.annotate(facts_derived=len(new_facts))
         if not new_facts:

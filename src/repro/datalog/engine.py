@@ -21,7 +21,9 @@ are provided, forming the ablation ladder the E9 benchmark measures:
   literal has bound argument positions and the smallest observed-histogram
   estimate), and each scheduled body runs as a generated id-space join
   function that probes the buckets of the currently bound prefix instead
-  of scanning the fact set.
+  of scanning the fact set.  The planner (:meth:`DatalogEngine._schedule`)
+  and the generated joins are also the incremental maintainer's: there is
+  one of each.
 
 In every strategy, negated body literals are deferred until the join prefix
 has bound all of their variables, so range-restricted rules evaluate
@@ -41,8 +43,8 @@ programs it is the standard perfect model, which coincides with the
 completion/closed-world readings the paper discusses for "Prolog-like"
 databases.
 
-``least_model()`` is computed once and cached (keyed on the program's
-fact/rule content), so ``query()`` and ``holds()`` do not recompute the
+``least_model()`` is computed once and cached (keyed on the fact list's
+version stamp and the rules), so ``query()`` and ``holds()`` do not recompute the
 fixpoint on every call.  For update-heavy callers,
 :class:`~repro.datalog.incremental.MaterializedModel` maintains the model
 under EDB insertions and deletions at delta cost and pushes it back into
@@ -334,10 +336,12 @@ class DatalogEngine:
         ``holds()``) re-run the fixpoint only when the program has gained
         facts or rules since the last computation.
         """
-        self.ensure_checked()
+        # A cached model was checked when it was computed, or — installed
+        # by an incremental maintainer — when the maintainer last rebuilt.
         key = self._program_key()
         if self._model is not None and self._model_key == key:
             return self._model
+        self.ensure_checked()
         if self._model_provider is not None:
             # An incremental maintainer owns the model: let it bring the
             # cache up to date (O(delta)); fall through to a full fixpoint
@@ -364,17 +368,19 @@ class DatalogEngine:
 
     def least_index(self):
         """Evaluate the fixpoint and return the final fact storage — a
-        :class:`~repro.datalog.columnar.ColumnarFactIndex` holding the least
-        model's atoms over the engine's interner — *without* materialising a
+        :class:`~repro.datalog.columnar.ColumnarFactIndex` read face over the
+        id-space :class:`~repro.datalog.columnar.RowStore` of the least
+        model, on the engine's interner — *without* materialising a
         :class:`~repro.semantics.worlds.World`.
 
-        This is the fixpoint product for index-consuming pipelines (feeding
-        another engine, bulk export): skipping the World's frozen atom-set
-        construction avoids decoding/validating every atom at the API edge,
-        which for large models costs more than the fixpoint itself.  Only
-        the ``indexed`` strategy materialises an index; the scanning
-        strategies raise ``ValueError``.  The result is freshly evaluated (never cached) and
-        must be treated as read-only if the engine is reused.
+        This is the fixpoint product for index-consuming pipelines: a
+        :class:`~repro.datalog.incremental.MaterializedModel` builds from it
+        (and owns it from then on), and skipping the World's frozen atom-set
+        construction avoids decoding every atom at the API edge, which for
+        large models costs more than the fixpoint itself.  Only the
+        ``indexed`` strategy materialises an index; the scanning strategies
+        raise ``ValueError``.  The result is freshly evaluated (never
+        cached).
         """
         if self.strategy != "indexed":
             raise ValueError("least_index requires the indexed strategy")
@@ -647,9 +653,10 @@ class DatalogEngine:
         return derivation_tree(self._provenance, atom, known=model)
 
     def _program_key(self):
-        # Content-based key: catches in-place replacement of facts/rules,
-        # not just growth.  O(n) per call, but far cheaper than a fixpoint.
-        return (tuple(self.program.facts), tuple(self.program.rules))
+        # The fact list's version stamp moves on every mutation and is never
+        # shared between lists, so it catches in-place changes and
+        # replacement alike without reading the facts: O(rules) per call.
+        return (self.program.facts.version, tuple(self.program.rules))
 
     def _stratum_rules(self, stratum):
         rules = self._effective_program().rules
@@ -741,42 +748,49 @@ class DatalogEngine:
 
     # -- join planning -------------------------------------------------------
     def _schedule(self, rule, delta_position=None, stats=None):
-        """Order the body of *rule* for evaluation.
+        """Order the body of *rule* for evaluation — the one join planner,
+        shared by the fixpoints and the incremental maintainer.
 
-        Returns a list of ``(literal, source)`` pairs where ``source`` is
-        ``"full"`` (the whole database), ``"delta"`` (the semi-naive delta)
-        or ``"old"`` (the database minus the delta — literals textually
-        before the delta position, per the non-duplicating decomposition).
-        Negative literals are deferred until every variable they mention is
-        bound by the positive prefix.  When *stats* (a
+        Returns a list of ``(literal, tag)`` pairs.  Every literal carries
+        the tag of its *textual* position: ``"delta"`` for the delta
+        position itself (the literal whose support changed — positive or
+        negated — scheduled first), ``"old"`` before it and ``"full"``
+        after it (or everywhere, without a delta position), per the
+        non-duplicating decomposition
+        (:func:`~repro.datalog.columnar.compile_schedule` says how each tag
+        reads the database and the deltas).
+        Negative non-delta literals are deferred until every variable they
+        mention is bound by the prefix.  When *stats* (a
         :class:`~repro.datalog.stats.JoinStatistics` histogram snapshot) is
         given, positive literals are greedily reordered by its selectivity
         estimate; without it (the scanning oracles) their program order is
-        preserved.
+        preserved.  The fixpoints only ever pass positive delta positions.
         """
-        pending_negative = [l for l in rule.body if not l.positive]
-        positives = [(i, l) for i, l in enumerate(rule.body) if l.positive]
+        def tag_for(position):
+            if delta_position is None or position > delta_position:
+                return "full"
+            return "delta" if position == delta_position else "old"
+
+        pending_negative = [
+            (i, l) for i, l in enumerate(rule.body) if not l.positive and i != delta_position
+        ]
+        positives = [
+            (i, l) for i, l in enumerate(rule.body) if l.positive and i != delta_position
+        ]
         bound = set()
         schedule = []
 
         def emit_ready_negatives():
-            for literal in list(pending_negative):
+            for entry in list(pending_negative):
+                position, literal = entry
                 if literal.variables() <= bound:
-                    schedule.append((literal, "full"))
-                    pending_negative.remove(literal)
-
-        def source_for(position):
-            if delta_position is None:
-                return "full"
-            if position == delta_position:
-                return "delta"
-            return "old" if position < delta_position else "full"
+                    schedule.append((literal, tag_for(position)))
+                    pending_negative.remove(entry)
 
         if delta_position is not None:
             literal = rule.body[delta_position]
             schedule.append((literal, "delta"))
             bound |= literal.variables()
-            positives = [(i, l) for i, l in positives if i != delta_position]
         emit_ready_negatives()
 
         while positives:
@@ -797,14 +811,14 @@ class DatalogEngine:
                     if best_score is None or score < best_score:
                         best_score, choice = score, slot
             position, literal = positives.pop(choice)
-            schedule.append((literal, source_for(position)))
+            schedule.append((literal, tag_for(position)))
             bound |= literal.variables()
             emit_ready_negatives()
 
         if pending_negative:
             raise UnsafeRuleError(
                 f"rule {rule} is not range-restricted: negated literal(s) "
-                f"{', '.join(str(l) for l in pending_negative)} can never become ground"
+                f"{', '.join(str(l) for _, l in pending_negative)} can never become ground"
             )
         return schedule
 
@@ -906,42 +920,6 @@ class DatalogEngine:
             if candidate not in database:
                 yield from self._scan_join(
                     rule, schedule, database, delta, binding, position + 1
-                )
-
-    def _indexed_join(self, rule, schedule, index, delta, binding, position):
-        """Evaluate a scheduled body at the atom face of a fact index
-        (:meth:`candidates` probes with the currently bound argument
-        prefix) — the join the incremental maintainer builds with."""
-        if position == len(schedule):
-            yield _head_atom(rule, binding)
-            return
-        literal, source = schedule[position]
-        atom = literal.atom
-        if literal.positive:
-            bound_arguments = []
-            for argument_position, arg in enumerate(atom.args):
-                if isinstance(arg, Parameter):
-                    bound_arguments.append((argument_position, arg))
-                else:
-                    value = binding.get(arg)
-                    if value is not None:
-                        bound_arguments.append((argument_position, value))
-            source_index = delta if source == "delta" else index
-            for fact in source_index.candidates(
-                atom.predicate, len(atom.args), bound_arguments
-            ):
-                if source == "old" and fact in delta:
-                    continue
-                extended = _match(atom.args, fact.args, binding)
-                if extended is not None:
-                    yield from self._indexed_join(
-                        rule, schedule, index, delta, extended, position + 1
-                    )
-        else:
-            candidate = _ground_negative(literal, binding)
-            if candidate not in index:
-                yield from self._indexed_join(
-                    rule, schedule, index, delta, binding, position + 1
                 )
 
 

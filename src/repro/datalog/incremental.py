@@ -27,13 +27,31 @@ and a *deletion* below can insert above (``not q`` became true) while an
 *insertion* below can delete above — both directions are driven off the same
 per-literal "support changed" notion.
 
-The derivation-counting passes evaluate rule bodies with the engine's
-positional source discipline generalised to mixed insert/delete deltas:
-for a pass whose *delta position* is body literal *i*, literals before *i*
-must have **unchanged** support and literals after *i* are unrestricted;
-increment passes evaluate in the new database and decrement passes in the
-old one.  A derivation whose status changed is then enumerated exactly once
-— at its first changed body position — which is what keeps the counts exact.
+Every join is the engine's: the engine's id-space fixpoint builds the
+model (:meth:`DatalogEngine.least_index
+<repro.datalog.engine.DatalogEngine.least_index>`), its one planner
+(``DatalogEngine._schedule``) orders every maintenance pass by observed
+bucket-size histograms (:class:`~repro.datalog.stats.JoinStatistics`), and
+its generated kernels (:func:`~repro.datalog.columnar.compile_schedule`)
+run them over interned id rows.  A pass whose *delta position* is body
+literal *i* reads literals before *i* with **unchanged** support (tag
+``old``), literal *i* from the delta (tag ``delta``; a negated literal's
+support is added by a deletion and removed by an insertion) and the rest
+unrestricted (tag ``full``).  Increment passes run in the new database as
+``kernel(index, plus, minus, out)``; decrement passes run in the old one —
+the index is flipped for the round (retract ``plus``, absorb ``minus``,
+run, restore; O(round delta)) and called as ``kernel(index, minus, plus,
+out)``, which is the increment discipline again.  A derivation whose
+status changed is then enumerated exactly once — at its first changed body
+position — which is what keeps the counts exact.  The build fills the
+counts with one counting pass per rule over the final model; DRed
+rederives set-at-a-time, one pass per rule whose leading ``delta`` literal
+is the rule's head over the overdeleted facts.
+
+The deltas, the counting table and the DRed sets are all ``(key, row)``
+id facts (:class:`~repro.datalog.columnar.RowStore`); atoms are decoded
+only at the API edge (:class:`UpdateResult`, :meth:`MaterializedModel.model`,
+``holds`` and ``query``).
 
 ``apply(insertions, deletions)`` also updates ``program.facts`` (a
 :class:`~repro.datalog.program.FactList`, keyed by atom, so the update
@@ -44,32 +62,22 @@ program never disagree, and the maintained model is what a subsequent
 batch were applied?" without leaving any trace — the safe way for
 transaction previews to look at pending state.
 
-The maintenance joins are planned like the engine's: the per-batch passes
-(and the initial counting fixpoint) order their body literals greedily by
-observed bucket-size histograms
-(:class:`~repro.datalog.stats.JoinStatistics`) instead of textual order.
-The histograms are snapshotted only while the model is
-(re)built, once per build round; every batch afterwards folds its net
-index changes into them (:meth:`JoinStatistics.update
-<repro.datalog.stats.JoinStatistics.update>`), so they always equal a fresh
-snapshot of the index while costing O(batch + touched buckets).  Together
-with the keyed fact list this makes ``apply``, ``peek``, ``query`` and
-``holds`` independent of the size of the database.
+The histograms are snapshotted only when the model is (re)built; every
+batch afterwards folds its net index changes into them
+(:meth:`JoinStatistics.update <repro.datalog.stats.JoinStatistics.update>`),
+so they always equal a fresh snapshot of the index while costing O(batch +
+touched buckets).  Together with the keyed fact list this makes ``apply``,
+``peek``, ``query`` and ``holds`` independent of the size of the database.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.datalog.analyze import strongly_connected_components
-from repro.datalog.columnar import ColumnarFactIndex, decode_world
-from repro.datalog.engine import (
-    DatalogEngine,
-    _head_atom,
-    _ground_negative,
-    _match,
-)
-from repro.datalog.index import FactIndex
-from repro.datalog.program import DatalogFact
+from repro.datalog.columnar import RowStore, compiled_for, decode_world, fresh_delta
+from repro.datalog.engine import DatalogEngine, QueryResult, _match
+from repro.datalog.magic import adornment_of
+from repro.datalog.program import DatalogFact, DatalogLiteral, DatalogRule
 from repro.datalog.stats import JoinStatistics
 from repro.exceptions import ReproError
 from repro.logic.syntax import Atom
@@ -116,14 +124,34 @@ class UpdateResult:
 
 class _Component:
     """One maintenance unit: a strongly connected component of the IDB
-    dependency graph, its rules, and whether it needs DRed."""
+    dependency graph, its rules, and whether it needs DRed.
 
-    __slots__ = ("predicates", "rules", "recursive")
+    ``reads`` holds the ``(predicate, arity)`` keys of its rule bodies;
+    ``rederive`` holds, for a recursive component, each rule's
+    rederivation form — the rule's head prepended to its body as the
+    leading literal, so one pass with that literal as the delta finds which
+    overdeleted facts the rule still derives."""
+
+    __slots__ = ("predicates", "rules", "recursive", "reads", "rederive")
 
     def __init__(self, predicates, rules, recursive):
         self.predicates = predicates
         self.rules = rules
         self.recursive = recursive
+        self.reads = {
+            (literal.atom.predicate, len(literal.atom.args))
+            for rule in rules
+            for literal in rule.body
+        }
+        self.rederive = [
+            DatalogRule(rule.head, (DatalogLiteral(rule.head),) + rule.body)
+            for rule in rules
+        ] if recursive else []
+
+    def touched_by(self, plus, minus):
+        """True when a delta can touch any rule body of the component
+        (either polarity of any literal)."""
+        return any(plus.count(*key) or minus.count(*key) for key in self.reads)
 
 
 def _as_ground_atom(value):
@@ -142,12 +170,12 @@ class MaterializedModel:
     Wraps a :class:`~repro.datalog.engine.DatalogEngine` of the ``indexed``
     strategy (a default one is built for a bare program; wrapping any other
     strategy raises ``ValueError``) and keeps the model of
-    ``engine.program`` materialized in a
-    :class:`~repro.datalog.columnar.ColumnarFactIndex` over the engine's
-    interner — membership, DRed overdeletion/rederivation set algebra and
-    the counting table are all keyed on interned id rows, while the
-    maintenance joins run at the atom face through
-    :meth:`~repro.datalog.columnar.ColumnarFactIndex.candidates`.  EDB
+    ``engine.program`` materialized in the engine's id-space store: the
+    :class:`~repro.datalog.columnar.ColumnarFactIndex` that
+    :meth:`~repro.datalog.engine.DatalogEngine.least_index` returns, owned
+    and mutated by this model from then on.  The counting table, the DRed
+    sets and the per-batch deltas are interned ``(key, row)`` facts, and
+    every maintenance join is one of the engine's generated kernels.  EDB
     updates arrive through :meth:`apply`; everything else (``model()``,
     ``holds()``, ``query()``) reads the maintained state.
 
@@ -169,11 +197,13 @@ class MaterializedModel:
             self.engine = DatalogEngine(program_or_engine)
         self._interner = self.engine.interner
         self.planner_statistics = JoinStatistics()
-        self._maintenance_stats = None
         self.program = self.engine.program
         self.statistics = MaintenanceStatistics()
         self._index = None
+        self._store = None
         self._counts = None
+        self._seeds = None
+        self._kernels = {}
         self._components = None
         self._kind = None
         self._world = None
@@ -197,7 +227,7 @@ class MaterializedModel:
         """
         self._ensure_consistent()
         if self._world is None:
-            self._world = decode_world(self._index.store, self._interner)
+            self._world = decode_world(self._store, self._interner)
             self.engine.install_model(self._world)
         return self._world
 
@@ -224,9 +254,6 @@ class MaterializedModel:
         self._ensure_consistent()
         if mode != "materialized":
             return self.engine.query(atom, mode=mode)
-        from repro.datalog.engine import QueryResult
-        from repro.datalog.magic import adornment_of
-
         bound = [
             (position, arg)
             for position, arg in enumerate(atom.args)
@@ -253,7 +280,8 @@ class MaterializedModel:
         atom = _as_ground_atom(atom)
         key = (atom.predicate, len(atom.args))
         if self._kind.get(key) == "counting":
-            return self._counts.get(self._interner.encode_atom(atom), 0)
+            row = self._interner.row_of(atom)
+            return self._counts.get((key, row), 0) if row is not None else 0
         return 1 if atom in self._index else 0
 
     def apply(self, insertions=(), deletions=()):
@@ -280,11 +308,12 @@ class MaterializedModel:
         ):
             facts.append(DatalogFact(atom))
         self._facts_version = facts.version
+        decode = self._interner.decode_row
         return UpdateResult(
             frozenset(edb_added),
             frozenset(edb_removed),
-            frozenset(derived_added),
-            frozenset(derived_removed),
+            frozenset(decode(key[0], row) for key, row in derived_added),
+            frozenset(decode(key[0], row) for key, row in derived_removed),
         )
 
     def peek(self, insertions=(), deletions=(), reader=None):
@@ -316,7 +345,7 @@ class MaterializedModel:
             self._maintain(edb_added, edb_removed)
             try:
                 if reader is None:
-                    return decode_world(self._index.store, self._interner)
+                    return decode_world(self._store, self._interner)
                 return reader(self)
             finally:
                 self._maintain(edb_removed, edb_added)
@@ -324,30 +353,40 @@ class MaterializedModel:
             self.statistics = saved_statistics
 
     def refresh(self):
-        """Rebuild the materialized state from scratch (full fixpoint with
-        derivation counting).  Called on construction and whenever the
-        program was mutated other than through :meth:`apply`."""
+        """Rebuild the materialized state from scratch.  Called on
+        construction and whenever the program was mutated other than
+        through :meth:`apply`.
+
+        The model is the engine's id-space fixpoint store
+        (:meth:`~repro.datalog.engine.DatalogEngine.least_index`, which
+        also lets the engine's static analyzer see the possibly mutated
+        program: a strict engine rejects a defective program here).  The
+        derivation counts of each counting component are then filled by one
+        counting pass per rule over that final store, plus one for EDB
+        membership.  Maintenance works from the full rule set — never-fire
+        rules the analyzer pruned from the fixpoint derive nothing here
+        either."""
         self.statistics.rebuilds += 1
-        # Let the wrapped engine's static analyzer see the (possibly
-        # mutated) program once per rebuild: diagnostics land on
-        # ``engine.diagnostics`` and a strict engine rejects a defective
-        # program before any maintenance state is built.  Maintenance
-        # itself works from the full rule set — never-fire rules cost
-        # nothing here (their joins are vacuous) and the maintained model
-        # is identical either way.
-        self.engine.ensure_checked()
         self._analyze()
-        facts = self.program.facts
-        edb = list(facts.atoms())
-        self._index = ColumnarFactIndex(edb, interner=self._interner)
-        self._counts = defaultdict(int)
+        self._index = self.engine.least_index()
+        self._store = store = self._index.store
+        self._kernels = {}
+        self.planner_statistics.refresh(store)
+        kind = self._kind
         encode = self._interner.encode_atom
-        for atom in edb:
-            if self._kind.get((atom.predicate, len(atom.args))) == "counting":
-                self._counts[encode(atom)] += 1
-        self._refresh_planner_stats()
+        self._counts = counts = {}
+        self._seeds = set()
+        facts = self.program.facts
+        for atom in facts.atoms():
+            predicate_kind = kind.get((atom.predicate, len(atom.args)))
+            if predicate_kind == "counting":
+                counts[encode(atom)] = 1
+            elif predicate_kind == "dred":
+                self._seeds.add(encode(atom))
         for component in self._components:
-            self._build_component(component)
+            if not component.recursive:
+                for rule in component.rules:
+                    self._kernel(rule, None, "count")(store, None, None, counts)
         self._world = None
         self._facts_version = facts.version
         self._rules_key = tuple(self.program.rules)
@@ -356,8 +395,6 @@ class MaterializedModel:
         """The maintenance counters as a flat ``maintenance.*`` snapshot
         (same shape as :meth:`DatalogEngine.metrics`); read at call time
         from :attr:`statistics`, which stays a plain dataclass."""
-        from dataclasses import asdict
-
         return {
             f"maintenance.{name}": value
             for name, value in sorted(asdict(self.statistics).items())
@@ -368,22 +405,14 @@ class MaterializedModel:
 
     def __len__(self):
         self._ensure_consistent()
-        return len(self._index)
+        return len(self._store)
 
     def __repr__(self):
         return (
-            f"MaterializedModel({len(self._index)} facts, "
+            f"MaterializedModel({len(self._store)} facts, "
             f"{len(self._components)} components, "
             f"{self.statistics.applies} applies)"
         )
-
-    def _refresh_planner_stats(self):
-        """Re-snapshot the maintenance planner's histograms from the live
-        index — O(distinct values), so only the (re)build calls it, once per
-        build round; the snapshot also invalidates the cached maintenance
-        schedules, which were ordered against the previous one."""
-        self._schedules = {}
-        self._maintenance_stats = self.planner_statistics.refresh(self._index)
 
     # -- program analysis ------------------------------------------------------
     def _analyze(self):
@@ -438,15 +467,20 @@ class MaterializedModel:
         """Bring the index, the counts and the planner statistics to the
         model of the EDB changed by ``(edb_added, edb_removed)``, which
         ``program.facts`` may or may not reflect yet; returns the net
-        derived ``(added, removed)``.  An empty change is a no-op."""
+        derived ``(added, removed)`` as lists of ``(key, row)`` facts.  An
+        empty change is a no-op."""
         if not edb_added and not edb_removed:
-            return set(), set()
+            return [], []
+        encode = self._interner.encode_atom
         with self.engine.tracer.span(
             "maintenance.batch",
             insertions=len(edb_added),
             deletions=len(edb_removed),
         ) as span:
-            derived_added, derived_removed = self._propagate(edb_added, edb_removed)
+            derived_added, derived_removed = self._propagate(
+                {encode(atom) for atom in edb_added},
+                {encode(atom) for atom in edb_removed},
+            )
             span.annotate(
                 facts_added=len(derived_added), facts_removed=len(derived_removed)
             )
@@ -456,209 +490,155 @@ class MaterializedModel:
         self.statistics.facts_removed += len(derived_removed)
         return derived_added, derived_removed
 
-    # -- initial (counting) fixpoint -------------------------------------------
-    def _build_component(self, component):
-        """Run the component's fixpoint over the shared index, counting every
-        derivation for counting components.  The engine's non-duplicating
-        delta discipline guarantees each derivation is enumerated exactly
-        once across the whole fixpoint, so the counts come out exact.  The
-        counts are keyed on interned ``((predicate, arity), id-row)`` pairs,
-        so the counting table never pins decoded atoms."""
-        if not component.rules:
-            return
-        engine = self.engine
-        counting = not component.recursive
-        encode = self._interner.encode_atom
-        delta = None
-        first_round = True
-        while True:
-            # The observed bucket shapes of the growing index feed the build
-            # joins, exactly as in the engine's own fixpoint (re-snapshotted
-            # after every round's growth below).
-            stats = self._maintenance_stats
-            new_facts = set()
-            for rule in component.rules:
-                if first_round:
-                    schedule = engine._schedule(rule, stats=stats)
-                    for derived in engine._indexed_join(
-                        rule, schedule, self._index, None, {}, 0
-                    ):
-                        if counting:
-                            self._counts[encode(derived)] += 1
-                        if derived not in self._index:
-                            new_facts.add(derived)
-                    continue
-                for position, literal in enumerate(rule.body):
-                    if not literal.positive:
-                        continue
-                    if not delta.count(literal.atom.predicate, len(literal.atom.args)):
-                        continue
-                    schedule = engine._schedule(
-                        rule, delta_position=position, stats=stats
-                    )
-                    for derived in engine._indexed_join(
-                        rule, schedule, self._index, delta, {}, 0
-                    ):
-                        if counting:
-                            self._counts[encode(derived)] += 1
-                        if derived not in self._index:
-                            new_facts.add(derived)
-            if not new_facts:
-                return
-            delta = FactIndex(new_facts)
-            self._index.absorb(delta)
-            self._refresh_planner_stats()
-            first_round = False
-
     # -- delta propagation ------------------------------------------------------
-    def _propagate(self, edb_added, edb_removed):
-        """Push an EDB delta through every component in dependency order.
+    def _propagate(self, edb_plus, edb_minus):
+        """Push an EDB delta (sets of ``(key, row)`` facts) through every
+        component in dependency order.
 
         ``acc_plus`` / ``acc_minus`` accumulate all changes applied so far
         (EDB and lower components); each component sees them as its round-one
         delta and contributes its own net changes for the components above.
-        Returns the net (added, removed) over the whole model.
+        Returns the net derived (added, removed) over the whole model.
 
         The maintenance passes of every component order their joins against
         the pre-batch histograms (deltas are tiny next to the index, so
         mid-batch drift is noise); the batch's net changes are folded into
-        them at the end, which invalidates the cached schedules.
+        them at the end, which invalidates the cached kernels.
         """
-        acc_plus = FactIndex()
-        acc_minus = FactIndex()
-        idb = self._kind
+        store = self._store
+        kind = self._kind
+        acc_plus = RowStore()
+        acc_minus = RowStore()
         # EDB changes for purely extensional predicates take effect
         # immediately; EDB changes for IDB predicates are handed to the
         # owning component (base-count / DRed-seed semantics).
-        pending_plus = defaultdict(set)
-        pending_minus = defaultdict(set)
-        for atom in edb_added:
-            key = (atom.predicate, len(atom.args))
-            if key in idb:
-                pending_plus[key].add(atom)
-            elif self._index.add(atom):
-                acc_plus.add(atom)
-        for atom in edb_removed:
-            key = (atom.predicate, len(atom.args))
-            if key in idb:
-                pending_minus[key].add(atom)
-            elif self._index.discard(atom):
-                acc_minus.add(atom)
+        pending_plus = defaultdict(list)
+        pending_minus = defaultdict(list)
+        for fact in edb_plus:
+            predicate_kind = kind.get(fact[0])
+            if predicate_kind is None:
+                if store.add(fact):
+                    acc_plus.add(fact)
+                continue
+            pending_plus[fact[0]].append(fact)
+            if predicate_kind == "dred":
+                self._seeds.add(fact)
+        for fact in edb_minus:
+            predicate_kind = kind.get(fact[0])
+            if predicate_kind is None:
+                if store.discard(fact):
+                    acc_minus.add(fact)
+                continue
+            pending_minus[fact[0]].append(fact)
+            if predicate_kind == "dred":
+                self._seeds.discard(fact)
 
         for component in self._components:
-            own_plus = set()
-            own_minus = set()
-            for key in component.predicates:
-                own_plus |= pending_plus.get(key, set())
-                own_minus |= pending_minus.get(key, set())
-            if not (own_plus or own_minus) and not self._relevant(
-                component, acc_plus, acc_minus
-            ):
+            own_plus = [f for key in component.predicates for f in pending_plus.get(key, ())]
+            own_minus = [f for key in component.predicates for f in pending_minus.get(key, ())]
+            if not (own_plus or own_minus) and not component.touched_by(acc_plus, acc_minus):
                 continue  # nothing below changed what its rules read
-            if component.recursive:
-                added, removed = self._maintain_dred(
-                    component, acc_plus, acc_minus, own_plus, own_minus
-                )
-            else:
-                added, removed = self._maintain_counting(
-                    component, acc_plus, acc_minus, own_plus, own_minus
-                )
+            maintain = self._maintain_dred if component.recursive else self._maintain_counting
+            added, removed = maintain(component, acc_plus, acc_minus, own_plus, own_minus)
             acc_plus.add_all(added)
             acc_minus.add_all(removed)
         if acc_plus or acc_minus:
-            self._maintenance_stats.update(self._index, acc_plus, acc_minus)
-            self._schedules = {}
-        return set(acc_plus) - set(edb_added), set(acc_minus) - set(edb_removed)
+            self.planner_statistics.update(store, acc_plus, acc_minus)
+            self._kernels = {}
+        return (
+            [fact for fact in acc_plus if fact not in edb_plus],
+            [fact for fact in acc_minus if fact not in edb_minus],
+        )
 
-    def _relevant(self, component, dplus, dminus):
-        """True when the round delta can touch any rule body of the
-        component (either polarity of any literal)."""
-        for rule in component.rules:
-            for literal in rule.body:
-                key = (literal.atom.predicate, len(literal.atom.args))
-                if dplus.count(*key) or dminus.count(*key):
-                    return True
-        return False
+    def _kernel(self, rule, delta_position, mode):
+        """The engine's compiled pass for *rule* with its body planned by
+        the engine's scheduler against the model's histograms; cached until
+        the histograms change (every batch that changed the index)."""
+        key = (rule, delta_position, mode)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            engine = self.engine
+            schedule = engine._schedule(
+                rule, delta_position=delta_position, stats=self.planner_statistics
+            )
+            kernel = self._kernels[key] = compiled_for(
+                engine._compiled_cache, rule, delta_position, schedule,
+                self._interner, mode,
+            )
+        return kernel
+
+    def _join(self, component, mode, plus, minus, out, old=False):
+        """Run every delta pass of the component whose delta literal's
+        support changed, into *out*.
+
+        Increment passes (``old=False``) run in the current database, with
+        added support ``plus`` and removed support ``minus``.  Decrement
+        passes (``old=True``) run in the old database: the index is flipped
+        for the round (retract *plus*, absorb *minus*; *plus* is held by
+        the index and *minus* is not), the kernels get ``(minus, plus)``,
+        and the index is restored."""
+        added, removed = (minus, plus) if old else (plus, minus)
+        passes = [
+            (rule, position)
+            for rule in component.rules
+            for position, literal in enumerate(rule.body)
+            if (added if literal.positive else removed).count(
+                literal.atom.predicate, len(literal.atom.args)
+            )
+        ]
+        if not passes:
+            return
+        self.statistics.delta_passes += len(passes)
+        store = self._store
+        if old:
+            store.retract_all(plus)
+            store.absorb(minus)
+        try:
+            for rule, position in passes:
+                self._kernel(rule, position, mode)(store, added, removed, out)
+        finally:
+            if old:
+                store.retract_all(minus)
+                store.absorb(plus)
 
     def _maintain_counting(self, component, acc_plus, acc_minus, edb_plus, edb_minus):
         """Counting maintenance for a non-recursive component.
 
-        Adjust base counts for the component's own EDB changes, fold the
-        resulting presence transitions into the round-one delta together with
-        everything accumulated below, run one set of increment/decrement
-        passes, and turn count transitions into index updates.  (The loop is
-        written generically, but a non-recursive component never feeds its
-        own rule bodies, so it always terminates after the second round.)
+        Adjust base counts for the component's own EDB changes, run one set
+        of increment and decrement passes against everything accumulated
+        below, and turn count transitions into index updates.  One round
+        suffices: a non-recursive component never reads its own predicate.
         """
-        added_net = set()
-        removed_net = set()
-        encode = self._interner.encode_atom
-        born, died = set(), set()
-        for atom in edb_plus:
-            key = encode(atom)
-            self._counts[key] += 1
-            if self._counts[key] == 1:
-                born.add(atom)
-        for atom in edb_minus:
-            key = encode(atom)
-            self._counts[key] -= 1
-            if self._counts[key] <= 0:
-                died.add(atom)
-        dplus = FactIndex(iter(acc_plus))
-        dminus = FactIndex(iter(acc_minus))
-        self._transition(born, died, dplus, dminus, added_net, removed_net)
-        while (dplus or dminus) and self._relevant(component, dplus, dminus):
+        change = defaultdict(int)
+        for fact in edb_plus:
+            change[fact] += 1
+        for fact in edb_minus:
+            change[fact] -= 1
+        if component.touched_by(acc_plus, acc_minus):
             self.statistics.rounds += 1
-            touched = set()
-            for rule in component.rules:
-                for position, literal in enumerate(rule.body):
-                    key = (literal.atom.predicate, len(literal.atom.args))
-                    added_support = dplus if literal.positive else dminus
-                    removed_support = dminus if literal.positive else dplus
-                    if added_support.count(*key):
-                        self.statistics.delta_passes += 1
-                        schedule = self._maintenance_schedule(rule, position)
-                        for derived in self._pass_join(
-                            rule, schedule, "increment", dplus, dminus, {}, 0
-                        ):
-                            self._counts[encode(derived)] += 1
-                            touched.add(derived)
-                    if removed_support.count(*key):
-                        self.statistics.delta_passes += 1
-                        schedule = self._maintenance_schedule(rule, position)
-                        for derived in self._pass_join(
-                            rule, schedule, "decrement", dplus, dminus, {}, 0
-                        ):
-                            self._counts[encode(derived)] -= 1
-                            touched.add(derived)
-            born = {f for f in touched
-                    if self._counts[encode(f)] > 0 and f not in self._index}
-            died = {f for f in touched
-                    if self._counts[encode(f)] <= 0 and f in self._index}
-            dplus, dminus = FactIndex(), FactIndex()
-            self._transition(born, died, dplus, dminus, added_net, removed_net)
-        return added_net, removed_net
-
-    def _transition(self, born, died, dplus, dminus, added_net, removed_net):
-        """Apply presence transitions to the index, record them as the next
-        round's delta, and fold them into the component's net change."""
-        for fact in born:
-            if self._index.add(fact):
-                dplus.add(fact)
-                if fact in removed_net:
-                    removed_net.discard(fact)
-                else:
-                    added_net.add(fact)
-        for fact in died:
-            key = self._interner.encode_atom(fact)
-            if self._counts.get(key, 0) <= 0:
-                self._counts.pop(key, None)
-            if self._index.discard(fact):
-                dminus.add(fact)
-                if fact in added_net:
-                    added_net.discard(fact)
-                else:
-                    removed_net.add(fact)
+            gained, lost = {}, {}
+            self._join(component, "count", acc_plus, acc_minus, gained)
+            self._join(component, "count", acc_plus, acc_minus, lost, old=True)
+            for fact, derivations in gained.items():
+                change[fact] += derivations
+            for fact, derivations in lost.items():
+                change[fact] -= derivations
+        counts = self._counts
+        store = self._store
+        added, removed = [], []
+        for fact, difference in change.items():
+            if not difference:
+                continue
+            count = counts.get(fact, 0) + difference
+            if count > 0:
+                counts[fact] = count
+                if store.add(fact):
+                    added.append(fact)
+            else:
+                counts.pop(fact, None)
+                if store.discard(fact):
+                    removed.append(fact)
+        return added, removed
 
     def _maintain_dred(self, component, acc_plus, acc_minus, edb_plus, edb_minus):
         """Delete-and-rederive maintenance for a recursive component.
@@ -671,277 +651,63 @@ class MaterializedModel:
         3. *Insert*: propagate added support (inserted facts, deleted negated
            facts, rederived facts) semi-naively to a fixpoint.
         """
-        added_net = set()
-        removed_net = set()
-        empty = FactIndex()
+        store = self._store
+        statistics = self.statistics
+        empty = RowStore()
 
         # Phase 1 — overdeletion.
-        overdeleted = set()
-        seed_minus = FactIndex()
-        for atom in edb_minus:
-            if self._index.discard(atom):
-                seed_minus.add(atom)
-                overdeleted.add(atom)
-        # acc_plus is only read during overdeletion — no copy needed.
-        dplus, dminus = acc_plus, FactIndex(iter(acc_minus))
-        dminus.absorb(seed_minus)
-        while (dplus or dminus) and self._relevant(component, dplus, dminus):
-            self.statistics.rounds += 1
-            doomed = set()
-            for rule in component.rules:
-                for position, literal in enumerate(rule.body):
-                    key = (literal.atom.predicate, len(literal.atom.args))
-                    removed_support = dminus if literal.positive else dplus
-                    if not removed_support.count(*key):
-                        continue
-                    self.statistics.delta_passes += 1
-                    schedule = self._maintenance_schedule(rule, position)
-                    for derived in self._pass_join(
-                        rule, schedule, "decrement", dplus, dminus, {}, 0
-                    ):
-                        if derived in self._index:
-                            doomed.add(derived)
-            # Every doomed fact was checked present while the index was
-            # round-stable, so the whole round delta subtracts bucket-wise.
-            dplus, dminus = empty, FactIndex(doomed)
-            self._index.retract_all(dminus)
-            overdeleted |= doomed
-        self.statistics.overdeleted += len(overdeleted)
+        seeds = [fact for fact in edb_minus if store.discard(fact)]
+        overdeleted = set(seeds)
+        dplus, dminus = acc_plus, acc_minus
+        if seeds:
+            dminus = RowStore(acc_minus)
+            dminus.add_all(seeds)
+        while component.touched_by(dplus, dminus):
+            statistics.rounds += 1
+            derived = {}
+            self._join(component, "count", dplus, dminus, derived, old=True)
+            # Every doomed fact is present in the round-stable index, so the
+            # whole round delta subtracts relation-wise.
+            doomed = fresh_delta([fact for fact in derived if fact in store])
+            store.retract_all(doomed)
+            overdeleted.update(doomed)
+            dplus, dminus = empty, doomed
+        statistics.overdeleted += len(overdeleted)
 
-        # Phase 2 — rederivation (one sweep; phase 3 propagates the rest).
-        # A fact is in the new EDB when the batch inserts it, or when the
-        # program holds it and the batch does not delete it — true whether
-        # or not program.facts has caught up with the batch yet.
-        facts = self.program.facts
-        rederived = set()
-        for fact in overdeleted:
-            if (
-                fact in edb_plus
-                or (fact not in edb_minus and fact in facts)
-                or self._derivable(component, fact)
-            ):
-                self._index.add(fact)
-                rederived.add(fact)
-        self.statistics.rederived += len(rederived)
-        for fact in overdeleted - rederived:
-            removed_net.add(fact)
+        # Phase 2 — rederivation (one pass per rule; phase 3 propagates the
+        # rest).  The seeds already hold the new EDB.
+        rederived = [fact for fact in overdeleted if fact in self._seeds]
+        lost = fresh_delta(overdeleted.difference(rederived))
+        if lost:
+            found = set()
+            for rule in component.rederive:
+                if lost.count(rule.head.predicate, rule.head.arity):
+                    statistics.delta_passes += 1
+                    self._kernel(rule, 0, "new")(store, lost, empty, found)
+            rederived.extend(found)
+        store.add_all(rederived)
+        statistics.rederived += len(rederived)
+        removed_net = overdeleted.difference(rederived)
 
-        # Phase 3 — insertion (acc_minus is only read — no copy needed).
-        dplus, dminus = FactIndex(iter(acc_plus)), acc_minus
-        for atom in edb_plus:
-            if self._index.add(atom):
-                dplus.add(atom)
-                added_net.add(atom)
-        dplus.add_all(rederived)
-        while (dplus or dminus) and self._relevant(component, dplus, dminus):
-            self.statistics.rounds += 1
+        # Phase 3 — insertion.
+        inserted = [fact for fact in edb_plus if store.add(fact)]
+        added_net = set(inserted)
+        dplus, dminus = acc_plus, acc_minus
+        if inserted or rederived:
+            dplus = RowStore(acc_plus)
+            dplus.add_all(inserted)
+            dplus.add_all(rederived)
+        while component.touched_by(dplus, dminus):
+            statistics.rounds += 1
             fresh = set()
-            for rule in component.rules:
-                for position, literal in enumerate(rule.body):
-                    key = (literal.atom.predicate, len(literal.atom.args))
-                    added_support = dplus if literal.positive else dminus
-                    if not added_support.count(*key):
-                        continue
-                    self.statistics.delta_passes += 1
-                    schedule = self._maintenance_schedule(rule, position)
-                    for derived in self._pass_join(
-                        rule, schedule, "increment", dplus, dminus, {}, 0
-                    ):
-                        if derived not in self._index:
-                            fresh.add(derived)
+            self._join(component, "new", dplus, dminus, fresh)
             # fresh is disjoint from the index by construction — merge the
-            # whole round delta bucket-wise.
-            dplus, dminus = FactIndex(fresh), empty
-            self._index.absorb(dplus)
+            # whole round delta relation-wise.
+            dplus, dminus = fresh_delta(fresh), empty
+            store.absorb(dplus)
             for fact in fresh:
                 if fact in removed_net:
                     removed_net.discard(fact)
                 else:
                     added_net.add(fact)
         return added_net, removed_net
-
-    def _derivable(self, component, fact):
-        """True when some rule of the component derives *fact* from the
-        current index (used by DRed rederivation): unify the head, then
-        evaluate the body goal-directed against the index."""
-        for rule in component.rules:
-            if rule.head.predicate != fact.predicate or rule.head.arity != len(fact.args):
-                continue
-            binding = _match(rule.head.args, fact.args, {})
-            if binding is None:
-                continue
-            schedule = self._maintenance_schedule(rule, None)
-            for _ in self._pass_join(rule, schedule, "current", None, None, binding, 0):
-                return True
-        return False
-
-    # -- maintenance joins ------------------------------------------------------
-    def _maintenance_schedule(self, rule, delta_position):
-        """Order a rule body for a maintenance pass.
-
-        Returns ``(literal, role)`` pairs where the role is ``"delta"`` (the
-        literal whose support changed — evaluated first, enumerating the
-        delta), ``"before"`` (textually before the delta position: support
-        must be *unchanged*, which is what makes each changed derivation
-        count exactly once) or ``"after"`` (unrestricted).  The positive
-        non-delta literals are greedily reordered by estimated selectivity
-        against the current :class:`~repro.datalog.stats.JoinStatistics`
-        snapshot (roles stay attached to their *textual* positions, so the
-        enumerated derivation set is unchanged — only the join order).
-        Negative non-delta literals are
-        deferred until the prefix binds their variables, exactly as in the
-        engine's scheduler.  Schedules are cached per
-        ``(rule, delta_position)`` and invalidated whenever the histograms
-        change: every (re)build round and every batch that changed the
-        index.
-        """
-        cached = self._schedules.get((rule, delta_position))
-        if cached is not None:
-            return cached
-        stats = self._maintenance_stats
-
-        def role_for(position):
-            if delta_position is None or position == delta_position:
-                return "after"
-            return "before" if position < delta_position else "after"
-
-        schedule = []
-        bound = set()
-        pending_negative = [
-            (i, l) for i, l in enumerate(rule.body) if not l.positive and i != delta_position
-        ]
-        positives = [
-            (i, l) for i, l in enumerate(rule.body) if l.positive and i != delta_position
-        ]
-        if delta_position is not None:
-            literal = rule.body[delta_position]
-            schedule.append((literal, "delta"))
-            bound |= literal.variables()
-
-        def emit_ready_negatives():
-            for entry in list(pending_negative):
-                position, literal = entry
-                if literal.variables() <= bound:
-                    schedule.append((literal, role_for(position)))
-                    pending_negative.remove(entry)
-
-        emit_ready_negatives()
-        while positives:
-            choice = 0
-            best_score = None
-            for slot, (_, literal) in enumerate(positives):
-                atom = literal.atom
-                bound_positions = [
-                    p
-                    for p, arg in enumerate(atom.args)
-                    if isinstance(arg, Parameter) or arg in bound
-                ]
-                estimate = stats.selectivity(
-                    atom.predicate, len(atom.args), bound_positions
-                )
-                score = (0 if bound_positions else 1, estimate)
-                if best_score is None or score < best_score:
-                    best_score, choice = score, slot
-            position, literal = positives.pop(choice)
-            schedule.append((literal, role_for(position)))
-            bound |= literal.variables()
-            emit_ready_negatives()
-        self._schedules[(rule, delta_position)] = schedule
-        return schedule
-
-    def _pass_join(self, rule, schedule, mode, dplus, dminus, binding, position):
-        """Evaluate a maintenance schedule, yielding one head atom per
-        derivation whose status changed.
-
-        ``mode="increment"`` evaluates in the new database (the index),
-        ``mode="decrement"`` in the old one (the index with the round delta
-        undone), ``mode="current"`` in the index with no delta at all (DRed
-        rederivation).  The role tags implement the first-changed-position
-        discipline documented on :meth:`_maintenance_schedule`.
-        """
-        if position == len(schedule):
-            yield _head_atom(rule, binding)
-            return
-        literal, role = schedule[position]
-        atom = literal.atom
-        arity = len(atom.args)
-        if literal.positive or role == "delta":
-            bound_arguments = []
-            for argument_position, arg in enumerate(atom.args):
-                if isinstance(arg, Parameter):
-                    bound_arguments.append((argument_position, arg))
-                else:
-                    value = binding.get(arg)
-                    if value is not None:
-                        bound_arguments.append((argument_position, value))
-            for fact in self._pass_candidates(
-                atom.predicate, arity, bound_arguments, literal.positive, role, mode,
-                dplus, dminus,
-            ):
-                extended = _match(atom.args, fact.args, binding)
-                if extended is not None:
-                    yield from self._pass_join(
-                        rule, schedule, mode, dplus, dminus, extended, position + 1
-                    )
-        else:
-            candidate = _ground_negative(literal, binding)
-            if self._negative_holds(candidate, role, mode, dplus, dminus):
-                yield from self._pass_join(
-                    rule, schedule, mode, dplus, dminus, binding, position + 1
-                )
-
-    def _pass_candidates(self, predicate, arity, bound, positive, role, mode, dplus, dminus):
-        """Enumerate the facts a maintenance join step may match.
-
-        The evaluation database is the index for increment passes and the
-        index with the round delta undone (minus ``dplus``, plus ``dminus``)
-        for decrement passes; ``"before"`` roles additionally exclude the
-        literal's own changed support.  A *negated* delta literal enumerates
-        the opposite delta: its support was added by a deletion and removed
-        by an insertion.
-        """
-        if role == "delta":
-            if positive:
-                source = dplus if mode == "increment" else dminus
-            else:
-                source = dminus if mode == "increment" else dplus
-            yield from source.candidates(predicate, arity, bound)
-            return
-        if mode == "current":
-            yield from self._index.candidates(predicate, arity, bound)
-            return
-        if mode == "increment":
-            if role == "before" and dplus.count(predicate, arity):
-                for fact in self._index.candidates(predicate, arity, bound):
-                    if fact not in dplus:
-                        yield fact
-            else:
-                yield from self._index.candidates(predicate, arity, bound)
-            return
-        # decrement: old database = (index - dplus) + dminus
-        if dplus.count(predicate, arity):
-            for fact in self._index.candidates(predicate, arity, bound):
-                if fact not in dplus:
-                    yield fact
-        else:
-            yield from self._index.candidates(predicate, arity, bound)
-        if role == "after":
-            yield from dminus.candidates(predicate, arity, bound)
-
-    def _negative_holds(self, candidate, role, mode, dplus, dminus):
-        """Was/is the negated literal satisfied in the pass's evaluation
-        database (with unchanged support when the role demands it)?"""
-        if mode == "current":
-            return candidate not in self._index
-        if mode == "increment":
-            if role == "before":
-                return candidate not in self._index and candidate not in dminus
-            return candidate not in self._index
-        # decrement: satisfied in the old database ...
-        in_old = (candidate not in self._index or candidate in dplus) and (
-            candidate not in dminus
-        )
-        if role == "before":
-            # ... with unchanged support (not inserted this round either).
-            return in_old and candidate not in dplus
-        return in_old

@@ -9,8 +9,7 @@ and under skew the uniform estimate systematically underestimates the cost
 of probing a column whose few heavy values carry most of the facts.
 
 :class:`JoinStatistics` replaces that assumption with *observed* per-column
-bucket-size histograms, snapshotted from the live fact index (a
-:class:`~repro.datalog.columnar.ColumnarFactIndex` or its
+bucket-size histograms, snapshotted from the live id-space store (a
 :class:`~repro.datalog.columnar.RowStore`) as evaluation proceeds:
 
 * for every ``(predicate, arity)`` relation and every argument position, a
@@ -131,11 +130,12 @@ class JoinStatistics:
         """Fold one batch of net changes into the histograms, leaving
         exactly what ``refresh(index)`` would.
 
-        *index* already holds the batch; *added* and *removed* are
-        :class:`~repro.datalog.index.FactIndex` objects of the facts it
-        gained and lost (disjoint).  Each touched bucket moves from its old
-        size (read off the index and the batch) to its new one, and the
-        column's bucket-size counts follow, so no column is rescanned.
+        *index*, *added* and *removed* are
+        :class:`~repro.datalog.columnar.RowStore` objects: *index* already
+        holds the batch, *added* and *removed* are the facts it gained and
+        lost (disjoint).  Each touched bucket moves from its old size (read
+        off the index and the batch) to its new one, and the column's
+        bucket-size counts follow, so no column is rescanned.
         Cost: O(changed facts + touched buckets).  Returns ``self``.
         """
         for key in added.relations() | removed.relations():

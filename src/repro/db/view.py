@@ -60,7 +60,8 @@ class DatalogView:
     The view stays subscribed to the database until :meth:`close` is called.
     The maintaining :class:`~repro.datalog.incremental.MaterializedModel`
     interns the EDB constants and keeps the materialized state in dense-id
-    columnar relations (:class:`~repro.datalog.columnar.ColumnarFactIndex`).
+    columnar relations (:class:`~repro.datalog.columnar.RowStore`, read
+    through :class:`~repro.datalog.columnar.ColumnarFactIndex`).
     """
 
     def __init__(self, database, rules=()):

@@ -48,28 +48,6 @@ class World:
         """The world in which no atom is true."""
         return cls(())
 
-    @classmethod
-    def from_fact_index(cls, index):
-        """Build a world from a :class:`~repro.datalog.index.FactIndex`,
-        seeding the lazy per-predicate index from the index's relation
-        buckets instead of re-bucketing the atoms on first use.
-
-        The index is trusted to hold ground non-equality atoms (it can hold
-        nothing else), so per-atom validation is skipped; this is the fast
-        path the incremental view-maintenance layer uses to hand out a fresh
-        world after every delta update.
-        """
-        world = cls.__new__(cls)
-        world._atoms = frozenset(index)
-        world._hash = hash(world._atoms)
-        buckets = {}
-        for predicate, arity in index.relations():
-            buckets.setdefault(predicate, []).extend(index.relation(predicate, arity))
-        world._by_predicate = {
-            predicate: tuple(bucket) for predicate, bucket in buckets.items()
-        }
-        return world
-
     @property
     def atoms(self):
         """The frozenset of true non-equality atoms."""

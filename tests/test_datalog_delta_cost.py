@@ -25,10 +25,9 @@ from repro.datalog import (
     DatalogFact,
     DatalogProgram,
     DatalogRule,
-    FactIndex,
     MaterializedModel,
 )
-from repro.datalog.columnar import ColumnarFactIndex, ColumnarRelation, RowStore
+from repro.datalog.columnar import ColumnarRelation, RowStore
 from repro.datalog.program import DatalogLiteral, FactList
 from repro.datalog.stats import JoinStatistics
 from repro.exceptions import ReproError
@@ -41,7 +40,7 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
 def fresh_snapshot(materialized):
-    return JoinStatistics().refresh(materialized._index).snapshot()
+    return JoinStatistics().refresh(materialized._index.store).snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +210,7 @@ def test_one_fact_updates_and_reads_are_delta_cost(monkeypatch):
     monkeypatch.setattr(
         JoinStatistics, "refresh", counted("refresh", JoinStatistics.refresh)
     )
-    for owner in (FactIndex, ColumnarFactIndex, RowStore, ColumnarRelation):
+    for owner in (RowStore, ColumnarRelation):
         monkeypatch.setattr(
             owner, "histogram_sizes",
             counted(f"{owner.__name__}.histogram_sizes", owner.histogram_sizes),
@@ -230,6 +229,30 @@ def test_one_fact_updates_and_reads_are_delta_cost(monkeypatch):
     assert materialized.derivation_count(edge) == 1
     assert not calls, dict(calls)
     assert materialized.statistics.rebuilds == 1
+
+
+def test_reinstall_and_cache_hit_read_no_facts(monkeypatch):
+    """One staleness stamp: after an ``apply``, ``model()`` reinstalls the
+    world into the engine and the engine's next ``least_model()`` is a
+    cache hit — and neither reads the fact list (the cache is keyed on the
+    list's version stamp, not on its contents)."""
+    program = transitive_closure_program(chains=40, length=4)
+    materialized = MaterializedModel(program)
+    materialized.apply(insertions=[atom("edge", "c0_n4", "c1_n0")])
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FactList, "__iter__", counted("facts.iter", FactList.__iter__))
+    monkeypatch.setattr(FactList, "atoms", counted("facts.atoms", FactList.atoms))
+    world = materialized.model()
+    assert materialized.engine.least_model() is world
+    assert not calls, dict(calls)
+    assert world.holds(atom("path", "c0_n0", "c1_n4"))
 
 
 # ---------------------------------------------------------------------------

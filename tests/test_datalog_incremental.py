@@ -9,6 +9,10 @@ driven in both directions by lower-stratum changes), under hypothesis-driven
 random update sequences.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +21,9 @@ from repro.datalog import (
     DatalogLiteral,
     DatalogProgram,
     DatalogRule,
-    FactIndex,
+    Interner,
     MaterializedModel,
+    RowStore,
 )
 from repro.logic.builders import atom
 from repro.logic.syntax import Atom
@@ -31,65 +36,79 @@ a, b, c = Parameter("a"), Parameter("b"), Parameter("c")
 
 
 # ---------------------------------------------------------------------------
-# FactIndex deletion dual
+# RowStore deletion dual (the store the maintainer's deltas and model use)
 # ---------------------------------------------------------------------------
+
+INTERNER = Interner()
+encode = INTERNER.encode_atom
+
+
+def rows(*atoms):
+    return RowStore(encode(fact) for fact in atoms)
 
 
 class TestFactIndexDeletion:
     def test_discard_removes_from_all_buckets(self):
-        index = FactIndex([Atom("p", (a, b)), Atom("p", (a, c))])
-        assert index.discard(Atom("p", (a, b)))
-        assert Atom("p", (a, b)) not in index
+        index = rows(Atom("p", (a, b)), Atom("p", (a, c)))
+        assert index.discard(encode(Atom("p", (a, b))))
+        assert encode(Atom("p", (a, b))) not in index
         assert len(index) == 1
-        assert index.candidates("p", 2, [(0, a)]) == {Atom("p", (a, c))}
-        assert index.candidates("p", 2, [(1, b)]) == frozenset()
+        ida, idb = INTERNER.id_of(a), INTERNER.id_of(b)
+        assert set(index.candidates("p", 2, [(0, ida)])) == {encode(Atom("p", (a, c)))}
+        assert set(index.candidates("p", 2, [(1, idb)])) == set()
 
     def test_discard_absent_is_noop(self):
-        index = FactIndex([Atom("p", (a,))])
-        assert not index.discard(Atom("p", (b,)))
-        assert not index.discard(Atom("q", (a,)))
+        index = rows(Atom("p", (a,)))
+        assert not index.discard(encode(Atom("p", (b,))))
+        assert not index.discard(encode(Atom("q", (a,))))
         assert len(index) == 1
 
     def test_discard_updates_selectivity(self):
         # The bucket sizes are what the planner's selectivity estimate is
         # built from (JoinStatistics): an emptied value bucket must go.
-        index = FactIndex([Atom("p", (a, b)), Atom("p", (b, b))])
-        assert index.histogram("p", 2, 0) == {a: 1, b: 1}
-        index.discard(Atom("p", (a, b)))
+        index = rows(Atom("p", (a, b)), Atom("p", (b, b)))
+        ida, idb = INTERNER.id_of(a), INTERNER.id_of(b)
+        assert index.histogram("p", 2, 0) == {ida: 1, idb: 1}
+        index.discard(encode(Atom("p", (a, b))))
         # only one distinct value remains at position 0
-        assert index.histogram("p", 2, 0) == {b: 1}
-        assert index.bucket_size("p", 2, 0, a) == 0
+        assert index.histogram("p", 2, 0) == {idb: 1}
+        assert index.bucket_size("p", 2, 0, ida) == 0
         assert index.histogram_sizes("p", 2, 1) == [1]
 
     def test_discard_all_counts_only_present_facts(self):
-        index = FactIndex([Atom("p", (a, b)), Atom("q", (c,))])
-        removed = index.discard_all([Atom("p", (a, b)), Atom("p", (b, c))])
+        index = rows(Atom("p", (a, b)), Atom("q", (c,)))
+        removed = index.discard_all([encode(Atom("p", (a, b))), encode(Atom("p", (b, c)))])
         assert removed == 1
-        assert set(index) == {Atom("q", (c,))}
+        assert set(index) == {encode(Atom("q", (c,)))}
 
     def test_retract_all_is_absorb_dual(self):
-        facts = [Atom("p", (a, b)), Atom("p", (b, c)), Atom("q", (a,))]
-        index = FactIndex(facts)
-        delta = FactIndex([Atom("p", (b, c)), Atom("q", (a,)), Atom("r", (c,))])
+        index = rows(Atom("p", (a, b)), Atom("p", (b, c)), Atom("q", (a,)))
+        delta = rows(Atom("p", (b, c)), Atom("q", (a,)), Atom("r", (c,)))
         removed = index.retract_all(delta)
         assert removed == 2
-        assert set(index) == {Atom("p", (a, b))}
+        assert set(index) == {encode(Atom("p", (a, b)))}
         assert index.count("q", 1) == 0
 
     def test_absorb_then_retract_roundtrip(self):
         base = [Atom("p", (a, b))]
         extra = [Atom("p", (a, c)), Atom("q", (b,))]
-        index = FactIndex(base)
-        index.absorb(FactIndex(extra))
-        index.retract_all(FactIndex(extra))
-        reference = FactIndex(base)
+        index = rows(*base)
+        index.absorb(rows(*extra))
+        index.retract_all(rows(*extra))
+        reference = rows(*base)
         assert set(index) == set(reference)
-        assert index.candidates("p", 2, [(0, a)]) == reference.candidates("p", 2, [(0, a)])
+        bound = [(0, INTERNER.id_of(a))]
+        assert set(index.candidates("p", 2, bound)) == set(reference.candidates("p", 2, bound))
 
 
 def test_world_from_fact_index_matches_constructor():
+    # The maintained model's world is decoded from its id-space fact index
+    # in one pass; it must equal, and hash like, the World constructor's.
     facts = [Atom("p", (a, b)), Atom("q", (c,)), Atom("p", (b, c))]
-    seeded = World.from_fact_index(FactIndex(facts))
+    program = DatalogProgram()
+    for fact in facts:
+        program.add_fact(fact)
+    seeded = MaterializedModel(program).model()
     direct = World(facts)
     assert seeded == direct
     assert hash(seeded) == hash(direct)
@@ -257,6 +276,27 @@ class TestMaterializedModel:
         assert materialized.derivation_count(atom("p", "b")) == 1
         assert materialized.derivation_count(atom("p", "a")) == 1
 
+    def test_negated_literal_before_its_binder_counts_once(self):
+        """One batch both inserts ``node(b)`` and cuts ``path(a, b)``: the
+        derivation of ``unreachable(a, b)`` changed at two body positions,
+        and the negated literal textually before ``node(y)`` must have
+        unchanged support there — so it is counted once, not twice."""
+        program = DatalogProgram()
+        program.add_fact(atom("edge", "a", "b"))
+        program.add_fact(atom("node", "a"))
+        program.rule(Atom("path", (x, y)), Atom("edge", (x, y)))
+        program.rule(
+            Atom("unreachable", (x, y)),
+            Atom("node", (x,)), (Atom("path", (x, y)), False), Atom("node", (y,)),
+        )
+        materialized = MaterializedModel(program)
+        materialized.apply(insertions=[atom("node", "b")], deletions=[atom("edge", "a", "b")])
+        assert materialized.derivation_count(atom("unreachable", "a", "b")) == 1
+        assert materialized.model() == DatalogEngine(program, strategy="semi-naive").least_model()
+        materialized.apply(deletions=[atom("node", "b")], insertions=[atom("edge", "a", "b")])
+        assert materialized.derivation_count(atom("unreachable", "a", "b")) == 0
+        assert materialized.model() == DatalogEngine(program, strategy="semi-naive").least_model()
+
     def test_rejects_non_ground_updates(self):
         from repro.exceptions import ReproError
 
@@ -382,8 +422,9 @@ def test_update_stream_drives_materialized_model():
 class TestMaintenancePlanning:
     def test_maintenance_schedules_are_reordered_by_histograms(self):
         # joined(x, z) :- r1(x, y), r2(y, z) with r2 much smaller than r1:
-        # the histogram planner starts the no-delta (rederivation) schedule
-        # from the small relation, not from the textually first one.
+        # the engine's planner, fed the model's histograms, starts the
+        # no-delta schedule (the build's counting pass) from the small
+        # relation, not from the textually first one.
         program = DatalogProgram()
         for i in range(30):
             program.add_fact(atom("r1", f"a{i}", "hub"))
@@ -397,7 +438,7 @@ class TestMaintenancePlanning:
 
         ordered = MaterializedModel(program)
         assert ordered.planner_statistics.refreshes > 0
-        schedule = ordered._maintenance_schedule(rule, None)
+        schedule = ordered.engine._schedule(rule, stats=ordered.planner_statistics)
         assert rule.body[0].atom.predicate == "r1"
         assert schedule[0][0].atom.predicate == "r2"
 
@@ -411,3 +452,64 @@ class TestMaintenancePlanning:
             MaterializedModel(program, planner="histogram")
         with pytest.raises(TypeError):
             MaterializedModel(program, storage="columnar")
+
+
+# ---------------------------------------------------------------------------
+# Maintenance runs in id space: atoms only at the API edge
+# ---------------------------------------------------------------------------
+
+ALLOCATION_PROBE = """
+from repro.datalog import DatalogEngine, DatalogProgram, MaterializedModel
+from repro.logic.builders import atom
+from repro.logic.syntax import Atom
+from repro.logic.terms import Variable
+
+x, y, z = Variable("x"), Variable("y"), Variable("z")
+program = DatalogProgram()
+for i in range(20):
+    program.add_fact(atom("edge", f"n{i}", f"n{i + 1}"))
+program.rule(Atom("path", (x, y)), Atom("edge", (x, y)))
+program.rule(Atom("path", (x, z)), Atom("edge", (x, y)), Atom("path", (y, z)))
+materialized = MaterializedModel(program)
+shortcut = atom("edge", "n3", "n9")
+allocated = 0
+
+
+def counting_new(cls, *args, **kwargs):
+    global allocated
+    allocated += 1
+    return object.__new__(cls)
+
+
+Atom.__new__ = counting_new  # fast_atom allocates through it too
+results = [
+    materialized.apply(insertions=[shortcut]),
+    materialized.apply(deletions=[shortcut]),
+]
+Atom.__new__ = lambda cls, *args, **kwargs: object.__new__(cls)
+changes = sum(
+    len(r.edb_added) + len(r.edb_removed) + len(r.derived_added) + len(r.derived_removed)
+    for r in results
+)
+agrees = materialized.model() == DatalogEngine(program, strategy="semi-naive").least_model()
+print(allocated, changes, materialized.statistics.overdeleted, agrees)
+"""
+
+
+def test_maintenance_allocates_atoms_only_for_reported_changes():
+    """Applying and then retracting a shortcut edge of a 20-edge chain
+    overdeletes and rederives paths, yet builds no ``Atom`` beyond the
+    changes the two :class:`UpdateResult` objects report: the joins, the
+    deltas and the DRed sets are interned id rows.
+
+    ``Atom.__new__`` cannot be put back once wrapped (CPython keeps the
+    Python-level slot), so the probe runs in a child interpreter."""
+    environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    output = subprocess.run(
+        [sys.executable, "-c", ALLOCATION_PROBE], env=environment,
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    allocated, changes, overdeleted = map(int, output[:3])
+    assert output[3] == "True"
+    assert overdeleted > 0
+    assert allocated <= changes

@@ -1,10 +1,18 @@
 """Tests for the fact-indexing subsystem and the indexed join engine:
-FactIndex buckets/probing, the semi-naive delta discipline, join-pass
+RowStore / ColumnarFactIndex buckets and probing, the semi-naive delta discipline, join-pass
 counters, range-restriction validation and exact stratification."""
 
 import pytest
 
-from repro.datalog import DatalogEngine, DatalogProgram, DatalogRule, DatalogLiteral, FactIndex
+from repro.datalog import (
+    ColumnarFactIndex,
+    DatalogEngine,
+    DatalogLiteral,
+    DatalogProgram,
+    DatalogRule,
+    Interner,
+    RowStore,
+)
 from repro.exceptions import ReproError, StratificationError, UnsafeRuleError
 from repro.logic.builders import atom
 from repro.logic.syntax import Atom
@@ -14,46 +22,59 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b, c = Parameter("a"), Parameter("b"), Parameter("c")
 
 
+def indexed(*atoms):
+    """A RowStore of *atoms* and its atom-face read view (one interner)."""
+    interner = Interner()
+    store = RowStore(interner.encode_atom(fact) for fact in atoms)
+    return store, ColumnarFactIndex.from_store(store, interner)
+
+
 class TestFactIndex:
+    """The indexed fact store: RowStore writes and counts in id space,
+    ColumnarFactIndex answers membership and bound-prefix probes with
+    atoms."""
+
     def test_add_and_membership(self):
-        index = FactIndex()
-        assert index.add(Atom("p", (a, b)))
-        assert not index.add(Atom("p", (a, b)))
+        interner = Interner()
+        store = RowStore()
+        index = ColumnarFactIndex.from_store(store, interner)
+        assert store.add(interner.encode_atom(Atom("p", (a, b))))
+        assert not store.add(interner.encode_atom(Atom("p", (a, b))))
         assert Atom("p", (a, b)) in index
         assert Atom("p", (b, a)) not in index
         assert len(index) == 1
 
     def test_relation_buckets(self):
-        index = FactIndex([Atom("p", (a, b)), Atom("p", (b, c)), Atom("q", (a,))])
-        assert index.count("p", 2) == 2
-        assert index.count("q", 1) == 1
-        assert index.count("p", 1) == 0  # arity is part of the key
-        assert index.relations() == {("p", 2), ("q", 1)}
+        store, index = indexed(Atom("p", (a, b)), Atom("p", (b, c)), Atom("q", (a,)))
+        assert store.count("p", 2) == 2
+        assert store.count("q", 1) == 1
+        assert store.count("p", 1) == 0  # arity is part of the key
+        assert store.relations() == {("p", 2), ("q", 1)}
         assert set(index) == {Atom("p", (a, b)), Atom("p", (b, c)), Atom("q", (a,))}
 
     def test_candidates_probe_bound_positions(self):
-        index = FactIndex([Atom("p", (a, b)), Atom("p", (a, c)), Atom("p", (b, c))])
-        assert index.candidates("p", 2, [(0, a)]) == {Atom("p", (a, b)), Atom("p", (a, c))}
-        assert index.candidates("p", 2, [(1, c)]) == {Atom("p", (a, c)), Atom("p", (b, c))}
+        _, index = indexed(Atom("p", (a, b)), Atom("p", (a, c)), Atom("p", (b, c)))
+        assert set(index.candidates("p", 2, [(0, a)])) == {Atom("p", (a, b)), Atom("p", (a, c))}
+        assert set(index.candidates("p", 2, [(1, c)])) == {Atom("p", (a, c)), Atom("p", (b, c))}
         # the most selective bound position wins
-        assert index.candidates("p", 2, [(0, b), (1, c)]) == {Atom("p", (b, c))}
+        assert set(index.candidates("p", 2, [(0, b), (1, c)])) == {Atom("p", (b, c))}
 
     def test_candidates_unseen_value_is_empty(self):
-        index = FactIndex([Atom("p", (a, b))])
-        assert index.candidates("p", 2, [(0, c)]) == frozenset()
-        assert index.candidates("missing", 2, []) == frozenset()
+        _, index = indexed(Atom("p", (a, b)))
+        assert set(index.candidates("p", 2, [(0, c)])) == set()
+        assert set(index.candidates("missing", 2, [])) == set()
 
     def test_candidates_unbound_returns_relation(self):
         facts = [Atom("p", (a, b)), Atom("p", (b, c))]
-        index = FactIndex(facts)
-        assert index.candidates("p", 2, []) == set(facts)
+        _, index = indexed(*facts)
+        assert set(index.candidates("p", 2, [])) == set(facts)
 
     def test_absorb_merges_delta(self):
-        index = FactIndex([Atom("p", (a, b))])
-        delta = FactIndex([Atom("p", (a, c)), Atom("q", (b,))])
-        index.absorb(delta)
+        store, index = indexed(Atom("p", (a, b)))
+        encode = index.interner.encode_atom
+        store.absorb(RowStore([encode(Atom("p", (a, c))), encode(Atom("q", (b,)))]))
         assert len(index) == 3
-        assert index.candidates("p", 2, [(0, a)]) == {Atom("p", (a, b)), Atom("p", (a, c))}
+        assert set(index.candidates("p", 2, [(0, a)])) == {Atom("p", (a, b)), Atom("p", (a, c))}
         assert Atom("q", (b,)) in index
 
 

@@ -22,7 +22,8 @@ from repro.datalog import (
     adornment_of,
     magic_rewrite,
 )
-from repro.datalog.index import FactIndex
+from repro.datalog.columnar import RowStore
+from repro.datalog.interner import Interner
 from repro.datalog.magic import answer as magic_answer
 from repro.exceptions import MagicRewriteError
 from repro.logic.builders import atom
@@ -312,15 +313,22 @@ class TestMaterializedQuery:
 # ---------------------------------------------------------------------------
 
 
+def row_store(facts, interner=None):
+    interner = Interner() if interner is None else interner
+    return RowStore(interner.encode_atom(fact) for fact in facts)
+
+
 class TestJoinStatistics:
-    def skewed_index(self):
+    def skewed_index(self, interner=None):
         facts = [atom("r", "hub", f"t{i}") for i in range(9)]
         facts.append(atom("r", "leaf", "t9"))
-        return FactIndex(facts)
+        return row_store(facts, interner)
 
     def test_histogram_accessor(self):
-        histogram = self.skewed_index().histogram("r", 2, 0)
-        assert histogram == {Parameter("hub"): 9, Parameter("leaf"): 1}
+        interner = Interner()
+        histogram = self.skewed_index(interner).histogram("r", 2, 0)
+        hub, leaf = interner.id_of(Parameter("hub")), interner.id_of(Parameter("leaf"))
+        assert histogram == {hub: 9, leaf: 1}
 
     def test_column_statistics_capture_skew(self):
         stats = JoinStatistics().refresh(self.skewed_index())
@@ -333,7 +341,7 @@ class TestJoinStatistics:
 
     def test_uniform_column_matches_uniform_estimate(self):
         # The uniform-distribution estimate: cardinality / distinct values.
-        index = FactIndex([atom("r", f"v{i}", "c") for i in range(10)])
+        index = row_store([atom("r", f"v{i}", "c") for i in range(10)])
         stats = JoinStatistics().refresh(index)
         uniform = stats.column("r", 2, 0).mean_bucket
         assert uniform == 1.0
