@@ -11,9 +11,14 @@ becomes a read:
 
 * :meth:`check` probes the maintained violation buckets — O(touched
   buckets), no evaluation;
-* :meth:`preview_report` answers "would this batch violate anything?" at
-  commit time as a side-effect-free O(delta) peek through the incremental
-  maintenance machinery;
+* :meth:`preview_report` answers "would this batch violate anything?" as a
+  side-effect-free O(delta) staged check: the batch is maintained into the
+  violation model, the buckets are read, and the batch is rolled back;
+* the database's incremental check is the same staged check, except that
+  an accepted batch is *committed* instead of rolled back — it is
+  maintained once, and the update listener that follows only reconciles
+  the model with the base (a net no-op unless an earlier listener changed
+  the base again);
 * :meth:`add_delta_listener` streams *net violation deltas* (constraint id →
   witness tuples appearing/disappearing) to subscribers —
   :class:`~repro.constraints.triggers.TriggerManager` fires off these instead
@@ -137,6 +142,18 @@ def violation_support(constraint, witness=()):
     return tuple(support)
 
 
+_NO_CHANGE = (frozenset(), frozenset())
+
+
+def _compose(first, second):
+    """The net ``(added, removed)`` of two consecutive model changes."""
+    (added, removed), (then_added, then_removed) = first, second
+    return (
+        (added - then_removed) | (then_added - removed),
+        (removed - then_added) | (then_removed - added),
+    )
+
+
 class ViolationView:
     """A continuously maintained map from constraints to their violations.
 
@@ -147,7 +164,7 @@ class ViolationView:
         view.check().satisfied          # probe of the violation buckets
         with db.transaction() as txn:
             txn.tell("emp(Fred)")
-            report = view.preview_report(*txn.pending)   # O(delta) peek
+            report = view.preview_report(*txn.pending)   # O(delta), no side effect
 
     The violation rules are maintained by a
     :class:`~repro.datalog.incremental.MaterializedModel` over columnar
@@ -171,6 +188,9 @@ class ViolationView:
             constraints=active, config=config
         )
         self._delta_listeners = []
+        # Derived changes committed by a staged check and not yet delivered
+        # to the delta listeners.
+        self._undelivered = _NO_CHANGE
 
         program = DatalogProgram()
         for rule in self._compiled_set.rules():
@@ -236,47 +256,15 @@ class ViolationView:
     def preview_report(self, additions=(), retractions=(), with_witnesses=True,
                        witness_limit=None):
         """The report :meth:`check` would produce if the batch were applied —
-        computed as a side-effect-free O(delta) peek: the violation buckets
-        are probed *inside* the maintenance round trip (via the ``reader``
-        hook of :meth:`~repro.datalog.incremental.MaterializedModel.peek`),
-        so neither the maintained state nor the engine cache changes and no
-        full model is ever built."""
-        additions, retractions = list(additions), list(retractions)
-        base = self._database.base
-        arriving, gone = base.net_change(additions, retractions)
-
-        def fallback_theory():
-            # Only materialized when a fallback constraint actually needs a
-            # from-scratch check.
-            return base.updated(additions, retractions)
-
-        def read(compiled_constraints):
-            def reader(model):
-                return {
-                    compiled.constraint_id: self._read_witnesses(model, compiled)
-                    for compiled in compiled_constraints
-                }
-
-            return self._materialized.peek(
-                insertions=_ground_atoms(arriving),
-                deletions=_ground_atoms(gone),
-                reader=reader,
-            )
-
-        tracer = getattr(self._database, "tracer", NOOP_TRACER)
-        with tracer.span(
-            "violations.preview",
-            additions=len(additions),
-            retractions=len(retractions),
-        ):
-            return self._report(
-                read,
-                fallback_theory,
-                base.nonatomic_predicates(arriving, gone),
-                with_witnesses=with_witnesses,
-                witness_limit=witness_limit,
-                batched=True,
-            )
+        computed as a side-effect-free O(delta) staged check: the batch is
+        maintained into the violation model, the violation buckets are
+        probed and the report built while it is staged, and the batch is
+        then rolled back, so neither the maintained state nor the planner
+        changes and no full model is ever built."""
+        return self._staged_report(
+            additions, retractions, keep=False, with_witnesses=with_witnesses,
+            witness_limit=witness_limit,
+        )
 
     def violations(self):
         """The current violations as ``{constraint_id: (witness, ...)}`` —
@@ -328,9 +316,59 @@ class ViolationView:
         self._database.remove_update_listener(self._on_update)
 
     # -- internals ------------------------------------------------------------
+    def _staged_report(self, additions, retractions, keep, with_witnesses=True,
+                       witness_limit=None):
+        """Stage the batch's net EDB change on the violation model and build
+        the report from the staged buckets.  Without *keep* this is a
+        :meth:`~repro.datalog.incremental.MaterializedModel.peek`: the
+        batch is always rolled back.  With *keep* (the database's
+        incremental check, which changes the base right after), a satisfied
+        batch is committed, and its violation deltas go out with the update
+        listener that follows; an unsatisfied one, or anything raised while
+        staged, is rolled back."""
+        additions, retractions = list(additions), list(retractions)
+        base = self._database.base
+        arriving, gone = base.net_change(additions, retractions)
+        insertions, deletions = _ground_atoms(arriving), _ground_atoms(gone)
+        materialized = self._materialized
+
+        def build(model):
+            return self._report(
+                lambda compiled: self._read_witnesses(model, compiled),
+                # Only materialized when a fallback constraint actually
+                # needs a from-scratch check.
+                lambda: base.updated(additions, retractions),
+                base.nonatomic_predicates(arriving, gone),
+                with_witnesses=with_witnesses,
+                witness_limit=witness_limit,
+            )
+
+        tracer = getattr(self._database, "tracer", NOOP_TRACER)
+        with tracer.span(
+            "violations.preview",
+            additions=len(additions),
+            retractions=len(retractions),
+        ):
+            if not keep:
+                return materialized.peek(insertions, deletions, reader=build)
+            materialized._stage(insertions, deletions)
+            try:
+                report = build(materialized)
+            except BaseException:
+                materialized._rollback()
+                raise
+            if not report.satisfied:
+                materialized._rollback()
+                return report
+            result = materialized._commit()
+            self._undelivered = _compose(
+                self._undelivered, (result.derived_added, result.derived_removed)
+            )
+            return report
+
     def _read_witnesses(self, model, compiled):
         """All witness tuples of one compiled constraint, sorted, read from
-        the (possibly peeked) maintained index."""
+        the (possibly staged) maintained index."""
         goal = Atom(
             compiled.predicate,
             tuple(Variable(f"w{i}") for i in range(len(compiled.witnesses))),
@@ -342,7 +380,7 @@ class ViolationView:
         return tuple(sorted(witnesses, key=lambda w: tuple(p.name for p in w)))
 
     def _report(self, read, fallback_theory, nonatomic_names, with_witnesses=True,
-                witness_limit=None, batched=False):
+                witness_limit=None):
         """Assemble a :class:`ConstraintReport`: compiled constraints whose
         predicates stay inside the atomic reading come from the view (via
         *read*), everything else from the from-scratch checker.
@@ -367,13 +405,9 @@ class ViolationView:
             else:
                 view_constraints.append(compiled)
 
-        if batched:
-            view_witnesses = read(view_constraints) if view_constraints else {}
-        else:
-            view_witnesses = {
-                compiled.constraint_id: read(compiled)
-                for compiled in view_constraints
-            }
+        view_witnesses = {
+            compiled.constraint_id: read(compiled) for compiled in view_constraints
+        }
 
         fallbacks = list(self._compiled_set.fallbacks) + runtime_fallbacks
         fallback_constraints = [fallback.constraint for fallback in fallbacks]
@@ -418,14 +452,17 @@ class ViolationView:
         )
 
     def _on_update(self, added, removed):
+        # After a committed check the model already holds the batch, so this
+        # apply is a net no-op unless an earlier listener changed the base.
         insertions, deletions = _edb_update(self._database.base, added, removed)
-        if not insertions and not deletions:
-            return
-        result = self._materialized.apply(insertions, deletions)
+        change, self._undelivered = self._undelivered, _NO_CHANGE
+        if insertions or deletions:
+            result = self._materialized.apply(insertions, deletions)
+            change = _compose(change, (result.derived_added, result.derived_removed))
         if not self._delta_listeners:
             return
-        added_deltas = self._violation_deltas(result.derived_added)
-        removed_deltas = self._violation_deltas(result.derived_removed)
+        added_deltas = self._violation_deltas(change[0])
+        removed_deltas = self._violation_deltas(change[1])
         if not added_deltas and not removed_deltas:
             return
         for listener in list(self._delta_listeners):

@@ -53,21 +53,29 @@ id facts (:class:`~repro.datalog.columnar.RowStore`); atoms are decoded
 only at the API edge (:class:`UpdateResult`, :meth:`MaterializedModel.model`,
 ``holds`` and ``query``).
 
-``apply(insertions, deletions)`` also updates ``program.facts`` (a
-:class:`~repro.datalog.program.FactList`, keyed by atom, so the update
-costs O(batch)) so the wrapped engine, the materialized index and the
-program never disagree, and the maintained model is what a subsequent
-``engine.least_model()`` returns without a fixpoint.
-:meth:`MaterializedModel.peek` answers "what would the model be if this
-batch were applied?" without leaving any trace — the safe way for
-transaction previews to look at pending state.
+Every batch is *staged*: maintained forward into the index, the counts and
+the DRed seeds, then resolved one of two ways.  A *commit* keeps it:
+``program.facts`` (a :class:`~repro.datalog.program.FactList`, keyed by
+atom, so the update costs O(batch)) takes the EDB change, so the wrapped
+engine, the materialized index and the program never disagree, and the
+maintained model is what a subsequent ``engine.least_model()`` returns
+without a fixpoint.  A *rollback* maintains the batch's exact inverse
+(counting is integer-exact and DRed set-exact, so the state comes back bit
+for bit) and restores the maintenance counters.  :meth:`MaterializedModel.apply`
+is stage-then-commit; :meth:`MaterializedModel.peek` — "what would the model
+be if this batch were applied?" — is stage, read, rollback, and leaves no
+trace.  The violation view's commit-time check holds a batch staged while it
+reads the violation buckets and lets the database decide.
 
-The histograms are snapshotted only when the model is (re)built; every
-batch afterwards folds its net index changes into them
-(:meth:`JoinStatistics.update <repro.datalog.stats.JoinStatistics.update>`),
-so they always equal a fresh snapshot of the index while costing O(batch +
-touched buckets).  Together with the keyed fact list this makes ``apply``,
-``peek``, ``query`` and ``holds`` independent of the size of the database.
+The histograms are snapshotted only when the model is (re)built.  Both
+legs of a staged batch plan against them as they stand; only a commit folds
+the batch's net index changes into them
+(:meth:`JoinStatistics.update <repro.datalog.stats.JoinStatistics.update>`)
+and drops the kernels compiled against the old ones.  So they always equal
+a fresh snapshot of the index while costing O(batch + touched buckets), and
+a peek re-plans and compiles nothing the model has already run.  Together
+with the keyed fact list this makes ``apply``, ``peek``, ``query`` and
+``holds`` independent of the size of the database.
 """
 
 from collections import defaultdict
@@ -204,6 +212,7 @@ class MaterializedModel:
         self._counts = None
         self._seeds = None
         self._kernels = {}
+        self._staged = None
         self._components = None
         self._kind = None
         self._world = None
@@ -296,61 +305,37 @@ class MaterializedModel:
         program remains the single source of truth.  Returns an
         :class:`UpdateResult`.
         """
-        self._ensure_consistent()
-        edb_added, edb_removed = self._net_change(insertions, deletions)
+        self._stage(insertions, deletions)
         self.statistics.applies += 1
-        derived_added, derived_removed = self._maintain(edb_added, edb_removed)
-        facts = self.program.facts
-        for atom in edb_removed:
-            facts.discard(atom)
-        for atom in sorted(
-            edb_added, key=lambda a: (a.predicate, tuple(p.name for p in a.args))
-        ):
-            facts.append(DatalogFact(atom))
-        self._facts_version = facts.version
-        decode = self._interner.decode_row
-        return UpdateResult(
-            frozenset(edb_added),
-            frozenset(edb_removed),
-            frozenset(decode(key[0], row) for key, row in derived_added),
-            frozenset(decode(key[0], row) for key, row in derived_removed),
-        )
+        return self._commit()
 
     def peek(self, insertions=(), deletions=(), reader=None):
         """Return the :class:`~repro.semantics.worlds.World` the model would
         have if the batch were applied — without changing anything.
 
-        Implemented as maintenance of the batch + maintenance of its exact
-        inverse (counting is integer-exact, DRed is set-exact and the
-        planner statistics follow the index, so the round trip restores the
-        state bit-for-bit); ``program.facts`` is never touched, and
-        :attr:`statistics` is swapped out around the round trip, so not even
-        the maintenance counters record the peek.  This is the API
-        transaction previews should use: a peek can never poison the
-        maintained state or the engine's cache.
+        Implemented as a staged batch that is always rolled back:
+        maintenance of the batch, then of its exact inverse (counting is
+        integer-exact and DRed set-exact, so the round trip restores the
+        state bit-for-bit).  ``program.facts``, the planner statistics and
+        the compiled kernels are never touched, and :attr:`statistics` is
+        restored after the round trip, so not even the maintenance counters
+        record the peek.  This is the API transaction previews should use:
+        a peek can never poison the maintained state or the engine's cache.
 
         Building a :class:`World` materializes the whole model — O(model)
         even for a one-fact batch.  Callers that only need to probe a few
-        predicates (the violation view's commit-time preview) pass a
-        ``reader`` callable instead: it receives this model while the batch
-        is applied and its return value becomes the peek's result, keeping
-        the whole round trip O(delta + touched buckets).  The reader must
-        not mutate the model.
+        predicates pass a ``reader`` callable instead: it receives this
+        model while the batch is applied and its return value becomes the
+        peek's result, keeping the whole round trip O(delta + touched
+        buckets).  The reader must not mutate the model.
         """
-        self._ensure_consistent()
-        edb_added, edb_removed = self._net_change(insertions, deletions)
-        saved_statistics = self.statistics
-        self.statistics = MaintenanceStatistics()
+        self._stage(insertions, deletions)
         try:
-            self._maintain(edb_added, edb_removed)
-            try:
-                if reader is None:
-                    return decode_world(self._store, self._interner)
-                return reader(self)
-            finally:
-                self._maintain(edb_removed, edb_added)
+            if reader is None:
+                return decode_world(self._store, self._interner)
+            return reader(self)
         finally:
-            self.statistics = saved_statistics
+            self._rollback()
 
     def refresh(self):
         """Rebuild the materialized state from scratch.  Called on
@@ -463,32 +448,98 @@ class MaterializedModel:
         removed = {atom for atom in deletions - insertions if atom in facts}
         return added, removed
 
+    def _stage(self, insertions, deletions):
+        """Maintain the batch's net change forward and hold it staged until
+        :meth:`_commit` or :meth:`_rollback`.  Reads see the staged model;
+        ``program.facts``, the histograms and the kernels stay as they were.
+        A maintenance pass that raises restores the counters and leaves the
+        model marked stale, so the next access rebuilds it."""
+        if self._staged is not None:
+            raise ReproError("a batch is already staged on this model")
+        self._ensure_consistent()
+        edb_added, edb_removed = self._net_change(insertions, deletions)
+        counters = dict(vars(self.statistics))
+        try:
+            change = self._maintain(edb_added, edb_removed)
+        except BaseException:
+            self._facts_version = None
+            vars(self.statistics).update(counters)
+            raise
+        self._staged = (edb_added, edb_removed, change, counters)
+
+    def _commit(self):
+        """Keep the staged batch: ``program.facts`` takes its EDB change and
+        the histograms fold its net index change, which drops the kernels
+        planned against the old ones.  Returns the :class:`UpdateResult`."""
+        edb_added, edb_removed, change, _ = self._staged
+        self._staged = None
+        edb_plus, edb_minus, index_plus, index_minus = change
+        facts = self.program.facts
+        for atom in edb_removed:
+            facts.discard(atom)
+        for atom in sorted(
+            edb_added, key=lambda a: (a.predicate, tuple(p.name for p in a.args))
+        ):
+            facts.append(DatalogFact(atom))
+        self._facts_version = facts.version
+        if index_plus or index_minus:
+            self.planner_statistics.update(self._store, index_plus, index_minus)
+            self._kernels = {}
+        decode = self._interner.decode_row
+        return UpdateResult(
+            frozenset(edb_added),
+            frozenset(edb_removed),
+            frozenset(
+                decode(key[0], row) for key, row in index_plus
+                if (key, row) not in edb_plus
+            ),
+            frozenset(
+                decode(key[0], row) for key, row in index_minus
+                if (key, row) not in edb_minus
+            ),
+        )
+
+    def _rollback(self):
+        """Undo the staged batch by maintaining its exact inverse against
+        the same histograms and kernels, and restore the maintenance
+        counters."""
+        edb_added, edb_removed, _, counters = self._staged
+        self._staged = None
+        try:
+            self._maintain(edb_removed, edb_added)
+        except BaseException:
+            self._facts_version = None
+            raise
+        finally:
+            vars(self.statistics).update(counters)
+
     def _maintain(self, edb_added, edb_removed):
-        """Bring the index, the counts and the planner statistics to the
-        model of the EDB changed by ``(edb_added, edb_removed)``, which
-        ``program.facts`` may or may not reflect yet; returns the net
-        derived ``(added, removed)`` as lists of ``(key, row)`` facts.  An
-        empty change is a no-op."""
+        """Bring the index, the counts and the DRed seeds to the model of the
+        EDB changed by ``(edb_added, edb_removed)``, which ``program.facts``
+        does not reflect yet.  Returns ``(edb_plus, edb_minus, index_plus,
+        index_minus)``: the EDB change as sets of encoded ``(key, row)``
+        facts and the net index change, EDB part included, as
+        :class:`~repro.datalog.columnar.RowStore` objects.  An empty change
+        is a no-op and returns empty tuples."""
         if not edb_added and not edb_removed:
-            return [], []
+            return (), (), (), ()
         encode = self._interner.encode_atom
+        edb_plus = {encode(atom) for atom in edb_added}
+        edb_minus = {encode(atom) for atom in edb_removed}
         with self.engine.tracer.span(
             "maintenance.batch",
             insertions=len(edb_added),
             deletions=len(edb_removed),
         ) as span:
-            derived_added, derived_removed = self._propagate(
-                {encode(atom) for atom in edb_added},
-                {encode(atom) for atom in edb_removed},
-            )
-            span.annotate(
-                facts_added=len(derived_added), facts_removed=len(derived_removed)
-            )
+            index_plus, index_minus = self._propagate(edb_plus, edb_minus)
+            facts_added = sum(fact not in edb_plus for fact in index_plus)
+            facts_removed = sum(fact not in edb_minus for fact in index_minus)
+            span.annotate(facts_added=facts_added, facts_removed=facts_removed)
         self._world = None
         self.engine._model = None  # stale until model() reinstalls
-        self.statistics.facts_added += len(derived_added)
-        self.statistics.facts_removed += len(derived_removed)
-        return derived_added, derived_removed
+        self.statistics.facts_added += facts_added
+        self.statistics.facts_removed += facts_removed
+        return edb_plus, edb_minus, index_plus, index_minus
 
     # -- delta propagation ------------------------------------------------------
     def _propagate(self, edb_plus, edb_minus):
@@ -498,12 +549,13 @@ class MaterializedModel:
         ``acc_plus`` / ``acc_minus`` accumulate all changes applied so far
         (EDB and lower components); each component sees them as its round-one
         delta and contributes its own net changes for the components above.
-        Returns the net derived (added, removed) over the whole model.
+        Returns the net index change ``(acc_plus, acc_minus)`` over the
+        whole model.
 
         The maintenance passes of every component order their joins against
         the pre-batch histograms (deltas are tiny next to the index, so
-        mid-batch drift is noise); the batch's net changes are folded into
-        them at the end, which invalidates the cached kernels.
+        mid-batch drift is noise); :meth:`_commit` folds the net change into
+        them.
         """
         store = self._store
         kind = self._kind
@@ -542,18 +594,13 @@ class MaterializedModel:
             added, removed = maintain(component, acc_plus, acc_minus, own_plus, own_minus)
             acc_plus.add_all(added)
             acc_minus.add_all(removed)
-        if acc_plus or acc_minus:
-            self.planner_statistics.update(store, acc_plus, acc_minus)
-            self._kernels = {}
-        return (
-            [fact for fact in acc_plus if fact not in edb_plus],
-            [fact for fact in acc_minus if fact not in edb_minus],
-        )
+        return acc_plus, acc_minus
 
     def _kernel(self, rule, delta_position, mode):
         """The engine's compiled pass for *rule* with its body planned by
         the engine's scheduler against the model's histograms; cached until
-        the histograms change (every batch that changed the index)."""
+        the histograms change (every committed batch that changed the
+        index)."""
         key = (rule, delta_position, mode)
         kernel = self._kernels.get(key)
         if kernel is None:

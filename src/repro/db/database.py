@@ -195,9 +195,10 @@ class EpistemicDatabase:
         violate a registered constraint, the assertion is rejected and
         :class:`~repro.exceptions.ConstraintViolationError` is raised.
         Under ``constraint_checking="incremental"`` the check is an O(delta)
-        preview of the maintained :meth:`violation_view` instead of a
-        from-scratch re-evaluation.  Returns the constraint report (or
-        ``None`` when checking was skipped).
+        staged update of the maintained :meth:`violation_view` instead of a
+        from-scratch re-evaluation: an accepted sentence is maintained into
+        the view once, a rejected one is rolled back.  Returns the
+        constraint report (or ``None`` when checking was skipped).
         """
         formula = _as_formula(sentence)
         return self._update(
@@ -239,8 +240,10 @@ class EpistemicDatabase:
         if checking and self._constraints:
             with self.tracer.span("txn.check", mode=checking):
                 if checking == "incremental":
-                    report = self.violation_view().preview_report(
-                        additions, retractions
+                    # Maintains an accepted batch into the violation view
+                    # once; a rejected one is rolled back.
+                    report = self.violation_view()._staged_report(
+                        additions, retractions, keep=True
                     )
                 else:
                     report, _ = self._checker.check_update(

@@ -67,8 +67,10 @@ class Transaction:
 
         *constraints* selects the checking mode for this commit —
         ``"scratch"`` (classical re-check through the relevance filter) or
-        ``"incremental"`` (an O(delta) preview of the database's maintained
-        :meth:`~repro.db.database.EpistemicDatabase.violation_view`, with
+        ``"incremental"`` (an O(delta) staged update of the database's
+        maintained
+        :meth:`~repro.db.database.EpistemicDatabase.violation_view`, kept
+        when the batch is accepted and rolled back when it is not, with
         witnesses from the view and fallback reasons on the report).  The
         default is the database's own ``constraint_checking`` mode.
         """

@@ -285,6 +285,86 @@ def test_peek_with_a_raising_reader_restores_state_and_counters():
     assert materialized.model() == world
 
 
+@pytest.mark.parametrize("failing_call", [1, 2], ids=["forward", "rollback"])
+def test_a_maintenance_pass_that_raises_leaves_the_model_to_rebuild(
+    monkeypatch, failing_call
+):
+    """A batch that fails half-way through maintenance (forward, or on the
+    inverse that rolls a peek back) leaves the index in no known state: the
+    next access rebuilds it from the unchanged program.  The counters do
+    not record the failed peek; only the rebuild shows."""
+    program = transitive_closure_program(chains=2, length=3)
+    materialized = MaterializedModel(program)
+    before = materialized.metrics()
+    original = MaterializedModel._maintain_dred
+    calls = []
+
+    def counted(self, *args):
+        result = original(self, *args)
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise RuntimeError("pass failed")  # the index has moved
+        return result
+
+    monkeypatch.setattr(MaterializedModel, "_maintain_dred", counted)
+    with pytest.raises(RuntimeError, match="pass failed"):
+        materialized.peek(deletions=[atom("edge", "c0_n1", "c0_n2")])
+    monkeypatch.undo()
+    assert materialized._staged is None
+    assert materialized.model() == semi_naive_model(program)
+    after = materialized.metrics()
+    assert after.pop("maintenance.rebuilds") == before.pop("maintenance.rebuilds") + 1 == 2
+    assert after == before
+    assert materialized.planner_statistics.snapshot() == fresh_snapshot(materialized)
+
+
+def test_a_warm_peek_plans_and_compiles_nothing(monkeypatch):
+    """Both legs of a peek plan against the histograms as they stand, so
+    once the kernels a batch needs are compiled, peeking it again neither
+    re-plans nor folds anything into the histograms; the next apply still
+    leaves them equal to a fresh snapshot."""
+    program = transitive_closure_program(chains=4, length=6)
+    materialized = MaterializedModel(program)
+    materialized.apply(insertions=[atom("edge", "c3_n6", "c0_n0")])
+    batch = {
+        "insertions": [atom("edge", "c0_n6", "c1_n0")],
+        "deletions": [atom("edge", "c2_n2", "c2_n3")],
+    }
+    world = materialized.peek(**batch)  # compiles what the batch needs
+
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        DatalogEngine, "_schedule", counted("schedule", DatalogEngine._schedule)
+    )
+    monkeypatch.setattr(
+        JoinStatistics, "update", counted("update", JoinStatistics.update)
+    )
+    snapshot = materialized.planner_statistics.snapshot()
+    kernels = set(materialized._kernels)
+
+    assert materialized.peek(**batch) == world
+    reads = materialized.peek(
+        reader=lambda model: model.holds(atom("path", "c0_n0", "c1_n6")), **batch
+    )
+    assert reads is True
+    assert calls == Counter()
+    assert materialized.planner_statistics.snapshot() == snapshot
+    assert set(materialized._kernels) == kernels
+
+    materialized.apply(**batch)
+    assert calls["update"] == 1
+    assert materialized.planner_statistics.snapshot() == fresh_snapshot(materialized)
+    assert materialized.model() == semi_naive_model(program)
+
+
 # ---------------------------------------------------------------------------
 # Staleness: out-of-band mutations rebuild exactly once
 # ---------------------------------------------------------------------------

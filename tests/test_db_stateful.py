@@ -8,7 +8,8 @@ transaction commits and rollbacks, and revisions.  The reference model is a
 Python list with earliest-first removal, judged by the from-scratch
 :class:`~repro.constraints.checker.IntegrityChecker`; revisions are replayed
 through :func:`~repro.revision.naive.naive_revise`.  After every step the
-database, its views and the revisor must agree with the list.
+database, its views and the revisor must agree with the list, and the
+maintained violation view with a freshly built one.
 """
 
 from hypothesis import settings, strategies as st
@@ -21,6 +22,7 @@ from repro.constraints.library import (
     referential_integrity,
     unique_attribute,
 )
+from repro.constraints.views import ViolationView
 from repro.datalog import DatalogEngine, DatalogLiteral, DatalogProgram, DatalogRule
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError, RevisionError
@@ -207,6 +209,17 @@ class DatabaseMachine(RuleBasedStateMachine):
         scratch = self.checker.check(self.reference, witness_limit=None)
         assert report.satisfied == scratch.satisfied
         assert violation_map(report) == violation_map(scratch)
+
+    @invariant()
+    def violation_view_matches_a_fresh_build(self):
+        # Rejected tells and commits roll a staged check back: what is left
+        # must be exactly what building the view again would give.
+        maintained = self.database.violation_view().materialized
+        fresh = ViolationView(self.database, constraints=CONSTRAINTS, config=CONFIG)
+        fresh.close()
+        assert maintained.model() == fresh.materialized.model()
+        assert (maintained.planner_statistics.snapshot()
+                == fresh.materialized.planner_statistics.snapshot())
 
     @invariant()
     def epoch_counts_applied_changes(self):
