@@ -1,51 +1,33 @@
 #!/usr/bin/env python
 """Guard ``BENCH_datalog.json`` against staleness and perf regressions.
 
-Two checks, both importable (``tests/test_bench_guard.py`` wires them into
-the tier-1 verify flow) and runnable as a CLI::
+Two checks, both importable (``tests/test_bench_guard.py`` runs them in the
+tier-1 suite, and ``benchmarks/run_bench.py --check`` applies the first to
+the report it has just written) and runnable as a CLI::
 
-    python benchmarks/check_bench.py            # structure + quick regression
+    python benchmarks/check_bench.py                # structure + quick regression
     python benchmarks/check_bench.py --no-measure   # structure only
-    python benchmarks/check_bench.py --full     # regression vs the true
-                                                # headline row (~20 s: it
-                                                # re-times semi-naive at
-                                                # 2000 facts)
+    python benchmarks/check_bench.py --full         # regression on the headline
+                                                    # rows (~20 s: it re-times
+                                                    # semi-naive at 2000 facts)
 
-*Staleness* (``structure_problems``): the committed file must cover every
-sequential engine strategy on every row, verify model agreement, carry the
-indexed-vs-semi-naive headline, include the incremental view-maintenance
-section with its >= 10x apply-vs-recompute speedup and a one-fact apply
-that costs at most 2x as much on a 10x larger EDB (the flatness cell),
-include the magic-set
-``query`` section with answers verified and the headline ``bf`` point-query
-speedup at or above its 5x target, include the static-analysis section (analyzer timings with
-zero findings on the shipped generators, and the dead-rule pruning cell
-with ``check="off"``-vs-``check="warn"`` model agreement verified),
-include the ``violations`` section (incremental commit-time constraint
-checking through the maintained violation view against the from-scratch
-checker: verdict/witness agreement verified, the >= 5x speedup holding on
-the HR comparison row, and view-only scale rows ending satisfied), include
-the ``revision`` section (view-backed belief revision against the naive
-retract-until-consistent baseline: per-step result agreement verified, the
->= 5x speedup holding on the HR comparison row, and operator-only scale
-rows with every retraction as expected), and
-have been timed best-of-3 or better (``repeats``) — a PR that adds a mode
-or strategy without re-running ``run_bench.py`` fails here.
+*Staleness* (``structure_problems``): every entry of :data:`GATES` must hold
+on the report.  A gate names a selector (a dotted path into the report, in
+which ``rows[]`` stands for every element of the ``rows`` list and
+``query[max]`` for its element with the most ``facts``), a kind of
+condition, a value and the problem it reports.  Together they require every
+engine strategy on every matrix row, agreement verified in every section
+(models, answers, verdicts, revision results), each section's headline ratio
+at its target, the fields each section records, and best-of-3 timing — a PR
+that adds a mode or strategy without re-running ``run_bench.py`` fails here.
 
-*Regression* (``regression_problems``): re-times the indexed strategy
-against unindexed semi-naive on a committed transitive-closure row and fails
-when the measured speedup falls below half the committed one; likewise
-(``query_regression_problems``) re-times a magic-set point query against
-full materialization on the committed quick query row, and
-(``violations_regression_problems``) one incremental
-view check against one from-scratch constraint check on the committed HR
-comparison row, and (``revision_regression_problems``) one view-backed
-revision against one naive retract-until-consistent revision on the
-committed HR revision row, with the same tolerance.  Comparing *ratios*
-keeps the checks machine-independent; the 2x tolerance absorbs scheduler
-noise.  By default the rows re-measured are the largest ones cheap enough
-for every test run (committed semi-naive cell under ~2 s, committed
-full-materialization / indexed cells under ~1 s).
+*Regression* (``regression_problems``): each entry of :data:`REMEASURES`
+re-times one committed comparison row — its slow side once, its fast side
+best-of-3 — and fails when the measured speedup falls below the committed
+one divided by ``REGRESSION_TOLERANCE``.  Comparing *ratios* keeps the check
+machine-independent; the 2x tolerance absorbs scheduler noise.  By default
+only rows whose committed slow side is under the entry's cap are re-timed,
+so every test run stays quick (``--full`` lifts the caps).
 """
 
 import argparse
@@ -53,11 +35,21 @@ import json
 import pathlib
 import sys
 import time
+from collections import namedtuple
+from functools import partial
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.datalog.engine import STRATEGIES, DatalogEngine  # noqa: E402
+from repro.db.database import EpistemicDatabase  # noqa: E402
+from repro.revision import naive_revise  # noqa: E402
+from repro.workloads.constraints import (  # noqa: E402
+    constraint_update_stream,
+    hr_constraints,
+    hr_facts,
+    iterated_revision_stream,
+)
 from repro.workloads.generators import (  # noqa: E402
     point_query,
     same_generation_program,
@@ -67,33 +59,189 @@ from repro.workloads.generators import (  # noqa: E402
 BENCH_PATH = ROOT / "BENCH_datalog.json"
 #: measured speedup may be at most this factor below the committed one
 REGRESSION_TOLERANCE = 2.0
-#: default regression row: skip rows whose committed semi-naive cell is slower
-QUICK_SECONDS_CAP = 2.0
-#: query regression row: skip rows whose committed full cell is slower
-QUERY_SECONDS_CAP = 1.0
-#: the committed headline bf point-query speedup must stay at or above this
-QUERY_SPEEDUP_TARGET = 5.0
-#: the committed incremental-vs-scratch constraint-checking speedup must
-#: stay at or above this on the HR comparison row
-VIOLATION_SPEEDUP_TARGET = 5.0
-#: violations regression row: skip when the committed scratch check mean is
-#: slower (the from-scratch checker is super-quadratic in the EDB, so the
-#: re-measured row must stay tiny)
-VIOLATIONS_SECONDS_CAP = 5.0
-#: the committed revision-vs-naive speedup must stay at or above this on
-#: the HR revision comparison row
-REVISION_SPEEDUP_TARGET = 5.0
-#: revision regression row: skip when the committed naive revision mean is
-#: slower (each naive planning probe is a from-scratch check)
-REVISION_SECONDS_CAP = 5.0
-#: the estimated share of an untraced fixpoint spent in no-op
-#: instrumentation points must stay at or below this
-NOOP_OVERHEAD_CAP_PCT = 5.0
-#: a one-fact apply on a 10x larger EDB may cost at most this many times
-#: the apply on the smaller one (delta cost is flat in the database size)
-FLATNESS_RATIO_CAP = 2.0
-#: every recorded ``seconds`` must be the best of at least this many runs
-MIN_REPEATS = 3
+
+
+class _Missing:
+    """The value of a field the report does not have."""
+
+    def __bool__(self):
+        return False
+
+    def __repr__(self):
+        return "missing"
+
+
+_MISSING = _Missing()
+
+#: kind -> condition(actual, value); every kind fails on a missing field
+KINDS = {
+    "present": lambda actual, _: actual is not _MISSING,
+    "not-null": lambda actual, _: actual is not _MISSING and actual is not None,
+    "truthy": lambda actual, _: bool(actual),
+    "non-empty": lambda actual, _: isinstance(actual, (list, dict)) and len(actual) > 0,
+    ">=": lambda actual, value: isinstance(actual, (int, float)) and actual >= value,
+    "<=": lambda actual, value: isinstance(actual, (int, float)) and actual <= value,
+    "==": lambda actual, value: actual == value,
+}
+
+#: one staleness gate; ``{value}`` in the message renders the gate's value
+Gate = namedtuple("Gate", "path kind value message")
+
+RERUN = " — re-run benchmarks/run_bench.py"
+
+GATES = (
+    Gate("repeats", ">=", 3, "every cell must be best-of-{value} or better" + RERUN),
+    # strategy matrix: a naive cell skipped above the size cap is null, not absent
+    Gate("rows", "non-empty", None, "no benchmark rows" + RERUN),
+    *(
+        Gate(f"rows[].strategies.{strategy}", "present", None,
+             f"row lacks the {strategy} strategy" + RERUN)
+        for strategy in STRATEGIES
+    ),
+    Gate("rows[].models_identical", "truthy", None,
+         "row did not verify model agreement across strategies"),
+    Gate("headline", "present", None, "missing indexed-vs-semi-naive headline" + RERUN),
+    Gate("headline.speedup_indexed_vs_semi_naive", ">=", 5.0,
+         "indexed evaluation is below its {value}x-vs-semi-naive target on the "
+         "largest transitive-closure row"),
+    # incremental view maintenance
+    Gate("incremental.models_identical", "truthy", None,
+         "incremental section did not verify model agreement with recomputation"),
+    Gate("incremental.speedup_incremental_vs_recompute", ">=", 10.0,
+         "incremental apply speedup is below the {value}x target"),
+    Gate("incremental.flatness.ratio_large_vs_small", "<=", 2.0,
+         "incremental one-fact apply is not flat: 10x the EDB may cost at most "
+         "{value}x" + RERUN),
+    # magic-set point queries
+    Gate("query", "non-empty", None, "missing magic-set query section" + RERUN),
+    Gate("query[].answers_match", "truthy", None,
+         "query row did not verify magic-vs-full answer agreement"),
+    Gate("query[].patterns", "non-empty", None, "query row has no binding patterns"),
+    Gate("query[max].patterns.bf.speedup_magic_vs_full", ">=", 5.0,
+         "magic point-query speedup is below the {value}x target on the largest "
+         "query row"),
+    # constraint checking through the maintained violation view
+    Gate("violations.comparison", "truthy", None,
+         "violation-view constraint-checking section has no comparison row" + RERUN),
+    Gate("violations.comparison.verdicts_identical", "truthy", None,
+         "violations comparison row did not verify verdict/witness agreement "
+         "between the view and the from-scratch checker"),
+    Gate("violations.comparison.speedup_incremental_vs_scratch", ">=", 5.0,
+         "incremental violation-check speedup is below the {value}x target on the "
+         "HR comparison row"),
+    Gate("violations.comparison.compiled_constraints", "truthy", None,
+         "violations comparison row compiled no constraints — the view answered "
+         "nothing incrementally"),
+    Gate("violations.scale", "non-empty", None,
+         "violations section has no view-only scale rows — the view must be "
+         "exercised at sizes the from-scratch checker cannot reach"),
+    Gate("violations.scale[].satisfied", "truthy", None,
+         "violations scale row ended with violations on the always-satisfiable "
+         "HR stream"),
+    *(
+        Gate(f"violations.scale[].{field}", "not-null", None,
+             f"violations scale row lacks {field}")
+        for field in ("build_seconds", "check_mean_seconds", "commit_mean_seconds")
+    ),
+    # belief revision against the naive baseline
+    Gate("revision.comparison", "truthy", None,
+         "belief-revision section has no comparison row" + RERUN),
+    Gate("revision.comparison.results_identical", "truthy", None,
+         "revision comparison row did not verify result agreement between the "
+         "operator and the naive baseline"),
+    Gate("revision.comparison.speedup_revision_vs_naive", ">=", 5.0,
+         "belief-revision speedup is below the {value}x target on the HR "
+         "revision comparison row"),
+    Gate("revision.scale", "non-empty", None,
+         "revision section has no operator-only scale rows — the operator must "
+         "be exercised at sizes the naive baseline cannot reach"),
+    Gate("revision.scale[].retractions_as_expected", "truthy", None,
+         "revision scale row retracted something the stream did not expect"),
+    *(
+        Gate(f"revision.scale[].{field}", "not-null", None,
+             f"revision scale row lacks {field}")
+        for field in ("build_seconds", "revise_mean_seconds")
+    ),
+    # tracing overhead
+    Gate("observability.models_identical", "truthy", None,
+         "observability section did not verify model agreement across the "
+         "noop/traced/provenance cells"),
+    *(
+        Gate(f"observability.{field}", "not-null", None,
+             f"observability section lacks {field}")
+        for field in (
+            "noop_seconds", "traced_seconds", "provenance_seconds",
+            "traced_overhead_pct", "provenance_overhead_pct", "spans_recorded",
+            "noop_span_cost_ns", "noop_overhead_pct",
+        )
+    ),
+    Gate("observability.noop_overhead_pct", "<=", 5.0,
+         "no-op tracing overhead exceeds the {value}% cap — the default must "
+         "stay free"),
+    Gate("observability.spans_recorded", "truthy", None,
+         "observability section recorded no spans — the traced cell must "
+         "exercise the instrumentation points"),
+    # static analysis
+    Gate("analysis.lint", "non-empty", None, "static-analysis section has no lint rows"),
+    Gate("analysis.lint[].analysis_seconds", "not-null", None,
+         "analysis lint row lacks a timing"),
+    Gate("analysis.lint[].findings", "==", 0,
+         "analysis lint row has findings — the shipped generators must lint clean"),
+    Gate("analysis.pruning", "truthy", None, "analysis section has no pruning cell"),
+    Gate("analysis.pruning.models_identical", "truthy", None,
+         "analysis pruning cell did not verify model agreement between "
+         "check='off' and check='warn'"),
+    Gate("analysis.pruning.dead_rules", "truthy", None,
+         "analysis pruning cell seeded no dead rules"),
+    *(
+        Gate(f"analysis.pruning.{field}", "not-null", None,
+             f"analysis pruning cell lacks {field}")
+        for field in ("seconds_unpruned", "seconds_pruned", "analysis_seconds")
+    ),
+)
+
+
+def _get(container, key):
+    try:
+        return container[key]
+    except (KeyError, IndexError, TypeError):
+        return _MISSING
+
+
+def select(node, path, label=""):
+    """Yield ``(label, container, key)`` for every place *path* selects in
+    *node* (``container[key]`` is the selected value, when it exists)."""
+    head, _, rest = path.partition(".")
+    name, _, index = head.partition("[")
+    label = f"{label}.{name}" if label else name
+    if not index:
+        places = [(label, node, name)]
+    else:
+        rows = _get(node, name)
+        rows = rows if isinstance(rows, list) else []
+        picks = range(len(rows))
+        if index == "max]" and rows:
+            picks = [max(picks, key=lambda i: rows[i].get("facts", 0))]
+        places = [(f"{label}[{i}]", rows, i) for i in picks]
+    for place_label, container, key in places:
+        if rest:
+            yield from select(_get(container, key), rest, place_label)
+        else:
+            yield place_label, container, key
+
+
+def value_at(node, path):
+    """The value at a list-free *path* in *node* (``_MISSING`` when absent)."""
+    ((_, container, key),) = select(node, path)
+    return _get(container, key)
+
+
+def evaluate(report, gates=GATES):
+    """Yield ``(gate, label, actual, ok)`` for every place each gate selects."""
+    for gate in gates:
+        for label, container, key in select(report, gate.path):
+            actual = _get(container, key)
+            yield gate, label, actual, KINDS[gate.kind](actual, gate.value)
 
 
 def load_report(path=BENCH_PATH):
@@ -103,463 +251,136 @@ def load_report(path=BENCH_PATH):
 
 def structure_problems(report):
     """Return a list of staleness problems (empty when the file is fresh)."""
-    problems = []
-    repeats = report.get("repeats", 1)
-    if repeats < MIN_REPEATS:
-        problems.append(
-            f"report was timed with repeats={repeats}; every cell must be "
-            f"best-of-{MIN_REPEATS} or better — re-run benchmarks/run_bench.py"
-        )
-    rows = report.get("rows", [])
-    if not rows:
-        problems.append("no benchmark rows")
-    for row in rows:
-        strategies = row.get("strategies", {})
-        missing = [s for s in STRATEGIES if s not in strategies]
-        if missing:
-            problems.append(
-                f"row {row.get('workload')} {row.get('params')} lacks "
-                f"strategies: {', '.join(missing)} — re-run benchmarks/run_bench.py"
-            )
-        if not row.get("models_identical", False):
-            problems.append(
-                f"row {row.get('workload')} {row.get('params')} did not verify "
-                "model agreement"
-            )
-    if "headline" not in report:
-        problems.append("missing indexed-vs-semi-naive headline")
-    incremental = report.get("incremental")
-    if incremental is None:
-        problems.append(
-            "missing incremental view-maintenance section — "
-            "re-run benchmarks/run_bench.py"
-        )
-    else:
-        if not incremental.get("models_identical", False):
-            problems.append("incremental section did not verify model agreement")
-        speedup = incremental.get("speedup_incremental_vs_recompute")
-        if speedup is None or speedup < 10.0:
-            problems.append(
-                f"incremental apply speedup {speedup} is below the 10x target"
-            )
-        ratio = incremental.get("flatness", {}).get("ratio_large_vs_small")
-        if ratio is None or ratio > FLATNESS_RATIO_CAP:
-            problems.append(
-                f"incremental one-fact apply is not flat: 10x the EDB costs "
-                f"{ratio}x (cap {FLATNESS_RATIO_CAP}x) — re-run benchmarks/run_bench.py"
-            )
-    query_rows = report.get("query")
-    if not query_rows:
-        problems.append(
-            "missing magic-set query section — re-run benchmarks/run_bench.py"
-        )
-    else:
-        for row in query_rows:
-            if not row.get("answers_match", False):
-                problems.append(
-                    f"query row {row.get('params')} did not verify magic-vs-full "
-                    "answer agreement"
-                )
-            if not row.get("patterns"):
-                problems.append(f"query row {row.get('params')} has no binding patterns")
-        largest = max(query_rows, key=lambda r: r.get("facts", 0))
-        headline = (largest.get("patterns") or {}).get("bf") or {}
-        speedup = headline.get("speedup_magic_vs_full")
-        if speedup is None or speedup < QUERY_SPEEDUP_TARGET:
-            problems.append(
-                f"magic point-query speedup {speedup} is below the "
-                f"{QUERY_SPEEDUP_TARGET}x target on the largest query row"
-            )
-    violations = report.get("violations")
-    if violations is None:
-        problems.append(
-            "missing violation-view constraint-checking section — "
-            "re-run benchmarks/run_bench.py"
-        )
-    else:
-        comparison = violations.get("comparison")
-        if not comparison:
-            problems.append("violations section has no comparison row")
-        else:
-            if not comparison.get("verdicts_identical", False):
-                problems.append(
-                    "violations comparison row did not verify verdict/witness "
-                    "agreement between the view and the from-scratch checker"
-                )
-            speedup = comparison.get("speedup_incremental_vs_scratch")
-            if speedup is None or speedup < VIOLATION_SPEEDUP_TARGET:
-                problems.append(
-                    f"incremental violation-check speedup {speedup} is below "
-                    f"the {VIOLATION_SPEEDUP_TARGET}x target on the HR "
-                    "comparison row"
-                )
-            if not comparison.get("compiled_constraints"):
-                problems.append(
-                    "violations comparison row compiled no constraints — the "
-                    "view answered nothing incrementally"
-                )
-        scale_rows = violations.get("scale") or []
-        if not scale_rows:
-            problems.append(
-                "violations section has no view-only scale rows — the view "
-                "must be exercised at sizes the from-scratch checker cannot "
-                "reach"
-            )
-        for row in scale_rows:
-            if not row.get("satisfied", False):
-                problems.append(
-                    f"violations scale row {row.get('params')} ended with "
-                    "violations on the always-satisfiable HR stream"
-                )
-            for field in ("build_seconds", "check_mean_seconds", "commit_mean_seconds"):
-                if row.get(field) is None:
-                    problems.append(
-                        f"violations scale row {row.get('params')} lacks {field}"
-                    )
-    revision = report.get("revision")
-    if revision is None:
-        problems.append(
-            "missing belief-revision section — re-run benchmarks/run_bench.py"
-        )
-    else:
-        comparison = revision.get("comparison")
-        if not comparison:
-            problems.append("revision section has no comparison row")
-        else:
-            if not comparison.get("results_identical", False):
-                problems.append(
-                    "revision comparison row did not verify result agreement "
-                    "between the operator and the naive baseline"
-                )
-            speedup = comparison.get("speedup_revision_vs_naive")
-            if speedup is None or speedup < REVISION_SPEEDUP_TARGET:
-                problems.append(
-                    f"belief-revision speedup {speedup} is below the "
-                    f"{REVISION_SPEEDUP_TARGET}x target on the HR revision "
-                    "comparison row"
-                )
-        scale_rows = revision.get("scale") or []
-        if not scale_rows:
-            problems.append(
-                "revision section has no operator-only scale rows — the "
-                "operator must be exercised at sizes the naive baseline "
-                "cannot reach"
-            )
-        for row in scale_rows:
-            if not row.get("retractions_as_expected", False):
-                problems.append(
-                    f"revision scale row {row.get('params')} retracted "
-                    "something the stream did not expect"
-                )
-            for field in ("build_seconds", "revise_mean_seconds"):
-                if row.get(field) is None:
-                    problems.append(
-                        f"revision scale row {row.get('params')} lacks {field}"
-                    )
-    observability = report.get("observability")
-    if observability is None:
-        problems.append(
-            "missing observability (tracing-overhead) section — "
-            "re-run benchmarks/run_bench.py"
-        )
-    else:
-        if not observability.get("models_identical", False):
-            problems.append(
-                "observability section did not verify model agreement "
-                "across the noop/traced/provenance cells"
-            )
-        for field in (
-            "noop_seconds",
-            "traced_seconds",
-            "provenance_seconds",
-            "traced_overhead_pct",
-            "provenance_overhead_pct",
-            "spans_recorded",
-            "noop_span_cost_ns",
-            "noop_overhead_pct",
-        ):
-            if observability.get(field) is None:
-                problems.append(f"observability section lacks {field}")
-        noop_overhead = observability.get("noop_overhead_pct")
-        if noop_overhead is not None and noop_overhead > NOOP_OVERHEAD_CAP_PCT:
-            problems.append(
-                f"no-op tracing overhead {noop_overhead}% exceeds the "
-                f"{NOOP_OVERHEAD_CAP_PCT}% cap — the default must stay free"
-            )
-        if not observability.get("spans_recorded"):
-            problems.append(
-                "observability section recorded no spans — the traced cell "
-                "must exercise the instrumentation points"
-            )
-    analysis = report.get("analysis")
-    if analysis is None:
-        problems.append(
-            "missing static-analysis section — re-run benchmarks/run_bench.py"
-        )
-    else:
-        lint_rows = analysis.get("lint") or []
-        if not lint_rows:
-            problems.append("analysis section has no lint rows")
-        for row in lint_rows:
-            if row.get("analysis_seconds") is None:
-                problems.append(
-                    f"analysis lint row {row.get('workload')} "
-                    f"{row.get('params')} lacks a timing"
-                )
-            if row.get("findings", 0) != 0:
-                problems.append(
-                    f"analysis lint row {row.get('workload')} "
-                    f"{row.get('params')} has {row.get('findings')} findings — "
-                    "the shipped generators must lint clean"
-                )
-        pruning = analysis.get("pruning")
-        if not pruning:
-            problems.append("analysis section has no pruning cell")
-        else:
-            if not pruning.get("models_identical", False):
-                problems.append(
-                    "analysis pruning cell did not verify model agreement "
-                    "between check='off' and check='warn'"
-                )
-            if not pruning.get("dead_rules"):
-                problems.append("analysis pruning cell seeded no dead rules")
-            for field in ("seconds_unpruned", "seconds_pruned", "analysis_seconds"):
-                if pruning.get(field) is None:
-                    problems.append(f"analysis pruning cell lacks {field}")
-    return problems
+    return [
+        f"{label} is {actual!r}: {gate.message.format(value=gate.value)}"
+        for gate, label, actual, ok in evaluate(report)
+        if not ok
+    ]
 
 
-def regression_row(report, full=False):
-    """Pick the committed transitive-closure row the regression check
-    re-measures: the largest one (the headline row with ``full=True``,
-    otherwise the largest whose semi-naive cell is quick enough to re-time
-    on every test run)."""
-    candidates = []
-    for row in report.get("rows", []):
-        if row.get("workload") != "transitive_closure":
-            continue
-        semi = (row.get("strategies") or {}).get("semi-naive")
-        indexed = (row.get("strategies") or {}).get("indexed")
-        if not semi or not indexed:
-            continue
-        if not full and semi["seconds"] > QUICK_SECONDS_CAP:
-            continue
-        candidates.append(row)
-    if not candidates:
-        return None
-    return max(candidates, key=lambda r: r["facts"])
+def _tc_pair(row):
+    def run(strategy):
+        engine = DatalogEngine(transitive_closure_program(**row["params"]), strategy=strategy)
+        return engine.least_model
+
+    return lambda: run("semi-naive"), lambda i: run("indexed")
 
 
-def regression_problems(report, full=False):
-    """Re-measure indexed vs semi-naive on a committed row; return problems
-    when the measured speedup regressed more than ``REGRESSION_TOLERANCE``x
-    against the committed one."""
-    row = regression_row(report, full=full)
-    if row is None:
-        return ["no committed transitive-closure row suitable for re-measurement"]
-    committed = row["strategies"]["semi-naive"]["seconds"] / max(
-        row["strategies"]["indexed"]["seconds"], 1e-9
-    )
-    timings = {}
-    # The indexed cell is tiny (tens of ms), so a scheduler hiccup can skew
-    # the ratio badly; best-of-3 keeps the check stable.  The semi-naive
-    # cell is long enough that one run suffices.
-    for strategy, repeats in (("semi-naive", 1), ("indexed", 3)):
-        best = None
-        for _ in range(repeats):
-            program = transitive_closure_program(**row["params"])
-            engine = DatalogEngine(program, strategy=strategy)
-            start = time.perf_counter()
-            engine.least_model()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-        timings[strategy] = best
-    measured = timings["semi-naive"] / max(timings["indexed"], 1e-9)
-    if measured < committed / REGRESSION_TOLERANCE:
-        return [
-            f"indexed evaluation regressed: measured speedup {measured:.1f}x vs "
-            f"committed {committed:.1f}x on {row['facts']} TC facts "
-            f"(tolerance {REGRESSION_TOLERANCE}x)"
-        ]
-    return []
-
-
-def query_regression_row(report, full=False):
-    """Pick the committed query row the regression check re-measures: the
-    largest one (the headline row with ``full=True``, otherwise the largest
-    whose committed full-materialization cell is quick enough to re-time on
-    every test run) — it must carry a ``bf`` pattern cell."""
-    candidates = []
-    for row in report.get("query", []) or []:
-        if not (row.get("patterns") or {}).get("bf"):
-            continue
-        if not full and row.get("full_seconds", 0.0) > QUERY_SECONDS_CAP:
-            continue
-        candidates.append(row)
-    if not candidates:
-        return None
-    return max(candidates, key=lambda r: r.get("facts", 0))
-
-
-def query_regression_problems(report, full=False):
-    """Re-measure magic vs full on a committed query row; return problems
-    when the measured speedup regressed more than ``REGRESSION_TOLERANCE``x
-    against the committed one."""
-    row = query_regression_row(report, full=full)
-    if row is None:
-        return ["no committed query row suitable for re-measurement"]
-    cell = row["patterns"]["bf"]
-    committed = row["full_seconds"] / max(cell["magic_seconds"], 1e-9)
+def _query_pair(row):
     goal = point_query(same_generation_program(**row["params"]), "sg")
-    # Magic cells are small (tens of ms), so best-of-3 keeps the ratio
-    # stable against scheduler hiccups; the full cell is longer — one run.
-    magic_best = None
-    for _ in range(3):
+
+    def run(mode):
         engine = DatalogEngine(same_generation_program(**row["params"]))
-        start = time.perf_counter()
-        engine.query(goal, mode="magic")
-        elapsed = time.perf_counter() - start
-        magic_best = elapsed if magic_best is None or elapsed < magic_best else magic_best
-    engine = DatalogEngine(same_generation_program(**row["params"]))
-    start = time.perf_counter()
-    engine.query(goal, mode="full")
-    full_seconds = time.perf_counter() - start
-    measured = full_seconds / max(magic_best, 1e-9)
-    if measured < committed / REGRESSION_TOLERANCE:
-        return [
-            f"magic-set queries regressed: measured speedup {measured:.1f}x vs "
-            f"committed {committed:.1f}x on {row['facts']} same-generation facts "
-            f"(tolerance {REGRESSION_TOLERANCE}x)"
-        ]
-    return []
+        return partial(engine.query, goal, mode=mode)
+
+    return lambda: run("full"), lambda i: run("magic")
 
 
-def violations_regression_problems(report, full=False):
-    """Re-measure one incremental-vs-scratch constraint check on the
-    committed HR comparison row; return problems when the measured speedup
-    regressed more than ``REGRESSION_TOLERANCE``x against the committed
-    one.  The row is skipped (with a problem) only when the committed
-    scratch mean exceeds ``VIOLATIONS_SECONDS_CAP`` — the from-scratch
-    checker is super-quadratic in the EDB, so only a tiny row is cheap
-    enough to re-time on every test run (``full`` re-times it regardless)."""
-    comparison = (report.get("violations") or {}).get("comparison")
-    if not comparison:
-        return ["no committed violations comparison row suitable for re-measurement"]
-    scratch_committed = comparison["scratch_check_mean_seconds"]
-    if not full and scratch_committed > VIOLATIONS_SECONDS_CAP:
-        return [
-            f"committed violations comparison row is too slow to re-measure "
-            f"(scratch mean {scratch_committed}s > {VIOLATIONS_SECONDS_CAP}s cap)"
-        ]
-    committed = scratch_committed / max(
-        comparison["incremental_check_mean_seconds"], 1e-9
-    )
-    from repro.db.database import EpistemicDatabase
-    from repro.workloads.constraints import (
-        constraint_update_stream,
-        hr_constraints,
-        hr_facts,
-    )
-
-    params = comparison["params"]
-    database = EpistemicDatabase(
-        hr_facts(employees=params["employees"]),
-        constraints=hr_constraints(),
-        constraint_checking="incremental",
-    )
-    view = database.violation_view()
-    insertions, deletions = next(
-        iter(constraint_update_stream(entities=params["employees"], batches=1,
-                                      churn=params["churn"]))
-    )
-    # The incremental check is tiny (~1 ms), so best-of-3 keeps the ratio
-    # stable; the scratch check is seconds — one run suffices.
-    incremental_best = None
-    for _ in range(3):
-        start = time.perf_counter()
-        view.preview_report(insertions, deletions)
-        elapsed = time.perf_counter() - start
-        if incremental_best is None or elapsed < incremental_best:
-            incremental_best = elapsed
-    start = time.perf_counter()
-    database._checker.check_update(
-        database.sentences(), added=insertions, removed=deletions,
-        constraints=database.constraints(),
-    )
-    scratch_seconds = time.perf_counter() - start
-    measured = scratch_seconds / max(incremental_best, 1e-9)
-    if measured < committed / REGRESSION_TOLERANCE:
-        return [
-            f"incremental constraint checking regressed: measured speedup "
-            f"{measured:.0f}x vs committed {committed:.0f}x on "
-            f"{comparison['facts']} HR facts (tolerance {REGRESSION_TOLERANCE}x)"
-        ]
-    return []
-
-
-def revision_regression_problems(report, full=False):
-    """Re-measure one view-backed revision against one naive
-    retract-until-consistent revision on the committed HR revision row;
-    return problems when the measured speedup regressed more than
-    ``REGRESSION_TOLERANCE``x against the committed one.  The row is
-    skipped (with a problem) only when the committed naive mean exceeds
-    ``REVISION_SECONDS_CAP`` — each naive planning probe is a from-scratch
-    constraint check, so only a tiny row is cheap enough to re-time on
-    every test run (``full`` re-times it regardless)."""
-    comparison = (report.get("revision") or {}).get("comparison")
-    if not comparison:
-        return ["no committed revision comparison row suitable for re-measurement"]
-    naive_committed = comparison["naive_mean_seconds"]
-    if not full and naive_committed > REVISION_SECONDS_CAP:
-        return [
-            f"committed revision comparison row is too slow to re-measure "
-            f"(naive mean {naive_committed}s > {REVISION_SECONDS_CAP}s cap)"
-        ]
-    committed = naive_committed / max(comparison["operator_mean_seconds"], 1e-9)
-    from repro.db.database import EpistemicDatabase
-    from repro.revision import naive_revise
-    from repro.workloads.constraints import (
-        hr_constraints,
-        hr_facts,
-        iterated_revision_stream,
-    )
-
-    params = comparison["params"]
-    facts = hr_facts(employees=params["employees"])
+def _hr_database(employees):
+    facts = hr_facts(employees=employees)
     database = EpistemicDatabase(
         facts, constraints=hr_constraints(), constraint_checking="incremental"
     )
-    database.violation_view()
-    revisor = database.revision()
-    # The operator cell is tiny (~1 ms), so best-of-3 keeps the ratio
-    # stable — over three *distinct* conflicting steps, because re-revising
-    # the same sentence is a vacuous no-op and would flatter the operator.
-    # Each flip is the same amount of work: one conflict, one retraction.
-    steps = list(
-        iterated_revision_stream(
-            entities=params["employees"], steps=3, conflict_ratio=1.0
-        )
+    return facts, database, database.violation_view()
+
+
+def _violations_pair(row):
+    params = row["params"]
+    _, database, view = _hr_database(params["employees"])
+    insertions, deletions = next(iter(constraint_update_stream(
+        entities=params["employees"], batches=1, churn=params["churn"]
+    )))
+    scratch = partial(
+        database._checker.check_update, database.sentences(), added=insertions,
+        removed=deletions, constraints=database.constraints(),
     )
-    operator_best = None
-    for sentence, _ in steps:
-        start = time.perf_counter()
-        revisor.revise(sentence)
-        elapsed = time.perf_counter() - start
-        if operator_best is None or elapsed < operator_best:
-            operator_best = elapsed
-    # The naive side's probes are from-scratch checks (seconds each) — one
-    # run on the first step against the pristine fact list suffices.
+    return lambda: scratch, lambda i: partial(view.preview_report, insertions, deletions)
+
+
+def _revision_pair(row):
+    params = row["params"]
+    facts, database, _ = _hr_database(params["employees"])
+    revisor = database.revision()
+    # Three *distinct* conflicting steps: re-revising one sentence is a
+    # vacuous no-op and would flatter the operator.  Each flip is the same
+    # work — one conflict, one retraction.  The naive side (seconds per
+    # from-scratch probe) revises the first step on the pristine facts.
+    steps = [sentence for sentence, _ in iterated_revision_stream(
+        entities=params["employees"], steps=3, conflict_ratio=1.0
+    )]
+    naive = partial(naive_revise, facts, database.constraints(), steps[0])
+    return lambda: naive, lambda i: partial(revisor.revise, steps[i])
+
+
+#: one regression re-measure: the committed comparison rows, the slow and
+#: fast timing fields of a row, the cap on the committed slow field (seconds)
+#: and ``pair(row) -> (slow, fast)``, whose ``slow()`` / ``fast(i)`` set up
+#: untimed and return the call to time
+Remeasure = namedtuple("Remeasure", "name rows workload slow fast cap pair")
+
+REMEASURES = {
+    "indexed": Remeasure(
+        "indexed evaluation", "rows[]", "transitive_closure",
+        "strategies.semi-naive.seconds", "strategies.indexed.seconds", 2.0, _tc_pair,
+    ),
+    "query": Remeasure(
+        "magic-set queries", "query[]", None,
+        "full_seconds", "patterns.bf.magic_seconds", 1.0, _query_pair,
+    ),
+    "violations": Remeasure(
+        "incremental constraint checking", "violations.comparison", None,
+        "scratch_check_mean_seconds", "incremental_check_mean_seconds", 5.0,
+        _violations_pair,
+    ),
+    "revision": Remeasure(
+        "belief revision", "revision.comparison", None,
+        "naive_mean_seconds", "operator_mean_seconds", 5.0, _revision_pair,
+    ),
+}
+
+
+def _elapsed(call):
     start = time.perf_counter()
-    naive_revise(facts, database.constraints(), steps[0][0])
-    naive_seconds = time.perf_counter() - start
-    measured = naive_seconds / max(operator_best, 1e-9)
-    if measured < committed / REGRESSION_TOLERANCE:
-        return [
-            f"belief revision regressed: measured speedup {measured:.0f}x vs "
-            f"committed {committed:.0f}x on {comparison['facts']} HR facts "
-            f"(tolerance {REGRESSION_TOLERANCE}x)"
-        ]
-    return []
+    call()
+    return time.perf_counter() - start
+
+
+def regression_problems(report, *names, full=False):
+    """Re-measure the committed comparison rows of the :data:`REMEASURES`
+    entries *names* (all by default); return a problem for each whose
+    measured speedup regressed more than ``REGRESSION_TOLERANCE``x against
+    the committed one.  The row is the entry's largest one whose committed
+    slow side is under its cap (``full`` lifts the cap)."""
+    problems = []
+    for name in names or REMEASURES:
+        entry = REMEASURES[name]
+        rows = []
+        for _, container, key in select(report, entry.rows):
+            row = _get(container, key)
+            slow, fast = value_at(row, entry.slow), value_at(row, entry.fast)
+            if entry.workload is not None and _get(row, "workload") != entry.workload:
+                continue
+            timed = isinstance(slow, (int, float)) and isinstance(fast, (int, float))
+            if timed and (full or slow <= entry.cap):
+                rows.append(row)
+        if not rows:
+            problems.append(
+                f"no committed {entry.rows} row suitable for re-measuring {entry.name} "
+                f"(committed {entry.slow} must be at most {entry.cap} s)"
+            )
+            continue
+        row = max(rows, key=lambda r: r.get("facts", 0))
+        committed = value_at(row, entry.slow) / max(value_at(row, entry.fast), 1e-9)
+        slow, fast = entry.pair(row)
+        fast_seconds = min(_elapsed(fast(i)) for i in range(3))
+        measured = _elapsed(slow()) / max(fast_seconds, 1e-9)
+        if measured < committed / REGRESSION_TOLERANCE:
+            problems.append(
+                f"{entry.name} regressed: measured speedup {measured:.1f}x vs "
+                f"committed {committed:.1f}x on {row.get('facts')} facts "
+                f"(tolerance {REGRESSION_TOLERANCE}x)"
+            )
+    return problems
 
 
 def main(argv=None):
@@ -578,9 +399,6 @@ def main(argv=None):
     problems = structure_problems(report)
     if not args.no_measure:
         problems += regression_problems(report, full=args.full)
-        problems += query_regression_problems(report, full=args.full)
-        problems += violations_regression_problems(report, full=args.full)
-        problems += revision_regression_problems(report, full=args.full)
     for problem in problems:
         print(f"FAIL: {problem}")
     if not problems:

@@ -1,54 +1,42 @@
 #!/usr/bin/env python
 """Run the Datalog evaluation benchmark matrix and emit ``BENCH_datalog.json``.
 
-Times every sequential evaluation strategy (naive, semi-naive, indexed)
-across a grid of workload sizes — transitive closure, same-generation and
-join-heavy chains — verifying along the way that every strategy computes the
-identical least model, then replays a tell/retract update stream to measure
-incremental view maintenance (``MaterializedModel.apply``) against full
-recomputation and times one-fact applies at two EDB sizes 10x apart (the
-``incremental.flatness`` cell: delta cost must not grow with the database), times goal-directed (magic-set) point queries against full
-materialization at several binding patterns (the ``query`` section), and
-replays 1%-churn constraint-update streams against the scaled HR workload
-(the ``violations`` section — commit-time checking through the maintained
-violation view against the from-scratch ``IntegrityChecker``, verdict and
-witness agreement verified per batch, plus view-only rows at sizes the
-from-scratch baseline cannot reach), and replays deliberately conflicting
-revision streams through the belief-change layer (the ``revision`` section
-— ``BeliefRevisor`` planning repairs off O(delta) view peeks against the
-naive retract-until-consistent baseline that recomputes from scratch per
-probe, results verified identical per step, plus operator-only scale rows
-the baseline cannot reach).  Every
-timed cell is the best of ``--repeats`` runs (default 3) and carries a
-tracemalloc peak-memory figure measured in a separate traced pass.  The
-JSON it writes is the perf trajectory future PRs diff against
-(``benchmarks/check_bench.py`` guards it).
+Times every evaluation strategy (naive, semi-naive, indexed) across a grid of
+workload sizes — transitive closure, same-generation and join-heavy chains —
+verifying along the way that every strategy computes the identical least
+model.  Then, one section each:
+
+* ``incremental`` — a tell/retract stream through
+  ``MaterializedModel.apply`` against full recomputation, and one-fact
+  applies at two EDB sizes 10x apart (the ``flatness`` cell: delta cost must
+  not grow with the database);
+* ``query`` — goal-directed (magic-set) point queries against full
+  materialization at several binding patterns;
+* ``analysis`` — the static analyzer's cost, and dead-rule pruning;
+* ``violations`` — commit-time constraint checking through the maintained
+  violation view against the from-scratch ``IntegrityChecker`` on 1%-churn
+  HR streams, verdicts and witnesses verified per batch, plus view-only rows
+  at sizes the from-scratch baseline cannot reach;
+* ``revision`` — ``BeliefRevisor`` (O(delta) view peeks) against the naive
+  retract-until-consistent baseline on deliberately conflicting streams,
+  results verified per step, plus operator-only scale rows;
+* ``observability`` — the fixpoint with no-op, recording and provenance
+  tracing.
+
+Timed cells are best-of-3 (``best_of``); peak memory is measured with
+tracemalloc in a separate pass (``peak_kb``).  The JSON it writes is the
+perf trajectory future PRs diff against; ``benchmarks/check_bench.py`` holds
+the gates it must pass.
 
 Usage::
 
-    python benchmarks/run_bench.py                 # full matrix + incremental
-    python benchmarks/run_bench.py --quick         # small sizes only
-    python benchmarks/run_bench.py --check         # fail unless indexed is
-                                                   # >= 5x faster than
-                                                   # semi-naive on the largest
-                                                   # TC workload AND apply()
-                                                   # is >= 10x faster than
-                                                   # recomputation
-    python benchmarks/run_bench.py --experiments   # also run the E7/E9 pytest
-                                                   # benchmarks and record
-                                                   # their outcome
-    python benchmarks/run_bench.py --no-incremental  # skip the update stream
-    python benchmarks/run_bench.py --no-query      # skip the magic-set
-                                                   # query section
-    python benchmarks/run_bench.py --no-violations # skip the violation-view
-                                                   # constraint-checking
-                                                   # section
-    python benchmarks/run_bench.py --no-revision   # skip the belief-revision
-                                                   # section
-    python benchmarks/run_bench.py --no-observability  # skip the tracing-
-                                                   # overhead section
+    python benchmarks/run_bench.py            # full sizes -> BENCH_datalog.json
+    python benchmarks/run_bench.py --quick    # small sizes -> BENCH_datalog_quick.json
+    python benchmarks/run_bench.py --check    # exit non-zero unless the report
+                                              # passes every check_bench.py gate
+    python benchmarks/run_bench.py --output PATH
 
-The naive strategy is only run on workloads up to ``--naive-cap`` facts (its
+The naive strategy is only run on workloads up to ``NAIVE_CAP`` facts (its
 nested-loop joins are the quadratic-and-worse baseline the ablation exists to
 show); skipped cells are recorded as ``null``.
 """
@@ -58,13 +46,15 @@ import gc
 import json
 import pathlib
 import platform
-import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+
+from check_bench import evaluate, structure_problems  # noqa: E402
 
 from repro.datalog.analyze import analyze_program  # noqa: E402
 from repro.datalog.engine import STRATEGIES, DatalogEngine  # noqa: E402
@@ -79,73 +69,52 @@ from repro.workloads.generators import (  # noqa: E402
     update_stream,
 )
 
-FULL_MATRIX = [
-    ("transitive_closure", transitive_closure_program,
-     [dict(chains=50, length=5), dict(chains=100, length=5),
-      dict(chains=200, length=5), dict(chains=400, length=5)]),
-    ("same_generation", same_generation_program,
-     [dict(depth=4, branching=2), dict(depth=5, branching=2),
-      dict(depth=6, branching=2)]),
-    ("join_chain", join_chain_program,
-     [dict(relations=3, rows=100), dict(relations=3, rows=200),
-      dict(relations=3, rows=400)]),
-]
-
-QUICK_MATRIX = [
-    ("transitive_closure", transitive_closure_program,
-     [dict(chains=50, length=5), dict(chains=100, length=5)]),
-    ("same_generation", same_generation_program, [dict(depth=4, branching=2)]),
-    ("join_chain", join_chain_program, [dict(relations=3, rows=100)]),
-]
+#: timed runs per cell; every recorded ``seconds`` is the best of this many
+REPEATS = 3
+#: skip the naive strategy above this many facts
+NAIVE_CAP = 600
 
 
-def measure(builder, params, strategy, repeats):
-    """Time ``least_model()`` for one cell (best of ``repeats`` runs); the
-    program (and so the index) is rebuilt for every repeat so index
-    construction is always included, and the cyclic collector runs between
-    repeats so one run's garbage is never charged to the next."""
-    best = None
-    model = None
-    statistics = None
-    engine = None
+def best_of(prepare, repeats=REPEATS):
+    """``(seconds, result)`` of the fastest of *repeats* runs.  Each run calls
+    ``prepare()`` untimed (so a fresh program, engine or index is built for
+    every run) and times the call it returns; the cyclic collector runs
+    before each timed call so one run's garbage is never charged to the
+    next."""
+    best = result = None
     for _ in range(repeats):
-        program = builder(**params)
-        engine = DatalogEngine(program, strategy=strategy)
+        call = prepare()
         gc.collect()
         start = time.perf_counter()
-        model = engine.least_model()
+        result = call()
         elapsed = time.perf_counter() - start
-        statistics = engine.statistics
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, model, statistics, engine
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
 
 
-def measure_peak(builder, params, strategy):
-    """Peak traced memory (bytes) over one evaluation.
+def peak_kb(run):
+    """Peak traced memory (KB) over one ``run()``.
 
     Runs as its *own* pass, never inside the timed repeats: tracemalloc
     instruments every allocation and slows evaluation several-fold, so a
-    shared pass would poison the ``seconds`` numbers.  The program is built
-    before tracing starts — the peak charges the engine (index construction
-    plus fixpoint), not the workload generator.
+    shared pass would poison the ``seconds`` numbers.  What *run* builds is
+    charged; what the caller built before is not.
     """
-    program = builder(**params)
     gc.collect()
     tracemalloc.start()
-    engine = DatalogEngine(program, strategy=strategy)
-    engine.least_model()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(peak / 1024, 1)
 
 
-def run_matrix(matrix, naive_cap, repeats):
+def run_matrix(matrix):
     rows = []
     for workload, builder, parameter_grid in matrix:
         for params in parameter_grid:
-            program = builder(**params)
-            facts = len(program.facts)
+            facts = len(builder(**params).facts)
             cell = {
                 "workload": workload,
                 "params": params,
@@ -154,22 +123,28 @@ def run_matrix(matrix, naive_cap, repeats):
             }
             models = {}
             for strategy in STRATEGIES:
-                if strategy == "naive" and facts > naive_cap:
+                if strategy == "naive" and facts > NAIVE_CAP:
                     cell["strategies"][strategy] = None
                     continue
-                seconds, model, statistics, _ = measure(builder, params, strategy, repeats)
+
+                def prepare():
+                    engine = DatalogEngine(builder(**params), strategy=strategy)
+                    return lambda: (engine.least_model(), engine.statistics)
+
+                seconds, (model, statistics) = best_of(prepare)
                 models[strategy] = model
-                peak = measure_peak(builder, params, strategy)
+                program = builder(**params)  # untraced: the peak charges the engine
                 cell["strategies"][strategy] = {
                     "seconds": round(seconds, 6),
-                    "peak_kb": round(peak / 1024, 1),
+                    "peak_kb": peak_kb(
+                        lambda: DatalogEngine(program, strategy=strategy).least_model()
+                    ),
                     "model_size": len(model),
                     "iterations": statistics.iterations,
                     "rule_applications": statistics.rule_applications,
                     "facts_derived": statistics.facts_derived,
                 }
-            distinct = {m for m in models.values()}
-            cell["models_identical"] = len(distinct) == 1
+            cell["models_identical"] = len(set(models.values())) == 1
             if not cell["models_identical"]:
                 raise SystemExit(
                     f"strategies disagree on {workload} {params}: "
@@ -218,21 +193,19 @@ def run_incremental(chains=400, length=5, batches=20, churn=0.01, seed=0):
         identical = identical and materialized.model() == recomputed
     apply_mean = sum(apply_seconds) / len(apply_seconds)
     recompute_mean = sum(recompute_seconds) / len(recompute_seconds)
-    # Peak maintenance memory: a fresh model replays the same stream under
-    # tracemalloc in its own pass (instrumentation would poison the means
-    # above).  The model is built before the stream is listed, exactly as in
-    # the timed path — ``update_stream`` mutates the program as it yields.
+    # Peak maintenance memory: a fresh model replays the same stream.  The
+    # model is built before the stream is listed, exactly as in the timed
+    # path — ``update_stream`` mutates the program as it yields.
     replay_program = transitive_closure_program(chains=chains, length=length)
     replay = MaterializedModel(replay_program)
     replay_stream = list(
         update_stream(replay_program, batches=batches, churn=churn, seed=seed)
     )
-    gc.collect()
-    tracemalloc.start()
-    for insertions, deletions in replay_stream:
-        replay.apply(insertions, deletions)
-    _, apply_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+
+    def replay_all():
+        for insertions, deletions in replay_stream:
+            replay.apply(insertions, deletions)
+
     cell = {
         "workload": "transitive_closure",
         "params": dict(chains=chains, length=length),
@@ -242,7 +215,7 @@ def run_incremental(chains=400, length=5, batches=20, churn=0.01, seed=0):
         "build_seconds": round(build_seconds, 6),
         "apply_mean_seconds": round(apply_mean, 6),
         "apply_total_seconds": round(sum(apply_seconds), 6),
-        "apply_peak_kb": round(apply_peak / 1024, 1),
+        "apply_peak_kb": peak_kb(replay_all),
         "recompute_mean_seconds": round(recompute_mean, 6),
         "speedup_incremental_vs_recompute": round(recompute_mean / apply_mean, 2)
         if apply_mean > 0
@@ -331,14 +304,7 @@ def run_incremental_flatness(chains=1000, length=5, scale=10, applies=200, repea
     return cell
 
 
-QUERY_GRID = [
-    dict(depth=5, branching=3),   # quick row — re-measured by check_bench
-    dict(depth=7, branching=3),   # headline row (~2000+ facts)
-]
-
-QUICK_QUERY_GRID = [dict(depth=5, branching=3)]
-
-def run_query_bench(grid=None, repeats=1):
+def run_query_bench(grid):
     """Time goal-directed (magic-set) evaluation against full
     materialization on same-generation point queries.
 
@@ -355,7 +321,7 @@ def run_query_bench(grid=None, repeats=1):
     against that full model before any timing is trusted.
     """
     rows = []
-    for params in grid or QUERY_GRID:
+    for params in grid:
         program = same_generation_program(**params)
         facts = len(program.facts)
         bf_goal = point_query(program, "sg")
@@ -373,6 +339,11 @@ def run_query_bench(grid=None, repeats=1):
             "patterns": {},
             "answers_match": True,
         }
+
+        def fresh_query(goal, mode):
+            engine = DatalogEngine(same_generation_program(**params))
+            return partial(engine.query, goal, mode=mode)
+
         magic_results = {}
         for pattern, goal in goals.items():
             if pattern == "ff" and facts > 1500:
@@ -381,45 +352,24 @@ def run_query_bench(grid=None, repeats=1):
                 # runtime to show a ratio of ~1.
                 row["patterns"][pattern] = None
                 continue
-            magic_seconds = None
-            magic_result = None
-            for _ in range(repeats):
-                engine = DatalogEngine(same_generation_program(**params))
-                gc.collect()
-                start = time.perf_counter()
-                magic_result = engine.query(goal, mode="magic")
-                elapsed = time.perf_counter() - start
-                if magic_seconds is None or elapsed < magic_seconds:
-                    magic_seconds = elapsed
+            magic_seconds, magic_result = best_of(partial(fresh_query, goal, "magic"))
             magic_results[pattern] = magic_result
-            gc.collect()
-            tracemalloc.start()
-            DatalogEngine(same_generation_program(**params)).query(goal, mode="magic")
-            _, magic_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
             row["patterns"][pattern] = {
                 "goal": str(goal),
                 "answers": len(magic_result),
                 "magic_seconds": round(magic_seconds, 6),
-                "magic_peak_kb": round(magic_peak / 1024, 1),
+                "magic_peak_kb": peak_kb(lambda: fresh_query(goal, "magic")()),
                 "magic_facts_derived": magic_result.facts_derived,
                 "magic_join_passes": magic_result.join_passes,
             }
         # The full-materialization cell is long enough (the fixpoint
-        # dominates) that a single timed run suffices; its peak is taken in
-        # a separate traced pass like every other cell.
+        # dominates) that a single timed run suffices.
         full_engine = DatalogEngine(same_generation_program(**params))
-        gc.collect()
-        start = time.perf_counter()
-        full_result = full_engine.query(bf_goal, mode="full")
-        full_seconds = time.perf_counter() - start
-        gc.collect()
-        tracemalloc.start()
-        DatalogEngine(same_generation_program(**params)).query(bf_goal, mode="full")
-        _, full_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        full_seconds, full_result = best_of(
+            lambda: partial(full_engine.query, bf_goal, mode="full"), repeats=1
+        )
         row["full_seconds"] = round(full_seconds, 6)
-        row["full_peak_kb"] = round(full_peak / 1024, 1)
+        row["full_peak_kb"] = peak_kb(lambda: fresh_query(bf_goal, "full")())
         row["full_facts_derived"] = full_result.facts_derived
         canonical = lambda result: sorted(
             sorted((v.name, p.name) for v, p in b.items()) for b in result
@@ -453,21 +403,7 @@ def run_query_bench(grid=None, repeats=1):
     return rows
 
 
-ANALYSIS_LINT_GRID = [
-    ("transitive_closure", transitive_closure_program, dict(chains=400, length=5)),
-    ("same_generation", same_generation_program, dict(depth=6, branching=2)),
-]
-
-QUICK_ANALYSIS_LINT_GRID = [
-    ("transitive_closure", transitive_closure_program, dict(chains=100, length=5)),
-    ("same_generation", same_generation_program, dict(depth=4, branching=2)),
-]
-
-ANALYSIS_PRUNING_PARAMS = dict(chains=200, length=5)
-
-
-def run_analysis_bench(lint_grid=None, repeats=3, dead_rules=24,
-                       pruning_params=None):
+def run_analysis_bench(lint_grid, dead_rules, pruning_params):
     """Time the static analyzer (`repro.datalog.analyze`) two ways.
 
     *lint*: ``analyze_program`` wall time on the largest generated
@@ -487,16 +423,9 @@ def run_analysis_bench(lint_grid=None, repeats=3, dead_rules=24,
     leaving the default on.
     """
     section = {"lint": [], "pruning": None}
-    for workload, builder, params in lint_grid or ANALYSIS_LINT_GRID:
+    for workload, builder, params in lint_grid:
         program = builder(**params)
-        best = None
-        for _ in range(repeats):
-            gc.collect()
-            start = time.perf_counter()
-            analysis = analyze_program(program)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
+        best, analysis = best_of(lambda: partial(analyze_program, program))
         if analysis.diagnostics:
             raise SystemExit(
                 f"analysis found {len(analysis.diagnostics)} issue(s) in the "
@@ -517,8 +446,6 @@ def run_analysis_bench(lint_grid=None, repeats=3, dead_rules=24,
             f"{row['findings']} findings"
         )
 
-    pruning_params = pruning_params or ANALYSIS_PRUNING_PARAMS
-
     def seeded_program():
         program = transitive_closure_program(**pruning_params)
         x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -533,31 +460,15 @@ def run_analysis_bench(lint_grid=None, repeats=3, dead_rules=24,
     timings = {}
     models = {}
     for check in ("off", "warn"):
-        best = None
-        for _ in range(repeats):
-            engine = DatalogEngine(seeded_program(), check=check)
-            gc.collect()
-            start = time.perf_counter()
-            model = engine.least_model()
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        timings[check] = best
-        models[check] = model
+        timings[check], models[check] = best_of(
+            lambda: DatalogEngine(seeded_program(), check=check).least_model
+        )
     if models["off"] != models["warn"]:
         raise SystemExit(
             "analysis pruning changed the least model: "
             f"off={len(models['off'])} warn={len(models['warn'])} atoms"
         )
-    analysis_best = None
-    for _ in range(repeats):
-        program = seeded_program()
-        gc.collect()
-        start = time.perf_counter()
-        analyze_program(program)
-        elapsed = time.perf_counter() - start
-        if analysis_best is None or elapsed < analysis_best:
-            analysis_best = elapsed
+    analysis_best, _ = best_of(lambda: partial(analyze_program, seeded_program()))
     pruning = {
         "workload": "transitive_closure",
         "params": pruning_params,
@@ -583,25 +494,7 @@ def run_analysis_bench(lint_grid=None, repeats=3, dead_rules=24,
     return section
 
 
-#: the violations section's comparison row: small on purpose — the
-#: from-scratch checker grounds the epistemic reduction over the whole EDB
-#: (super-quadratic in practice: ~0.5 s at 85 HR facts, ~2 s at 135, ~18 s
-#: at 310), so the honest head-to-head must run where scratch is still
-#: feasible.  The incremental view answers the same checks in ~1 ms
-#: regardless, which is the point of the section.
-VIOLATIONS_COMPARISON = dict(employees=25, batches=3, churn=0.01)
-#: view-only scale rows: the regime the view exists for (hundreds of
-#: thousands of facts, where a single from-scratch check would take hours).
-VIOLATIONS_SCALE_GRID = [
-    dict(employees=20000, batches=5, churn=0.01),
-    dict(employees=40000, batches=5, churn=0.01),
-]
-
-QUICK_VIOLATIONS_COMPARISON = dict(employees=15, batches=2, churn=0.01)
-QUICK_VIOLATIONS_SCALE_GRID = [dict(employees=2000, batches=3, churn=0.01)]
-
-
-def run_violations_bench(comparison=None, scale_grid=None):
+def run_violations_bench(comparison, scale_grid):
     """Time commit-time constraint checking through the maintained
     :class:`~repro.constraints.views.ViolationView` against the from-scratch
     :class:`~repro.constraints.checker.IntegrityChecker` on the scaled HR
@@ -654,7 +547,7 @@ def run_violations_bench(comparison=None, scale_grid=None):
             for violation in report.violations
         )
 
-    params = comparison or VIOLATIONS_COMPARISON
+    params = comparison
     database, view, facts, build_seconds = build_database(params["employees"])
     stream = list(
         constraint_update_stream(
@@ -730,7 +623,7 @@ def run_violations_bench(comparison=None, scale_grid=None):
         f"-> {cell['speedup_incremental_vs_scratch']}x, verdicts identical"
     )
 
-    for params in scale_grid or VIOLATIONS_SCALE_GRID:
+    for params in scale_grid:
         database, view, facts, build_seconds = build_database(params["employees"])
         stream = list(
             constraint_update_stream(
@@ -776,22 +669,7 @@ def run_violations_bench(comparison=None, scale_grid=None):
     return section
 
 
-#: the revision section's comparison row: small on purpose, like the
-#: violations comparison — the naive baseline re-runs the from-scratch
-#: checker per planning probe (super-quadratic in the EDB), so the honest
-#: operator-vs-naive head-to-head must run where scratch is still feasible.
-#: Every step is a deliberate conflict (a gender flip), so both stacks must
-#: actually plan and retract, not coast on the vacuity fast path.
-REVISION_COMPARISON = dict(employees=12, steps=4, conflict_ratio=1.0)
-#: operator-only scale rows: iterated revision against an EDB the naive
-#: baseline cannot touch (one scratch probe would take minutes).
-REVISION_SCALE_GRID = [dict(employees=20000, steps=10, conflict_ratio=0.8)]
-
-QUICK_REVISION_COMPARISON = dict(employees=8, steps=3, conflict_ratio=1.0)
-QUICK_REVISION_SCALE_GRID = [dict(employees=2000, steps=5, conflict_ratio=0.8)]
-
-
-def run_revision_bench(comparison=None, scale_grid=None):
+def run_revision_bench(comparison, scale_grid):
     """Time belief revision through :class:`~repro.revision.BeliefRevisor`
     (violation-view peeks, one transaction per operation) against the naive
     retract-until-consistent baseline (:func:`~repro.revision.naive_revise`,
@@ -828,7 +706,7 @@ def run_revision_bench(comparison=None, scale_grid=None):
         build_seconds = time.perf_counter() - start
         return database, database.revision(), facts, build_seconds
 
-    params = comparison or REVISION_COMPARISON
+    params = comparison
     database, revisor, facts, build_seconds = build_database(params["employees"])
     constraints = database.constraints()
     stream = list(
@@ -885,7 +763,7 @@ def run_revision_bench(comparison=None, scale_grid=None):
         f"-> {cell['speedup_revision_vs_naive']}x, results identical"
     )
 
-    for params in scale_grid or REVISION_SCALE_GRID:
+    for params in scale_grid:
         database, revisor, facts, build_seconds = build_database(params["employees"])
         stream = list(
             iterated_revision_stream(
@@ -931,51 +809,35 @@ def run_revision_bench(comparison=None, scale_grid=None):
     return section
 
 
-OBSERVABILITY_PARAMS = dict(chains=80, length=15)
-QUICK_OBSERVABILITY_PARAMS = dict(chains=20, length=10)
-
-
-def run_observability_bench(params=None, repeats=3):
-    """Time the indexed fixpoint on a ~10k-fact transitive closure with
-    observability off (the no-op tracer default), with a recording tracer,
-    and with provenance recording — same workload, same strategy, models
-    verified identical across the three cells.
+def run_observability_bench(params):
+    """Time the indexed fixpoint on a transitive closure with observability
+    off (the no-op tracer default), with a recording tracer, and with
+    provenance recording — same workload, same strategy, models verified
+    identical across the three cells.
 
     ``traced_overhead_pct`` / ``provenance_overhead_pct`` record honestly
     what recording costs.  The *guarded* number is ``noop_overhead_pct``:
     the estimated share of the untraced fixpoint spent in the no-op
     instrumentation points (spans the traced run recorded x the
-    micro-timed per-call cost of ``NOOP_TRACER.span``), which
-    ``check_bench.py`` holds at <= 5%.
+    micro-timed per-call cost of ``NOOP_TRACER.span``).
     """
     from repro.obs.tracing import NOOP_TRACER, Tracer
 
-    params = params or OBSERVABILITY_PARAMS
+    def prepare(name):
+        options = {}
+        if name == "traced":
+            options["tracer"] = Tracer()
+        elif name == "provenance":
+            options["provenance"] = True
+        engine = DatalogEngine(transitive_closure_program(**params), **options)
+        return lambda: (engine.least_model(), engine)
+
     cells = {}
     models = {}
-    spans_recorded = 0
     for name in ("noop", "traced", "provenance"):
-        best = None
-        model = None
-        for _ in range(repeats):
-            program = transitive_closure_program(**params)
-            engine_kwargs = {}
-            if name == "traced":
-                engine_kwargs["tracer"] = Tracer()
-            elif name == "provenance":
-                engine_kwargs["provenance"] = True
-            engine = DatalogEngine(program, **engine_kwargs)
-            gc.collect()
-            start = time.perf_counter()
-            model = engine.least_model()
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-            if name == "traced":
-                spans_recorded = len(engine.tracer.entries)
-        cells[name] = best
-        models[name] = model
-
+        cells[name], (models[name], engine) = best_of(partial(prepare, name))
+        if name == "traced":
+            spans_recorded = len(engine.tracer.entries)
     if len(set(models.values())) != 1:
         raise SystemExit(
             "observability cells disagree on the model: "
@@ -998,7 +860,7 @@ def run_observability_bench(params=None, repeats=3):
         "workload": "transitive_closure",
         "params": params,
         "model_size": len(models["noop"]),
-        "repeats": repeats,
+        "repeats": REPEATS,
         "noop_seconds": round(noop_seconds, 6),
         "traced_seconds": round(cells["traced"], 6),
         "provenance_seconds": round(cells["provenance"], 6),
@@ -1018,35 +880,121 @@ def run_observability_bench(params=None, repeats=3):
     print(
         f"observability {params} ({section['model_size']} facts): noop "
         f"{noop_seconds * 1000:.1f} ms, traced {cells['traced'] * 1000:.1f} ms "
-        f"(+{section['traced_overhead_pct']}%), provenance "
+        f"({section['traced_overhead_pct']:+}%), provenance "
         f"{cells['provenance'] * 1000:.1f} ms "
-        f"(+{section['provenance_overhead_pct']}%), no-op instrumentation "
+        f"({section['provenance_overhead_pct']:+}%), no-op instrumentation "
         f"~{section['noop_overhead_pct']}% over {spans_recorded} span points"
     )
     return section
 
 
-def run_experiments():
-    """Run the E7/E9 pytest benchmarks and record their outcome."""
-    results = {}
-    for experiment, module in (
-        ("e7_closed_world", "bench_e7_closed_world.py"),
-        ("e9_ablations", "bench_e9_ablations.py"),
-    ):
-        start = time.perf_counter()
-        completed = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", str(ROOT / "benchmarks" / module)],
-            env={**__import__("os").environ, "PYTHONPATH": str(ROOT / "src")},
-            capture_output=True,
-            text=True,
-        )
-        results[experiment] = {
-            "passed": completed.returncode == 0,
-            "seconds": round(time.perf_counter() - start, 2),
-            "tail": completed.stdout.strip().splitlines()[-1:]
+#: The sizes of every section.  ``violations`` and ``revision`` each get one
+#: comparison row and view-only (operator-only) scale rows.  The comparison
+#: rows are small on purpose: the from-scratch checker — and so each naive
+#: revision probe — grounds the epistemic reduction over the whole EDB
+#: (super-quadratic in practice: ~0.5 s at 85 HR facts, ~2 s at 135, ~18 s
+#: at 310), so the head-to-head must run where scratch is still feasible;
+#: the scale rows are the regime the view exists for (where one
+#: from-scratch check would take hours).  Every revision comparison step is
+#: a deliberate conflict (a gender flip), so both stacks must plan and
+#: retract, not coast on the vacuity fast path.
+FULL = {
+    "matrix": [
+        ("transitive_closure", transitive_closure_program,
+         [dict(chains=50, length=5), dict(chains=100, length=5),
+          dict(chains=200, length=5), dict(chains=400, length=5)]),
+        ("same_generation", same_generation_program,
+         [dict(depth=4, branching=2), dict(depth=5, branching=2),
+          dict(depth=6, branching=2)]),
+        ("join_chain", join_chain_program,
+         [dict(relations=3, rows=100), dict(relations=3, rows=200),
+          dict(relations=3, rows=400)]),
+    ],
+    # Large base, small absolute churn (20-fact batches): the regime
+    # incremental maintenance exists for, and a base big enough for the
+    # full recompute it is compared with to hurt.
+    "incremental": dict(chains=1600, length=5, batches=20, churn=0.0025),
+    "flatness": dict(chains=1000),
+    # the first row is the one check_bench.py re-measures; the second is the
+    # headline row
+    "query": [dict(depth=5, branching=3), dict(depth=7, branching=3)],
+    "analysis": dict(
+        lint_grid=[
+            ("transitive_closure", transitive_closure_program, dict(chains=400, length=5)),
+            ("same_generation", same_generation_program, dict(depth=6, branching=2)),
+        ],
+        dead_rules=24,
+        pruning_params=dict(chains=200, length=5),
+    ),
+    "violations": dict(
+        comparison=dict(employees=25, batches=3, churn=0.01),
+        scale_grid=[dict(employees=20000, batches=5, churn=0.01),
+                    dict(employees=40000, batches=5, churn=0.01)],
+    ),
+    "revision": dict(
+        comparison=dict(employees=12, steps=4, conflict_ratio=1.0),
+        scale_grid=[dict(employees=20000, steps=10, conflict_ratio=0.8)],
+    ),
+    "observability": dict(chains=80, length=15),
+}
+
+QUICK = {
+    "matrix": [
+        ("transitive_closure", transitive_closure_program,
+         [dict(chains=50, length=5), dict(chains=100, length=5)]),
+        ("same_generation", same_generation_program, [dict(depth=4, branching=2)]),
+        ("join_chain", join_chain_program, [dict(relations=3, rows=100)]),
+    ],
+    "incremental": dict(chains=100, length=5, batches=10),
+    "flatness": dict(chains=200),
+    "query": [dict(depth=5, branching=3)],
+    "analysis": dict(
+        lint_grid=[
+            ("transitive_closure", transitive_closure_program, dict(chains=100, length=5)),
+            ("same_generation", same_generation_program, dict(depth=4, branching=2)),
+        ],
+        dead_rules=8,
+        pruning_params=dict(chains=200, length=5),
+    ),
+    "violations": dict(
+        comparison=dict(employees=15, batches=2, churn=0.01),
+        scale_grid=[dict(employees=2000, batches=3, churn=0.01)],
+    ),
+    "revision": dict(
+        comparison=dict(employees=8, steps=3, conflict_ratio=1.0),
+        scale_grid=[dict(employees=2000, steps=5, conflict_ratio=0.8)],
+    ),
+    "observability": dict(chains=20, length=10),
+}
+
+
+def collect(sizes):
+    """Run every section at *sizes* (:data:`FULL`, :data:`QUICK` or the
+    same shape) and return the report."""
+    rows = run_matrix(sizes["matrix"])
+    report = {
+        "generated_by": "benchmarks/run_bench.py",
+        "python": platform.python_version(),
+        "repeats": REPEATS,
+        "rows": rows,
+    }
+    report["incremental"] = run_incremental(**sizes["incremental"])
+    report["incremental"]["flatness"] = run_incremental_flatness(**sizes["flatness"])
+    report["query"] = run_query_bench(sizes["query"])
+    report["analysis"] = run_analysis_bench(**sizes["analysis"])
+    report["violations"] = run_violations_bench(**sizes["violations"])
+    report["revision"] = run_revision_bench(**sizes["revision"])
+    report["observability"] = run_observability_bench(sizes["observability"])
+    tc_rows = [row for row in rows if row["workload"] == "transitive_closure"
+               and "speedup_indexed_vs_semi_naive" in row]
+    if tc_rows:
+        largest = max(tc_rows, key=lambda row: row["facts"])
+        report["headline"] = {
+            "workload": "transitive_closure",
+            "facts": largest["facts"],
+            "speedup_indexed_vs_semi_naive": largest["speedup_indexed_vs_semi_naive"],
         }
-        print(f"{experiment}: {'ok' if completed.returncode == 0 else 'FAILED'}")
-    return results
+    return report
 
 
 def main(argv=None):
@@ -1057,207 +1005,24 @@ def main(argv=None):
                              "quick iteration never overwrites the committed "
                              "trajectory with small-size numbers)")
     parser.add_argument("--quick", action="store_true", help="small sizes only")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed runs per cell; every recorded ``seconds`` "
-                             "is the best of this many (default 3)")
-    parser.add_argument("--naive-cap", type=int, default=600,
-                        help="skip the naive strategy above this many facts")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless indexed is >= 5x faster than "
-                             "semi-naive on the largest transitive-closure workload, "
-                             "incremental apply is >= 10x faster than recompute, "
-                             "magic-set point queries are >= 5x faster than full "
-                             "materialization on the largest query row, and "
-                             "incremental commit-time constraint checking is "
-                             ">= 5x faster than the from-scratch checker on the "
-                             "HR comparison row, and view-backed belief revision "
-                             "is >= 5x faster than the naive "
-                             "retract-until-consistent baseline")
-    parser.add_argument("--experiments", action="store_true",
-                        help="also run the E7/E9 pytest benchmarks")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="skip the incremental view-maintenance stream")
-    parser.add_argument("--no-query", action="store_true",
-                        help="skip the magic-set query section")
-    parser.add_argument("--no-analysis", action="store_true",
-                        help="skip the static-analyzer section")
-    parser.add_argument("--no-violations", action="store_true",
-                        help="skip the incremental constraint-checking "
-                             "(violation view) section")
-    parser.add_argument("--no-revision", action="store_true",
-                        help="skip the belief-revision (operator vs naive) "
-                             "section")
-    parser.add_argument("--no-observability", action="store_true",
-                        help="skip the tracing-overhead (observability) "
-                             "section")
+                        help="exit non-zero unless the report passes every gate "
+                             "of benchmarks/check_bench.py")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    if args.output is None:
-        args.output = ROOT / (
-            "BENCH_datalog_quick.json" if args.quick else "BENCH_datalog.json"
-        )
-
-    matrix = QUICK_MATRIX if args.quick else FULL_MATRIX
-    rows = run_matrix(matrix, args.naive_cap, args.repeats)
-    report = {
-        "generated_by": "benchmarks/run_bench.py",
-        "python": platform.python_version(),
-        "repeats": args.repeats,
-        "rows": rows,
-    }
-    if not args.no_incremental:
-        if args.quick:
-            report["incremental"] = run_incremental(chains=100, length=5, batches=10)
-        else:
-            # Large base, small absolute churn (20-fact batches): the regime
-            # incremental maintenance exists for.  Columnar storage made the
-            # full-recompute baseline ~2x faster, so the >= 10x apply gate is
-            # read off a base big enough for recomputation to hurt.
-            report["incremental"] = run_incremental(
-                chains=1600, length=5, batches=20, churn=0.0025
-            )
-        report["incremental"]["flatness"] = run_incremental_flatness(
-            chains=200 if args.quick else 1000
-        )
-    if not args.no_query:
-        report["query"] = run_query_bench(
-            QUICK_QUERY_GRID if args.quick else QUERY_GRID,
-            repeats=args.repeats,
-        )
-    if not args.no_analysis:
-        report["analysis"] = run_analysis_bench(
-            QUICK_ANALYSIS_LINT_GRID if args.quick else ANALYSIS_LINT_GRID,
-            repeats=args.repeats,
-            dead_rules=8 if args.quick else 24,
-        )
-    if not args.no_violations:
-        report["violations"] = run_violations_bench(
-            comparison=QUICK_VIOLATIONS_COMPARISON if args.quick
-            else VIOLATIONS_COMPARISON,
-            scale_grid=QUICK_VIOLATIONS_SCALE_GRID if args.quick
-            else VIOLATIONS_SCALE_GRID,
-        )
-    if not args.no_revision:
-        report["revision"] = run_revision_bench(
-            comparison=QUICK_REVISION_COMPARISON if args.quick
-            else REVISION_COMPARISON,
-            scale_grid=QUICK_REVISION_SCALE_GRID if args.quick
-            else REVISION_SCALE_GRID,
-        )
-    if not args.no_observability:
-        report["observability"] = run_observability_bench(
-            QUICK_OBSERVABILITY_PARAMS if args.quick else OBSERVABILITY_PARAMS,
-            repeats=args.repeats,
-        )
-    if args.experiments:
-        report["experiments"] = run_experiments()
-
-    tc_rows = [r for r in rows if r["workload"] == "transitive_closure"
-               and "speedup_indexed_vs_semi_naive" in r]
-    if tc_rows:
-        largest = max(tc_rows, key=lambda r: r["facts"])
-        speedup = largest["speedup_indexed_vs_semi_naive"]
-        report["headline"] = {
-            "workload": "transitive_closure",
-            "facts": largest["facts"],
-            "speedup_indexed_vs_semi_naive": speedup,
-        }
-        print(f"headline: indexed is {speedup}x faster than semi-naive "
-              f"on {largest['facts']} TC facts")
-        if args.check and speedup < 5.0:
-            raise SystemExit(f"--check failed: speedup {speedup} < 5.0")
-    if args.check and "incremental" in report:
-        incremental_speedup = report["incremental"]["speedup_incremental_vs_recompute"]
-        if incremental_speedup is None or incremental_speedup < 10.0:
-            raise SystemExit(
-                f"--check failed: incremental speedup {incremental_speedup} < 10.0"
-            )
-        flatness = report["incremental"]["flatness"]["ratio_large_vs_small"]
-        if flatness > 2.0:
-            raise SystemExit(
-                f"--check failed: one-fact apply on a 10x EDB costs {flatness}x > 2.0x"
-            )
-    if "query" in report and report["query"]:
-        largest = max(report["query"], key=lambda r: r["facts"])
-        query_speedup = (largest["patterns"].get("bf") or {}).get(
-            "speedup_magic_vs_full"
-        )
-        print(
-            f"query headline: magic is {query_speedup}x faster than full "
-            f"materialization on {largest['facts']} same-generation facts (bf)"
-        )
-        if args.check and (query_speedup is None or query_speedup < 5.0):
-            raise SystemExit(
-                f"--check failed: magic query speedup {query_speedup} < 5.0"
-            )
-    if "violations" in report and report["violations"].get("comparison"):
-        comparison = report["violations"]["comparison"]
-        violations_speedup = comparison["speedup_incremental_vs_scratch"]
-        scale_rows = report["violations"].get("scale") or []
-        scale_note = ""
-        if scale_rows:
-            largest = max(scale_rows, key=lambda r: r["facts"])
-            scale_note = (
-                f"; at {largest['facts']} facts the view still checks a commit "
-                f"in {largest['check_mean_seconds'] * 1000:.0f} ms"
-            )
-        print(
-            f"violations headline: incremental commit-time checking is "
-            f"{violations_speedup}x faster than the from-scratch checker on "
-            f"{comparison['facts']} HR facts at {comparison['params']['churn']:.0%} "
-            f"churn{scale_note}"
-        )
-        if args.check and (violations_speedup is None or violations_speedup < 5.0):
-            raise SystemExit(
-                f"--check failed: incremental violation-check speedup "
-                f"{violations_speedup} < 5.0"
-            )
-    if "revision" in report and report["revision"].get("comparison"):
-        comparison = report["revision"]["comparison"]
-        revision_speedup = comparison["speedup_revision_vs_naive"]
-        scale_rows = report["revision"].get("scale") or []
-        scale_note = ""
-        if scale_rows:
-            largest = max(scale_rows, key=lambda r: r["facts"])
-            scale_note = (
-                f"; at {largest['facts']} facts the operator still revises in "
-                f"{largest['revise_mean_seconds'] * 1000:.0f} ms"
-            )
-        print(
-            f"revision headline: view-backed belief revision is "
-            f"{revision_speedup}x faster than the naive retract-until-consistent "
-            f"baseline on {comparison['facts']} HR facts{scale_note}"
-        )
-        if args.check and (revision_speedup is None or revision_speedup < 5.0):
-            raise SystemExit(
-                f"--check failed: belief-revision speedup "
-                f"{revision_speedup} < 5.0"
-            )
-    if "observability" in report and report["observability"]:
-        obs = report["observability"]
-        print(
-            f"observability headline: no-op instrumentation costs "
-            f"~{obs['noop_overhead_pct']}% of a {obs['model_size']}-fact "
-            f"fixpoint; recording traces costs +{obs['traced_overhead_pct']}%, "
-            f"provenance +{obs['provenance_overhead_pct']}%"
-        )
-        if args.check and obs["noop_overhead_pct"] > 5.0:
-            raise SystemExit(
-                f"--check failed: no-op tracing overhead "
-                f"{obs['noop_overhead_pct']}% > 5%"
-            )
-    if "analysis" in report and report["analysis"].get("lint"):
-        largest = max(report["analysis"]["lint"], key=lambda r: r["facts"])
-        print(
-            f"analysis headline: linting {largest['facts']} "
-            f"{largest['workload']} facts takes "
-            f"{largest['analysis_seconds'] * 1000:.1f} ms, 0 findings"
-        )
-
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0
+    output = args.output or ROOT / (
+        "BENCH_datalog_quick.json" if args.quick else "BENCH_datalog.json"
+    )
+    report = collect(QUICK if args.quick else FULL)
+    output.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {output}")
+    for gate, label, actual, ok in evaluate(report):
+        if gate.kind in (">=", "<=", "=="):
+            print(f"{label} = {actual!r} (gate {gate.kind} {gate.value})"
+                  + ("" if ok else " FAILS"))
+    problems = structure_problems(report) if args.check else []
+    for problem in problems:
+        print(f"--check failed: {problem}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -78,8 +78,7 @@ SECTIONS = [
      ["Tracer", "NoopTracer", "read_trace", "summarize_trace",
       "render_summary"]),
     ("repro.obs.metrics", "Metrics — `repro.obs.metrics`",
-     ["MetricsRegistry", "Counter", "Gauge", "Histogram", "MetricsFacade",
-      "facade_fields"]),
+     ["MetricsRegistry", "Counter", "Gauge", "Histogram"]),
     ("repro.obs.provenance", "Provenance — `repro.obs.provenance`",
      ["ProvenanceRecorder", "Derivation", "derivation_tree",
       "RejectionExplanation", "ProvenanceError"]),

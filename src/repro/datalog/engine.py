@@ -64,6 +64,7 @@ histograms (:mod:`repro.datalog.stats`), refreshed every fixpoint round.
 
 import warnings
 from collections import defaultdict
+from dataclasses import asdict, dataclass
 
 from repro.datalog.analyze import (
     analyze_program,
@@ -88,7 +89,7 @@ from repro.exceptions import (
 )
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter, Variable
-from repro.obs.metrics import MetricsFacade, MetricsRegistry, facade_fields
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceError, ProvenanceRecorder, derivation_tree
 from repro.obs.tracing import NOOP_TRACER
 from repro.semantics.worlds import World
@@ -102,8 +103,8 @@ CHECK_MODES = ("off", "warn", "strict")
 MAGIC_MODEL_CACHE_SIZE = 32
 
 
-@facade_fields
-class EvaluationStatistics(MetricsFacade):
+@dataclass
+class EvaluationStatistics:
     """Counters describing one fixpoint computation.
 
     ``rule_applications`` counts actual join passes executed: one per rule
@@ -112,22 +113,14 @@ class EvaluationStatistics(MetricsFacade):
     skipped because the delta holds no fact of the pass's predicate are
     tallied separately in ``delta_passes_skipped``.
 
-    A façade over :class:`~repro.obs.metrics.Counter` instruments (see
-    :class:`~repro.obs.metrics.MetricsFacade`): field reads and writes go to
-    ``engine.<field>`` counters of the owning engine's registry, so the same
-    numbers appear in :meth:`DatalogEngine.metrics` — while construction,
-    field access, equality and ``repr`` behave exactly as the dataclass this
-    replaced.
+    :meth:`DatalogEngine.metrics` reports the fields as ``engine.<field>``.
     """
 
-    FIELDS = (
-        "iterations",
-        "rule_applications",
-        "facts_derived",
-        "strata",
-        "delta_passes_skipped",
-    )
-    PREFIX = "engine."
+    iterations: int = 0
+    rule_applications: int = 0
+    facts_derived: int = 0
+    strata: int = 0
+    delta_passes_skipped: int = 0
 
 
 class QueryResult(list):
@@ -213,8 +206,8 @@ class DatalogEngine:
     only) records one rule-level derivation edge per derived fact during
     evaluation, enabling :meth:`explain`; it is off by default because the
     edge store is O(derived facts).  :meth:`metrics` snapshots the
-    engine's metrics registry, which the ``statistics`` façade and the
-    ``query.*`` counters share.
+    ``statistics`` of the last evaluation and the engine's cumulative
+    ``query.*`` counters.
     """
 
     def __init__(self, program, strategy="indexed", check="warn",
@@ -233,7 +226,7 @@ class DatalogEngine:
         self.interner = Interner()
         self._compiled_cache = {}
         self._metrics = MetricsRegistry()
-        self.statistics = EvaluationStatistics(registry=self._metrics)
+        self.statistics = EvaluationStatistics()
         self.planner_statistics = JoinStatistics()
         # Provenance: one derivation edge per derived fact, recorded only
         # while _provenance_sink is armed (the engine's own fixpoints).
@@ -591,14 +584,13 @@ class DatalogEngine:
 
     # -- observability ------------------------------------------------------
     def _begin_evaluation(self):
-        """Reset the per-evaluation state: a *fresh* statistics façade over
-        the engine's registry (callers detect "a fixpoint ran" by object
-        identity, so the façade object must change even though the counters
-        it fronts are shared), a fresh planner snapshot, and — with
+        """Reset the per-evaluation state: a *fresh* statistics object
+        (callers detect "a fixpoint ran" by object identity), a fresh
+        planner snapshot, and — with
         provenance on — a fresh edge store with the recording sink armed
         (the caller disarms it when the fixpoint ends, so joins run on
         behalf of other machinery never record)."""
-        self.statistics = EvaluationStatistics(registry=self._metrics)
+        self.statistics = EvaluationStatistics()
         self.planner_statistics = JoinStatistics()
         if self.provenance:
             self._provenance = ProvenanceRecorder()
@@ -607,10 +599,13 @@ class DatalogEngine:
 
     def metrics(self):
         """One flat snapshot of every instrument of this engine's
-        :class:`~repro.obs.metrics.MetricsRegistry`: the fixpoint counters
-        behind ``engine.statistics`` (``engine.*``) and the cumulative query
-        counters (``query.*``)."""
-        return self._metrics.snapshot()
+        :class:`~repro.obs.metrics.MetricsRegistry` (the cumulative query
+        counters, ``query.*``) merged with the fields of
+        ``engine.statistics`` (``engine.*``), in name order."""
+        snapshot = self._metrics.snapshot()
+        for field, value in asdict(self.statistics).items():
+            snapshot[f"engine.{field}"] = value
+        return dict(sorted(snapshot.items()))
 
     def explain(self, atom):
         """The derivation tree of a ground *atom* of the least model — a

@@ -16,9 +16,8 @@ package gives every layer one vocabulary for both:
   (``python -m repro.obs summarize trace.jsonl`` renders a per-operation
   count/total/p50/p99 tree);
 * :mod:`repro.obs.metrics` — a registry of named counters, gauges and
-  histograms that the existing statistics object
-  (:class:`~repro.datalog.engine.EvaluationStatistics`) is a thin façade
-  over, snapshot-able via ``DatalogEngine.metrics()`` /
+  histograms, snapshot-able via ``DatalogEngine.metrics()`` (which merges
+  in the engine's :class:`~repro.datalog.engine.EvaluationStatistics`) /
   ``EpistemicDatabase.metrics()``;
 * :mod:`repro.obs.provenance` — rule-level derivation edges recorded
   during indexed/columnar fixpoints (``provenance=True``, off by
@@ -28,9 +27,9 @@ package gives every layer one vocabulary for both:
 
 Everything here is dependency-free and off by default: an engine built
 without a tracer uses the shared :data:`~repro.obs.tracing.NOOP_TRACER`
-singleton, and the ``observability`` section of
-``benchmarks/run_bench.py`` guards that the no-op instrumentation costs
-at most 5% of a fixpoint.
+singleton, and ``benchmarks/check_bench.py`` gates the ``observability``
+section of ``BENCH_datalog.json``: the no-op instrumentation costs at most
+5% of a fixpoint.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

@@ -3,12 +3,10 @@
 One :class:`MetricsRegistry` per instrumented object (a
 :class:`~repro.datalog.engine.DatalogEngine`, an
 :class:`~repro.db.database.EpistemicDatabase`) holds every number that
-object reports.  The pre-existing statistics surfaces —
-``engine.statistics``, the :class:`~repro.datalog.engine.QueryResult`
-counters — are thin façades over registry instruments (see
-:class:`MetricsFacade`), so the public APIs are unchanged while
-``engine.metrics()`` / ``db.metrics()`` give one flat snapshot of
-everything.
+object reports; ``engine.metrics()`` / ``db.metrics()`` give one flat
+snapshot of everything (the engine merges the plain
+:class:`~repro.datalog.engine.EvaluationStatistics` of its last
+evaluation in as ``engine.*``).
 
 Instruments are plain mutable objects, not locks-and-atomics: the
 evaluation machinery is single-threaded, so the registry does not pay for
@@ -33,7 +31,7 @@ class Counter:
         return self.value
 
     def reset(self, value=0):
-        """Set the value (fresh-evaluation semantics of the façades)."""
+        """Set the value (default 0)."""
         self.value = value
 
     def __repr__(self):
@@ -158,69 +156,3 @@ class MetricsRegistry:
     def __repr__(self):
         return f"MetricsRegistry({len(self._instruments)} instruments)"
 
-
-def _facade_property(field):
-    def getter(self):
-        return self._counters[field].value
-
-    def setter(self, value):
-        self._counters[field].value = value
-
-    getter.__name__ = field
-    return property(getter, setter, doc=f"The ``{field}`` counter (registry-backed).")
-
-
-class MetricsFacade:
-    """Base class for the statistics façades: dataclass-like objects whose
-    integer fields are :class:`Counter` instruments in a registry.
-
-    Subclasses set ``FIELDS`` (the counter names, in declaration order)
-    and ``PREFIX`` (the registry namespace).  Construction mirrors the
-    dataclasses these replaced: keyword arguments seed field values, a
-    fresh façade resets its counters to those seeds (the engines build a
-    fresh façade per evaluation, which is what resets the registry), and
-    equality / ``repr`` compare and render by value, so existing tests and
-    callers — including cross-engine ``statistics == statistics``
-    comparisons — behave exactly as before.
-    """
-
-    FIELDS = ()
-    PREFIX = ""
-    __slots__ = ("_counters",)
-
-    def __init__(self, registry=None, **fields):
-        unknown = set(fields) - set(type(self).FIELDS)
-        if unknown:
-            raise TypeError(f"unexpected field(s): {', '.join(sorted(unknown))}")
-        if registry is None:
-            registry = MetricsRegistry()
-        prefix = type(self).PREFIX
-        counters = {}
-        for field in type(self).FIELDS:
-            counter = registry.counter(f"{prefix}{field}")
-            counter.reset(fields.get(field, 0))
-            counters[field] = counter
-        object.__setattr__(self, "_counters", counters)
-
-    def as_dict(self):
-        """Field name -> current value (the value face of the façade)."""
-        return {field: self._counters[field].value for field in type(self).FIELDS}
-
-    def __eq__(self, other):
-        if isinstance(other, MetricsFacade):
-            return self.as_dict() == other.as_dict()
-        if isinstance(other, dict):
-            return self.as_dict() == other
-        return NotImplemented
-
-    def __repr__(self):
-        rendered = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"{type(self).__name__}({rendered})"
-
-
-def facade_fields(cls):
-    """Class decorator installing one registry-backed property per name in
-    ``cls.FIELDS`` (applied to the façade subclasses at definition time)."""
-    for field in cls.FIELDS:
-        setattr(cls, field, _facade_property(field))
-    return cls

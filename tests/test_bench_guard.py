@@ -1,22 +1,21 @@
 """Wire ``benchmarks/check_bench.py`` into the tier-1 verify flow.
 
 The committed ``BENCH_datalog.json`` is the perf trajectory future PRs diff
-against; these tests fail when it goes stale (a strategy, the incremental
-mode, the magic-set query section, the static-analysis section, the
-violation-view constraints section or the belief-revision section is
-missing, model/answer/verdict/result
-agreement was not verified, the no-op tracing overhead of the observability
-section rose above its 5% cap, the incremental speedup slipped below its 10x target or a
-one-fact apply on a 10x larger EDB cost more than 2x as much, the
-magic point-query speedup below its 5x target or the
-incremental constraint-checking or belief-revision speedups below their 5x
-targets, or cells were
-timed with fewer than 3 repeats) or when indexed evaluation, magic-set
-querying, incremental
-constraint checking or belief revision regresses more than 2x against the
-committed ratios on a quick re-measurement.
+against.  ``check_bench.GATES`` is the one table of what it must hold —
+every strategy on every matrix row, agreement verified in every section,
+each headline ratio at its target (indexed >= 5x semi-naive, incremental
+apply >= 10x recomputation and flat within 2x on a 10x EDB, magic point
+queries >= 5x full materialization, view-backed constraint checking and
+belief revision >= 5x their from-scratch baselines, no-op tracing <= 5%),
+the fields each section records, best-of-3 timing.  These tests fail when
+the file breaks a gate, check that every gate fails on a report perturbed
+just past it, run every section runner of ``benchmarks/run_bench.py`` at
+toy size to show the producer still writes every field the committed file
+has, and (``slow``) re-measure the committed comparison ratios, failing on
+a regression of more than 2x.
 """
 
+import copy
 import importlib.util
 import pathlib
 import sys
@@ -24,12 +23,18 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location(
-    "check_bench", ROOT / "benchmarks" / "check_bench.py"
-)
-check_bench = importlib.util.module_from_spec(_SPEC)
-sys.modules["check_bench"] = check_bench
-_SPEC.loader.exec_module(check_bench)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+check_bench = _load("check_bench")
+run_bench = _load("run_bench")  # imports check_bench, registered above
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +48,122 @@ def report():
 def test_bench_file_is_fresh(report):
     problems = check_bench.structure_problems(report)
     assert not problems, "; ".join(problems)
+
+
+def _last_place(node, path):
+    """``(label, container, key)`` of the last place *path* selects — walked
+    here, not by ``check_bench.select``, so a selector that skips rows fails."""
+    label = ""
+    segments = path.split(".")
+    for depth, segment in enumerate(segments):
+        name, _, index = segment.partition("[")
+        label = f"{label}.{name}" if label else name
+        container, key = node, name
+        if index:
+            rows = node[name]
+            if index == "max]":
+                at = max(range(len(rows)), key=lambda i: rows[i]["facts"])
+            else:
+                at = len(rows) - 1
+            container, key, label = rows, at, f"{label}[{at}]"
+        if depth < len(segments) - 1:
+            node = container[key]
+    return label, container, key
+
+
+def _perturbed(report, gate):
+    """A copy of *report* moved just past *gate* at the last place it
+    selects, and that place's label."""
+    stale = copy.deepcopy(report)
+    label, container, key = _last_place(stale, gate.path)
+    if gate.kind == "present":
+        del container[key]
+    elif gate.kind == "not-null":
+        container[key] = None
+    elif gate.kind in ("truthy", "non-empty"):
+        container[key] = type(container[key])()
+    elif gate.kind == ">=":
+        container[key] = gate.value - 0.01
+    elif gate.kind == "<=":
+        container[key] = gate.value + 0.01
+    else:
+        container[key] = gate.value + 1
+    return stale, label
+
+
+@pytest.mark.parametrize(
+    "gate", check_bench.GATES, ids=[f"{g.path} {g.kind}" for g in check_bench.GATES]
+)
+def test_every_gate_fails_just_past_its_value(report, gate):
+    stale, label = _perturbed(report, gate)
+    message = gate.message.format(value=gate.value)
+    assert any(
+        problem.startswith(f"{label} is ") and problem.endswith(message)
+        for problem in check_bench.structure_problems(stale)
+    )
+
+
+def test_run_bench_check_exits_nonzero_on_a_stale_report(report, monkeypatch, tmp_path):
+    output = tmp_path / "bench.json"
+    monkeypatch.setattr(run_bench, "collect", lambda sizes: {**report, "repeats": 1})
+    assert run_bench.main(["--check", "--output", str(output)]) == 1
+    assert check_bench.load_report(output)["repeats"] == 1
+    monkeypatch.setattr(run_bench, "collect", lambda sizes: report)
+    assert run_bench.main(["--check", "--output", str(output)]) == 0
+
+
+def _key_paths(node, prefix=""):
+    paths = {prefix}
+    if isinstance(node, dict):
+        for key, value in node.items():
+            paths |= _key_paths(value, f"{prefix}.{key}")
+    elif isinstance(node, list):
+        for value in node:
+            paths |= _key_paths(value, f"{prefix}[]")
+    return paths
+
+
+TOY_SIZES = {
+    "matrix": [
+        ("transitive_closure", run_bench.transitive_closure_program,
+         [dict(chains=5, length=3)]),
+        ("same_generation", run_bench.same_generation_program,
+         [dict(depth=3, branching=2)]),
+        ("join_chain", run_bench.join_chain_program, [dict(relations=2, rows=10)]),
+    ],
+    "incremental": dict(chains=10, length=3, batches=2),
+    "flatness": dict(chains=10, applies=4),
+    "query": [dict(depth=3, branching=2)],
+    "analysis": dict(
+        lint_grid=[
+            ("transitive_closure", run_bench.transitive_closure_program,
+             dict(chains=5, length=3)),
+            ("same_generation", run_bench.same_generation_program,
+             dict(depth=3, branching=2)),
+        ],
+        dead_rules=2,
+        pruning_params=dict(chains=5, length=3),
+    ),
+    "violations": dict(
+        comparison=dict(employees=3, batches=2, churn=0.01),
+        scale_grid=[dict(employees=20, batches=2, churn=0.01)],
+    ),
+    "revision": dict(
+        comparison=dict(employees=3, steps=2, conflict_ratio=1.0),
+        scale_grid=[dict(employees=20, steps=2, conflict_ratio=0.8)],
+    ),
+    "observability": dict(chains=3, length=3),
+}
+
+
+def test_every_section_runner_writes_the_committed_layout(report):
+    toy = run_bench.collect(TOY_SIZES)
+    for gate, label, actual, ok in check_bench.evaluate(toy):
+        # toy sizes may miss a target, but never a field
+        assert ok or (gate.kind in (">=", "<=") and isinstance(actual, (int, float))), (
+            f"{label} is {actual!r}: {gate.message}"
+        )
+    assert _key_paths(report) <= _key_paths(toy)
 
 
 def test_structure_check_catches_missing_incremental(report):
@@ -286,23 +407,23 @@ def test_structure_check_catches_spanless_observability_run(report):
 
 @pytest.mark.slow
 def test_indexed_speedup_has_not_regressed(report):
-    problems = check_bench.regression_problems(report)
+    problems = check_bench.regression_problems(report, "indexed")
     assert not problems, "; ".join(problems)
 
 
 @pytest.mark.slow
 def test_magic_query_speedup_has_not_regressed(report):
-    problems = check_bench.query_regression_problems(report)
+    problems = check_bench.regression_problems(report, "query")
     assert not problems, "; ".join(problems)
 
 
 @pytest.mark.slow
 def test_incremental_constraint_checking_has_not_regressed(report):
-    problems = check_bench.violations_regression_problems(report)
+    problems = check_bench.regression_problems(report, "violations")
     assert not problems, "; ".join(problems)
 
 
 @pytest.mark.slow
 def test_belief_revision_speedup_has_not_regressed(report):
-    problems = check_bench.revision_regression_problems(report)
+    problems = check_bench.regression_problems(report, "revision")
     assert not problems, "; ".join(problems)

@@ -3,9 +3,9 @@
 Four kinds of guarantees are pinned here:
 
 * **units** — the tracer (nesting, thread parenting, export/replay, the
-  summarize aggregation), the metrics registry (instrument semantics, the
-  façade discipline the statistics objects now live on) and the provenance
-  store (first-wins edges, iterative tree building, cycle detection);
+  summarize aggregation), the metrics registry (instrument semantics) and
+  the provenance store (first-wins edges, iterative tree building, cycle
+  detection);
 * **correctness** — ``engine.explain(atom)`` returns a derivation tree
   whose every rule instance *re-evaluates* against the least model
   (matching substitution exists, positive premises hold, negated premises
@@ -16,8 +16,8 @@ Four kinds of guarantees are pinned here:
   query answer and no statistic, under the indexed engine and the
   ``semi-naive`` oracle (hypothesis property), and the no-op default records
   exactly zero entries (directed);
-* **pinning** — the registry-backed counters report the same numbers the
-  pre-façade dataclasses did on a fixed workload (regression).
+* **pinning** — ``engine.statistics`` and ``engine.metrics()`` report
+  fixed numbers on a fixed workload (regression).
 """
 
 import json
@@ -49,7 +49,6 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.metrics import MetricsFacade, facade_fields
 from repro.obs.tracing import render_summary
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -139,29 +138,6 @@ def test_registry_create_on_first_use_and_type_guard():
     assert snap["a.z"]["count"] == 1
     assert registry.snapshot(prefix="a.x") == {"a.x": 2}
     assert "a.x" in registry and "nope" not in registry
-
-
-def test_facade_reads_and_writes_registry():
-    @facade_fields
-    class Demo(MetricsFacade):
-        FIELDS = ("hits", "misses")
-        PREFIX = "demo."
-
-    registry = MetricsRegistry()
-    facade = Demo(registry=registry, hits=3)
-    assert facade.hits == 3 and facade.misses == 0
-    facade.misses += 2
-    assert registry.counter("demo.misses").value == 2
-    registry.counter("demo.hits").inc()
-    assert facade.hits == 4
-    assert facade == {"hits": 4, "misses": 2}
-    assert facade == Demo(registry=MetricsRegistry(), hits=4, misses=2)
-    assert "hits=4" in repr(facade)
-    with pytest.raises(TypeError):
-        Demo(bogus=1)
-    # A fresh façade on the same registry resets the shared counters.
-    fresh = Demo(registry=registry)
-    assert fresh.hits == 0 and registry.counter("demo.hits").value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +408,7 @@ def sorted_items(binding):
 
 
 # ---------------------------------------------------------------------------
-# counter pinning (regression: façades report the dataclass numbers)
+# counter pinning (regression: statistics and metrics() report fixed numbers)
 # ---------------------------------------------------------------------------
 
 def test_fixed_workload_counters_are_pinned():
