@@ -22,15 +22,17 @@ at its target, the fields each section records, and best-of-3 timing — a PR
 that adds a mode or strategy without re-running ``run_bench.py`` fails here.
 
 *Regression* (``regression_problems``): each entry of :data:`REMEASURES`
-re-times one committed comparison row — its slow side once, its fast side
-best-of-3 — and fails when the measured speedup falls below the committed
-one divided by ``REGRESSION_TOLERANCE``.  Comparing *ratios* keeps the check
+re-times one committed comparison row — both sides with :func:`best_of`,
+the timer ``run_bench.py`` records its cells with — and fails when the
+measured speedup falls below the committed one divided by
+``REGRESSION_TOLERANCE``.  Comparing *ratios* keeps the check
 machine-independent; the 2x tolerance absorbs scheduler noise.  By default
 only rows whose committed slow side is under the entry's cap are re-timed,
 so every test run stays quick (``--full`` lifts the caps).
 """
 
 import argparse
+import gc
 import json
 import pathlib
 import sys
@@ -59,6 +61,25 @@ from repro.workloads.generators import (  # noqa: E402
 BENCH_PATH = ROOT / "BENCH_datalog.json"
 #: measured speedup may be at most this factor below the committed one
 REGRESSION_TOLERANCE = 2.0
+#: timed runs per cell; every recorded ``seconds`` is the best of this many
+REPEATS = 3
+
+
+def best_of(prepare, repeats=REPEATS):
+    """``(seconds, result)`` of the fastest of *repeats* runs.  Each run calls
+    ``prepare()`` untimed (so a fresh program, engine or index is built for
+    every run) and times the call it returns; the cyclic collector runs
+    before each timed call so one run's garbage is never charged to the
+    next."""
+    best = result = None
+    for _ in range(repeats):
+        call = prepare()
+        gc.collect()
+        start = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
 
 
 class _Missing:
@@ -263,7 +284,7 @@ def _tc_pair(row):
         engine = DatalogEngine(transitive_closure_program(**row["params"]), strategy=strategy)
         return engine.least_model
 
-    return lambda: run("semi-naive"), lambda i: run("indexed")
+    return lambda: run("semi-naive"), lambda: run("indexed")
 
 
 def _query_pair(row):
@@ -273,7 +294,7 @@ def _query_pair(row):
         engine = DatalogEngine(same_generation_program(**row["params"]))
         return partial(engine.query, goal, mode=mode)
 
-    return lambda: run("full"), lambda i: run("magic")
+    return lambda: run("full"), lambda: run("magic")
 
 
 def _hr_database(employees):
@@ -294,28 +315,29 @@ def _violations_pair(row):
         database._checker.check_update, database.sentences(), added=insertions,
         removed=deletions, constraints=database.constraints(),
     )
-    return lambda: scratch, lambda i: partial(view.preview_report, insertions, deletions)
+    return lambda: scratch, lambda: partial(view.preview_report, insertions, deletions)
 
 
 def _revision_pair(row):
     params = row["params"]
     facts, database, _ = _hr_database(params["employees"])
     revisor = database.revision()
-    # Three *distinct* conflicting steps: re-revising one sentence is a
-    # vacuous no-op and would flatter the operator.  Each flip is the same
-    # work — one conflict, one retraction.  The naive side (seconds per
-    # from-scratch probe) revises the first step on the pristine facts.
+    # One *distinct* conflicting step per timed run: re-revising one
+    # sentence is a vacuous no-op and would flatter the operator.  Each flip
+    # is the same work — one conflict, one retraction.  The naive side
+    # (seconds per from-scratch probe) revises the first step on the
+    # pristine facts.
     steps = [sentence for sentence, _ in iterated_revision_stream(
-        entities=params["employees"], steps=3, conflict_ratio=1.0
+        entities=params["employees"], steps=REPEATS, conflict_ratio=1.0
     )]
     naive = partial(naive_revise, facts, database.constraints(), steps[0])
-    return lambda: naive, lambda i: partial(revisor.revise, steps[i])
+    return lambda: naive, iter([partial(revisor.revise, step) for step in steps]).__next__
 
 
 #: one regression re-measure: the committed comparison rows, the slow and
 #: fast timing fields of a row, the cap on the committed slow field (seconds)
-#: and ``pair(row) -> (slow, fast)``, whose ``slow()`` / ``fast(i)`` set up
-#: untimed and return the call to time
+#: and ``pair(row) -> (slow, fast)``, two :func:`best_of` *prepare*
+#: callables that set up untimed and return the call to time
 Remeasure = namedtuple("Remeasure", "name rows workload slow fast cap pair")
 
 REMEASURES = {
@@ -337,12 +359,6 @@ REMEASURES = {
         "naive_mean_seconds", "operator_mean_seconds", 5.0, _revision_pair,
     ),
 }
-
-
-def _elapsed(call):
-    start = time.perf_counter()
-    call()
-    return time.perf_counter() - start
 
 
 def regression_problems(report, *names, full=False):
@@ -372,8 +388,7 @@ def regression_problems(report, *names, full=False):
         row = max(rows, key=lambda r: r.get("facts", 0))
         committed = value_at(row, entry.slow) / max(value_at(row, entry.fast), 1e-9)
         slow, fast = entry.pair(row)
-        fast_seconds = min(_elapsed(fast(i)) for i in range(3))
-        measured = _elapsed(slow()) / max(fast_seconds, 1e-9)
+        measured = best_of(slow)[0] / max(best_of(fast)[0], 1e-9)
         if measured < committed / REGRESSION_TOLERANCE:
             problems.append(
                 f"{entry.name} regressed: measured speedup {measured:.1f}x vs "

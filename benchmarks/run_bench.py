@@ -23,7 +23,8 @@ model.  Then, one section each:
 * ``observability`` — the fixpoint with no-op, recording and provenance
   tracing.
 
-Timed cells are best-of-3 (``best_of``); peak memory is measured with
+Timed cells are best-of-3 (``check_bench.best_of``, the timer the
+regression re-measures share); peak memory is measured with
 tracemalloc in a separate pass (``peak_kb``).  The JSON it writes is the
 perf trajectory future PRs diff against; ``benchmarks/check_bench.py`` holds
 the gates it must pass.
@@ -54,7 +55,7 @@ from functools import partial
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from check_bench import evaluate, structure_problems  # noqa: E402
+from check_bench import REPEATS, best_of, evaluate, structure_problems  # noqa: E402
 
 from repro.datalog.analyze import analyze_program  # noqa: E402
 from repro.datalog.engine import STRATEGIES, DatalogEngine  # noqa: E402
@@ -69,27 +70,8 @@ from repro.workloads.generators import (  # noqa: E402
     update_stream,
 )
 
-#: timed runs per cell; every recorded ``seconds`` is the best of this many
-REPEATS = 3
 #: skip the naive strategy above this many facts
 NAIVE_CAP = 600
-
-
-def best_of(prepare, repeats=REPEATS):
-    """``(seconds, result)`` of the fastest of *repeats* runs.  Each run calls
-    ``prepare()`` untimed (so a fresh program, engine or index is built for
-    every run) and times the call it returns; the cyclic collector runs
-    before each timed call so one run's garbage is never charged to the
-    next."""
-    best = result = None
-    for _ in range(repeats):
-        call = prepare()
-        gc.collect()
-        start = time.perf_counter()
-        result = call()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
 
 
 def peak_kb(run):

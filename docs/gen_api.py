@@ -64,7 +64,7 @@ SECTIONS = [
     ("repro.db.base", "Belief base — `repro.db.base`",
      ["BeliefBase", "is_ground_atom"]),
     ("repro.db.view", "Database views — `repro.db.view`",
-     ["DatalogView"]),
+     ["MaintainedView", "DatalogView"]),
     ("repro.revision.operators", "Belief revision — `repro.revision.operators`",
      ["BeliefRevisor", "RevisionResult"]),
     ("repro.revision.entrenchment", "Entrenchment — `repro.revision.entrenchment`",

@@ -6,8 +6,10 @@ A :class:`ViolationView` compiles the constraint set with
 :mod:`repro.constraints.compile` and materializes the resulting
 ``__violation__<id>(witness...)`` rules through a
 :class:`~repro.datalog.incremental.MaterializedModel` over the database's
-ground-atomic EDB, subscribed to the PR 3 update listeners.  Checking then
-becomes a read:
+ground-atomic EDB.  The view is one of the database's maintained views
+(:class:`~repro.db.view.MaintainedView`): every write stages its net EDB
+change on the violation model before the base changes and commits it right
+after.  Checking then becomes a read:
 
 * :meth:`check` probes the maintained violation buckets — O(touched
   buckets), no evaluation;
@@ -15,12 +17,12 @@ becomes a read:
   side-effect-free O(delta) staged check: the batch is maintained into the
   violation model, the buckets are read, and the batch is rolled back;
 * the database's incremental check is the same staged check, except that
-  an accepted batch is *committed* instead of rolled back — it is
-  maintained once, and the update listener that follows only reconciles
-  the model with the base (a net no-op unless an earlier listener changed
-  the base again);
-* :meth:`add_delta_listener` streams *net violation deltas* (constraint id →
-  witness tuples appearing/disappearing) to subscribers —
+  the batch stays staged: the database rolls it back on a rejection and
+  otherwise commits it together with every other maintained view once the
+  base holds the write, so an accepted batch is maintained once;
+* :meth:`add_delta_listener` streams each committed batch's *net violation
+  deltas* (constraint id → witness tuples appearing/disappearing) to
+  subscribers, after every maintained view has committed —
   :class:`~repro.constraints.triggers.TriggerManager` fires off these instead
   of polling.
 
@@ -49,10 +51,8 @@ from repro.constraints.compile import (
     CompilationFallback,
     compile_constraints,
 )
-from repro.datalog.incremental import MaterializedModel
 from repro.datalog.program import DatalogProgram
-from repro.db.base import is_ground_atom
-from repro.db.view import _edb_update, _ground_atoms
+from repro.db.view import MaintainedView, _ground_atoms
 from repro.logic.substitution import substitute
 from repro.obs.tracing import NOOP_TRACER
 from repro.logic.syntax import (
@@ -142,19 +142,7 @@ def violation_support(constraint, witness=()):
     return tuple(support)
 
 
-_NO_CHANGE = (frozenset(), frozenset())
-
-
-def _compose(first, second):
-    """The net ``(added, removed)`` of two consecutive model changes."""
-    (added, removed), (then_added, then_removed) = first, second
-    return (
-        (added - then_removed) | (then_added - removed),
-        (removed - then_added) | (then_removed - added),
-    )
-
-
-class ViolationView:
+class ViolationView(MaintainedView):
     """A continuously maintained map from constraints to their violations.
 
     Example::
@@ -173,24 +161,19 @@ class ViolationView:
     :class:`~repro.constraints.checker.IntegrityChecker` used for fallback
     constraints (the database passes its own so strategy/config agree).
 
-    The view stays subscribed to the database until :meth:`close`.
+    The view stays attached to the database until :meth:`close`.
     """
 
     def __init__(self, database, constraints=None, config=None, checker=None):
-        self._database = database
         active = list(database.constraints() if constraints is None else constraints)
         self._constraints = active
         self._compiled_set = compile_constraints(active)
-        self._by_id = {c.constraint_id: c for c in self._compiled_set.compiled}
         self._by_predicate = self._compiled_set.by_predicate()
         config = database.config if config is None else config
         self._checker = checker if checker is not None else IntegrityChecker(
             constraints=active, config=config
         )
         self._delta_listeners = []
-        # Derived changes committed by a staged check and not yet delivered
-        # to the delta listeners.
-        self._undelivered = _NO_CHANGE
 
         program = DatalogProgram()
         for rule in self._compiled_set.rules():
@@ -199,20 +182,14 @@ class ViolationView:
             program.declare_output(compiled.predicate, len(compiled.witnesses))
         for sentence in dict.fromkeys(_ground_atoms(database.base)):
             program.add_fact(sentence)
-        self._materialized = MaterializedModel(program)
+        super().__init__(database, program)
         # Maintenance rounds driven by this view show up in the database's
         # trace (the wrapped engine defaults to the no-op tracer).
         self._materialized.engine.tracer = getattr(
             database, "tracer", self._materialized.engine.tracer
         )
-        database.add_update_listener(self._on_update)
 
     # -- introspection ------------------------------------------------------
-    @property
-    def materialized(self):
-        """The underlying :class:`~repro.datalog.incremental.MaterializedModel`."""
-        return self._materialized
-
     @property
     def compiled(self):
         """The :class:`~repro.constraints.compile.CompiledConstraintSet`."""
@@ -246,7 +223,6 @@ class ViolationView:
         tracer = getattr(self._database, "tracer", NOOP_TRACER)
         with tracer.span("violations.check"):
             return self._report(
-                lambda compiled: self._read_witnesses(self._materialized, compiled),
                 self._database.sentences,
                 self._database.base.nonatomic_predicates(),
                 with_witnesses=with_witnesses,
@@ -256,45 +232,30 @@ class ViolationView:
     def preview_report(self, additions=(), retractions=(), with_witnesses=True,
                        witness_limit=None):
         """The report :meth:`check` would produce if the batch were applied —
-        computed as a side-effect-free O(delta) staged check: the batch is
-        maintained into the violation model, the violation buckets are
+        computed as a side-effect-free O(delta) staged check: a
+        :meth:`~repro.datalog.incremental.MaterializedModel.peek` maintains
+        the batch into the violation model, the violation buckets are
         probed and the report built while it is staged, and the batch is
         then rolled back, so neither the maintained state nor the planner
         changes and no full model is ever built."""
-        return self._staged_report(
-            additions, retractions, keep=False, with_witnesses=with_witnesses,
-            witness_limit=witness_limit,
-        )
+        additions, retractions = list(additions), list(retractions)
+        arriving, gone = self._database.base.net_change(additions, retractions)
+        with self._preview_span(additions, retractions):
+            return self._materialized.peek(
+                _ground_atoms(arriving), _ground_atoms(gone),
+                reader=lambda _: self._staged_report(
+                    additions, retractions, arriving, gone,
+                    with_witnesses=with_witnesses, witness_limit=witness_limit,
+                ),
+            )
 
     def violations(self):
         """The current violations as ``{constraint_id: (witness, ...)}`` —
         compiled constraints only, read straight off the maintained index."""
         return {
-            compiled.constraint_id: self._read_witnesses(self._materialized, compiled)
+            compiled.constraint_id: self._read_witnesses(compiled)
             for compiled in self._compiled_set.compiled
         }
-
-    def retraction_candidates(self, report, protected=()):
-        """Map each violation of *report* to the database sentences it rests
-        on: for every witness, :func:`violation_support` instantiates the
-        constraint's violation body and the atoms currently present in the
-        database (minus *protected*) are returned, ordered and de-duplicated.
-        This is the raw material of minimal-retraction planning — the
-        belief-revision layer picks the least entrenched of these."""
-        protected_set = set(protected)
-        candidates = []
-        seen = set()
-        for violation in report.violations:
-            for witness in violation.witnesses or ((),):
-                for pattern in violation_support(violation.constraint, witness):
-                    if not is_ground_atom(pattern):
-                        continue
-                    if pattern in protected_set or pattern in seen:
-                        continue
-                    if pattern in self._database.base:
-                        seen.add(pattern)
-                        candidates.append(pattern)
-        return tuple(candidates)
 
     # -- delta subscriptions ------------------------------------------------
     def add_delta_listener(self, listener):
@@ -310,80 +271,61 @@ class ViolationView:
         """Unsubscribe a previously added delta listener."""
         self._delta_listeners.remove(listener)
 
-    # -- lifecycle ------------------------------------------------------------
-    def close(self):
-        """Unsubscribe from the database; the view stops updating."""
-        self._database.remove_update_listener(self._on_update)
-
     # -- internals ------------------------------------------------------------
-    def _staged_report(self, additions, retractions, keep, with_witnesses=True,
-                       witness_limit=None):
-        """Stage the batch's net EDB change on the violation model and build
-        the report from the staged buckets.  Without *keep* this is a
-        :meth:`~repro.datalog.incremental.MaterializedModel.peek`: the
-        batch is always rolled back.  With *keep* (the database's
-        incremental check, which changes the base right after), a satisfied
-        batch is committed, and its violation deltas go out with the update
-        listener that follows; an unsatisfied one, or anything raised while
-        staged, is rolled back."""
-        additions, retractions = list(additions), list(retractions)
-        base = self._database.base
-        arriving, gone = base.net_change(additions, retractions)
-        insertions, deletions = _ground_atoms(arriving), _ground_atoms(gone)
-        materialized = self._materialized
-
-        def build(model):
-            return self._report(
-                lambda compiled: self._read_witnesses(model, compiled),
-                # Only materialized when a fallback constraint actually
-                # needs a from-scratch check.
-                lambda: base.updated(additions, retractions),
-                base.nonatomic_predicates(arriving, gone),
-                with_witnesses=with_witnesses,
-                witness_limit=witness_limit,
-            )
-
-        tracer = getattr(self._database, "tracer", NOOP_TRACER)
-        with tracer.span(
-            "violations.preview",
-            additions=len(additions),
-            retractions=len(retractions),
-        ):
-            if not keep:
-                return materialized.peek(insertions, deletions, reader=build)
-            materialized._stage(insertions, deletions)
+    def _stage_check(self, additions, retractions, arriving, gone):
+        """The database's incremental check: stage the batch's net change
+        ``(arriving, gone)`` (of :meth:`~repro.db.base.BeliefBase.net_change`)
+        on the violation model and return the report of the staged state.
+        The batch stays staged for the database to commit with the base or
+        to roll back; if the report cannot be built it is rolled back here,
+        so this returns with the batch staged or raises with nothing
+        staged."""
+        with self._preview_span(additions, retractions):
+            self._materialized._stage(_ground_atoms(arriving), _ground_atoms(gone))
             try:
-                report = build(materialized)
+                return self._staged_report(additions, retractions, arriving, gone)
             except BaseException:
-                materialized._rollback()
+                self._materialized._rollback()
                 raise
-            if not report.satisfied:
-                materialized._rollback()
-                return report
-            result = materialized._commit()
-            self._undelivered = _compose(
-                self._undelivered, (result.derived_added, result.derived_removed)
-            )
-            return report
 
-    def _read_witnesses(self, model, compiled):
+    def _staged_report(self, additions, retractions, arriving, gone,
+                       with_witnesses=True, witness_limit=None):
+        """The report of the base after the batch, read off the violation
+        model while the batch is staged on it."""
+        base = self._database.base
+        return self._report(
+            # Only materialized when a fallback constraint actually needs a
+            # from-scratch check.
+            lambda: base.updated(additions, retractions),
+            base.nonatomic_predicates(arriving, gone),
+            with_witnesses=with_witnesses,
+            witness_limit=witness_limit,
+        )
+
+    def _preview_span(self, additions, retractions):
+        tracer = getattr(self._database, "tracer", NOOP_TRACER)
+        return tracer.span(
+            "violations.preview", additions=len(additions), retractions=len(retractions)
+        )
+
+    def _read_witnesses(self, compiled):
         """All witness tuples of one compiled constraint, sorted, read from
         the (possibly staged) maintained index."""
         goal = Atom(
             compiled.predicate,
             tuple(Variable(f"w{i}") for i in range(len(compiled.witnesses))),
         )
-        answers = model.query(goal, mode="materialized")
+        answers = self._materialized.query(goal, mode="materialized")
         witnesses = {
             tuple(binding[variable] for variable in goal.args) for binding in answers
         }
         return tuple(sorted(witnesses, key=lambda w: tuple(p.name for p in w)))
 
-    def _report(self, read, fallback_theory, nonatomic_names, with_witnesses=True,
+    def _report(self, fallback_theory, nonatomic_names, with_witnesses=True,
                 witness_limit=None):
         """Assemble a :class:`ConstraintReport`: compiled constraints whose
-        predicates stay inside the atomic reading come from the view (via
-        *read*), everything else from the from-scratch checker.
+        predicates stay inside the atomic reading are read off the
+        (possibly staged) violation model, everything else from the from-scratch checker.
         *fallback_theory* is a thunk, only called when a fallback constraint
         actually needs the sentence list."""
         view_constraints, runtime_fallbacks = [], []
@@ -406,7 +348,8 @@ class ViolationView:
                 view_constraints.append(compiled)
 
         view_witnesses = {
-            compiled.constraint_id: read(compiled) for compiled in view_constraints
+            compiled.constraint_id: self._read_witnesses(compiled)
+            for compiled in view_constraints
         }
 
         fallbacks = list(self._compiled_set.fallbacks) + runtime_fallbacks
@@ -451,22 +394,16 @@ class ViolationView:
             fallbacks=tuple(fallbacks),
         )
 
-    def _on_update(self, added, removed):
-        # After a committed check the model already holds the batch, so this
-        # apply is a net no-op unless an earlier listener changed the base.
-        insertions, deletions = _edb_update(self._database.base, added, removed)
-        change, self._undelivered = self._undelivered, _NO_CHANGE
-        if insertions or deletions:
-            result = self._materialized.apply(insertions, deletions)
-            change = _compose(change, (result.derived_added, result.derived_removed))
+    def _deliver(self, result):
+        """Send a committed batch's net violation deltas to the delta
+        listeners, when the violation set changed."""
         if not self._delta_listeners:
             return
-        added_deltas = self._violation_deltas(change[0])
-        removed_deltas = self._violation_deltas(change[1])
-        if not added_deltas and not removed_deltas:
-            return
-        for listener in list(self._delta_listeners):
-            listener(added_deltas, removed_deltas)
+        added = self._violation_deltas(result.derived_added)
+        removed = self._violation_deltas(result.derived_removed)
+        if added or removed:
+            for listener in list(self._delta_listeners):
+                listener(added, removed)
 
     def _violation_deltas(self, derived):
         deltas = {}

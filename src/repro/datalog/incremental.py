@@ -64,8 +64,9 @@ without a fixpoint.  A *rollback* maintains the batch's exact inverse
 for bit) and restores the maintenance counters.  :meth:`MaterializedModel.apply`
 is stage-then-commit; :meth:`MaterializedModel.peek` — "what would the model
 be if this batch were applied?" — is stage, read, rollback, and leaves no
-trace.  The violation view's commit-time check holds a batch staged while it
-reads the violation buckets and lets the database decide.
+trace.  A database holds each write staged on every maintained view (the
+violation view reads its buckets meanwhile) and commits them all once its
+base holds the write, or rolls them all back if the write fails first.
 
 The histograms are snapshotted only when the model is (re)built.  Both
 legs of a staged batch plan against them as they stand; only a commit folds
@@ -96,7 +97,8 @@ from repro.logic.terms import Parameter
 class MaintenanceStatistics:
     """Counters describing the maintenance work done so far.
 
-    ``applies`` counts :meth:`MaterializedModel.apply` calls, ``rounds`` the
+    ``applies`` counts committed batches (:meth:`MaterializedModel.apply`
+    calls and the writes a database commits on its views), ``rounds`` the
     within-component propagation rounds, ``delta_passes`` the executed
     delta-position join passes, ``facts_added`` / ``facts_removed`` the net
     model-level changes, ``overdeleted`` / ``rederived`` the DRed traffic,
@@ -306,7 +308,6 @@ class MaterializedModel:
         :class:`UpdateResult`.
         """
         self._stage(insertions, deletions)
-        self.statistics.applies += 1
         return self._commit()
 
     def peek(self, insertions=(), deletions=(), reader=None):
@@ -473,6 +474,7 @@ class MaterializedModel:
         planned against the old ones.  Returns the :class:`UpdateResult`."""
         edb_added, edb_removed, change, _ = self._staged
         self._staged = None
+        self.statistics.applies += 1
         edb_plus, edb_minus, index_plus, index_minus = change
         facts = self.program.facts
         for atom in edb_removed:

@@ -12,6 +12,11 @@ A thin, stateful orchestration layer over the rest of the package:
 * **integrity constraints** are KFOPCE sentences checked with the same
   machinery (Definition 3.5); updates re-check incrementally and can fire
   procedural triggers;
+* **maintained views** (a :class:`~repro.db.view.DatalogView`, the
+  :meth:`violation_view`) are updated by one staged protocol: each write is
+  staged on every view before the base changes and committed right after,
+  so a write that fails — a violated constraint, or any view raising while
+  it stages — changes neither the base nor any view;
 * ``closed_world()`` returns a closed-world view of the same content
   (Section 7).
 
@@ -29,6 +34,7 @@ from repro.logic.syntax import Formula, free_variables
 from repro.constraints.checker import IntegrityChecker
 from repro.constraints.triggers import TriggerManager
 from repro.db.base import BeliefBase
+from repro.db.view import _ground_atoms
 from repro.cwa.evaluation import ClosedWorldEvaluator
 from repro.evaluator.all_answers import all_answers
 from repro.evaluator.demo import DemoEvaluator
@@ -93,6 +99,7 @@ class EpistemicDatabase:
         self._dirty = True
         self._reducer = None
         self._update_listeners = []
+        self._views = []
         self._revision_epoch = 0
         self._constraint_checking = constraint_checking
         self._violation_view = None
@@ -148,11 +155,10 @@ class EpistemicDatabase:
         *applied* content change — ``tell``, ``retract`` and
         :meth:`~repro.db.transactions.Transaction.commit` (once per batch,
         with the sentences added and the occurrences actually removed).
-        Listeners run once :attr:`base` already holds the new state.
-        Rejected updates, rollbacks and empty batches never notify, which is
-        what keeps derived caches (e.g. a :class:`~repro.db.view.DatalogView`)
-        consistent with committed state only.  Returns the listener for
-        decorator-style use."""
+        Listeners run once :attr:`base` and every maintained view already
+        hold the new state, and after the violation deltas went out.
+        Rejected updates, failed writes, rollbacks and empty batches never
+        notify.  Returns the listener for decorator-style use."""
         self._update_listeners.append(listener)
         return listener
 
@@ -174,19 +180,6 @@ class EpistemicDatabase:
         revision layer stamps it on every
         :class:`~repro.revision.operators.RevisionResult`."""
         return self._revision_epoch
-
-    def _notify_update(self, added, removed):
-        """Tell every registered listener about an applied content change.
-        Called after constraint checking succeeds and before triggers fire,
-        so listeners see the new state before any trigger queries it."""
-        self._revision_epoch += 1
-        self._metrics.gauge("db.revision_epoch").set(self._revision_epoch)
-        if not self._update_listeners:
-            return
-        added = tuple(added)
-        removed = tuple(removed)
-        for listener in list(self._update_listeners):
-            listener(added, removed)
 
     def tell(self, sentence, check_constraints=True, fire_triggers=True):
         """Assert a first-order sentence.
@@ -223,49 +216,80 @@ class EpistemicDatabase:
 
     def _update(self, additions, retractions, checking, fire_triggers, counter,
                 describe, applied=None):
-        """Check → apply → notify → triggers: the one update path behind
-        :meth:`tell`, :meth:`retract` and
-        :meth:`~repro.db.transactions.Transaction.commit`.
+        """The one update path behind :meth:`tell`, :meth:`retract` and
+        :meth:`~repro.db.transactions.Transaction.commit`:
 
-        *checking* is ``"scratch"``, ``"incremental"`` or ``None`` to skip
-        the check; *describe* names the update in a rejection.  Each
-        retraction removes one occurrence, earliest first, before the
-        additions land.  A batch whose applied change is empty notifies
-        nobody, fires nothing and keeps the epoch.  ``applied(epoch)``, if
-        given, runs once the batch is in, before any trigger fires.  Returns
-        the constraint report."""
+        1. the batch's net change is computed once (``base.net_change``);
+        2. the constraint check: under ``"incremental"`` the violation view
+           stages the change and reports on the staged state;
+        3. on acceptance every other maintained view stages the change;
+        4. the base takes the batch: each retraction removes one
+           occurrence, earliest first, then the additions land;
+        5. every staged view commits;
+        6. the violation deltas go out, the update listeners run and the
+           triggers fire.
+
+        If anything raises before step 4 — a violation, the check, any
+        view's staging — every staged view is rolled back and the base,
+        the epoch and the listeners are left alone.  *checking* is
+        ``"scratch"``, ``"incremental"`` or ``None`` to skip the check;
+        *describe* names the update in a rejection.  A batch whose applied
+        change is empty notifies nobody, fires nothing and keeps the epoch.
+        ``applied(epoch)``, if given, runs once the batch is in, before any
+        delivery.  Returns the constraint report."""
         for formula in additions:
             _check_sentence(formula)
+        arriving, gone = self._base.net_change(additions, retractions)
         report = None
-        if checking and self._constraints:
-            with self.tracer.span("txn.check", mode=checking):
-                if checking == "incremental":
-                    # Maintains an accepted batch into the violation view
-                    # once; a rejected one is rolled back.
-                    report = self.violation_view()._staged_report(
-                        additions, retractions, keep=True
+        staged = []
+        try:
+            if checking and self._constraints:
+                with self.tracer.span("txn.check", mode=checking):
+                    if checking == "incremental":
+                        violations = self.violation_view()
+                        report = violations._stage_check(
+                            additions, retractions, arriving, gone
+                        )
+                        staged.append(violations)
+                    else:
+                        report, _ = self._checker.check_update(
+                            self._base, added=additions, removed=retractions,
+                            constraints=self._constraints,
+                        )
+                if not report.satisfied:
+                    raise ConstraintViolationError(
+                        f"{describe()} violates integrity constraints",
+                        violations=report.violations,
                     )
-                else:
-                    report, _ = self._checker.check_update(
-                        self._base, added=additions, removed=retractions,
-                        constraints=self._constraints,
-                    )
-            if not report.satisfied:
-                raise ConstraintViolationError(
-                    f"{describe()} violates integrity constraints",
-                    violations=report.violations,
-                )
+            insertions, deletions = _ground_atoms(arriving), _ground_atoms(gone)
+            if insertions or deletions:
+                for view in self._views:
+                    if view not in staged:
+                        view.materialized._stage(insertions, deletions)
+                        staged.append(view)
+        except BaseException:
+            for view in staged:
+                view.materialized._rollback()
+            raise
         with self.tracer.span("txn.apply"):
             removed = [sentence for sentence in retractions if self._base.remove(sentence)]
             for sentence in additions:
                 self._base.add(sentence)
+            committed = [(view, view.materialized._commit()) for view in staged]
             self._metrics.counter(counter).inc()
             changed = bool(additions or removed)
             if changed:
                 self._dirty = True
-                self._notify_update(additions, removed)
+                self._revision_epoch += 1
+                self._metrics.gauge("db.revision_epoch").set(self._revision_epoch)
             if applied is not None:
                 applied(self._revision_epoch)
+        for view, result in committed:
+            view._deliver(result)
+        if changed:
+            added, removed = tuple(additions), tuple(removed)
+            for listener in list(self._update_listeners):
+                listener(added, removed)
         if changed and fire_triggers and self._triggers.triggers:
             self._triggers.fire(self)
         return report
@@ -301,7 +325,8 @@ class EpistemicDatabase:
         """The lazily built
         :class:`~repro.constraints.views.ViolationView` over this database:
         the registered constraints compiled to materialized violation rules,
-        maintained through the update listeners.  Shared by every incremental
+        maintained with every write like any other view (the incremental
+        check stages the write on it first).  Shared by every incremental
         check; invalidated (and rebuilt on next use) when the constraint set
         changes."""
         if self._violation_view is None:
@@ -489,8 +514,7 @@ class EpistemicDatabase:
         ``update_batch`` operators that resolve constraint conflicts by
         minimal retraction, arbitrated by the entrenchment *policy*
         (default recency) and applied as single transactions.  *options*
-        are passed through (``consistency``, ``closed_world``,
-        ``max_rounds``)."""
+        are passed through (``max_rounds``)."""
         from repro.revision.operators import BeliefRevisor
 
         return BeliefRevisor(self, policy=policy, **options)

@@ -11,7 +11,8 @@ security number is one update, regardless of the order of the two facts).
 * ``commit`` applies the whole batch, re-checks only the constraints whose
   predicates the batch touches (the Nicolas-style relevance filter already
   used by the checker), fires triggers once, and rolls everything back if a
-  constraint fails;
+  constraint fails — or if any maintained view raises while it stages the
+  batch: the base and every view take the batch together or not at all;
 * the object is also a context manager — leaving the ``with`` block commits,
   an exception inside it discards the staged changes.
 """
@@ -62,16 +63,18 @@ class Transaction:
 
         Raises :class:`~repro.exceptions.ConstraintViolationError` (and leaves
         the database untouched) when the *net* state violates a registered
-        constraint.  Returns the constraint report of the incremental check
+        constraint; anything else raised before the base changes (say, by a
+        maintained view while it stages the batch) leaves it untouched too.  Returns the constraint report of the incremental check
         (``None`` when the database has no constraints).
 
         *constraints* selects the checking mode for this commit —
         ``"scratch"`` (classical re-check through the relevance filter) or
         ``"incremental"`` (an O(delta) staged update of the database's
         maintained
-        :meth:`~repro.db.database.EpistemicDatabase.violation_view`, kept
-        when the batch is accepted and rolled back when it is not, with
-        witnesses from the view and fallback reasons on the report).  The
+        :meth:`~repro.db.database.EpistemicDatabase.violation_view`,
+        committed with the base when the batch is accepted and rolled back
+        when it is not, with witnesses from the view and fallback reasons on
+        the report).  The
         default is the database's own ``constraint_checking`` mode.
         """
         if self._committed:
@@ -101,10 +104,10 @@ class Transaction:
     def rollback(self):
         """Discard the staged changes.
 
-        Rolling back never notifies update listeners, so any derived state —
-        in particular a :class:`~repro.db.view.DatalogView`'s materialized
-        model and the engine cache behind it — is left exactly as it was
-        before the transaction started.  Code that wants to *look* at the
+        Nothing was staged on any view, so any derived state — in particular
+        a :class:`~repro.db.view.DatalogView`'s materialized model and the
+        engine cache behind it — is left exactly as it was before the
+        transaction started, and no listener is called.  Code that wants to *look* at the
         pending state without committing should use
         :meth:`~repro.db.view.DatalogView.preview` (a side-effect-free peek)
         rather than applying and rolling back.

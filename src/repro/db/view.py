@@ -4,15 +4,18 @@ The paper's Section 5.1 observes that Σ "could be a Datalog program"; a
 :class:`DatalogView` takes that reading literally and keeps it *hot*: the
 database's ground atomic sentences are the EDB, the caller supplies the
 rules, and a :class:`~repro.datalog.incremental.MaterializedModel` maintains
-the least model.  The view subscribes to the database's update
-notifications, so every ``tell`` / ``retract`` / transaction commit updates
-the materialized closure at delta cost — the engine never re-runs its
-fixpoint for fact traffic.
+the least model.  The view is one of the database's *maintained views*
+(:class:`MaintainedView`): every ``tell`` / ``retract`` / transaction
+commit stages its net EDB change on the view before the base changes and
+commits it right after, so the materialized closure is updated at delta
+cost — the engine never re-runs its fixpoint for fact traffic.
 
 Two properties matter for correctness under transactional traffic:
 
-* only *applied* changes notify — a rejected batch or an explicit
-  ``rollback`` leaves the view (and the engine cache behind it) untouched;
+* a write changes the view only when it changes the base: a rejected
+  batch, a write that raises before the base changes (in any view's
+  staging too) and an explicit ``rollback`` leave the view (and the engine
+  cache behind it) untouched;
 * looking at pending state goes through :meth:`DatalogView.preview`, which
   peeks side-effect-free instead of applying-then-undoing against the live
   view, so a peek can never poison the maintained model.
@@ -32,20 +35,39 @@ def _ground_atoms(sentences):
     return [sentence for sentence in sentences if is_ground_atom(sentence)]
 
 
-def _edb_update(base, added, removed):
-    """The EDB insertions and deletions that bring the ground atoms an
-    applied update touched in line with *base*, which already holds the
-    new state.  Reading the base rather than counting the update keeps a
-    listener right even when a trigger updated the base again before it
-    ran; the maintained model ignores inserting a present fact and
-    deleting an absent one."""
-    touched = dict.fromkeys(_ground_atoms(added) + _ground_atoms(removed))
-    insertions = [atom for atom in touched if atom in base]
-    deletions = [atom for atom in touched if atom not in base]
-    return insertions, deletions
+class MaintainedView:
+    """A materialized model the database keeps in step with its base.
+
+    Built over *program* (whose facts are the base's ground atoms), the view
+    attaches itself to *database*; from then on every write stages its net
+    EDB change on :attr:`materialized` before the base changes, commits it
+    once the base holds the write, and rolls it back when the write fails
+    first (:meth:`EpistemicDatabase._update
+    <repro.db.database.EpistemicDatabase._update>`).  :meth:`_deliver`
+    receives each committed batch's
+    :class:`~repro.datalog.incremental.UpdateResult`, after every view has
+    committed."""
+
+    def __init__(self, database, program):
+        self._database = database
+        self._materialized = MaterializedModel(program)
+        database._views.append(self)
+
+    @property
+    def materialized(self):
+        """The underlying :class:`~repro.datalog.incremental.MaterializedModel`."""
+        return self._materialized
+
+    def close(self):
+        """Detach from the database; the view stops updating."""
+        if self in self._database._views:
+            self._database._views.remove(self)
+
+    def _deliver(self, result):
+        """Announce a committed batch; a plain view has no one to tell."""
 
 
-class DatalogView:
+class DatalogView(MaintainedView):
     """A continuously maintained Datalog reading of a database.
 
     Example::
@@ -57,7 +79,7 @@ class DatalogView:
             txn.retract("edge(b, c)")
         view.holds(parse("path(a, c)"))        # False — maintained, not recomputed
 
-    The view stays subscribed to the database until :meth:`close` is called.
+    The view stays attached to the database until :meth:`close` is called.
     The maintaining :class:`~repro.datalog.incremental.MaterializedModel`
     interns the EDB constants and keeps the materialized state in dense-id
     columnar relations (:class:`~repro.datalog.columnar.RowStore`, read
@@ -65,21 +87,14 @@ class DatalogView:
     """
 
     def __init__(self, database, rules=()):
-        self._database = database
         program = DatalogProgram()
         for rule in rules:
             program.add_rule(rule)
         for sentence in _ground_atoms(database.base):
             program.add_fact(sentence)
-        self._materialized = MaterializedModel(program)
-        database.add_update_listener(self._on_update)
+        super().__init__(database, program)
 
     # -- reading ------------------------------------------------------------
-    @property
-    def materialized(self):
-        """The underlying :class:`~repro.datalog.incremental.MaterializedModel`."""
-        return self._materialized
-
     @property
     def engine(self):
         """The wrapped :class:`~repro.datalog.engine.DatalogEngine`."""
@@ -117,16 +132,6 @@ class DatalogView:
         return self._materialized.peek(
             insertions=_ground_atoms(arriving), deletions=_ground_atoms(gone)
         )
-
-    # -- lifecycle ------------------------------------------------------------
-    def close(self):
-        """Unsubscribe from the database; the view stops updating."""
-        self._database.remove_update_listener(self._on_update)
-
-    def _on_update(self, added, removed):
-        insertions, deletions = _edb_update(self._database.base, added, removed)
-        if insertions or deletions:
-            self._materialized.apply(insertions, deletions)
 
     def _as_atom(self, value):
         if isinstance(value, str):

@@ -21,9 +21,9 @@ Conflicts are *found* by the PR 8 violation views
 peek, never a recompute), *blamed* by :func:`~repro.constraints.views.violation_support`
 (witness → supporting facts), *arbitrated* by a pluggable entrenchment policy
 (:mod:`repro.revision.entrenchment`), *vetted* for satisfiability through
-:mod:`repro.prover` / :mod:`repro.cwa`, and *applied* as a single
+:mod:`repro.prover`, and *applied* as a single
 :class:`~repro.db.transactions.Transaction`, so every maintained view and
-materialized model follows along in O(delta).  Each applied operation bumps
+materialized model follows along in O(delta), all or nothing.  Each applied operation bumps
 the database's ``revision_epoch`` and is recorded in :attr:`BeliefRevisor.history`.
 """
 
@@ -76,13 +76,10 @@ class BeliefRevisor:
 
     *policy* is the :class:`~repro.revision.entrenchment.EntrenchmentPolicy`
     deciding which conflicting belief gives way (default
-    :class:`~repro.revision.entrenchment.RecencyPolicy`).  *consistency*
-    controls the post-plan satisfiability check: ``"auto"`` (default) proves
-    the revised base satisfiable only when non-atomic sentences are present
-    — a set of ground atoms is trivially satisfiable — ``"always"`` checks
-    every operation, ``"off"`` never does.  With *closed_world* set the
-    check uses the CWA closure (:func:`repro.cwa.closure.closure_is_satisfiable`)
-    instead of plain first-order satisfiability.
+    :class:`~repro.revision.entrenchment.RecencyPolicy`); *max_rounds*
+    bounds the planner's retraction rounds.  After planning, the revised
+    base is proved satisfiable when it holds non-atomic sentences — a set
+    of ground atoms is trivially satisfiable.
 
     The revisor keeps no state of its own about the beliefs: occurrence
     counts and assertion sequence numbers are read from the database's
@@ -90,14 +87,9 @@ class BeliefRevisor:
     ``retract`` / transactions on the same database are seen too.
     """
 
-    def __init__(self, database, policy=None, consistency="auto",
-                 closed_world=False, max_rounds=25):
-        if consistency not in ("auto", "always", "off"):
-            raise ValueError("consistency must be 'auto', 'always' or 'off'")
+    def __init__(self, database, policy=None, max_rounds=25):
         self._database = database
         self._policy = policy if policy is not None else RecencyPolicy()
-        self._consistency = consistency
-        self._closed_world = closed_world
         self._max_rounds = max_rounds
         self._base = database.base
         self._records = []
@@ -237,11 +229,11 @@ class BeliefRevisor:
         return simplify(formula)
 
     def _check_consistency(self, additions, removals, extra):
-        if self._consistency == "off":
-            return
-        nonatomic_added = any(not is_ground_atom(sentence) for sentence in additions)
-        if (self._consistency == "auto" and not self._base.has_nonatomic
-                and not nonatomic_added):
+        """Prove the revised base satisfiable; skipped in O(1) when it holds
+        only ground atoms, which are trivially satisfiable."""
+        from repro.prover.prove import FirstOrderProver
+
+        if not self._base.has_nonatomic and all(map(is_ground_atom, additions)):
             return
         dropped = set(removals) | set(extra)
         theory = [
@@ -249,17 +241,9 @@ class BeliefRevisor:
             for sentence in self._database.sentences()
             if sentence not in dropped
         ] + list(additions)
-        if self._closed_world:
-            from repro.cwa.closure import closure_is_satisfiable
-
-            satisfiable = closure_is_satisfiable(theory, config=self._database.config)
-        else:
-            from repro.prover.prove import FirstOrderProver
-
-            satisfiable = FirstOrderProver.for_theory(
-                theory, config=self._database.config
-            ).is_satisfiable()
-        if not satisfiable:
+        if not FirstOrderProver.for_theory(
+            theory, config=self._database.config
+        ).is_satisfiable():
             raise RevisionError(
                 "the revised base would be unsatisfiable; resolving logical "
                 "(non-constraint) conflicts by minimal retraction is outside "

@@ -15,8 +15,6 @@ based reduction (:mod:`repro.semantics.reduction`) scales much further and is
 cross-checked against this oracle in the test suite.
 """
 
-from itertools import combinations
-
 from repro.exceptions import UniverseTooLargeError
 from repro.logic.builders import forall
 from repro.logic.syntax import atoms_of, free_variables
@@ -99,14 +97,3 @@ def minimal_models(models):
             result.append(candidate)
     return set(result)
 
-
-def worlds_within(atoms, size):
-    """Yield the worlds over *atoms* with at most *size* true atoms.
-
-    A cheaper enumeration used by property tests that only need small
-    counter-examples.
-    """
-    atoms = tuple(atoms)
-    for count in range(min(size, len(atoms)) + 1):
-        for subset in combinations(atoms, count):
-            yield World(subset)

@@ -4,15 +4,19 @@ A :class:`hypothesis.stateful.RuleBasedStateMachine` drives one small
 HR-style database — incremental constraint checking, a ``DatalogView``, the
 ``ViolationView`` and a ``BeliefRevisor`` all hanging off the same belief
 base — with tells, retractions (of absent and duplicated sentences too),
-transaction commits and rollbacks, and revisions.  The reference model is a
+transaction commits and rollbacks, revisions, and tells during which one
+maintained view raises while it stages.  The reference model is a
 Python list with earliest-first removal, judged by the from-scratch
 :class:`~repro.constraints.checker.IntegrityChecker`; revisions are replayed
 through :func:`~repro.revision.naive.naive_revise`.  After every step the
 database, its views and the revisor must agree with the list, and the
-maintained violation view with a freshly built one.
+maintained violation view with a freshly built one.  A write whose staging
+raised must leave the base, the epoch and both maintained models as they
+were, and reach no update listener.
 """
 
-from hypothesis import settings, strategies as st
+import pytest
+from hypothesis import assume, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.constraints.checker import IntegrityChecker
@@ -79,6 +83,10 @@ def apply(reference, additions, retractions):
     return result + list(additions)
 
 
+class InjectedFault(Exception):
+    pass
+
+
 def violation_map(report):
     return {
         to_text(violation.constraint): sorted(
@@ -102,6 +110,10 @@ class DatabaseMachine(RuleBasedStateMachine):
         self.revisor = self.database.revision()
         self.checker = IntegrityChecker(constraints=CONSTRAINTS, config=CONFIG)
         self.epoch = self.database.revision_epoch
+        self.notified = []
+        self.database.add_update_listener(
+            lambda added, removed: self.notified.append(added)
+        )
 
     def satisfied(self, theory):
         return self.checker.check(theory, witness_limit=None).satisfied
@@ -160,6 +172,32 @@ class DatabaseMachine(RuleBasedStateMachine):
         for is_add, sentence in batch:
             (transaction.tell if is_add else transaction.retract)(sentence)
         transaction.rollback()
+
+    @rule(sentence=sentences, check=st.booleans(),
+          failing=st.sampled_from(["view", "violations"]))
+    def tell_while_a_view_fails_to_stage(self, sentence, check, failing):
+        # A new ground atom reaches every view's staging unless a checked
+        # constraint rejects it first; either way nothing may change.
+        assume(is_ground_atom(sentence) and sentence not in self.reference)
+        view = self.view if failing == "view" else self.database.violation_view()
+        faults = []
+
+        def fail_once(*args):
+            del view.materialized._stage
+            faults.append(args)
+            raise InjectedFault(f"{failing} failed to stage")
+
+        view.materialized._stage = fail_once
+        notified = len(self.notified)
+        with pytest.raises((InjectedFault, ConstraintViolationError)):
+            self.database.tell(sentence, check_constraints=check)
+        if "_stage" in vars(view.materialized):
+            del view.materialized._stage  # rejected before the view staged
+        assert faults or check
+        assert len(self.notified) == notified
+        # content_matches, epoch_counts_applied_changes and the two fresh
+        # build invariants check that the base, the epoch and both models
+        # are unchanged.
 
     @rule(sentence=sentences)
     def revise(self, sentence):
