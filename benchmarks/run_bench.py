@@ -21,10 +21,10 @@ model.  Then, one section each:
   retract-until-consistent baseline on deliberately conflicting streams,
   results verified per step, plus operator-only scale rows;
 * ``observability`` — the fixpoint with no-op, recording and provenance
-  tracing.
+  tracing, timed in alternating rounds (medians with quartiles).
 
 Timed cells are best-of-3 (``check_bench.best_of``, the timer the
-regression re-measures share); peak memory is measured with
+regression re-measures share), except the observability cell; peak memory is measured with
 tracemalloc in a separate pass (``peak_kb``).  The JSON it writes is the
 perf trajectory future PRs diff against; ``benchmarks/check_bench.py`` holds
 the gates it must pass.
@@ -47,6 +47,7 @@ import gc
 import json
 import pathlib
 import platform
+import statistics
 import sys
 import time
 import tracemalloc
@@ -791,17 +792,32 @@ def run_revision_bench(comparison, scale_grid):
     return section
 
 
+#: Rounds of the observability cell.  Each round times the no-op, traced
+#: and provenance fixpoints back to back, so machine drift hits all three
+#: alike; the report keeps the medians and their quartiles.
+OBSERVABILITY_ROUNDS = 7
+
+
 def run_observability_bench(params):
     """Time the indexed fixpoint on a transitive closure with observability
     off (the no-op tracer default), with a recording tracer, and with
     provenance recording — same workload, same strategy, models verified
     identical across the three cells.
 
-    ``traced_overhead_pct`` / ``provenance_overhead_pct`` record honestly
-    what recording costs.  The *guarded* number is ``noop_overhead_pct``:
-    the estimated share of the untraced fixpoint spent in the no-op
-    instrumentation points (spans the traced run recorded x the
-    micro-timed per-call cost of ``NOOP_TRACER.span``).
+    The three cells run alternately, :data:`OBSERVABILITY_ROUNDS` rounds
+    of one each, on a fixpoint long enough (>= 0.3 s at the full size) for
+    a few percent to be resolvable.  As in ``timeit``, the collector is
+    paused while a cell runs: a full collection walks every live object,
+    so it would charge the models the other cells left behind, not the
+    recording, to whichever cell it interrupts.  Each ``*_seconds`` is the median over
+    the rounds and ``*_seconds_quartiles`` its first and third quartile;
+    ``traced_overhead_pct`` / ``provenance_overhead_pct`` are the medians
+    of the per-round overheads against that round's no-op cell, with their
+    quartiles next to them.  They record honestly what recording costs.
+    The *guarded* number is ``noop_overhead_pct``: the estimated share of
+    the untraced fixpoint spent in the no-op instrumentation points (spans
+    the traced run recorded x the micro-timed per-call cost of
+    ``NOOP_TRACER.span``).
     """
     from repro.obs.tracing import NOOP_TRACER, Tracer
 
@@ -814,12 +830,27 @@ def run_observability_bench(params):
         engine = DatalogEngine(transitive_closure_program(**params), **options)
         return lambda: (engine.least_model(), engine)
 
-    cells = {}
+    names = ("noop", "traced", "provenance")
+    cells = {name: [] for name in names}
     models = {}
-    for name in ("noop", "traced", "provenance"):
-        cells[name], (models[name], engine) = best_of(partial(prepare, name))
-        if name == "traced":
-            spans_recorded = len(engine.tracer.entries)
+    for round_ in range(OBSERVABILITY_ROUNDS):
+        # Each round starts with a different cell, and each cell runs with
+        # its own previous model and the last engine freed, so no cell
+        # inherits another's position or garbage.
+        for name in names[round_ % 3:] + names[:round_ % 3]:
+            models.pop(name, None)
+            engine = None
+            call = prepare(name)
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                models[name], engine = call()
+                cells[name].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+            if name == "traced":
+                spans_recorded = len(engine.tracer.entries)
     if len(set(models.values())) != 1:
         raise SystemExit(
             "observability cells disagree on the model: "
@@ -837,34 +868,45 @@ def run_observability_bench(params):
             pass
     per_call_seconds = (time.perf_counter() - start) / calls
 
-    noop_seconds = cells["noop"]
+    def spread(values, digits):
+        """``(median, [first quartile, third quartile])``, rounded."""
+        first, median, third = statistics.quantiles(values, n=4, method="inclusive")
+        return round(median, digits), [round(first, digits), round(third, digits)]
+
     section = {
         "workload": "transitive_closure",
         "params": params,
         "model_size": len(models["noop"]),
-        "repeats": REPEATS,
-        "noop_seconds": round(noop_seconds, 6),
-        "traced_seconds": round(cells["traced"], 6),
-        "provenance_seconds": round(cells["provenance"], 6),
-        "traced_overhead_pct": round(
-            (cells["traced"] - noop_seconds) / noop_seconds * 100, 1
-        ),
-        "provenance_overhead_pct": round(
-            (cells["provenance"] - noop_seconds) / noop_seconds * 100, 1
-        ),
-        "spans_recorded": spans_recorded,
-        "noop_span_cost_ns": round(per_call_seconds * 1e9, 1),
-        "noop_overhead_pct": round(
-            spans_recorded * per_call_seconds / noop_seconds * 100, 2
-        ),
-        "models_identical": True,
+        "rounds": OBSERVABILITY_ROUNDS,
     }
+    for name in names:
+        section[f"{name}_seconds"], section[f"{name}_seconds_quartiles"] = spread(
+            cells[name], 6
+        )
+    for name in ("traced", "provenance"):
+        overheads = [
+            (seconds - noop) / noop * 100
+            for seconds, noop in zip(cells[name], cells["noop"])
+        ]
+        section[f"{name}_overhead_pct"], section[f"{name}_overhead_pct_quartiles"] = (
+            spread(overheads, 1)
+        )
+    noop_seconds = section["noop_seconds"]
+    section.update(
+        spans_recorded=spans_recorded,
+        noop_span_cost_ns=round(per_call_seconds * 1e9, 1),
+        noop_overhead_pct=round(spans_recorded * per_call_seconds / noop_seconds * 100, 2),
+        models_identical=True,
+    )
     print(
-        f"observability {params} ({section['model_size']} facts): noop "
-        f"{noop_seconds * 1000:.1f} ms, traced {cells['traced'] * 1000:.1f} ms "
-        f"({section['traced_overhead_pct']:+}%), provenance "
-        f"{cells['provenance'] * 1000:.1f} ms "
-        f"({section['provenance_overhead_pct']:+}%), no-op instrumentation "
+        f"observability {params} ({section['model_size']} facts, median of "
+        f"{OBSERVABILITY_ROUNDS} rounds): noop {noop_seconds * 1000:.1f} ms, "
+        f"traced {section['traced_seconds'] * 1000:.1f} ms "
+        f"({section['traced_overhead_pct']:+}%, quartiles "
+        f"{section['traced_overhead_pct_quartiles']}), provenance "
+        f"{section['provenance_seconds'] * 1000:.1f} ms "
+        f"({section['provenance_overhead_pct']:+}%, quartiles "
+        f"{section['provenance_overhead_pct_quartiles']}), no-op instrumentation "
         f"~{section['noop_overhead_pct']}% over {spans_recorded} span points"
     )
     return section
@@ -917,7 +959,7 @@ FULL = {
         comparison=dict(employees=12, steps=4, conflict_ratio=1.0),
         scale_grid=[dict(employees=20000, steps=10, conflict_ratio=0.8)],
     ),
-    "observability": dict(chains=80, length=15),
+    "observability": dict(chains=100, length=35),
 }
 
 QUICK = {

@@ -52,7 +52,8 @@ SECTIONS = [
     ("repro.datalog.interner", "Constant interning — `repro.datalog.interner`",
      ["Interner", "fast_atom", "constant_kind"]),
     ("repro.datalog.columnar", "Columnar storage — `repro.datalog.columnar`",
-     ["ColumnarRelation", "RowStore", "ColumnarFactIndex", "decode_world",
+     ["ColumnarRelation", "RowStore", "ColumnarFactIndex", "EdbStore", "EdbBatch",
+      "decode_world",
       "compile_schedule", "compiled_for", "columnar_fixpoint"]),
     ("repro.datalog.magic", "Goal-directed rewriting — `repro.datalog.magic`",
      ["plan", "instantiate", "rewrite", "answer", "adornment_of",

@@ -51,7 +51,6 @@ from repro.constraints.compile import (
     CompilationFallback,
     compile_constraints,
 )
-from repro.datalog.program import DatalogProgram
 from repro.db.view import MaintainedView, _ground_atoms
 from repro.logic.substitution import substitute
 from repro.obs.tracing import NOOP_TRACER
@@ -175,14 +174,14 @@ class ViolationView(MaintainedView):
         )
         self._delta_listeners = []
 
-        program = DatalogProgram()
-        for rule in self._compiled_set.rules():
-            program.add_rule(rule)
-        for compiled in self._compiled_set.compiled:
-            program.declare_output(compiled.predicate, len(compiled.witnesses))
-        for sentence in dict.fromkeys(_ground_atoms(database.base)):
-            program.add_fact(sentence)
-        super().__init__(database, program)
+        super().__init__(
+            database,
+            self._compiled_set.rules(),
+            outputs=[
+                (compiled.predicate, len(compiled.witnesses))
+                for compiled in self._compiled_set.compiled
+            ],
+        )
         # Maintenance rounds driven by this view show up in the database's
         # trace (the wrapped engine defaults to the no-op tracer).
         self._materialized.engine.tracer = getattr(
@@ -272,21 +271,17 @@ class ViolationView(MaintainedView):
         self._delta_listeners.remove(listener)
 
     # -- internals ------------------------------------------------------------
-    def _stage_check(self, additions, retractions, arriving, gone):
-        """The database's incremental check: stage the batch's net change
-        ``(arriving, gone)`` (of :meth:`~repro.db.base.BeliefBase.net_change`)
-        on the violation model and return the report of the staged state.
-        The batch stays staged for the database to commit with the base or
-        to roll back; if the report cannot be built it is rolled back here,
-        so this returns with the batch staged or raises with nothing
-        staged."""
+    def _stage_check(self, additions, retractions, arriving, gone, batch):
+        """The database's incremental check: stage *batch* — the EDB part of
+        the net change ``(arriving, gone)`` (of
+        :meth:`~repro.db.base.BeliefBase.net_change`), which the database's
+        EDB store already holds — on the violation model and return the
+        report of the staged state.  The batch stays staged for the
+        database to commit with the base or to roll back, also when
+        building the report raises."""
         with self._preview_span(additions, retractions):
-            self._materialized._stage(_ground_atoms(arriving), _ground_atoms(gone))
-            try:
-                return self._staged_report(additions, retractions, arriving, gone)
-            except BaseException:
-                self._materialized._rollback()
-                raise
+            self._materialized._stage(batch)
+            return self._staged_report(additions, retractions, arriving, gone)
 
     def _staged_report(self, additions, retractions, arriving, gone,
                        with_witnesses=True, witness_limit=None):

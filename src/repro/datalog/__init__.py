@@ -23,9 +23,11 @@ This subpackage provides that substrate:
   integer ids at the program boundary;
 * :mod:`repro.datalog.columnar` — columnar interned fact storage
   (:class:`~repro.datalog.columnar.RowStore` id rows, read at the atom
-  face through :class:`~repro.datalog.columnar.ColumnarFactIndex`) and the
-  generated id-space joins; the one fact store and the one join executor
-  of the indexed strategy and of every materialized model;
+  face through :class:`~repro.datalog.columnar.ColumnarFactIndex`; the
+  :class:`~repro.datalog.columnar.EdbStore` that interns a database's
+  extensional facts once for all its views) and the generated id-space
+  joins; the one fact store and the one join executor of the indexed
+  strategy and of every materialized model;
 * :mod:`repro.datalog.incremental` — incremental view maintenance: a
   :class:`~repro.datalog.incremental.MaterializedModel` keeps the least
   model consistent under EDB insertions *and* deletions at delta cost
@@ -61,7 +63,7 @@ from repro.datalog.engine import (
     EvaluationStatistics,
     QueryResult,
 )
-from repro.datalog.columnar import ColumnarFactIndex, RowStore
+from repro.datalog.columnar import ColumnarFactIndex, EdbStore, RowStore
 from repro.datalog.incremental import MaintenanceStatistics, MaterializedModel, UpdateResult
 from repro.datalog.interner import Interner
 from repro.datalog.magic import MagicProgram, MagicTemplate, adornment_of
@@ -80,6 +82,7 @@ __all__ = [
     "DatalogProgram",
     "DatalogRule",
     "Diagnostic",
+    "EdbStore",
     "EvaluationStatistics",
     "Interner",
     "JoinStatistics",

@@ -578,7 +578,9 @@ def analyze_program(program, outputs=None, rule_lines=None):
     lines (the CLI parser provides it) for line-precise diagnostics.
     """
     rules = list(program.rules)
-    facts = list(program.facts)
+    # The facts are read through their fact list's per-relation signature
+    # (an interned store answers it per distinct constant, not per fact).
+    facts = program.facts.signature()
     rule_lines = rule_lines or {}
     diagnostics = []
 
@@ -594,8 +596,8 @@ def analyze_program(program, outputs=None, rule_lines=None):
     # rule texts or the fact objects themselves: a fact is formatted (see
     # _witness_text) only when a diagnostic cites it, not once per fact.
     occurrences = defaultdict(dict)  # name -> arity -> first occurrence
-    for fact in facts:
-        occurrences[fact.atom.predicate].setdefault(len(fact.atom.args), fact)
+    for (name, arity), (_, first, _) in facts.items():
+        occurrences[name].setdefault(arity, first)
     for index, rule in enumerate(rules):
         occurrences[rule.head.predicate].setdefault(
             rule.head.arity, f"rule #{index} head {rule_text(rule)}"
@@ -619,25 +621,27 @@ def analyze_program(program, outputs=None, rule_lines=None):
                 suggestion="rename one of the uses — relations are keyed by name and arity",
             ))
 
-    # 3. Signatures + constant-kind conflicts, per (name, arity) column.
-    column_kinds = defaultdict(lambda: None)
-    fact_counts = defaultdict(int)
+    # 3. Signatures + constant-kind conflicts, per (name, arity) column:
+    # the facts' kinds first, then the constants of the rules.
+    column_kinds = {key: [set(kinds) for kinds in columns]
+                    for key, (_, _, columns) in facts.items()}
+    fact_counts = {key: count for key, (count, _, _) in facts.items()}
     head_counts = defaultdict(int)
-    kind_witness = {}
+    kind_witness = {
+        (key, position, kind): where
+        for key, (_, _, columns) in facts.items()
+        for position, kinds in enumerate(columns)
+        for kind, where in kinds.items()
+    }
 
     def observe(key, position, parameter, where):
-        kinds = column_kinds[key]
+        kinds = column_kinds.get(key)
         if kinds is None:
             kinds = column_kinds[key] = [set() for _ in range(key[1])]
         kind = constant_kind(parameter)
         kinds[position].add(kind)
         kind_witness.setdefault((key, position, kind), where)
 
-    for fact in facts:
-        key = (fact.atom.predicate, len(fact.atom.args))
-        fact_counts[key] += 1
-        for position, argument in enumerate(fact.atom.args):
-            observe(key, position, argument, fact)
     for index, rule in enumerate(rules):
         head_counts[(rule.head.predicate, rule.head.arity)] += 1
         for atom in [rule.head] + [literal.atom for literal in rule.body]:

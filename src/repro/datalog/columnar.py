@@ -20,7 +20,7 @@ become **rows** — tuples of ids — living in per-``(predicate, arity)``
 * per-position **bucket maps** ``id -> set of rows``, the probe structure
   the engine's greedy bound-prefix planning and the generated joins use.
 
-Three faces are exposed, innermost first:
+Four faces are exposed, innermost first:
 
 * :class:`RowStore` — a mutable set of ``(key, row)`` facts
   (``add``/``absorb``/``discard``/``retract_all``/``candidates``/
@@ -36,18 +36,26 @@ Three faces are exposed, innermost first:
   :class:`~repro.datalog.incremental.MaterializedModel` run through it;
 * :class:`ColumnarFactIndex` — the Atom-face read view: membership,
   iteration and bound-prefix candidates in atoms (decoded to the identical
-  interned parameter objects), rows inside.
+  interned parameter objects), rows inside;
+* :class:`EdbStore` — extensional facts interned once: a fact list of id
+  rows on one interner, written in net batches (:class:`EdbBatch`), whose
+  relation objects every program evaluated over it shares.
 
 This is the only indexed fact storage: the ``indexed`` strategy of
 :class:`~repro.datalog.engine.DatalogEngine` evaluates over it, and
 :class:`~repro.datalog.incremental.MaterializedModel` (hence every view)
-maintains its model in it.  ``tests/test_datalog_columnar.py``
+maintains its model in it — a database's views over the one
+:class:`EdbStore` of its base.  ``tests/test_datalog_columnar.py``
 property-tests it against the set-based ``semi-naive`` oracle.
 """
 
 from array import array
+from operator import itemgetter
+from typing import NamedTuple
 
-from repro.datalog.interner import fast_atom
+from repro.datalog.interner import Interner, constant_kind, fast_atom
+from repro.datalog.program import _VERSIONS, DatalogFact
+from repro.logic.syntax import Atom
 from repro.logic.terms import Variable
 from repro.semantics.worlds import World
 
@@ -108,6 +116,13 @@ class ColumnarRelation:
                 for position in range(self.arity)
             )
         return columns
+
+    def copy(self):
+        """A relation holding the same rows (probe buckets are rebuilt on
+        demand)."""
+        other = ColumnarRelation(self.arity)
+        other.rows = set(self.rows)
+        return other
 
     def add(self, row):
         """Insert *row*; return True when it was not already present."""
@@ -213,13 +228,16 @@ class RowStore:
     """A mutable set of ``(key, row)`` facts — ``key`` a ``(predicate,
     arity)`` pair, ``row`` a tuple of interned ids — with per-relation and
     per-position indexes, plus a key-explicit hot face (:meth:`get`) for
-    the compiled join."""
+    the compiled join.
 
-    __slots__ = ("_relations", "_size")
+    A store may hold relation objects it shares with another store (see
+    :meth:`EdbStore.overlay`), so its size is read off its relations, never
+    kept on the side."""
+
+    __slots__ = ("_relations",)
 
     def __init__(self, facts=()):
         self._relations = {}
-        self._size = 0
         self.add_all(facts)
 
     # -- hot face ------------------------------------------------------------
@@ -232,6 +250,11 @@ class RowStore:
         """``(key, relation)`` pairs (treat the relations as read-only)."""
         return self._relations.items()
 
+    def share(self, key, relation):
+        """Hold *relation* — another store's object, not a copy — under
+        *key*; writes through either store reach both."""
+        self._relations[key] = relation
+
     # -- construction --------------------------------------------------------
     def add_row(self, key, row):
         """Insert one row under *key*; return True when it was new."""
@@ -239,10 +262,7 @@ class RowStore:
         if relation is None:
             relation = ColumnarRelation(key[1])
             self._relations[key] = relation
-        if relation.add(row):
-            self._size += 1
-            return True
-        return False
+        return relation.add(row)
 
     def add(self, fact):
         """Insert one ``(key, row)`` fact; return True when it was new."""
@@ -265,17 +285,13 @@ class RowStore:
                 mine = ColumnarRelation(key[1])
                 self._relations[key] = mine
             mine.absorb(theirs)
-            self._size += len(theirs)
         return self
 
     # -- deletion ------------------------------------------------------------
     def discard_row(self, key, row):
         """Remove one row; return True when it was present."""
         relation = self._relations.get(key)
-        if relation is not None and relation.discard(row):
-            self._size -= 1
-            return True
-        return False
+        return relation is not None and relation.discard(row)
 
     def discard(self, fact):
         """Remove one ``(key, row)`` fact; return True when it was present."""
@@ -300,7 +316,6 @@ class RowStore:
             for row in theirs.rows:
                 if mine.discard(row):
                     removed += 1
-        self._size -= removed
         return removed
 
     # -- lookup --------------------------------------------------------------
@@ -309,7 +324,7 @@ class RowStore:
         return relation is not None and fact[1] in relation.rows
 
     def __len__(self):
-        return self._size
+        return sum(len(relation.rows) for relation in self._relations.values())
 
     def __iter__(self):
         for key, relation in self._relations.items():
@@ -317,7 +332,7 @@ class RowStore:
                 yield (key, row)
 
     def __bool__(self):
-        return self._size > 0
+        return any(relation.rows for relation in self._relations.values())
 
     def relations(self):
         """The set of ``(predicate, arity)`` keys with at least one row."""
@@ -395,7 +410,7 @@ class RowStore:
             f"{predicate}/{arity}:{len(relation.rows)}"
             for (predicate, arity), relation in sorted(self._relations.items())
         )
-        return f"RowStore({self._size} rows; {rendered})"
+        return f"RowStore({len(self)} rows; {rendered})"
 
 
 class ColumnarFactIndex:
@@ -474,6 +489,198 @@ class ColumnarFactIndex:
             for (predicate, arity), relation in sorted(self._store.items())
         )
         return f"ColumnarFactIndex({len(self._store)} facts; {rendered})"
+
+
+class EdbBatch(NamedTuple):
+    """One net EDB change in id space: the ``(key, row)`` facts it adds
+    (absent before) and removes (present before), and the
+    :attr:`EdbStore.version` before and after it."""
+
+    plus: set
+    minus: set
+    before: int
+    after: int
+
+
+class EdbStore:
+    """Extensional facts interned once: id rows (:class:`RowStore`) on one
+    :class:`~repro.datalog.interner.Interner`.
+
+    A database keeps one for the ground atoms of its base, and it is the
+    fact list (``program.facts``) of every view's program, so the views
+    read the very same :class:`ColumnarRelation` objects (:meth:`overlay`)
+    and keep only what they derive; a standalone
+    :class:`~repro.datalog.incremental.MaterializedModel` turns its
+    program's facts into one of its own.  Writes come as batches:
+    :meth:`batch` reduces ground atoms to the net id-row change,
+    :meth:`write` applies it and :meth:`unwrite` restores rows, buckets and
+    :attr:`version` exactly as they were.
+
+    The atom face — iteration (of :class:`~repro.datalog.program.DatalogFact`
+    objects), ``in``, ``len``, ``append``, ``discard``, :meth:`atoms` and
+    :meth:`signature` — is the :class:`~repro.datalog.program.FactList`
+    one, with set semantics.  Every mutation moves :attr:`version`, which
+    is how a model notices a change it did not make.
+    """
+
+    __slots__ = ("interner", "rows", "version", "_kinds", "_signature")
+
+    def __init__(self, atoms=(), interner=None):
+        self.interner = Interner() if interner is None else interner
+        self.rows = RowStore()
+        encode = self.interner.encode_atom
+        add_row = self.rows.add_row
+        for atom in atoms:
+            add_row(*encode(atom))
+        self.version = next(_VERSIONS)
+        self._kinds = []  # constant_kind per interned id, filled on demand
+        self._signature = None
+
+    @classmethod
+    def of(cls, facts, interner):
+        """*facts* (a fact list) as a store on *interner*: itself when it is
+        one already, else a new store of its atoms."""
+        if isinstance(facts, cls) and facts.interner is interner:
+            return facts
+        return cls((fact.atom for fact in facts), interner)
+
+    # -- batches -------------------------------------------------------------
+    def batch(self, insertions=(), deletions=()):
+        """The net change of a batch of ground atoms against the store as it
+        stands, as an :class:`EdbBatch` (not yet written).  Set semantics:
+        an atom both deleted and inserted stays, inserting a held atom and
+        deleting an absent one are no-ops."""
+        rows = self.rows
+        encode, row_of = self.interner.encode_atom, self.interner.row_of
+        plus = {encode(atom) for atom in insertions}
+        minus = set()
+        for atom in deletions:
+            row = row_of(atom)
+            fact = ((atom.predicate, len(atom.args)), row)
+            if row is not None and fact in rows and fact not in plus:
+                minus.add(fact)
+        plus = {fact for fact in plus if fact not in rows}
+        after = next(_VERSIONS) if plus or minus else self.version
+        return EdbBatch(plus, minus, self.version, after)
+
+    def write(self, batch):
+        """Apply a batch made by :meth:`batch` on the store as it stands."""
+        rows = self.rows
+        for fact in batch.minus:
+            rows.discard(fact)
+        for fact in batch.plus:
+            rows.add(fact)
+        self.version = batch.after
+
+    def unwrite(self, batch):
+        """Undo a written batch (or a part-written one): rows, buckets and
+        :attr:`version` are as they were before it."""
+        rows = self.rows
+        for fact in batch.plus:
+            rows.discard(fact)
+        for fact in batch.minus:
+            rows.add(fact)
+        self.version = batch.before
+
+    # -- readers -------------------------------------------------------------
+    def overlay(self, private=()):
+        """A :class:`RowStore` over these facts for one program's
+        evaluation: it holds this store's own relation objects, except for
+        the *private* keys (the program's rule heads, which evaluation
+        derives into), whose relations are copies."""
+        store = RowStore()
+        for key, relation in self.rows.items():
+            store.share(key, relation.copy() if key in private else relation)
+        return store
+
+    def copy(self):
+        """An independent store with the same rows, on the same interner."""
+        other = EdbStore(interner=self.interner)
+        for key, relation in self.rows.items():
+            other.rows.share(key, relation.copy())
+        return other
+
+    def signature(self):
+        """What the static analyzer checks rules against, in the shape of
+        :meth:`FactList.signature <repro.datalog.program.FactList.signature>`:
+        ``{(name, arity): (rows, a fact, columns)}``, one ``{kind: witness
+        fact}`` map per column.  Kinds are read per distinct id of a
+        column, not per fact; a column of one kind takes the relation's
+        fact as its witness, so a witness is searched for only where a
+        column mixes kinds.  Cached per version."""
+        if self._signature is not None and self._signature[0] == self.version:
+            return self._signature[1]
+        kinds = self._kinds
+        kinds.extend(map(constant_kind, self.interner.parameters[len(kinds):]))
+        decode = self.interner.decode_row
+        signature = {}
+        for key, relation in self.rows.items():
+            rows = relation.rows
+            if not rows:
+                continue
+            witness = DatalogFact(decode(key[0], next(iter(rows))))
+            columns = []
+            for position in range(key[1]):
+                if relation._buckets is not None:
+                    values = relation._buckets[position]
+                else:
+                    values = set(map(itemgetter(position), rows))
+                found = {}
+                for value in values:
+                    found.setdefault(kinds[value], value)
+                columns.append({
+                    kind: DatalogFact(decode(key[0], next(
+                        row for row in rows if row[position] == value
+                    ))) if len(found) > 1 else witness
+                    for kind, value in found.items()
+                })
+            signature[key] = (len(rows), witness, tuple(columns))
+        self._signature = (self.version, signature)
+        return signature
+
+    # -- the fact-list face ----------------------------------------------------
+    def append(self, fact):
+        """Add *fact* (a :class:`~repro.datalog.program.DatalogFact`).  The
+        version moves even when the fact is held, as a second occurrence
+        moves a fact list's."""
+        if not isinstance(fact, DatalogFact):
+            raise TypeError(f"expected a DatalogFact, got {fact!r}")
+        self.rows.add(self.interner.encode_atom(fact.atom))
+        self.version = next(_VERSIONS)
+
+    def discard(self, atom):
+        """Remove the fact of *atom*; return True when it was held."""
+        row = self.interner.row_of(atom)
+        if row is None or not self.rows.discard_row((atom.predicate, len(atom.args)), row):
+            return False
+        self.version = next(_VERSIONS)
+        return True
+
+    def atoms(self):
+        """The held atoms, decoded."""
+        decode = self.interner.decode_row
+        for (predicate, _arity), relation in self.rows.items():
+            for row in relation.rows:
+                yield decode(predicate, row)
+
+    def __iter__(self):
+        return (DatalogFact(atom) for atom in self.atoms())
+
+    def __contains__(self, item):
+        """True for a held :class:`~repro.datalog.program.DatalogFact` or
+        the atom of one."""
+        if isinstance(item, DatalogFact):
+            item = item.atom
+        if not isinstance(item, Atom):
+            return False
+        row = self.interner.row_of(item)
+        return row is not None and ((item.predicate, len(item.args)), row) in self.rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __repr__(self):
+        return f"EdbStore({self.rows!r})"
 
 
 def decode_world(store, interner):
@@ -730,7 +937,6 @@ def fresh_delta(new_facts):
         relation = ColumnarRelation(key[1])
         relation.rows = set(rows)
         store._relations[key] = relation
-        store._size += len(rows)
     return store
 
 

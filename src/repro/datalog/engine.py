@@ -74,7 +74,7 @@ from repro.datalog.analyze import (
 )
 from repro.datalog.columnar import (
     ColumnarFactIndex,
-    RowStore,
+    EdbStore,
     columnar_fixpoint,
     decode_world,
 )
@@ -221,9 +221,12 @@ class DatalogEngine:
         self.program = program
         self.strategy = strategy
         self.tracer = NOOP_TRACER if tracer is None else tracer
-        # One symbol table per engine: append-only, so ids stay stable
-        # across evaluations; the compiled-join cache shares its lifetime.
-        self.interner = Interner()
+        # One symbol table per engine — the one its fact store interns on,
+        # when the program's facts are an EdbStore: append-only, so ids
+        # stay stable across evaluations; the compiled-join cache shares
+        # its lifetime.
+        facts = program.facts
+        self.interner = facts.interner if isinstance(facts, EdbStore) else Interner()
         self._compiled_cache = {}
         self._metrics = MetricsRegistry()
         self.statistics = EvaluationStatistics()
@@ -368,7 +371,7 @@ class DatalogEngine:
 
         This is the fixpoint product for index-consuming pipelines: a
         :class:`~repro.datalog.incremental.MaterializedModel` builds from it
-        (and owns it from then on), and skipping the World's frozen atom-set
+        (and owns its derived relations from then on), and skipping the World's frozen atom-set
         construction avoids decoding every atom at the API edge, which for
         large models costs more than the fixpoint itself.  Only the
         ``indexed`` strategy materialises an index; the scanning strategies
@@ -673,7 +676,11 @@ class DatalogEngine:
     def _columnar_fixpoint(self):
         """Run the full stratified fixpoint in id space and return the
         resulting :class:`~repro.datalog.columnar.RowStore` (the engine's
-        interner decodes it)."""
+        interner decodes it).  The facts are an
+        :class:`~repro.datalog.columnar.EdbStore` on that interner or are
+        interned into one here, and the result shares the store's relations
+        for every predicate no rule derives
+        (:meth:`~repro.datalog.columnar.EdbStore.overlay`)."""
         interner = self.interner
         if self._analysis is not None:
             # Pre-validate the columnar layout against the analyzer's
@@ -681,12 +688,9 @@ class DatalogEngine:
             # fixed-width id columns would fork (raises with the DL003
             # diagnostics attached).
             self._analysis.validate_columns(interner)
-        store = RowStore()
-        encode = interner.encode_atom
-        add_row = store.add_row
-        for fact in self.program.facts:
-            key, row = encode(fact.atom)
-            add_row(key, row)
+        store = EdbStore.of(self.program.facts, interner).overlay(
+            self.program.idb_predicates()
+        )
         for stratum_index, stratum in enumerate(self._strata):
             self.statistics.strata = stratum_index + 1
             rules = self._stratum_rules(stratum)

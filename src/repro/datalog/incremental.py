@@ -53,29 +53,41 @@ id facts (:class:`~repro.datalog.columnar.RowStore`); atoms are decoded
 only at the API edge (:class:`UpdateResult`, :meth:`MaterializedModel.model`,
 ``holds`` and ``query``).
 
-Every batch is *staged*: maintained forward into the index, the counts and
-the DRed seeds, then resolved one of two ways.  A *commit* keeps it:
-``program.facts`` (a :class:`~repro.datalog.program.FactList`, keyed by
-atom, so the update costs O(batch)) takes the EDB change, so the wrapped
-engine, the materialized index and the program never disagree, and the
-maintained model is what a subsequent ``engine.least_model()`` returns
-without a fixpoint.  A *rollback* maintains the batch's exact inverse
-(counting is integer-exact and DRed set-exact, so the state comes back bit
-for bit) and restores the maintenance counters.  :meth:`MaterializedModel.apply`
-is stage-then-commit; :meth:`MaterializedModel.peek` — "what would the model
-be if this batch were applied?" — is stage, read, rollback, and leaves no
-trace.  A database holds each write staged on every maintained view (the
-violation view reads its buckets meanwhile) and commits them all once its
-base holds the write, or rolls them all back if the write fails first.
+The EDB is not the model's: it is ``program.facts``, an interned
+:class:`~repro.datalog.columnar.EdbStore`.  A database's views share their
+database's store, and a model over a program with a plain fact list turns
+it into a store of its own.  The model's index holds the store's very
+relation objects for every purely extensional predicate and private
+relations only for what rules derive (an IDB predicate with base facts of
+its own starts from a copy of them), so a model costs its derived facts,
+not a copy of the base.  The store changes first: a batch
+(:class:`~repro.datalog.columnar.EdbBatch`, its net change in id rows) is
+written to the store once, and then every model over it stages it.
+
+Every batch is *staged*: maintained forward into the model's relations,
+the counts and the DRed seeds, then resolved one of two ways.  A *commit*
+keeps it: the histograms and the :class:`UpdateResult` computed while
+staging are swapped in, which cannot fail, and the maintained model is
+what a subsequent ``engine.least_model()`` returns without a fixpoint.  A
+*rollback*, once the store is back where it was, maintains the batch's
+exact inverse (counting is integer-exact and DRed set-exact, so the state
+comes back bit for bit) and restores the maintenance counters.
+:meth:`MaterializedModel.apply` is write, stage, commit;
+:meth:`MaterializedModel.peek` — "what would the model be if this batch
+were applied?" — is write, stage, read, unwrite, rollback, and leaves no
+trace.  A database writes each change to its store, stages it on every
+maintained view (the violation view reads its buckets meanwhile) and
+commits them all once its base holds the write, or unwrites and rolls them
+all back if the write fails first.
 
 The histograms are snapshotted only when the model is (re)built.  Both
-legs of a staged batch plan against them as they stand; only a commit folds
-the batch's net index changes into them
-(:meth:`JoinStatistics.update <repro.datalog.stats.JoinStatistics.update>`)
-and drops the kernels compiled against the old ones.  So they always equal
-a fresh snapshot of the index while costing O(batch + touched buckets), and
-a peek re-plans and compiles nothing the model has already run.  Together
-with the keyed fact list this makes ``apply``, ``peek``, ``query`` and
+legs of a staged batch plan against them as they stand; a staged batch to
+be kept folds its net index change into a copy
+(:meth:`JoinStatistics.update <repro.datalog.stats.JoinStatistics.update>`),
+which the commit adopts, dropping the kernels compiled against the old
+ones.  So they always equal a fresh snapshot of the index while costing
+O(batch + touched buckets), and a peek re-plans and compiles nothing the
+model has already run.  This makes ``apply``, ``peek``, ``query`` and
 ``holds`` independent of the size of the database.
 """
 
@@ -83,7 +95,13 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass
 
 from repro.datalog.analyze import strongly_connected_components
-from repro.datalog.columnar import RowStore, compiled_for, decode_world, fresh_delta
+from repro.datalog.columnar import (
+    EdbStore,
+    RowStore,
+    compiled_for,
+    decode_world,
+    fresh_delta,
+)
 from repro.datalog.engine import DatalogEngine, QueryResult, _match
 from repro.datalog.magic import adornment_of
 from repro.datalog.program import DatalogFact, DatalogLiteral, DatalogRule
@@ -182,17 +200,20 @@ class MaterializedModel:
     strategy raises ``ValueError``) and keeps the model of
     ``engine.program`` materialized in the engine's id-space store: the
     :class:`~repro.datalog.columnar.ColumnarFactIndex` that
-    :meth:`~repro.datalog.engine.DatalogEngine.least_index` returns, owned
-    and mutated by this model from then on.  The counting table, the DRed
-    sets and the per-batch deltas are interned ``(key, row)`` facts, and
-    every maintenance join is one of the engine's generated kernels.  EDB
-    updates arrive through :meth:`apply`; everything else (``model()``,
-    ``holds()``, ``query()``) reads the maintained state.
+    :meth:`~repro.datalog.engine.DatalogEngine.least_index` returns, whose
+    derived relations this model owns and mutates from then on (its
+    extensional relations are the
+    :class:`~repro.datalog.columnar.EdbStore`'s that ``program.facts``
+    holds).  The counting table, the DRed sets and the per-batch deltas
+    are interned ``(key, row)`` facts, and every maintenance join is one of
+    the engine's generated kernels.  EDB updates arrive through
+    :meth:`apply`; everything else (``model()``, ``holds()``, ``query()``)
+    reads the maintained state.
 
     Changes that bypass :meth:`apply` are not maintained incrementally: if
     the program's rules or facts are mutated behind our back, the next
-    access notices (the fact list's version stamp, a comparison of the
-    rules) and falls back to a full rebuild.
+    access notices (the store's version stamp, a replaced fact list, a
+    comparison of the rules) and falls back to a full rebuild.
     """
 
     def __init__(self, program_or_engine):
@@ -218,7 +239,8 @@ class MaterializedModel:
         self._components = None
         self._kind = None
         self._world = None
-        self._facts_version = None
+        self._edb = None
+        self._edb_version = None
         self._rules_key = None
         self.refresh()
         # From now on the engine's least_model() pulls from the maintained
@@ -301,13 +323,17 @@ class MaterializedModel:
         Both arguments are iterables of ground atoms (or
         :class:`~repro.datalog.program.DatalogFact`).  Set semantics: a fact
         both deleted and inserted in the same batch stays present, inserting
-        a present fact and deleting an absent one are no-ops.
-        ``program.facts`` is updated to match (deleted atoms lose every
-        occurrence, inserted ones are appended in sorted order), so the
-        program remains the single source of truth.  Returns an
-        :class:`UpdateResult`.
+        a present fact and deleting an absent one are no-ops.  The EDB store
+        (``program.facts``) takes the batch, so the program remains the
+        single source of truth.  Returns an :class:`UpdateResult`.
         """
-        self._stage(insertions, deletions)
+        batch = self._batch(insertions, deletions)
+        self._edb.write(batch)
+        try:
+            self._stage(batch)
+        except BaseException:
+            self._edb.unwrite(batch)
+            raise
         return self._commit()
 
     def peek(self, insertions=(), deletions=(), reader=None):
@@ -317,8 +343,9 @@ class MaterializedModel:
         Implemented as a staged batch that is always rolled back:
         maintenance of the batch, then of its exact inverse (counting is
         integer-exact and DRed set-exact, so the round trip restores the
-        state bit-for-bit).  ``program.facts``, the planner statistics and
-        the compiled kernels are never touched, and :attr:`statistics` is
+        state bit-for-bit).  The EDB store is written for the duration and
+        restored bit for bit, the planner statistics and the compiled
+        kernels are never touched, and :attr:`statistics` is
         restored after the round trip, so not even the maintenance counters
         record the peek.  This is the API transaction previews should use:
         a peek can never poison the maintained state or the engine's cache.
@@ -330,12 +357,15 @@ class MaterializedModel:
         peek's result, keeping the whole round trip O(delta + touched
         buckets).  The reader must not mutate the model.
         """
-        self._stage(insertions, deletions)
+        batch = self._batch(insertions, deletions)
+        self._edb.write(batch)
         try:
+            self._stage(batch, keep=False)
             if reader is None:
                 return decode_world(self._store, self._interner)
             return reader(self)
         finally:
+            self._edb.unwrite(batch)
             self._rollback()
 
     def refresh(self):
@@ -343,38 +373,43 @@ class MaterializedModel:
         construction and whenever the program was mutated other than
         through :meth:`apply`.
 
-        The model is the engine's id-space fixpoint store
-        (:meth:`~repro.datalog.engine.DatalogEngine.least_index`, which
-        also lets the engine's static analyzer see the possibly mutated
-        program: a strict engine rejects a defective program here).  The
-        derivation counts of each counting component are then filled by one
-        counting pass per rule over that final store, plus one for EDB
-        membership.  Maintenance works from the full rule set — never-fire
-        rules the analyzer pruned from the fixpoint derive nothing here
-        either."""
+        The EDB is ``program.facts`` as an
+        :class:`~repro.datalog.columnar.EdbStore` on the engine's interner;
+        any other fact list is interned into a store of the model's own,
+        which replaces it.  The model is the engine's id-space fixpoint
+        store over it (:meth:`~repro.datalog.engine.DatalogEngine.least_index`,
+        which also lets the engine's static analyzer see the possibly
+        mutated program: a strict engine rejects a defective program here).
+        The derivation counts of each counting component are then filled by
+        one counting pass per rule over that final store, plus one for the
+        EDB membership of its own predicate.  Maintenance works from the
+        full rule set — never-fire rules the analyzer pruned from the
+        fixpoint derive nothing here either."""
         self.statistics.rebuilds += 1
+        edb = self._edb = self.program.facts = EdbStore.of(
+            self.program.facts, self._interner
+        )
         self._analyze()
         self._index = self.engine.least_index()
         self._store = store = self._index.store
         self._kernels = {}
         self.planner_statistics.refresh(store)
-        kind = self._kind
-        encode = self._interner.encode_atom
         self._counts = counts = {}
-        self._seeds = set()
-        facts = self.program.facts
-        for atom in facts.atoms():
-            predicate_kind = kind.get((atom.predicate, len(atom.args)))
-            if predicate_kind == "counting":
-                counts[encode(atom)] = 1
-            elif predicate_kind == "dred":
-                self._seeds.add(encode(atom))
+        self._seeds = seeds = set()
+        for key, predicate_kind in self._kind.items():
+            relation = edb.rows.get(key)
+            if relation is not None:
+                own = [(key, row) for row in relation.rows]
+                if predicate_kind == "counting":
+                    counts.update(dict.fromkeys(own, 1))
+                else:
+                    seeds.update(own)
         for component in self._components:
             if not component.recursive:
                 for rule in component.rules:
                     self._kernel(rule, None, "count")(store, None, None, counts)
         self._world = None
-        self._facts_version = facts.version
+        self._edb_version = edb.version
         self._rules_key = tuple(self.program.rules)
 
     def metrics(self):
@@ -430,108 +465,128 @@ class MaterializedModel:
 
     def _ensure_consistent(self):
         """Fall back to a full rebuild when the program was mutated outside
-        :meth:`apply`: the fact list's version stamp moved (or the list was
-        replaced) or the rules differ.  O(rules), independent of the
-        facts."""
+        :meth:`apply`: the EDB store's version stamp moved, the fact list was
+        replaced or the rules differ.  O(rules), independent of the facts."""
         if (
-            self._facts_version != self.program.facts.version
+            self.program.facts is not self._edb
+            or self._edb_version != self._edb.version
             or self._rules_key != tuple(self.program.rules)
         ):
             self.refresh()
 
-    def _net_change(self, insertions, deletions):
-        """Validate a batch and reduce it to its net EDB change ``(added,
-        removed)`` against ``program.facts`` (set semantics)."""
-        facts = self.program.facts
-        insertions = {_as_ground_atom(a) for a in insertions}
-        deletions = {_as_ground_atom(a) for a in deletions}
-        added = {atom for atom in insertions if atom not in facts}
-        removed = {atom for atom in deletions - insertions if atom in facts}
-        return added, removed
+    def _detach(self):
+        """Read a private copy of the EDB store from now on: the index's
+        shared relations are swapped for the copy's, so writes to the store
+        no longer reach this model (a closed view stays as it was)."""
+        shared, private = self._edb, self._edb.copy()
+        for key, relation in private.rows.items():
+            if self._store.get(key) is shared.rows.get(key):
+                self._store.share(key, relation)
+        current = self._edb_version == shared.version
+        self.program.facts = self._edb = private
+        if current:
+            self._edb_version = private.version
 
-    def _stage(self, insertions, deletions):
-        """Maintain the batch's net change forward and hold it staged until
+    def _batch(self, insertions, deletions):
+        """Validate a batch of ground atoms and reduce it to its net change
+        against the (brought up to date) EDB store, not yet written."""
+        insertions = [_as_ground_atom(a) for a in insertions]
+        deletions = [_as_ground_atom(a) for a in deletions]
+        self._ensure_consistent()
+        return self._edb.batch(insertions, deletions)
+
+    def _stage(self, batch, keep=True):
+        """Maintain *batch* — an :class:`~repro.datalog.columnar.EdbBatch`
+        the EDB store already holds, made while the store was at the state
+        this model reflects — forward and hold it staged until
         :meth:`_commit` or :meth:`_rollback`.  Reads see the staged model;
-        ``program.facts``, the histograms and the kernels stay as they were.
-        A maintenance pass that raises restores the counters and leaves the
-        model marked stale, so the next access rebuilds it."""
+        the histograms and the kernels stay as they were.  A batch to be
+        kept (not a peek's) also gets everything a commit needs computed
+        here: its :class:`UpdateResult` and the histograms with its net
+        index change folded into a copy.  Staging that raises restores the
+        counters and leaves the model marked stale, so the next access
+        rebuilds it."""
         if self._staged is not None:
             raise ReproError("a batch is already staged on this model")
-        self._ensure_consistent()
-        edb_added, edb_removed = self._net_change(insertions, deletions)
+        if self._edb_version != batch.before:
+            raise ReproError("the batch was not made on the EDB this model reflects")
         counters = dict(vars(self.statistics))
         try:
-            change = self._maintain(edb_added, edb_removed)
+            index_plus, index_minus = self._maintain(batch.plus, batch.minus)
+            result = histograms = None
+            if keep:
+                result = self._result(batch, index_plus, index_minus)
+                if index_plus or index_minus:
+                    histograms = self.planner_statistics.copy().update(
+                        self._store, index_plus, index_minus
+                    )
         except BaseException:
-            self._facts_version = None
+            self._edb_version = None
             vars(self.statistics).update(counters)
             raise
-        self._staged = (edb_added, edb_removed, change, counters)
+        self._edb_version = batch.after
+        self._staged = (batch, counters, result, histograms)
 
-    def _commit(self):
-        """Keep the staged batch: ``program.facts`` takes its EDB change and
-        the histograms fold its net index change, which drops the kernels
-        planned against the old ones.  Returns the :class:`UpdateResult`."""
-        edb_added, edb_removed, change, _ = self._staged
-        self._staged = None
-        self.statistics.applies += 1
-        edb_plus, edb_minus, index_plus, index_minus = change
-        facts = self.program.facts
-        for atom in edb_removed:
-            facts.discard(atom)
-        for atom in sorted(
-            edb_added, key=lambda a: (a.predicate, tuple(p.name for p in a.args))
-        ):
-            facts.append(DatalogFact(atom))
-        self._facts_version = facts.version
-        if index_plus or index_minus:
-            self.planner_statistics.update(self._store, index_plus, index_minus)
-            self._kernels = {}
+    def _result(self, batch, index_plus, index_minus):
+        """The :class:`UpdateResult` of a staged batch: its EDB change and
+        the rest of the net index change, decoded."""
         decode = self._interner.decode_row
+
+        def atoms(facts, edb=()):
+            return frozenset(
+                decode(key[0], row) for key, row in facts if (key, row) not in edb
+            )
+
         return UpdateResult(
-            frozenset(edb_added),
-            frozenset(edb_removed),
-            frozenset(
-                decode(key[0], row) for key, row in index_plus
-                if (key, row) not in edb_plus
-            ),
-            frozenset(
-                decode(key[0], row) for key, row in index_minus
-                if (key, row) not in edb_minus
-            ),
+            atoms(batch.plus), atoms(batch.minus),
+            atoms(index_plus, batch.plus), atoms(index_minus, batch.minus),
         )
 
+    def _commit(self):
+        """Keep the staged batch: adopt the histograms it was folded into
+        (dropping the kernels planned against the old ones) and return its
+        :class:`UpdateResult`.  Both were computed while staging, so a
+        commit only swaps state and cannot fail."""
+        _, _, result, histograms = self._staged
+        self._staged = None
+        self.statistics.applies += 1
+        if histograms is not None:
+            self.planner_statistics.adopt(histograms)
+            self._kernels = {}
+        return result
+
     def _rollback(self):
-        """Undo the staged batch by maintaining its exact inverse against
-        the same histograms and kernels, and restore the maintenance
-        counters."""
-        edb_added, edb_removed, _, counters = self._staged
+        """Undo the staged batch, if there is one, once the EDB store is back
+        at its state before the batch: maintain the batch's exact inverse
+        against the same histograms and kernels, and restore the
+        maintenance counters."""
+        if self._staged is None:
+            return
+        batch, counters, _, _ = self._staged
         self._staged = None
         try:
-            self._maintain(edb_removed, edb_added)
+            self._maintain(batch.minus, batch.plus)
         except BaseException:
-            self._facts_version = None
+            self._edb_version = None
             raise
         finally:
             vars(self.statistics).update(counters)
+        self._edb_version = batch.before
 
-    def _maintain(self, edb_added, edb_removed):
-        """Bring the index, the counts and the DRed seeds to the model of the
-        EDB changed by ``(edb_added, edb_removed)``, which ``program.facts``
-        does not reflect yet.  Returns ``(edb_plus, edb_minus, index_plus,
-        index_minus)``: the EDB change as sets of encoded ``(key, row)``
-        facts and the net index change, EDB part included, as
+    def _maintain(self, edb_plus, edb_minus):
+        """Bring the model's own state — its derived relations, the counts
+        and the DRed seeds — to the model of the EDB changed by
+        ``(edb_plus, edb_minus)`` (sets of encoded ``(key, row)`` facts),
+        which the EDB store already holds.  Returns the net index change
+        ``(index_plus, index_minus)``, EDB part included, as
         :class:`~repro.datalog.columnar.RowStore` objects.  An empty change
         is a no-op and returns empty tuples."""
-        if not edb_added and not edb_removed:
-            return (), (), (), ()
-        encode = self._interner.encode_atom
-        edb_plus = {encode(atom) for atom in edb_added}
-        edb_minus = {encode(atom) for atom in edb_removed}
+        if not edb_plus and not edb_minus:
+            return (), ()
         with self.engine.tracer.span(
             "maintenance.batch",
-            insertions=len(edb_added),
-            deletions=len(edb_removed),
+            insertions=len(edb_plus),
+            deletions=len(edb_minus),
         ) as span:
             index_plus, index_minus = self._propagate(edb_plus, edb_minus)
             facts_added = sum(fact not in edb_plus for fact in index_plus)
@@ -541,7 +596,7 @@ class MaterializedModel:
         self.engine._model = None  # stale until model() reinstalls
         self.statistics.facts_added += facts_added
         self.statistics.facts_removed += facts_removed
-        return edb_plus, edb_minus, index_plus, index_minus
+        return index_plus, index_minus
 
     # -- delta propagation ------------------------------------------------------
     def _propagate(self, edb_plus, edb_minus):
@@ -556,23 +611,24 @@ class MaterializedModel:
 
         The maintenance passes of every component order their joins against
         the pre-batch histograms (deltas are tiny next to the index, so
-        mid-batch drift is noise); :meth:`_commit` folds the net change into
-        them.
+        mid-batch drift is noise); :meth:`_stage` folds the net change into
+        a copy of them for the commit.
         """
         store = self._store
         kind = self._kind
         acc_plus = RowStore()
         acc_minus = RowStore()
-        # EDB changes for purely extensional predicates take effect
-        # immediately; EDB changes for IDB predicates are handed to the
-        # owning component (base-count / DRed-seed semantics).
+        # The EDB store holds the batch already, and the index reads a
+        # purely extensional predicate's relation from it: that change has
+        # taken effect (a relation the batch created is shared here).  EDB
+        # changes for IDB predicates are handed to the owning component
+        # (base-count / DRed-seed semantics) for the model's own relation.
         pending_plus = defaultdict(list)
         pending_minus = defaultdict(list)
         for fact in edb_plus:
             predicate_kind = kind.get(fact[0])
             if predicate_kind is None:
-                if store.add(fact):
-                    acc_plus.add(fact)
+                acc_plus.add(fact)
                 continue
             pending_plus[fact[0]].append(fact)
             if predicate_kind == "dred":
@@ -580,12 +636,14 @@ class MaterializedModel:
         for fact in edb_minus:
             predicate_kind = kind.get(fact[0])
             if predicate_kind is None:
-                if store.discard(fact):
-                    acc_minus.add(fact)
+                acc_minus.add(fact)
                 continue
             pending_minus[fact[0]].append(fact)
             if predicate_kind == "dred":
                 self._seeds.discard(fact)
+        for key in acc_plus.relations() | acc_minus.relations():
+            if store.get(key) is None:
+                store.share(key, self._edb.rows.get(key))
 
         for component in self._components:
             own_plus = [f for key in component.predicates for f in pending_plus.get(key, ())]

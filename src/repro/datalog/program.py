@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Tuple
 
+from repro.datalog.interner import constant_kind
 from repro.exceptions import ReproError, UnsafeRuleError
 from repro.logic.builders import conj, forall
 from repro.logic.syntax import And, Atom, Forall, Implies, Not, free_variables
@@ -111,13 +112,13 @@ class FactList:
 
     It answers what the rest of the library asks of a fact list —
     iteration in insertion order, ``len``, ``in`` and ``append`` — and
-    adds O(1) membership by atom and :meth:`discard` of every occurrence
-    of an atom, which is how
-    :class:`~repro.datalog.incremental.MaterializedModel` keeps the
-    program in step with its maintained model without rewriting the
-    list.  Duplicates are kept, as in a list: appending a fact twice
+    adds O(1) membership by atom, :meth:`discard` of every occurrence of
+    an atom and the per-predicate :meth:`signature` the static analyzer
+    reads.  Duplicates are kept, as in a list: appending a fact twice
     stores two occurrences, both counted by ``len`` and both yielded, in
-    place, by iteration.
+    place, by iteration.  (The other fact list a program can hold is the
+    interned :class:`~repro.datalog.columnar.EdbStore`, which maintained
+    models evaluate over.)
 
     :attr:`version` changes with every mutation and is never shared
     between two lists, so a reader that remembers it can tell whether the
@@ -166,6 +167,24 @@ class FactList:
             fact.atom for key, fact in self._entries.items() if key is fact.atom
         )
 
+    def signature(self):
+        """Per ``(name, arity)`` relation: ``(facts, the first fact,
+        columns)``, one ``{kind: first fact with that kind}`` map per
+        argument position (kinds from
+        :func:`~repro.datalog.interner.constant_kind`) — what the static
+        analyzer checks rules against."""
+        found = {}
+        for fact in self:
+            args = fact.atom.args
+            key = (fact.atom.predicate, len(args))
+            entry = found.get(key)
+            if entry is None:
+                entry = found[key] = [0, fact, tuple({} for _ in args)]
+            entry[0] += 1
+            for kinds, argument in zip(entry[2], args):
+                kinds.setdefault(constant_kind(argument), fact)
+        return {key: tuple(entry) for key, entry in found.items()}
+
     def __contains__(self, item):
         """True for a held :class:`DatalogFact` or the atom of one."""
         if isinstance(item, DatalogFact):
@@ -185,8 +204,9 @@ class FactList:
 class DatalogProgram:
     """A collection of facts and rules over an implicit schema.
 
-    :attr:`facts` is a :class:`FactList`; assigning any other iterable of
-    facts wraps it in one.
+    :attr:`facts` is a :class:`FactList` or an interned
+    :class:`~repro.datalog.columnar.EdbStore`; assigning any other
+    iterable of facts wraps it in a :class:`FactList`.
     """
 
     def __init__(self, facts=(), rules=()):
@@ -209,7 +229,9 @@ class DatalogProgram:
 
     @facts.setter
     def facts(self, facts):
-        self._facts = facts if isinstance(facts, FactList) else FactList(facts)
+        from repro.datalog.columnar import EdbStore
+
+        self._facts = facts if isinstance(facts, (FactList, EdbStore)) else FactList(facts)
 
     # -- construction ------------------------------------------------------
     def add_fact(self, fact):

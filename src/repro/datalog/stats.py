@@ -32,7 +32,10 @@ to a one-fact update of a large model, so the incremental maintainer
 (:class:`~repro.datalog.incremental.MaterializedModel`) snapshots only when
 it (re)builds and afterwards folds each batch's net changes in with
 :meth:`JoinStatistics.update`: O(changed facts + touched buckets), with the
-same result as a fresh snapshot.
+same result as a fresh snapshot.  A staged batch is folded into a
+:meth:`~JoinStatistics.copy`, which the model takes over
+(:meth:`~JoinStatistics.adopt`) when the batch commits, so a commit cannot
+fail half-way.
 """
 
 from collections import Counter
@@ -148,9 +151,13 @@ class JoinStatistics:
             old = self._columns.get(key)
             if old is None:  # a relation the batch created
                 old = (ColumnStatistics(0, 0, 0, 0),) * arity
-                self._frequencies[key] = tuple(Counter() for _ in range(arity))
+                frequencies = tuple(Counter() for _ in range(arity))
+            else:
+                # New counters, not edits: a copy() taken before this fold
+                # keeps the old ones.
+                frequencies = tuple(Counter(counts) for counts in self._frequencies[key])
             columns = []
-            for position, counts in enumerate(self._frequencies[key]):
+            for position, counts in enumerate(frequencies):
                 change = added.histogram(predicate, arity, position)
                 for value, size in removed.histogram(predicate, arity, position).items():
                     change[value] = change.get(value, 0) - size
@@ -181,6 +188,24 @@ class JoinStatistics:
                     ColumnStatistics(total, distinct, max_bucket, sum_of_squares)
                 )
             self._columns[key] = tuple(columns)
+            self._frequencies[key] = frequencies
+        return self
+
+    def copy(self):
+        """An independent instance with the same histograms: O(relations),
+        because :meth:`update` replaces the per-relation entries it folds
+        instead of editing them."""
+        other = JoinStatistics()
+        other._columns = dict(self._columns)
+        other._frequencies = dict(self._frequencies)
+        other.refreshes = self.refreshes
+        return other
+
+    def adopt(self, other):
+        """Take over the histograms of *other* (typically a :meth:`copy`
+        with a batch folded in) — two assignments, so it cannot fail
+        half-way."""
+        self._columns, self._frequencies = other._columns, other._frequencies
         return self
 
     def column(self, predicate, arity, position):

@@ -13,10 +13,12 @@ A thin, stateful orchestration layer over the rest of the package:
   machinery (Definition 3.5); updates re-check incrementally and can fire
   procedural triggers;
 * **maintained views** (a :class:`~repro.db.view.DatalogView`, the
-  :meth:`violation_view`) are updated by one staged protocol: each write is
-  staged on every view before the base changes and committed right after,
-  so a write that fails — a violated constraint, or any view raising while
-  it stages — changes neither the base nor any view;
+  :meth:`violation_view`) read one EDB store — the base's ground atoms,
+  interned once, built when the first view attaches — and are updated by
+  one staged protocol: each write goes to the store once and is staged on
+  every view before the base changes and committed right after, so a write
+  that fails — a violated constraint, or any view raising while it stages
+  — changes neither the base, nor the store, nor any view;
 * ``closed_world()`` returns a closed-world view of the same content
   (Section 7).
 
@@ -33,7 +35,8 @@ from repro.logic.printer import to_text
 from repro.logic.syntax import Formula, free_variables
 from repro.constraints.checker import IntegrityChecker
 from repro.constraints.triggers import TriggerManager
-from repro.db.base import BeliefBase
+from repro.datalog.columnar import EdbStore
+from repro.db.base import BeliefBase, is_ground_atom
 from repro.db.view import _ground_atoms
 from repro.cwa.evaluation import ClosedWorldEvaluator
 from repro.evaluator.all_answers import all_answers
@@ -56,6 +59,8 @@ def _as_formula(value):
 
 def _check_sentence(formula):
     """Reject what a database may not contain: epistemic or open formulas."""
+    if is_ground_atom(formula):
+        return formula  # first order and closed by construction
     if not is_first_order(formula):
         raise NotFirstOrderError(
             "databases contain first-order sentences; epistemic sentences "
@@ -100,6 +105,7 @@ class EpistemicDatabase:
         self._reducer = None
         self._update_listeners = []
         self._views = []
+        self._edb = None
         self._revision_epoch = 0
         self._constraint_checking = constraint_checking
         self._violation_view = None
@@ -214,43 +220,68 @@ class EpistemicDatabase:
     def _checking(self, check_constraints):
         return self._constraint_checking if check_constraints else None
 
+    def _edb_store(self):
+        """The :class:`~repro.datalog.columnar.EdbStore` of the base's
+        ground atoms that every maintained view reads, built when the first
+        one attaches; from then on every write changes it once, in
+        :meth:`_update`."""
+        if self._edb is None:
+            self._edb = EdbStore(
+                sentence for sentence in self._base.sequences if is_ground_atom(sentence)
+            )
+        return self._edb
+
     def _update(self, additions, retractions, checking, fire_triggers, counter,
                 describe, applied=None):
         """The one update path behind :meth:`tell`, :meth:`retract` and
         :meth:`~repro.db.transactions.Transaction.commit`:
 
-        1. the batch's net change is computed once (``base.net_change``);
-        2. the constraint check: under ``"incremental"`` the violation view
+        1. the batch's net change is computed once (``base.net_change``),
+           and every maintained view is brought up to date;
+        2. the EDB store (once a view needs it) takes the change's ground
+           atoms, encoded once;
+        3. the constraint check: under ``"incremental"`` the violation view
            stages the change and reports on the staged state;
-        3. on acceptance every other maintained view stages the change;
-        4. the base takes the batch: each retraction removes one
+        4. on acceptance every other maintained view stages the change;
+        5. the base takes the batch: each retraction removes one
            occurrence, earliest first, then the additions land;
-        5. every staged view commits;
-        6. the violation deltas go out, the update listeners run and the
+        6. every staged view commits, which only swaps in state computed
+           while staging and cannot fail;
+        7. the violation deltas go out, the update listeners run and the
            triggers fire.
 
-        If anything raises before step 4 — a violation, the check, any
-        view's staging — every staged view is rolled back and the base,
-        the epoch and the listeners are left alone.  *checking* is
-        ``"scratch"``, ``"incremental"`` or ``None`` to skip the check;
-        *describe* names the update in a rejection.  A batch whose applied
-        change is empty notifies nobody, fires nothing and keeps the epoch.
-        ``applied(epoch)``, if given, runs once the batch is in, before any
-        delivery.  Returns the constraint report."""
+        If anything raises before step 5 — a violation, the check, any
+        view's staging — the store is restored, every staged view is
+        rolled back and the base, the epoch and the listeners are left
+        alone.  *checking* is ``"scratch"``, ``"incremental"`` or ``None``
+        to skip the check; *describe* names the update in a rejection.  A
+        batch whose applied change is empty notifies nobody, fires nothing
+        and keeps the epoch.  ``applied(epoch)``, if given, runs once the
+        batch is in, before any delivery.  Returns the constraint report."""
         for formula in additions:
             _check_sentence(formula)
         arriving, gone = self._base.net_change(additions, retractions)
+        checking = checking if self._constraints else None
+        if checking == "incremental":
+            self.violation_view()
+        for view in self._views:
+            view.materialized._ensure_consistent()
+        batch = None
+        if self._edb is not None:
+            batch = self._edb.batch(_ground_atoms(arriving), _ground_atoms(gone))
         report = None
         staged = []
         try:
-            if checking and self._constraints:
+            if batch is not None:
+                self._edb.write(batch)
+            if checking:
                 with self.tracer.span("txn.check", mode=checking):
                     if checking == "incremental":
-                        violations = self.violation_view()
-                        report = violations._stage_check(
-                            additions, retractions, arriving, gone
-                        )
+                        violations = self._violation_view
                         staged.append(violations)
+                        report = violations._stage_check(
+                            additions, retractions, arriving, gone, batch
+                        )
                     else:
                         report, _ = self._checker.check_update(
                             self._base, added=additions, removed=retractions,
@@ -261,13 +292,14 @@ class EpistemicDatabase:
                         f"{describe()} violates integrity constraints",
                         violations=report.violations,
                     )
-            insertions, deletions = _ground_atoms(arriving), _ground_atoms(gone)
-            if insertions or deletions:
+            if batch is not None and (batch.plus or batch.minus):
                 for view in self._views:
                     if view not in staged:
-                        view.materialized._stage(insertions, deletions)
                         staged.append(view)
+                        view.materialized._stage(batch)
         except BaseException:
+            if batch is not None:
+                self._edb.unwrite(batch)
             for view in staged:
                 view.materialized._rollback()
             raise

@@ -4,11 +4,16 @@ The paper's Section 5.1 observes that Σ "could be a Datalog program"; a
 :class:`DatalogView` takes that reading literally and keeps it *hot*: the
 database's ground atomic sentences are the EDB, the caller supplies the
 rules, and a :class:`~repro.datalog.incremental.MaterializedModel` maintains
-the least model.  The view is one of the database's *maintained views*
-(:class:`MaintainedView`): every ``tell`` / ``retract`` / transaction
-commit stages its net EDB change on the view before the base changes and
-commits it right after, so the materialized closure is updated at delta
-cost — the engine never re-runs its fixpoint for fact traffic.
+the least model.  The EDB is the database's, not the view's: one
+:class:`~repro.datalog.columnar.EdbStore` per database (built when the
+first view attaches) interns the ground atoms once, every view's program
+reads it as its fact list, and each view's index shares its relations, so a
+view holds only what its rules derive.  The view is one of the database's
+*maintained views* (:class:`MaintainedView`): every ``tell`` / ``retract``
+/ transaction commit writes its net EDB change to the store once, stages
+it on every view before the base changes and commits them right after, so
+the materialized closure is updated at delta cost — the engine never
+re-runs its fixpoint for fact traffic.
 
 Two properties matter for correctness under transactional traffic:
 
@@ -38,17 +43,22 @@ def _ground_atoms(sentences):
 class MaintainedView:
     """A materialized model the database keeps in step with its base.
 
-    Built over *program* (whose facts are the base's ground atoms), the view
-    attaches itself to *database*; from then on every write stages its net
-    EDB change on :attr:`materialized` before the base changes, commits it
-    once the base holds the write, and rolls it back when the write fails
-    first (:meth:`EpistemicDatabase._update
+    Built from *rules* over the database's EDB store (*outputs*, ``(name,
+    arity)`` pairs, are declared on the program for the static analyzer),
+    the view attaches itself to *database*; from then on every write stages
+    its net EDB change on :attr:`materialized` before the base changes,
+    commits it once the base holds the write, and rolls it back when the
+    write fails first (:meth:`EpistemicDatabase._update
     <repro.db.database.EpistemicDatabase._update>`).  :meth:`_deliver`
     receives each committed batch's
     :class:`~repro.datalog.incremental.UpdateResult`, after every view has
     committed."""
 
-    def __init__(self, database, program):
+    def __init__(self, database, rules=(), outputs=()):
+        program = DatalogProgram(rules=rules)
+        for predicate, arity in outputs:
+            program.declare_output(predicate, arity)
+        program.facts = database._edb_store()
         self._database = database
         self._materialized = MaterializedModel(program)
         database._views.append(self)
@@ -59,9 +69,12 @@ class MaintainedView:
         return self._materialized
 
     def close(self):
-        """Detach from the database; the view stops updating."""
-        if self in self._database._views:
-            self._database._views.remove(self)
+        """Detach from the database; the view stops updating and keeps the
+        EDB as it stands (its model reads a private copy of the store)."""
+        views = self._database._views
+        if self in views:
+            views.remove(self)
+            self._materialized._detach()
 
     def _deliver(self, result):
         """Announce a committed batch; a plain view has no one to tell."""
@@ -81,18 +94,11 @@ class DatalogView(MaintainedView):
 
     The view stays attached to the database until :meth:`close` is called.
     The maintaining :class:`~repro.datalog.incremental.MaterializedModel`
-    interns the EDB constants and keeps the materialized state in dense-id
-    columnar relations (:class:`~repro.datalog.columnar.RowStore`, read
-    through :class:`~repro.datalog.columnar.ColumnarFactIndex`).
+    keeps the materialized state in dense-id columnar relations
+    (:class:`~repro.datalog.columnar.RowStore`, read through
+    :class:`~repro.datalog.columnar.ColumnarFactIndex`): its derived ones of
+    its own, the extensional ones shared with the database's EDB store.
     """
-
-    def __init__(self, database, rules=()):
-        program = DatalogProgram()
-        for rule in rules:
-            program.add_rule(rule)
-        for sentence in _ground_atoms(database.base):
-            program.add_fact(sentence)
-        super().__init__(database, program)
 
     # -- reading ------------------------------------------------------------
     @property

@@ -10,7 +10,8 @@ O(batch) updates and reads.
 * A one-fact ``apply`` / ``peek`` / ``query`` / ``holds`` takes no snapshot,
   reads no whole-column histogram and never iterates ``program.facts``.
 * Staleness is still caught: every way of mutating the program outside
-  ``apply`` triggers exactly one rebuild on the next read.
+  ``apply`` — its rules, or the EDB store its facts became when the model
+  was built — triggers exactly one rebuild on the next read.
 * ``program.facts`` is a :class:`FactList` that behaves like the list it
   replaced for everything the library does with it.
 """
@@ -27,7 +28,7 @@ from repro.datalog import (
     DatalogRule,
     MaterializedModel,
 )
-from repro.datalog.columnar import ColumnarRelation, RowStore
+from repro.datalog.columnar import ColumnarRelation, EdbStore, RowStore
 from repro.datalog.program import DatalogLiteral, FactList
 from repro.datalog.stats import JoinStatistics
 from repro.exceptions import ReproError
@@ -231,6 +232,31 @@ def test_one_fact_updates_and_reads_are_delta_cost(monkeypatch):
     assert materialized.statistics.rebuilds == 1
 
 
+def test_one_fact_updates_and_reads_never_read_the_whole_edb_store(monkeypatch):
+    """The store a model reads is not iterated, decoded or summarised by
+    a one-fact ``apply``, ``peek``, ``query`` or ``holds``."""
+    program = transitive_closure_program(chains=40, length=4)
+    materialized = MaterializedModel(program)
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("__iter__", "atoms", "signature", "overlay", "copy"):
+        monkeypatch.setattr(EdbStore, name, counted(name, getattr(EdbStore, name)))
+    edge = atom("edge", "c0_n1", "c0_n2")
+    materialized.apply(deletions=[edge])
+    materialized.apply(insertions=[edge])
+    materialized.peek(insertions=[atom("edge", "c1_n0", "c1_n3")])
+    materialized.query(Atom("path", (Parameter("c0_n0"), y)))
+    assert materialized.holds(atom("path", "c0_n0", "c0_n4"))
+    assert not calls, dict(calls)
+    assert materialized.statistics.rebuilds == 1
+
+
 def test_reinstall_and_cache_hit_read_no_facts(monkeypatch):
     """One staleness stamp: after an ``apply``, ``model()`` reinstalls the
     world into the engine and the engine's next ``least_model()`` is a
@@ -376,7 +402,13 @@ def _extra_rule():
     )
 
 
+#: ``p.facts`` is the model's EDB store from its first build on (the
+#: program's fact list turned into an EdbStore), so these hit the store.
 OUT_OF_BAND = {
+    "store.write": lambda p: p.facts.write(p.facts.batch([atom("edge", "c0_n3", "c1_n0")])),
+    "store replaced": lambda p: setattr(
+        p, "facts", EdbStore(list(p.facts.atoms())[1:], p.facts.interner)
+    ),
     "facts.append": lambda p: p.facts.append(DatalogFact(atom("edge", "c0_n3", "c1_n0"))),
     "facts.append duplicate": lambda p: p.facts.append(next(iter(p.facts))),
     "facts.discard": lambda p: p.facts.discard(atom("edge", "c0_n0", "c0_n1")),
@@ -391,6 +423,7 @@ OUT_OF_BAND = {
 def test_out_of_band_mutations_rebuild_exactly_once(name):
     program = transitive_closure_program(chains=2, length=3)
     materialized = MaterializedModel(program)
+    assert program.facts is materialized._edb
     materialized.apply(insertions=[atom("edge", "c1_n3", "c0_n0")])
     materialized.peek(deletions=[atom("edge", "c1_n3", "c0_n0")])
     assert materialized.statistics.rebuilds == 1

@@ -6,13 +6,13 @@ back otherwise.
   maintenance round per maintained model; a rejected one runs the violation
   model forward and back and leaves every other model alone.
 * A rejected or raising check leaves the violation model exactly as it was:
-  its model, its derivation counts, its planner histograms and its fact
-  list's version stamp.  A raising check also leaves the base, the epoch
-  and every update listener untouched.
-* Violation deltas still reach delta listeners exactly once: those an
-  earlier update listener causes by changing the base again, and those a
-  committed check removes although the view's own listener then has
-  nothing left to apply.
+  its model, its derivation counts, its planner histograms and the version
+  stamp of the EDB store it reads.  A raising check also leaves the base,
+  the epoch and every update listener untouched.
+* Violation deltas reach delta listeners exactly once, when the staged
+  batch commits: also those an update listener causes by changing the base
+  again while the outer write is still being delivered, and those a
+  committed check removes.
 """
 
 import pytest
@@ -180,8 +180,9 @@ def test_deltas_reach_listeners_once_when_an_earlier_listener_writes_again():
     )
 
     def cascade(added, removed):
-        # Runs before the violation view's own listener, and changes the
-        # base again while the outer update is still being delivered.
+        # Runs once every view has committed the outer write and its
+        # violation deltas went out, and changes the base again while that
+        # write is still being delivered.
         if atom("emp", "E20") in added:
             database.tell(atom("female", "E0"), check_constraints=False)
 
@@ -208,7 +209,7 @@ def test_deltas_reach_listeners_once_when_an_earlier_listener_writes_again():
         transaction.tell(atom("emp", "E20"))
         transaction.tell(atom("ss", "E20", "S20"))
     assert agree()  # the cascaded gender clash
-    # A checked repair: the clash disappears in the committed staged batch,
-    # and the listener's reconciling apply has nothing left to change.
+    # A checked repair: the clash disappears with the batch the check
+    # staged, and its removal reaches the delta listener once, on commit.
     database.retract(atom("female", "E0"))
     assert not agree()

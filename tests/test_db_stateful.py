@@ -1,18 +1,20 @@
 """Stateful test of the whole update API against a plain list.
 
 A :class:`hypothesis.stateful.RuleBasedStateMachine` drives one small
-HR-style database — incremental constraint checking, a ``DatalogView``, the
+HR-style database — incremental constraint checking, two ``DatalogView``
+objects (one of them derives ``dept``, which the base also stores), the
 ``ViolationView`` and a ``BeliefRevisor`` all hanging off the same belief
-base — with tells, retractions (of absent and duplicated sentences too),
-transaction commits and rollbacks, revisions, and tells during which one
-maintained view raises while it stages.  The reference model is a
-Python list with earliest-first removal, judged by the from-scratch
+base and its one EDB store — with tells, retractions (of absent and
+duplicated sentences too), transaction commits and rollbacks, revisions,
+and tells during which one maintained view raises while it stages or while
+it prepares its commit.  The reference model is a Python list with
+earliest-first removal, judged by the from-scratch
 :class:`~repro.constraints.checker.IntegrityChecker`; revisions are replayed
 through :func:`~repro.revision.naive.naive_revise`.  After every step the
 database, its views and the revisor must agree with the list, and the
 maintained violation view with a freshly built one.  A write whose staging
-raised must leave the base, the epoch and both maintained models as they
-were, and reach no update listener.
+raised must leave the base, the epoch and every maintained model as they
+were, reach no update listener, and not stop the next write.
 """
 
 import pytest
@@ -27,7 +29,13 @@ from repro.constraints.library import (
     unique_attribute,
 )
 from repro.constraints.views import ViolationView
-from repro.datalog import DatalogEngine, DatalogLiteral, DatalogProgram, DatalogRule
+from repro.datalog import (
+    DatalogEngine,
+    DatalogLiteral,
+    DatalogProgram,
+    DatalogRule,
+    JoinStatistics,
+)
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError, RevisionError
 from repro.logic.builders import atom, disj
@@ -62,6 +70,11 @@ RULES = [
         Atom("assigned", (X, D)),
         (DatalogLiteral(Atom("emp", (X,))), DatalogLiteral(Atom("works_in", (X, D)))),
     ),
+]
+#: ``dept`` is derived here and also stored in the base: the view keeps a
+#: private relation for it, seeded from the EDB store.
+DEPT_RULES = [
+    DatalogRule(Atom("dept", (D,)), (DatalogLiteral(Atom("works_in", (X, D))),)),
 ]
 
 sentences = st.sampled_from(POOL)
@@ -107,6 +120,7 @@ class DatabaseMachine(RuleBasedStateMachine):
         )
         self.view = self.database.datalog_view(rules=RULES)
         self.database.violation_view()
+        self.dept_view = self.database.datalog_view(rules=DEPT_RULES)
         self.revisor = self.database.revision()
         self.checker = IntegrityChecker(constraints=CONSTRAINTS, config=CONFIG)
         self.epoch = self.database.revision_epoch
@@ -199,6 +213,48 @@ class DatabaseMachine(RuleBasedStateMachine):
         # build invariants check that the base, the epoch and both models
         # are unchanged.
 
+    @rule(sentence=sentences, step=st.sampled_from(["result", "histograms"]),
+          failing=st.sampled_from(["view", "violations", "dept view"]))
+    def tell_while_a_view_fails_to_prepare_its_commit(self, sentence, step, failing):
+        # Decoding the update result and folding the histograms run while a
+        # view stages, before the base changes; a raise in either leaves
+        # everything as it was, and the same tell then goes through.
+        assume(is_ground_atom(sentence) and sentence not in self.reference)
+        view = {"view": self.view, "dept view": self.dept_view,
+                "violations": self.database.violation_view()}[failing]
+        model = view.materialized
+        faults = []
+        original = JoinStatistics.update
+
+        def fail_result(*args):
+            faults.append(args)
+            raise InjectedFault("decoding the update result failed")
+
+        def fail_fold(statistics, index, added, removed):
+            if index is model._store:
+                faults.append(index)
+                raise InjectedFault("folding the histograms failed")
+            return original(statistics, index, added, removed)
+
+        if step == "result":
+            model._result = fail_result
+        else:
+            JoinStatistics.update = fail_fold
+        notified = len(self.notified)
+        try:
+            with pytest.raises(InjectedFault):
+                self.database.tell(sentence, check_constraints=False)
+        finally:
+            vars(model).pop("_result", None)
+            JoinStatistics.update = original
+        assert len(faults) == 1
+        assert len(self.notified) == notified
+        assert self.database.sentences() == self.reference
+        assert self.database.revision_epoch == self.epoch
+        self.database.tell(sentence, check_constraints=False)
+        self.reference = self.reference + [sentence]
+        self.epoch += 1
+
     @rule(sentence=sentences)
     def revise(self, sentence):
         try:
@@ -232,14 +288,15 @@ class DatabaseMachine(RuleBasedStateMachine):
         assert by_recency == list(dict.fromkeys(self.reference))
 
     @invariant()
-    def view_matches_fresh_engine(self):
-        program = DatalogProgram()
-        for rule_ in RULES:
-            program.add_rule(rule_)
-        for sentence in self.reference:
-            if is_ground_atom(sentence):
-                program.add_fact(sentence)
-        assert self.view.model() == DatalogEngine(program).least_model()
+    def views_match_fresh_engines(self):
+        for view, rules in ((self.view, RULES), (self.dept_view, DEPT_RULES)):
+            program = DatalogProgram()
+            for rule_ in rules:
+                program.add_rule(rule_)
+            for sentence in self.reference:
+                if is_ground_atom(sentence):
+                    program.add_fact(sentence)
+            assert view.model() == DatalogEngine(program).least_model()
 
     @invariant()
     def constraints_match_scratch(self):

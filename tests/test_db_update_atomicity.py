@@ -7,12 +7,25 @@ it has.  A raise while any view stages — the violation view's, during the
 incremental check or without one, or a ``DatalogView``'s — must therefore
 leave the base sentences, the revision epoch and every maintained model
 exactly as they were (model, derivation counts, planner histograms and
-fact-list version), and must reach no update listener.
+EDB store version), and must reach no update listener.
+
+Once the base holds the write nothing may fail any more: what a commit
+needs — the decoded ``UpdateResult`` and the histograms with the batch
+folded in — is computed while the view stages, so a raise there is a raise
+before the base changed, and the commit itself only swaps state.
 """
 
 import pytest
 
-from repro.datalog import DatalogEngine, DatalogLiteral, DatalogProgram, DatalogRule
+from repro.datalog import (
+    DatalogEngine,
+    DatalogLiteral,
+    DatalogProgram,
+    DatalogRule,
+    JoinStatistics,
+    MaterializedModel,
+)
+from repro.datalog.interner import Interner
 from repro.db.base import is_ground_atom
 from repro.db.database import EpistemicDatabase
 from repro.logic.builders import atom
@@ -180,3 +193,92 @@ def test_views_stage_no_empty_change_and_closed_views_stay_put():
     database.tell(atom("works_in", "E0", "D3"))
     assert views["staffed"].model() == stale
     assert views["assigned"].model() == fresh_model(database, [ASSIGNED])
+
+
+# ---------------------------------------------------------------------------
+# After the base changes: commits only swap state
+# ---------------------------------------------------------------------------
+
+def fail_in_moved_step(monkeypatch, materialized, step, faults):
+    """Make one step that used to run in ``_commit`` and now runs while the
+    model stages raise, for *materialized* only: decoding the
+    ``UpdateResult`` or folding the batch into the histograms."""
+    if step == "result":
+        def failing(*args):
+            faults.append(args)
+            raise InjectedFault("decoding the update result failed")
+
+        monkeypatch.setattr(materialized, "_result", failing)
+        return
+    original = JoinStatistics.update
+
+    def update(statistics, index, added, removed):
+        if index is materialized._store:
+            faults.append(index)
+            raise InjectedFault("folding the histograms failed")
+        return original(statistics, index, added, removed)
+
+    monkeypatch.setattr(JoinStatistics, "update", update)
+
+
+@pytest.mark.parametrize("step", ["result", "histograms"])
+@pytest.mark.parametrize("target", ["violations", "assigned", "staffed"])
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_a_raise_while_preparing_the_commit_leaves_everything_unchanged(
+        monkeypatch, write, target, step):
+    database, views = hr_database()
+    before = {name: maintained_state(view.materialized) for name, view in views.items()}
+    sentences = database.sentences()
+    epoch = database.revision_epoch
+    notified = []
+    database.add_update_listener(lambda added, removed: notified.append(added))
+    faults = []
+    fail_in_moved_step(monkeypatch, views[target].materialized, step, faults)
+
+    with pytest.raises(InjectedFault):
+        WRITES[write](database)
+
+    assert len(faults) == 1
+    assert database.sentences() == sentences
+    assert database.revision_epoch == epoch
+    assert notified == []
+    monkeypatch.undo()
+    for name, view in views.items():
+        assert maintained_state(view.materialized) == before[name], name
+
+    WRITES[write](database)
+    assert database.revision_epoch == epoch + 1
+    assert len(notified) == 1
+    assert views["assigned"].model() == fresh_model(database, [ASSIGNED])
+    assert views["staffed"].model() == fresh_model(database, [STAFFED])
+    assert database.check_constraints().satisfied
+
+
+def test_a_commit_decodes_folds_and_maintains_nothing(monkeypatch):
+    """Everything fallible runs while staging: once the base holds the
+    write, each view's commit only swaps in what staging computed."""
+    database, views = hr_database()
+    committing = []
+    original_commit = MaterializedModel._commit
+
+    def commit(self):
+        committing.append(self)
+        try:
+            return original_commit(self)
+        finally:
+            committing.pop()
+
+    def forbidden(name, original):
+        def wrapper(*args, **kwargs):
+            assert not committing, f"{name} ran in a commit"
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MaterializedModel, "_commit", commit)
+    for owner, name in [(MaterializedModel, "_maintain"), (MaterializedModel, "_result"),
+                        (JoinStatistics, "update"), (Interner, "decode_row")]:
+        monkeypatch.setattr(owner, name, forbidden(name, getattr(owner, name)))
+    for write in WRITES.values():
+        write(database)
+    assert views["assigned"].model() == fresh_model(database, [ASSIGNED])
+    assert views["staffed"].model() == fresh_model(database, [STAFFED])
