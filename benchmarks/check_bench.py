@@ -299,9 +299,7 @@ def _query_pair(row):
 
 def _hr_database(employees):
     facts = hr_facts(employees=employees)
-    database = EpistemicDatabase(
-        facts, constraints=hr_constraints(), constraint_checking="incremental"
-    )
+    database = EpistemicDatabase(facts, constraints=hr_constraints())
     return facts, database, database.violation_view()
 
 

@@ -85,9 +85,7 @@ def profile_writes(employees, top, sort):
         (DatalogLiteral(Atom("emp", (x,))), DatalogLiteral(Atom("works_in", (x, d)))),
     )
     facts = hr_facts(employees)
-    database = EpistemicDatabase(
-        facts, constraints=hr_constraints(), constraint_checking="incremental"
-    )
+    database = EpistemicDatabase(facts, constraints=hr_constraints())
     database.violation_view()
     database.datalog_view(rules=[assigned])
     revisor = database.revision()

@@ -506,9 +506,7 @@ def run_violations_bench(comparison, scale_grid):
 
     def build_database(employees):
         facts = hr_facts(employees=employees)
-        database = EpistemicDatabase(
-            facts, constraints=hr_constraints(), constraint_checking="incremental"
-        )
+        database = EpistemicDatabase(facts, constraints=hr_constraints())
         start = time.perf_counter()
         view = database.violation_view()
         build_seconds = time.perf_counter() - start
@@ -681,9 +679,7 @@ def run_revision_bench(comparison, scale_grid):
 
     def build_database(employees):
         facts = hr_facts(employees=employees)
-        database = EpistemicDatabase(
-            facts, constraints=hr_constraints(), constraint_checking="incremental"
-        )
+        database = EpistemicDatabase(facts, constraints=hr_constraints())
         start = time.perf_counter()
         database.violation_view()
         build_seconds = time.perf_counter() - start

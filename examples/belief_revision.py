@@ -43,7 +43,6 @@ def build_revisor():
     database = EpistemicDatabase(
         facts,
         constraints=hr_constraints(),
-        constraint_checking="incremental",
     )
     revisor = database.revision()
     print(f"HR database: {len(facts)} ground atoms, "
@@ -94,7 +93,6 @@ def entrenchment_decides(database):
         scratch = EpistemicDatabase(
             [atom("person", "A"), atom("male", "A")],
             constraints=constraints,
-            constraint_checking="incremental",
         )
         revisor = scratch.revision(policy=policy)
         revisor.expand(atom("female", "A"))   # contradiction: both genders

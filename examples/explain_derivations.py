@@ -79,8 +79,7 @@ def main():
     print(f"engine.* metrics: {engine_counters}")
 
     # -- explain_rejection: why was this update refused? --------------------
-    db = EpistemicDatabase(config=SemanticsConfig(extra_parameters=1),
-                           constraint_checking="incremental")
+    db = EpistemicDatabase(config=SemanticsConfig(extra_parameters=1))
     db.tell(fol_atom("male", "Sam"))
     db.add_constraint(disjoint_properties("male", "female"))
     try:

@@ -38,14 +38,10 @@ def build_database():
     # would put the super-quadratic from-scratch checker on every commit,
     # which is exactly what this example exists to avoid.
     facts = hr_facts(employees=EMPLOYEES)
-    database = EpistemicDatabase(
-        facts,
-        constraints=hr_constraints(),
-        constraint_checking="incremental",
-    )
+    database = EpistemicDatabase(facts, constraints=hr_constraints())
     print(f"HR database: {len(facts)} ground atoms, "
           f"{len(database.constraints())} constraints, "
-          f"constraint_checking={database.constraint_checking!r}\n")
+          "checked by the maintained violation view\n")
     return database
 
 

@@ -15,16 +15,16 @@ KFOPCE sentences and checking them is exactly query evaluation
   (mandatory attributes, disjointness, totality, typed relations, functional
   dependencies);
 * :mod:`repro.constraints.checker` — an :class:`IntegrityChecker` that
-  validates a database against a constraint set, reports violations with
-  witnesses, and supports the incremental re-checking and procedural
-  triggers sketched in the paper's discussion section;
+  validates a database against a constraint set from scratch and reports
+  violations with witnesses — the violation view's fallback evaluator and
+  the test oracle;
 * :mod:`repro.constraints.compile` — the translation of modalized
   admissible constraints into stratified Datalog *violation rules*
   (``__violation__<id>(witness...)``), with a machine-readable fragment
   boundary for everything that cannot be compiled;
 * :mod:`repro.constraints.views` — :class:`ViolationView`, the compiled
   rules materialized and incrementally maintained over a database's update
-  stream, making commit-time constraint checking an O(delta) read.
+  stream: every database's one constraint check, an O(delta) staged read.
 """
 
 from repro.constraints.definitions import (

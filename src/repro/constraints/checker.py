@@ -11,9 +11,9 @@ working system needs on top of that identity:
 * two evaluation strategies — the ``demo`` evaluator on the admissible form
   of each constraint (Result 5.1) or the epistemic reduction — selectable
   per check,
-* the incremental re-checking and procedural triggers sketched as items 4
-  and 5 of the paper's discussion section (:mod:`repro.constraints.triggers`
-  holds the trigger machinery).
+* the classical relevance-filter re-check of discussion item 4
+  (:meth:`IntegrityChecker.check_update`), kept as the benchmarks'
+  baseline; a database checks through :mod:`repro.constraints.views`.
 """
 
 from dataclasses import dataclass, field
@@ -60,9 +60,9 @@ class ConstraintReport:
     (:mod:`repro.constraints.views`): one
     :class:`~repro.constraints.compile.CompilationFallback` per constraint
     that could not be compiled into the incremental view and was checked
-    from scratch instead — the machine-readable *reason* the ISSUE asks the
-    check result to surface.  The plain from-scratch checker always reports
-    an empty tuple (everything is "from scratch" there)."""
+    from scratch instead, with its machine-readable *reason*.  The plain
+    from-scratch checker always reports an empty tuple (everything is "from
+    scratch" there)."""
 
     satisfied: bool
     violations: Tuple[ConstraintViolation, ...] = ()
@@ -130,17 +130,16 @@ class IntegrityChecker:
         )
 
     def check_update(self, theory, added=(), removed=(), constraints=None):
-        """Incremental re-checking (discussion item 4): given that *theory*
-        satisfied the constraints before the update, re-check only the
+        """Incremental re-checking (discussion item 4): re-check only the
         constraints that mention a predicate touched by the update.
 
         This is the classical relevance filter of Nicolas (1982) over a
-        from-scratch re-check; it is sound for the constraint forms produced
-        by this package because a constraint whose predicates are untouched
-        by the update cannot change truth value — the models of the
-        unchanged predicates' atoms are unchanged.  (The O(delta) alternative
-        is :meth:`~repro.constraints.views.ViolationView.preview_report`.)
-        Returns ``(report, updated theory)``.
+        from-scratch re-check.  It agrees with Definition 3.5 only when
+        *theory* satisfied the constraints before the update and no
+        non-atomic sentence links predicates (retracting ``r(A)`` next to
+        ``∀x. r(x) ⊃ ss(x, S)`` changes what is known of ``ss``).  No
+        database checks with it; it stays as the benchmarks' classical
+        baseline.  Returns ``(report, updated theory)``.
         """
         # Each retraction removes one occurrence, earliest first, so a
         # duplicated sentence stays in the updated theory until its last

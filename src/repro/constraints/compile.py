@@ -105,10 +105,9 @@ class CompiledConstraint:
     tuples — sorted by name, exactly the projection order of
     :meth:`~repro.constraints.checker.IntegrityChecker` witnesses, so the two
     paths produce comparable tuples.  ``edb_predicates`` are the database
-    predicates the constraint consults (the runtime atomicity guard and the
-    relevance filter key off them).  An empty ``rules`` tuple is legal: the
-    violation query was statically unsatisfiable, the constraint can never be
-    violated.
+    predicates the constraint consults (the runtime atomicity guard keys off
+    them).  An empty ``rules`` tuple is legal: the violation query was
+    statically unsatisfiable, the constraint can never be violated.
     """
 
     constraint: object

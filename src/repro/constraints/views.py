@@ -16,10 +16,11 @@ after.  Checking then becomes a read:
 * :meth:`preview_report` answers "would this batch violate anything?" as a
   side-effect-free O(delta) staged check: the batch is maintained into the
   violation model, the buckets are read, and the batch is rolled back;
-* the database's incremental check is the same staged check, except that
-  the batch stays staged: the database rolls it back on a rejection and
-  otherwise commits it together with every other maintained view once the
-  base holds the write, so an accepted batch is maintained once;
+* the database's constraint check — its only one — is the same staged
+  check, except that the batch stays staged: the database rolls it back on
+  a rejection and otherwise commits it together with every other
+  maintained view once the base holds the write, so an accepted batch is
+  maintained once;
 * :meth:`add_delta_listener` streams each committed batch's *net violation
   deltas* (constraint id → witness tuples appearing/disappearing) to
   subscribers, after every maintained view has committed —
@@ -272,7 +273,7 @@ class ViolationView(MaintainedView):
 
     # -- internals ------------------------------------------------------------
     def _stage_check(self, additions, retractions, arriving, gone, batch):
-        """The database's incremental check: stage *batch* — the EDB part of
+        """The database's constraint check: stage *batch* — the EDB part of
         the net change ``(arriving, gone)`` (of
         :meth:`~repro.db.base.BeliefBase.net_change`), which the database's
         EDB store already holds — on the violation model and return the

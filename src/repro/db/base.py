@@ -12,9 +12,10 @@ it here instead of keeping a shadow copy:
 * :attr:`sequences` maps each sentence to the sequence number of its first
   surviving occurrence — the recency the entrenchment policies of
   :mod:`repro.revision` rank by — and :attr:`counts` to its occurrences;
-* non-atomic sentences (anything but a ground atom) are counted per
-  predicate, which is when the Datalog views' atomic reading stops being
-  exact;
+* each distinct sentence is classified once, when it arrives: the
+  non-atomic ones (anything but a ground atom) are kept apart and counted
+  per predicate, which is when the Datalog views' atomic reading stops
+  being exact, and :meth:`ground_atoms` is the rest;
 * :meth:`net_change` and :meth:`updated` say what a staged batch *would* do,
   so commit-time previews never replay the removal rule themselves.
 
@@ -86,7 +87,7 @@ class BeliefBase:
         self._later = {}
         self._next_sequence = 0
         self._nonatomic = {}
-        self._nonatomic_sentences = 0
+        self._nonatomic_sentences = {}
         #: ``{sentence: sequence number of its first surviving occurrence}``.
         self.sequences = MappingProxyType(self._first)
         #: ``{sentence: number of occurrences}``.
@@ -113,7 +114,18 @@ class BeliefBase:
     @property
     def has_nonatomic(self):
         """Whether any sentence is not a ground atom."""
-        return self._nonatomic_sentences > 0
+        return bool(self._nonatomic_sentences)
+
+    def nonatomic(self):
+        """The distinct sentences that are not ground atoms, in the order
+        they first arrived."""
+        return list(self._nonatomic_sentences)
+
+    def ground_atoms(self):
+        """The distinct ground atoms, in the order of :attr:`sequences` —
+        the EDB of the Datalog reading."""
+        nonatomic = self._nonatomic_sentences
+        return [sentence for sentence in self._first if sentence not in nonatomic]
 
     def nonatomic_predicates(self, arriving=(), gone=()):
         """Names of the predicates some non-atomic sentence mentions — after
@@ -170,6 +182,7 @@ class BeliefBase:
         if sentence not in self._first:
             self._first[sentence] = sequence
             if not is_ground_atom(sentence):
+                self._nonatomic_sentences[sentence] = None
                 self._count_nonatomic(sentence, 1)
             return
         later = self._later.get(sentence)
@@ -191,12 +204,12 @@ class BeliefBase:
                 del self._later[sentence]
             return True
         del self._first[sentence]
-        if not is_ground_atom(sentence):
+        if sentence in self._nonatomic_sentences:
+            del self._nonatomic_sentences[sentence]
             self._count_nonatomic(sentence, -1)
         return True
 
     def _count_nonatomic(self, sentence, step):
-        self._nonatomic_sentences += step
         for name in _predicate_names(sentence):
             count = self._nonatomic.get(name, 0) + step
             if count:

@@ -33,7 +33,7 @@ from repro.logic.classify import is_first_order
 from repro.logic.parser import parse, parse_many
 from repro.logic.printer import to_text
 from repro.logic.syntax import Formula, free_variables
-from repro.constraints.checker import IntegrityChecker
+from repro.constraints.checker import ConstraintReport, IntegrityChecker
 from repro.constraints.triggers import TriggerManager
 from repro.datalog.columnar import EdbStore
 from repro.db.base import BeliefBase, is_ground_atom
@@ -87,15 +87,22 @@ class EpistemicDatabase:
     """
 
     def __init__(self, sentences=(), constraints=(), config=DEFAULT_CONFIG,
-                 constraint_checking="scratch", tracer=None):
-        if constraint_checking not in ("scratch", "incremental"):
+                 constraint_checking="incremental", tracer=None):
+        # The violation view is the one constraint check; the keyword stays
+        # for callers that still name it.
+        if constraint_checking != "incremental":
             raise ValueError(
-                "constraint_checking must be 'scratch' or 'incremental'"
+                "constraints are checked by the maintained violation view only: "
+                f"constraint_checking must be 'incremental', not {constraint_checking!r}"
             )
         self.config = config
         self.tracer = NOOP_TRACER if tracer is None else tracer
         self._metrics = MetricsRegistry()
-        self._base = BeliefBase(_check_sentence(_as_formula(s)) for s in sentences)
+        # The base classifies each sentence once; only the non-atomic ones
+        # need the first-order and closedness checks.
+        self._base = BeliefBase(_as_formula(s) for s in sentences)
+        for sentence in self._base.nonatomic():
+            _check_sentence(sentence)
         if self._base:
             self._metrics.counter("db.tells").inc(len(self._base))
         self._constraints = []
@@ -107,7 +114,6 @@ class EpistemicDatabase:
         self._views = []
         self._edb = None
         self._revision_epoch = 0
-        self._constraint_checking = constraint_checking
         self._violation_view = None
         for constraint in constraints:
             self.add_constraint(constraint, check_now=False)
@@ -193,15 +199,15 @@ class EpistemicDatabase:
         When *check_constraints* is set and the updated database would
         violate a registered constraint, the assertion is rejected and
         :class:`~repro.exceptions.ConstraintViolationError` is raised.
-        Under ``constraint_checking="incremental"`` the check is an O(delta)
-        staged update of the maintained :meth:`violation_view` instead of a
-        from-scratch re-evaluation: an accepted sentence is maintained into
-        the view once, a rejected one is rolled back.  Returns the
-        constraint report (or ``None`` when checking was skipped).
+        The check is an O(delta) staged update of the maintained
+        :meth:`violation_view`: an accepted sentence is maintained into the
+        view once, a rejected one is rolled back.  Returns the constraint
+        report (or ``None`` when checking was skipped or there are no
+        constraints).
         """
         formula = _as_formula(sentence)
         return self._update(
-            [formula], (), self._checking(check_constraints), fire_triggers,
+            [formula], (), check_constraints, fire_triggers,
             "db.tells", lambda: f"asserting {to_text(formula)}",
         )
 
@@ -213,12 +219,9 @@ class EpistemicDatabase:
         if formula not in self._base:
             return None
         return self._update(
-            (), [formula], self._checking(check_constraints), False,
+            (), [formula], check_constraints, False,
             "db.retracts", lambda: f"retracting {to_text(formula)}",
         )
-
-    def _checking(self, check_constraints):
-        return self._constraint_checking if check_constraints else None
 
     def _edb_store(self):
         """The :class:`~repro.datalog.columnar.EdbStore` of the base's
@@ -226,12 +229,10 @@ class EpistemicDatabase:
         one attaches; from then on every write changes it once, in
         :meth:`_update`."""
         if self._edb is None:
-            self._edb = EdbStore(
-                sentence for sentence in self._base.sequences if is_ground_atom(sentence)
-            )
+            self._edb = EdbStore(self._base.ground_atoms())
         return self._edb
 
-    def _update(self, additions, retractions, checking, fire_triggers, counter,
+    def _update(self, additions, retractions, check, fire_triggers, counter,
                 describe, applied=None):
         """The one update path behind :meth:`tell`, :meth:`retract` and
         :meth:`~repro.db.transactions.Transaction.commit`:
@@ -240,8 +241,10 @@ class EpistemicDatabase:
            and every maintained view is brought up to date;
         2. the EDB store (once a view needs it) takes the change's ground
            atoms, encoded once;
-        3. the constraint check: under ``"incremental"`` the violation view
-           stages the change and reports on the staged state;
+        3. the constraint check: the violation view stages the change and
+           reports on the staged state (Definition 3.5 on the post-update
+           base, so a write that leaves an old violation standing is
+           rejected too);
         4. on acceptance every other maintained view stages the change;
         5. the base takes the batch: each retraction removes one
            occurrence, earliest first, then the additions land;
@@ -253,17 +256,15 @@ class EpistemicDatabase:
         If anything raises before step 5 — a violation, the check, any
         view's staging — the store is restored, every staged view is
         rolled back and the base, the epoch and the listeners are left
-        alone.  *checking* is ``"scratch"``, ``"incremental"`` or ``None``
-        to skip the check; *describe* names the update in a rejection.  A
-        batch whose applied change is empty notifies nobody, fires nothing
-        and keeps the epoch.  ``applied(epoch)``, if given, runs once the
-        batch is in, before any delivery.  Returns the constraint report."""
+        alone.  *check* false skips the check; *describe* names the update
+        in a rejection.  A batch whose applied change is empty notifies
+        nobody, fires nothing and keeps the epoch.  ``applied(epoch)``, if
+        given, runs once the batch is in, before any delivery.  Returns the
+        constraint report."""
         for formula in additions:
             _check_sentence(formula)
         arriving, gone = self._base.net_change(additions, retractions)
-        checking = checking if self._constraints else None
-        if checking == "incremental":
-            self.violation_view()
+        violations = self.violation_view() if check and self._constraints else None
         for view in self._views:
             view.materialized._ensure_consistent()
         batch = None
@@ -274,19 +275,12 @@ class EpistemicDatabase:
         try:
             if batch is not None:
                 self._edb.write(batch)
-            if checking:
-                with self.tracer.span("txn.check", mode=checking):
-                    if checking == "incremental":
-                        violations = self._violation_view
-                        staged.append(violations)
-                        report = violations._stage_check(
-                            additions, retractions, arriving, gone, batch
-                        )
-                    else:
-                        report, _ = self._checker.check_update(
-                            self._base, added=additions, removed=retractions,
-                            constraints=self._constraints,
-                        )
+            if violations is not None:
+                with self.tracer.span("txn.check"):
+                    staged.append(violations)
+                    report = violations._stage_check(
+                        additions, retractions, arriving, gone, batch
+                    )
                 if not report.satisfied:
                     raise ConstraintViolationError(
                         f"{describe()} violates integrity constraints",
@@ -346,21 +340,14 @@ class EpistemicDatabase:
         return None
 
     # -- violation view ---------------------------------------------------------
-    @property
-    def constraint_checking(self):
-        """``"scratch"`` (re-evaluate constraints on every check) or
-        ``"incremental"`` (read the maintained violation view, falling back
-        from-scratch only for uncompilable constraints)."""
-        return self._constraint_checking
-
     def violation_view(self):
         """The lazily built
         :class:`~repro.constraints.views.ViolationView` over this database:
         the registered constraints compiled to materialized violation rules,
-        maintained with every write like any other view (the incremental
-        check stages the write on it first).  Shared by every incremental
-        check; invalidated (and rebuilt on next use) when the constraint set
-        changes."""
+        maintained with every write like any other view (the constraint
+        check stages the write on it first).  It is the database's one
+        constraint check; invalidated (and rebuilt on next use) when the
+        constraint set changes."""
         if self._violation_view is None:
             from repro.constraints.views import ViolationView
 
@@ -452,16 +439,13 @@ class EpistemicDatabase:
         """Check every registered constraint; returns a
         :class:`~repro.constraints.checker.ConstraintReport`.
 
-        Under ``constraint_checking="incremental"`` this reads the
-        maintained violation view (O(touched buckets)) instead of
-        re-evaluating; the report's ``fallbacks`` names any constraint that
-        still went through the from-scratch path and why."""
+        This reads the maintained violation view (O(touched buckets))
+        instead of re-evaluating; the report's ``fallbacks`` names any
+        constraint that still went through the from-scratch path and why."""
         self._metrics.counter("db.checks").inc()
-        if self._constraint_checking == "incremental" and self._constraints:
-            return self.violation_view().check(with_witnesses=with_witnesses)
-        return self._checker.check(
-            self._base, constraints=self._constraints, with_witnesses=with_witnesses
-        )
+        if not self._constraints:
+            return ConstraintReport(satisfied=True)
+        return self.violation_view().check(with_witnesses=with_witnesses)
 
     def satisfies(self, constraint):
         """Definition 3.5: does the database satisfy this (possibly

@@ -8,11 +8,12 @@ security number is one update, regardless of the order of the two facts).
 :class:`Transaction` provides exactly that:
 
 * ``tell`` / ``retract`` stage changes without touching the database;
-* ``commit`` applies the whole batch, re-checks only the constraints whose
-  predicates the batch touches (the Nicolas-style relevance filter already
-  used by the checker), fires triggers once, and rolls everything back if a
-  constraint fails — or if any maintained view raises while it stages the
-  batch: the base and every view take the batch together or not at all;
+* ``commit`` applies the whole batch through the database's one update
+  path: the batch's net change is staged on the maintained violation view,
+  whose report on the post-commit state decides (Definition 3.5); triggers
+  fire once, and everything is rolled back if a constraint fails — or if any
+  maintained view raises while it stages the batch: the base and every view
+  take the batch together or not at all;
 * the object is also a context manager — leaving the ``with`` block commits,
   an exception inside it discards the staged changes.
 """
@@ -58,39 +59,31 @@ class Transaction:
         return self._committed_epoch
 
     # -- lifecycle --------------------------------------------------------
-    def commit(self, constraints=None):
+    def commit(self):
         """Apply the batch atomically.
 
         Raises :class:`~repro.exceptions.ConstraintViolationError` (and leaves
         the database untouched) when the *net* state violates a registered
         constraint; anything else raised before the base changes (say, by a
-        maintained view while it stages the batch) leaves it untouched too.  Returns the constraint report of the incremental check
-        (``None`` when the database has no constraints).
+        maintained view while it stages the batch) leaves it untouched too.
 
-        *constraints* selects the checking mode for this commit —
-        ``"scratch"`` (classical re-check through the relevance filter) or
-        ``"incremental"`` (an O(delta) staged update of the database's
-        maintained
+        The check is an O(delta) staged update of the database's maintained
         :meth:`~repro.db.database.EpistemicDatabase.violation_view`,
         committed with the base when the batch is accepted and rolled back
-        when it is not, with witnesses from the view and fallback reasons on
-        the report).  The
-        default is the database's own ``constraint_checking`` mode.
+        when it is not.  Returns its report, with witnesses from the view
+        and fallback reasons (``None`` when the database has no
+        constraints).
         """
         if self._committed:
             raise RuntimeError("transaction already committed")
         database = self._database
-        mode = database.constraint_checking if constraints is None else constraints
-        if mode not in ("scratch", "incremental"):
-            raise ValueError("constraints must be 'scratch' or 'incremental'")
         with database.tracer.span(
             "txn.commit",
             additions=len(self._additions),
             retractions=len(self._retractions),
-            mode=mode,
         ):
             return database._update(
-                self._additions, self._retractions, mode, True, "db.commits",
+                self._additions, self._retractions, True, True, "db.commits",
                 lambda: "transaction [" + ", ".join(
                     to_text(s) for s in self._additions + self._retractions
                 ) + "]",

@@ -68,8 +68,7 @@ class BeliefRevisor:
 
     Example::
 
-        db = EpistemicDatabase(facts, constraints=constraints,
-                               constraint_checking="incremental")
+        db = EpistemicDatabase(facts, constraints=constraints)
         revisor = db.revision()
         result = revisor.revise("female(E2)")   # conflicts with male(E2)
         result.retracted                        # (male(E2),)

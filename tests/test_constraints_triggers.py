@@ -108,7 +108,6 @@ def test_rejected_batch_never_fires():
     database = EpistemicDatabase(
         [atom("emp", "A"), atom("ss", "A", "S1")],
         constraints=[MISSING_SS],
-        constraint_checking="incremental",
     )
     view = database.violation_view()
     manager = TriggerManager(config=database.config)

@@ -47,10 +47,12 @@ class TestBeliefBase:
         base = BeliefBase([P, OR, OR])
         assert base.has_nonatomic
         assert base.nonatomic_predicates() == {"p", "q"}
+        assert base.nonatomic() == [OR] and base.ground_atoms() == [P]
         base.remove(OR)
         assert base.nonatomic_predicates() == {"p", "q"}
         base.remove(OR)
         assert not base.has_nonatomic and base.nonatomic_predicates() == set()
+        assert base.nonatomic() == [] and base.ground_atoms() == [P]
 
     def test_staged_batches_are_previewed_without_applying(self):
         base = BeliefBase([P, Q, P])
@@ -90,10 +92,17 @@ class TestSharedUpdatePath:
                 db.transaction().tell(text).commit()
         assert db.sentences() == [] and db.revision_epoch == 0
 
+    def test_construction_validates_like_tell(self):
+        # The base classifies the initial sentences; only the non-atomic
+        # ones are checked, and a bad one still fails the construction.
+        for text, error in (("K p(A)", NotFirstOrderError), ("p(?x)", ValueError)):
+            with pytest.raises(error):
+                EpistemicDatabase(["p(A)", text], config=CONFIG)
+
     def test_empty_commit_is_a_noop(self):
         db = EpistemicDatabase([parse("emp(Bill)"), parse("ss(Bill, n1)")],
                                constraints=[mandatory_known_attribute("emp", "ss")],
-                               config=CONFIG, constraint_checking="incremental")
+                               config=CONFIG)
         db.tell("p(A)")
         epoch = db.revision_epoch
         events = []
@@ -112,8 +121,7 @@ class TestSharedUpdatePath:
         assert db.metrics()["db.tells"] == 3
 
     def test_retract_removes_earliest_occurrence_everywhere(self):
-        db = EpistemicDatabase([P, Q, P], config=CONFIG,
-                               constraint_checking="incremental")
+        db = EpistemicDatabase([P, Q, P], config=CONFIG)
         revisor = db.revision()
         db.retract(P)
         assert db.sentences() == [Q, P]
@@ -125,8 +133,7 @@ class TestSharedUpdatePath:
         # same fact again, before the Datalog view has seen the first tell.
         male, female = atom("male", "A"), atom("female", "A")
         constraint = disjoint_properties("male", "female")
-        db = EpistemicDatabase([male], constraints=[constraint], config=CONFIG,
-                               constraint_checking="incremental")
+        db = EpistemicDatabase([male], constraints=[constraint], config=CONFIG)
         db.triggers.register_violation("echo", constraint, lambda session, w: [female])
         db.triggers.watch(db.violation_view())
         view = db.datalog_view()

@@ -47,7 +47,6 @@ def hr_database(employees=6):
     database = EpistemicDatabase(
         hr_facts(employees, departments=4),
         constraints=hr_constraints(),
-        constraint_checking="incremental",
     )
     return database, database.violation_view(), database.datalog_view(rules=[ASSIGNED])
 
@@ -102,8 +101,7 @@ def test_a_predicate_first_told_after_the_build_is_shared_too():
 
 @pytest.mark.parametrize("employees", [50, 500])
 def test_attaching_a_second_view_interns_no_edb_fact(monkeypatch, employees):
-    database = EpistemicDatabase(hr_facts(employees), constraints=hr_constraints(),
-                                 constraint_checking="incremental")
+    database = EpistemicDatabase(hr_facts(employees), constraints=hr_constraints())
     database.violation_view()
     calls = []
     original = Interner.encode_atom

@@ -1,4 +1,4 @@
-"""Check by applying: the incremental constraint check stages the batch on
+"""Check by applying: a database's one constraint check stages the batch on
 the violation model, commits it when the report is satisfied and rolls it
 back otherwise.
 
@@ -13,18 +13,27 @@ back otherwise.
   batch commits: also those an update listener causes by changing the base
   again while the outer write is still being delivered, and those a
   committed check removes.
+* It is the only check, and the default one: its verdict is Definition 3.5
+  on the post-update base even when a rule links a constraint's predicates
+  to an untouched one, and on an atomic base whose constraints all compile
+  no write builds an epistemic reducer.
 """
 
 import pytest
 
+from repro.constraints.checker import IntegrityChecker
+from repro.constraints.library import mandatory_known_attribute
 from repro.constraints.views import ViolationView
 from repro.datalog import DatalogLiteral, DatalogRule
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError
 from repro.logic.builders import atom
+from repro.logic.parser import parse
 from repro.logic.syntax import Atom
 from repro.logic.terms import Variable
 from repro.obs import Tracer
+from repro.semantics.config import SemanticsConfig
+from repro.semantics.reduction import EpistemicReducer
 from repro.workloads.constraints import hr_constraints, hr_facts
 
 X, D = Variable("x"), Variable("d")
@@ -40,7 +49,6 @@ def hr_database(employees, with_fallback=False):
     database = EpistemicDatabase(
         hr_facts(employees, departments=4),
         constraints=hr_constraints(with_fallback=with_fallback),
-        constraint_checking="incremental",
     )
     violations = database.violation_view()
     view = database.datalog_view(rules=[ASSIGNED])
@@ -176,7 +184,7 @@ def test_a_raising_check_rolls_back_and_notifies_nobody(monkeypatch, write):
 
 def test_deltas_reach_listeners_once_when_an_earlier_listener_writes_again():
     database = EpistemicDatabase(
-        hr_facts(20), constraints=hr_constraints(), constraint_checking="incremental",
+        hr_facts(20), constraints=hr_constraints(),
     )
 
     def cascade(added, removed):
@@ -213,3 +221,58 @@ def test_deltas_reach_listeners_once_when_an_earlier_listener_writes_again():
     # staged, and its removal reaches the delta listener once, on commit.
     database.retract(atom("female", "E0"))
     assert not agree()
+
+
+# ---------------------------------------------------------------------------
+# The one check, by default
+# ---------------------------------------------------------------------------
+
+def test_a_rule_mediated_retraction_is_rejected_by_default():
+    # Retracting r(A) touches no predicate of the constraint, yet the rule
+    # was what made ss(A, S) known: after it, emp(A) has no known number.
+    config = SemanticsConfig(extra_parameters=1)
+    constraint = mandatory_known_attribute("emp", "ss")
+    base = [atom("emp", "A"), atom("r", "A"), parse("forall x. r(x) -> ss(x, S)")]
+    database = EpistemicDatabase(base, constraints=[constraint], config=config)
+    assert database.check_constraints().satisfied
+    epoch = database.revision_epoch
+    after = database.base.updated((), [atom("r", "A")])
+    assert not IntegrityChecker([constraint], config=config).check(after).satisfied
+
+    with pytest.raises(ConstraintViolationError) as rejected:
+        database.retract(atom("r", "A"))
+    assert [v.constraint for v in rejected.value.violations] == [constraint]
+    assert database.sentences() == base
+    assert database.revision_epoch == epoch
+    assert database.check_constraints().satisfied
+
+
+def test_checked_writes_build_no_reducer(monkeypatch):
+    database, _, _ = hr_database(20)
+    assert not database.base.has_nonatomic and not database.violation_view().fallbacks
+    built = []
+    original = EpistemicReducer.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EpistemicReducer, "__init__", counting)
+    assert database.tell(atom("ss", "E0", "Y0")).satisfied
+    assert database.retract(atom("ss", "E0", "Y0")).satisfied
+    with database.transaction() as transaction:
+        transaction.tell(atom("emp", "E20"))
+        transaction.tell(atom("ss", "E20", "S20"))
+    with pytest.raises(ConstraintViolationError):
+        database.tell(atom("female", "E0"))  # E0 is male
+    assert database.check_constraints().satisfied
+    assert built == []
+
+
+def test_constraint_checking_names_only_the_one_check():
+    with pytest.raises(ValueError, match="incremental"):
+        EpistemicDatabase(constraint_checking="scratch")
+    assert not hasattr(EpistemicDatabase, "constraint_checking")
+    database = EpistemicDatabase(constraint_checking="incremental")
+    with pytest.raises(TypeError):
+        database.transaction().commit(constraints="incremental")

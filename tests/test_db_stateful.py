@@ -1,13 +1,13 @@
 """Stateful test of the whole update API against a plain list.
 
 A :class:`hypothesis.stateful.RuleBasedStateMachine` drives one small
-HR-style database — incremental constraint checking, two ``DatalogView``
-objects (one of them derives ``dept``, which the base also stores), the
-``ViolationView`` and a ``BeliefRevisor`` all hanging off the same belief
-base and its one EDB store — with tells, retractions (of absent and
-duplicated sentences too), transaction commits and rollbacks, revisions,
-and tells during which one maintained view raises while it stages or while
-it prepares its commit.  The reference model is a Python list with
+HR-style database, built with defaults — its constraint check is the
+maintained ``ViolationView`` — with two ``DatalogView`` objects (one of them
+derives ``dept``, which the base also stores), the ``ViolationView`` and a
+``BeliefRevisor`` all hanging off the same belief base and its one EDB
+store, with tells, retractions (of absent and duplicated sentences too),
+transaction commits and rollbacks, revisions, and tells during which one
+maintained view raises while it stages or while it prepares its commit.  The reference model is a Python list with
 earliest-first removal, judged by the from-scratch
 :class:`~repro.constraints.checker.IntegrityChecker`; revisions are replayed
 through :func:`~repro.revision.naive.naive_revise`.  After every step the
@@ -39,6 +39,7 @@ from repro.datalog import (
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError, RevisionError
 from repro.logic.builders import atom, disj
+from repro.logic.parser import parse
 from repro.logic.printer import to_text
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter, Variable
@@ -55,13 +56,17 @@ CONSTRAINTS = [
 ]
 
 #: ground atoms of a miniature HR database, plus one disjunction that sends
-#: the gender constraint to the run-time fallback while it is believed.
+#: the gender constraint to the run-time fallback while it is believed, and
+#: one rule that links ``r`` to ``ss``: while it is believed, ``r(B)`` makes
+#: ``ss(B, S9)`` known, and the ``ss`` constraints go to the run-time
+#: fallback too.
 POOL = [
     atom("emp", "A"), atom("ss", "A", "S1"), atom("ss", "A", "S2"),
     atom("emp", "B"), atom("ss", "B", "S3"),
     atom("male", "A"), atom("female", "A"), atom("male", "B"),
     atom("works_in", "A", "D0"), atom("works_in", "B", "D1"), atom("dept", "D0"),
     disj([atom("male", "C"), atom("female", "C")]),
+    parse("forall x. r(x) -> ss(x, S9)"), atom("r", "B"),
 ]
 
 X, D = Variable("x"), Variable("d")
@@ -116,7 +121,6 @@ class DatabaseMachine(RuleBasedStateMachine):
                           atom("ss", "A", "S1"), atom("dept", "D0")]
         self.database = EpistemicDatabase(
             self.reference, constraints=CONSTRAINTS, config=CONFIG,
-            constraint_checking="incremental",
         )
         self.view = self.database.datalog_view(rules=RULES)
         self.database.violation_view()

@@ -52,7 +52,6 @@ def hr_database():
     database = EpistemicDatabase(
         hr_facts(6, departments=4),
         constraints=hr_constraints(),
-        constraint_checking="incremental",
     )
     views = {
         "violations": database.violation_view(),

@@ -474,8 +474,7 @@ def test_database_spans_metrics_and_explain_rejection():
     from repro.semantics.config import SemanticsConfig
 
     tracer = Tracer()
-    db = EpistemicDatabase(config=SemanticsConfig(extra_parameters=1),
-                           constraint_checking="incremental", tracer=tracer)
+    db = EpistemicDatabase(config=SemanticsConfig(extra_parameters=1), tracer=tracer)
     db.tell(fol_atom("emp", "A"))
     db.tell(fol_atom("ss", "A", "S1"))
     db.add_constraint(mandatory_known_attribute("emp", "ss"))
@@ -512,8 +511,7 @@ def test_explain_rejection_candidates_are_entrenchment_ordered():
     from repro.logic.builders import atom as fol_atom
     from repro.semantics.config import SemanticsConfig
 
-    db = EpistemicDatabase(config=SemanticsConfig(extra_parameters=1),
-                           constraint_checking="incremental")
+    db = EpistemicDatabase(config=SemanticsConfig(extra_parameters=1))
     db.add_constraint(disjoint_properties("male", "female"), check_now=False)
     db.tell(fol_atom("male", "A"))
     report = None

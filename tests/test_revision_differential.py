@@ -20,13 +20,14 @@ untouched database when one is raised).  Directed tests pin the seams the
 harness-style streams are built to stress: duplicated sentences under the
 full-occurrence retraction discipline of belief change, cascade repairs,
 plan minimality (no over-retraction survives the give-back pass), and the
-``EpistemicDatabase.retract`` one-occurrence semantics on the checked path
-(the commit side was pinned in PR 8; the direct path is pinned here).
+``EpistemicDatabase.retract`` one-occurrence semantics on the checked path,
+each verdict judged by the from-scratch checker on the post-update base.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.constraints.checker import IntegrityChecker
 from repro.constraints.library import (
     disjoint_properties,
     mandatory_known_attribute,
@@ -91,7 +92,6 @@ def run_differential(constraints, initial, operations):
     identical outcomes after every step."""
     database = EpistemicDatabase(
         initial, constraints=constraints, config=CONFIG,
-        constraint_checking="incremental",
     )
     revisor = BeliefRevisor(database)
     shadow = list(initial)
@@ -116,8 +116,6 @@ def run_differential(constraints, initial, operations):
         assert database.sentences() == shadow
         assert_view_matches_semi_naive(database)
     # Both stacks agree on the final verdict too.
-    from repro.constraints.checker import IntegrityChecker
-
     scratch = IntegrityChecker(constraints=constraints, config=CONFIG).check(
         shadow, with_witnesses=False
     )
@@ -164,7 +162,6 @@ def test_operator_equals_naive_on_iterated_revision_workload():
     facts = hr_facts(employees=entities, departments=3)
     database = EpistemicDatabase(
         facts, constraints=constraints, config=CONFIG,
-        constraint_checking="incremental",
     )
     revisor = database.revision()
     shadow = list(facts)
@@ -197,7 +194,6 @@ def test_revision_retracts_every_occurrence_of_a_duplicated_belief():
     ]
     database = EpistemicDatabase(
         base, constraints=constraints, config=CONFIG,
-        constraint_checking="incremental",
     )
     result = database.revision().revise(atom("female", "A"))
     assert result.retracted == (atom("male", "A"),)
@@ -221,7 +217,6 @@ def test_cascading_contraction_matches_naive():
     constraints = [referential_integrity("works_in", 1, "dept")]
     database = EpistemicDatabase(
         base, constraints=constraints, config=CONFIG,
-        constraint_checking="incremental",
     )
     result = database.revision().contract(atom("dept", "D0"))
     shadow, _, removals, retracted = naive_update_batch(
@@ -247,7 +242,6 @@ def test_plan_is_inclusion_minimal():
     constraints = [known_instances_typed("works_in", ("emp",), ("dept",))]
     database = EpistemicDatabase(
         base, constraints=constraints, config=CONFIG,
-        constraint_checking="incremental",
     )
     # Telling emp(A) leaves dept(D0) missing: the only repair is retracting
     # the assignment itself — and exactly once.
@@ -269,7 +263,6 @@ def test_give_back_returns_a_greedy_over_retraction():
     ]
     database = EpistemicDatabase(
         base, constraints=constraints, config=CONFIG,
-        constraint_checking="incremental",
     )
     shadow = list(base)
     result = database.revision().update_batch(tells=[atom("s", "B")])
@@ -287,7 +280,6 @@ def test_non_convergence_raises_and_leaves_the_database_untouched():
     base = [atom("male", "A")]
     database = EpistemicDatabase(
         base, constraints=[disjoint_properties("male", "female")], config=CONFIG,
-        constraint_checking="incremental",
     )
     revisor = database.revision(max_rounds=0)
     with pytest.raises(RevisionError, match="did not converge"):
@@ -309,7 +301,6 @@ def test_recency_follows_the_surviving_occurrence_of_a_duplicate():
     constraints = [disjoint_properties("male", "female")]
     database = EpistemicDatabase(
         initial, constraints=constraints, config=CONFIG,
-        constraint_checking="incremental",
     )
     revisor = BeliefRevisor(database)
     database.retract(atom("male", "A"), check_constraints=False)
@@ -329,7 +320,7 @@ def test_failed_revision_leaves_database_and_views_untouched():
     base = [atom("emp", "A"), atom("ss", "A", "S1")]
     database = EpistemicDatabase(
         base, constraints=[mandatory_known_attribute("emp", "ss")],
-        config=CONFIG, constraint_checking="incremental",
+        config=CONFIG,
     )
     revisor = database.revision()
     epoch = database.revision_epoch
@@ -346,13 +337,33 @@ def test_failed_revision_leaves_database_and_views_untouched():
 
 
 # ---------------------------------------------------------------------------
-# Satellite: EpistemicDatabase.retract one-occurrence semantics on the
-# checked path, scratch and incremental (the commit side was pinned in PR 8).
+# EpistemicDatabase.retract one-occurrence semantics on the checked path,
+# every verdict judged by the from-scratch checker on the post-update base.
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["scratch", "incremental"])
-def test_direct_retract_removes_one_occurrence_under_constraints(mode):
+def checked(database, update, additions=(), retractions=()):
+    """Run the checked *update* of ``(additions, retractions)``: it must be
+    accepted exactly when ``IntegrityChecker.check`` finds the post-update
+    base consistent (Definition 3.5), and a rejection must leave the base
+    and the epoch as they were.  Returns whether it was accepted."""
+    after = database.base.updated(additions, retractions)
+    expected = IntegrityChecker(
+        constraints=database.constraints(), config=CONFIG
+    ).check(after, witness_limit=None)
+    before, epoch = database.sentences(), database.revision_epoch
+    if expected.satisfied:
+        assert update().satisfied
+        assert database.sentences() == after
+        return True
+    with pytest.raises(ConstraintViolationError):
+        update()
+    assert database.sentences() == before
+    assert database.revision_epoch == epoch
+    return False
+
+
+def test_direct_retract_removes_one_occurrence_under_constraints():
     """A duplicated sentence survives a single checked ``retract`` — the
     constraint check must preview the one-occurrence removal, not set
     removal — and the *last* occurrence's retraction is what the constraints
@@ -360,48 +371,48 @@ def test_direct_retract_removes_one_occurrence_under_constraints(mode):
     database = EpistemicDatabase(
         [atom("dept", "D0"), atom("dept", "D0"), atom("works_in", "A", "D0")],
         constraints=[referential_integrity("works_in", 1, "dept")],
-        config=CONFIG, constraint_checking=mode,
+        config=CONFIG,
     )
-    report = database.retract(atom("dept", "D0"))
-    assert report is not None and report.satisfied
-    assert database.sentences().count(atom("dept", "D0")) == 1
-    with pytest.raises(ConstraintViolationError):
-        database.retract(atom("dept", "D0"))
+    dept = atom("dept", "D0")
+    assert checked(database, lambda: database.retract(dept), retractions=[dept])
+    assert database.sentences().count(dept) == 1
+    assert not checked(database, lambda: database.retract(dept), retractions=[dept])
     # The rejected retraction changed nothing: one occurrence remains and
     # the database still satisfies its constraints.
-    assert database.sentences().count(atom("dept", "D0")) == 1
+    assert database.sentences().count(dept) == 1
     assert database.check_constraints().satisfied
 
 
-@pytest.mark.parametrize("mode", ["scratch", "incremental"])
-def test_direct_retract_duplicate_with_fallback_constraint(mode):
+def test_direct_retract_duplicate_with_fallback_constraint():
     """Same discipline through the from-scratch fallback (unique_attribute is
     uncompilable): retracting one of two duplicate ss facts keeps the
     functional dependency violated until the real duplicate goes."""
     database = EpistemicDatabase(
         [atom("ss", "A", "S1"), atom("ss", "A", "S1"), atom("emp", "A")],
         constraints=[unique_attribute("ss")],
-        config=CONFIG, constraint_checking=mode,
+        config=CONFIG,
     )
     # Duplicate occurrences of the same (A, S1) pair never violate the FD —
     # and retracting one occurrence keeps the other.
-    report = database.retract(atom("ss", "A", "S1"))
-    assert report is not None and report.satisfied
-    assert database.sentences().count(atom("ss", "A", "S1")) == 1
-    database.tell(atom("ss", "A", "S1"))
-    assert database.sentences().count(atom("ss", "A", "S1")) == 2
+    ss = atom("ss", "A", "S1")
+    assert checked(database, lambda: database.retract(ss), retractions=[ss])
+    assert database.sentences().count(ss) == 1
+    assert checked(database, lambda: database.tell(ss), additions=[ss])
+    assert database.sentences().count(ss) == 2
+    other = atom("ss", "A", "S2")
+    assert not checked(database, lambda: database.tell(other), additions=[other])
 
 
-def test_scratch_retract_rejection_preserves_sentence_order():
-    """The scratch path restores a rejected retraction by re-appending; the
-    surviving content is order-insensitive for the checker, but the restore
-    must keep the occurrence (regression guard for the undo discipline)."""
+def test_retract_rejection_preserves_sentence_order():
+    """A rejected retraction never touches the base, so the surviving
+    content keeps its order exactly (the staged check rolls back the view,
+    not the base)."""
     base = [atom("dept", "D0"), atom("works_in", "A", "D0"), atom("dept", "D1")]
     database = EpistemicDatabase(
         base, constraints=[referential_integrity("works_in", 1, "dept")],
-        config=CONFIG, constraint_checking="scratch",
+        config=CONFIG,
     )
-    with pytest.raises(ConstraintViolationError):
-        database.retract(atom("dept", "D0"))
-    assert sorted(database.sentences(), key=str) == sorted(base, key=str)
+    dept = atom("dept", "D0")
+    assert not checked(database, lambda: database.retract(dept), retractions=[dept])
+    assert database.sentences() == base
     assert database.check_constraints().satisfied

@@ -88,7 +88,6 @@ def consistent_database(facts, constraints):
             base.append(fact)
     return EpistemicDatabase(
         base, constraints=constraints, config=CONFIG,
-        constraint_checking="incremental",
     )
 
 
@@ -254,7 +253,6 @@ def flip_database():
             total_property("person", "male", "female"),
         ],
         config=CONFIG,
-        constraint_checking="incremental",
     )
 
 
@@ -308,7 +306,6 @@ def test_fact_priority_policy_overrides_recency():
         [atom("male", "A"), atom("female", "B")],
         constraints=[disjoint_properties("male", "female")],
         config=CONFIG,
-        constraint_checking="incremental",
     )
     # Recency would retract female(B) (newer); priorities protect it.
     revisor = database.revision(
@@ -389,7 +386,7 @@ def _success_scenario():
     return EpistemicDatabase(
         [atom("emp", "A"), atom("ss", "A", "S1")],
         constraints=[mandatory_known_attribute("emp", "ss")],
-        config=CONFIG, constraint_checking="incremental",
+        config=CONFIG,
     )
 
 
@@ -400,7 +397,7 @@ def _conflict_scenario():
             disjoint_properties("male", "female"),
             total_property("person", "male", "female"),
         ],
-        config=CONFIG, constraint_checking="incremental",
+        config=CONFIG,
     )
 
 
