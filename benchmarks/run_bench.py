@@ -225,9 +225,11 @@ def run_incremental_flatness(chains=1000, length=5, scale=10, applies=200, repea
     grows.
 
     Each apply deletes or re-inserts the middle edge of one chain (the same
-    chains at both sizes), so every batch does the same DRed work; the cell
-    records the best-of-*repeats* mean over *applies* such batches per size
-    and their ratio, and checks each model against a fresh engine.  As in
+    chains at both sizes), so every batch does the same recursive
+    maintenance work (a deletion disproves the cut paths round by round, a
+    re-insertion derives them again); the cell records the best-of-*repeats*
+    mean over *applies* such batches per size and their ratio, and checks
+    each model against a fresh engine.  As in
     ``timeit``, the garbage collector is paused while timing: a full
     collection walks every live object, so it would charge the size of the
     heap, not of the update, to whichever apply it interrupts.

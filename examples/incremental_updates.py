@@ -72,7 +72,8 @@ def maintain_closure():
               f"{apply_total * 1000:.0f}ms maintained)")
     statistics = materialized.statistics
     print(f"maintenance work: {statistics.delta_passes} delta passes, "
-          f"{statistics.overdeleted} overdeleted, {statistics.rederived} rederived, "
+          f"{statistics.overdeleted} deletion candidates checked, "
+          f"{statistics.rederived} of them proved and kept, "
           f"{statistics.rebuilds} full rebuild(s)\n")
 
 

@@ -31,8 +31,8 @@ This subpackage provides that substrate:
 * :mod:`repro.datalog.incremental` — incremental view maintenance: a
   :class:`~repro.datalog.incremental.MaterializedModel` keeps the least
   model consistent under EDB insertions *and* deletions at delta cost
-  (derivation counting for non-recursive predicates, DRed
-  overdelete/rederive for recursive ones), in id space with the engine's
+  (derivation counting for non-recursive predicates, backward/forward
+  checking for recursive ones), in id space with the engine's
   planner and compiled kernels;
 * :mod:`repro.datalog.magic` — goal-directed query evaluation: adornment
   propagation and magic-set rewriting (supplementary predicates / sideways

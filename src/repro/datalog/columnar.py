@@ -738,7 +738,8 @@ def _row_expression(args, slots, interner):
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
-def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
+def compile_schedule(rule, schedule, interner, mode="new", provenance=False,
+                     within=()):
     """Compile a ``(literal, tag)`` schedule (the output of
     :meth:`DatalogEngine._schedule
     <repro.datalog.engine.DatalogEngine._schedule>`) into a join-pass
@@ -759,7 +760,20 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
     *mode* is a compile-time variant: ``"new"`` adds the derived ``(key,
     row)`` facts absent from *db* to the set *out* (the fixpoint's
     kernel); ``"count"`` tallies every derivation into the dict *out*,
-    ``fact -> derivations`` (the maintainer's derivation counts).
+    ``fact -> derivations`` (the maintainer's derivation counts);
+    ``"probe"`` is the backward check of recursive maintenance.  A probe
+    schedule is a rule's rederivation form (the head prepended to the body
+    as the ``delta`` literal, the body ``full``), and the function is
+    ``pass_(db, added, proved, out)``: for each candidate row of *added* it
+    appends ``(fact, pending)`` to the list *out* for each derivation of
+    the candidate in *db*, where *pending* lists the derivation's body
+    facts of the *within* relations (a recursive component's) that are not
+    in the set *proved*; a derivation with nothing pending proves the
+    candidate and ends its search.
+
+    Every positive literal whose arguments the prefix binds completely is
+    a membership test, not a bucket scan; a literal bound in part probes
+    the buckets of its relation, looked up once in the prologue.
 
     With *provenance* (``"new"`` mode only) the generated function takes one
     extra parameter, ``rec``, called as ``rec((v0, ..., vN))`` — the bound
@@ -774,13 +788,41 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
         for arg in literal.atom.args:
             if isinstance(arg, Variable) and arg not in slots:
                 slots[arg] = len(slots)
+    # How the body reads each literal: a negated non-delta literal is a
+    # guard (None); any other is (probes, same_checks, binds) — the bound
+    # positions with their id expressions, the positions repeating a
+    # variable first bound within the literal, and the slots it binds.
+    plans = []
+    bound = set()
+    for literal, tag in schedule:
+        if not literal.positive and tag != "delta":
+            plans.append(None)
+            continue
+        const_probes, var_probes, same_checks, binds = [], [], [], []
+        seen_here = {}
+        for position, arg in enumerate(literal.atom.args):
+            if not isinstance(arg, Variable):
+                const_probes.append((position, repr(interner.intern(arg))))
+            elif arg in bound:
+                var_probes.append((position, f"v{slots[arg]}"))
+            elif arg in seen_here:
+                # A repeat within this literal: its local is only assigned
+                # inside the row loop, so compare the row positions directly.
+                same_checks.append((position, seen_here[arg]))
+            else:
+                seen_here[arg] = position
+                binds.append((position, slots[arg]))
+        bound.update(seen_here)
+        plans.append((const_probes + var_probes, same_checks, binds))
+
     env = {"__EMPTY": {}}
     lines = []
 
     def emit(depth, text):
         lines.append("    " * depth + text)
 
-    parameters = "db, added, removed, out" + (", rec" if provenance else "")
+    third = "proved" if mode == "probe" else "removed"
+    parameters = f"db, added, {third}, out" + (", rec" if provenance else "")
     emit(0, f"def pass_({parameters}):")
     head_key_name = "__HK"
     env[head_key_name] = (rule.head.predicate, rule.head.arity)
@@ -788,17 +830,22 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
         emit(1, "__add = out.add")
         emit(1, f"__t = db.get({head_key_name})")
         emit(1, "__hr = __t.rows if __t is not None else __EMPTY")
+    elif mode == "probe":
+        emit(1, "__add = out.append")
     else:
         emit(1, "__get = out.get")
-    for index, (literal, tag) in enumerate(schedule):
+    for index, ((literal, tag), plan) in enumerate(zip(schedule, plans)):
         key_name = f"__K{index}"
         env[key_name] = (literal.atom.predicate, len(literal.atom.args))
-        if literal.positive or tag == "delta":
+        if plan is not None:
             # An empty enumerated relation admits no derivation at all.
             store = "db" if tag != "delta" else "added" if literal.positive else "removed"
             emit(1, f"__r{index} = {store}.get({key_name})")
             emit(1, f"if __r{index} is None or not __r{index}.rows:")
             emit(2, "return")
+            probes, same_checks, binds = plan
+            if probes and (binds or same_checks):
+                emit(1, f"__bk{index} = __r{index}.buckets")
             if tag == "old":
                 emit(1, f"__t = added.get({key_name})")
                 emit(1, f"__sk{index} = __t.rows if __t is not None else __EMPTY")
@@ -812,12 +859,13 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
     # The body proper: a one-iteration dummy loop makes guard `continue`s
     # valid even before the first real candidate loop.
     emit(1, "for __once in ((),):")
+    loops = [1]  # the depth of every emitted `for`, outermost first
+    candidate_loop = 0  # the loop enumerating a probe's candidates
     depth = 2
-    bound = set()
-    for index, (literal, tag) in enumerate(schedule):
-        atom = literal.atom
-        if not literal.positive and tag != "delta":
-            row_expr = _row_expression(atom.args, slots, interner)
+    for index, ((literal, tag), plan) in enumerate(zip(schedule, plans)):
+        row = f"__row{index}"
+        if plan is None:
+            row_expr = _row_expression(literal.atom.args, slots, interner)
             if tag == "old":
                 emit(depth, f"__n = {row_expr}")
                 emit(depth, f"if __n in __nr{index} or __n in __nx{index}:")
@@ -825,58 +873,31 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
                 emit(depth, f"if {row_expr} in __nr{index}:")
             emit(depth + 1, "continue")
             continue
-        const_probes = []
-        var_probes = []
-        const_checks = []
-        var_checks = []
-        same_checks = []
-        binds = []
-        seen_here = {}
-        for position, arg in enumerate(atom.args):
-            if isinstance(arg, Variable):
-                slot = slots[arg]
-                if arg in bound:
-                    var_probes.append((position, slot))
-                    var_checks.append((position, slot))
-                elif arg in seen_here:
-                    # A repeat within this literal: its local is only
-                    # assigned inside the row loop, so compare the row
-                    # positions directly instead of probing/checking v{slot}.
-                    same_checks.append((position, seen_here[arg]))
-                else:
-                    seen_here[arg] = position
-                    binds.append((position, slot))
-            else:
-                ident = interner.intern(arg)
-                const_probes.append((position, ident))
-                const_checks.append((position, ident))
-        bound.update(seen_here)
+        probes, same_checks, binds = plan
+        if not (binds or same_checks):
+            # Bound throughout: one membership test.
+            emit(depth, f"{row} = {_row_expression(literal.atom.args, slots, interner)}")
+            skip = f" or {row} in __sk{index}" if tag == "old" else ""
+            emit(depth, f"if {row} not in __r{index}.rows{skip}:")
+            emit(depth + 1, "continue")
+            continue
         emit(depth, f"__best = __r{index}.rows")
-        if const_probes or var_probes:
-            emit(depth, f"__bk = __r{index}.buckets")
-            for position, ident in const_probes:
-                emit(depth, f"__b = __bk[{position}].get({ident})")
-                emit(depth, "if not __b:")
-                emit(depth + 1, "continue")
-                emit(depth, "if len(__b) < len(__best):")
-                emit(depth + 1, "__best = __b")
-            for position, slot in var_probes:
-                emit(depth, f"__b = __bk[{position}].get(v{slot})")
-                emit(depth, "if not __b:")
-                emit(depth + 1, "continue")
-                emit(depth, "if len(__b) < len(__best):")
-                emit(depth + 1, "__best = __b")
-        row = f"__row{index}"
+        for position, value in probes:
+            emit(depth, f"__b = __bk{index}[{position}].get({value})")
+            emit(depth, "if not __b:")
+            emit(depth + 1, "continue")
+            emit(depth, "if len(__b) < len(__best):")
+            emit(depth + 1, "__best = __b")
         emit(depth, f"for {row} in __best:")
+        if index == 0:
+            candidate_loop = len(loops)
+        loops.append(depth)
         depth += 1
         if tag == "old":
             emit(depth, f"if {row} in __sk{index}:")
             emit(depth + 1, "continue")
-        for position, ident in const_checks:
-            emit(depth, f"if {row}[{position}] != {ident}:")
-            emit(depth + 1, "continue")
-        for position, slot in var_checks:
-            emit(depth, f"if {row}[{position}] != v{slot}:")
+        for position, value in probes:
+            emit(depth, f"if {row}[{position}] != {value}:")
             emit(depth + 1, "continue")
         for position, first in same_checks:
             emit(depth, f"if {row}[{position}] != {row}[{first}]:")
@@ -888,6 +909,24 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
     if mode == "count":
         emit(depth, f"__f = ({head_key_name}, {head_expr})")
         emit(depth, "out[__f] = __get(__f, 0) + 1")
+    elif mode == "probe":
+        emit(depth, "__p = []")
+        for index, (literal, _tag) in enumerate(schedule):
+            key = (literal.atom.predicate, len(literal.atom.args))
+            if index and literal.positive and key in within:
+                emit(depth, f"__g = (__K{index}, __row{index})")
+                emit(depth, "if __g not in proved:")
+                emit(depth + 1, "__p.append(__g)")
+        emit(depth, f"__add((({head_key_name}, {head_expr}), __p))")
+        if len(loops) - 1 > candidate_loop:
+            # Proved: leave every loop inside the candidate loop — each
+            # `for` whose body broke out breaks its enclosing one in turn.
+            emit(depth, "if not __p:")
+            emit(depth + 1, "break")
+            for level in range(len(loops) - 1, candidate_loop + 1, -1):
+                emit(loops[level], "else:")
+                emit(loops[level] + 1, "continue")
+                emit(loops[level], "break")
     else:
         emit(depth, f"__h = {head_expr}")
         emit(depth, f"__f = ({head_key_name}, __h)")
@@ -908,35 +947,37 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False):
 
 
 def compiled_for(cache, rule, delta_position, schedule, interner, mode="new",
-                 provenance=False):
+                 provenance=False, within=()):
     """The generated join-pass function for one (rule, delta position,
-    schedule, mode, provenance) combination, memoized in *cache* —
+    schedule, mode, provenance, within) combination, memoized in *cache* —
     schedules stabilise after a round or two, so generation is paid once
     per distinct plan."""
-    key = (rule, delta_position, tuple(schedule), mode, provenance)
+    key = (rule, delta_position, tuple(schedule), mode, provenance, frozenset(within))
     compiled = cache.get(key)
     if compiled is None:
-        compiled = compile_schedule(rule, schedule, interner, mode, provenance)
+        compiled = compile_schedule(
+            rule, schedule, interner, mode, provenance, within
+        )
         cache[key] = compiled
     return compiled
 
 
 def fresh_delta(new_facts):
-    """Build the round delta :class:`RowStore` from a set of new ``(key,
-    row)`` facts in bulk: rows are grouped per relation and the membership
-    set and buckets are built in single passes (the facts are already
-    deduplicated, so no per-row presence checks are needed)."""
+    """Build the round delta :class:`RowStore` from new ``(key, row)``
+    facts in bulk: rows are grouped straight into each relation's
+    membership set in one pass (probe buckets are built on demand)."""
     by_key = {}
     for key, row in new_facts:
         rows = by_key.get(key)
         if rows is None:
-            by_key[key] = rows = []
-        rows.append(row)
+            by_key[key] = {row}
+        else:
+            rows.add(row)
     store = RowStore()
+    relations = store._relations
     for key, rows in by_key.items():
-        relation = ColumnarRelation(key[1])
-        relation.rows = set(rows)
-        store._relations[key] = relation
+        relation = relations[key] = ColumnarRelation(key[1])
+        relation.rows = rows
     return store
 
 

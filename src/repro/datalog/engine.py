@@ -431,17 +431,9 @@ class DatalogEngine:
             )
             if extensional and (mode == "magic" or not (cached or maintained)):
                 # Extensional goal, no model at hand: the least model holds
-                # exactly the EDB facts for it — one arity-filtered,
-                # duplicate-collapsing pass over the fact list, without
-                # materializing anything.
-                arity = len(atom.args)
-                facts = {
-                    fact.atom
-                    for fact in self.program.facts
-                    if fact.atom.predicate == atom.predicate
-                    and len(fact.atom.args) == arity
-                }
-                bindings, touched = _match_goal(atom, facts)
+                # exactly the EDB facts for it, read without materializing
+                # anything.
+                bindings, touched = self._match_facts(atom)
                 return self._note_query(QueryResult(
                     bindings, goal=atom, mode="edb", adornment=adornment,
                     facts_touched=touched,
@@ -465,6 +457,29 @@ class DatalogEngine:
             facts_derived=self.statistics.facts_derived if evaluated else 0,
             fallback_reason=fallback_reason,
         ))
+
+    def _match_facts(self, atom):
+        """Match an extensional goal against ``program.facts``; return
+        ``(bindings, touched)``.  An
+        :class:`~repro.datalog.columnar.EdbStore` is probed on the goal's
+        bound positions, so only the smallest matching bucket is decoded;
+        a plain fact list takes one arity-filtered, duplicate-collapsing
+        pass."""
+        facts = self.program.facts
+        arity = len(atom.args)
+        if isinstance(facts, EdbStore):
+            bound = [
+                (position, arg)
+                for position, arg in enumerate(atom.args)
+                if isinstance(arg, Parameter)
+            ]
+            index = ColumnarFactIndex.from_store(facts.rows, facts.interner)
+            return _match_goal(atom, index.candidates(atom.predicate, arity, bound))
+        return _match_goal(atom, {
+            fact.atom
+            for fact in facts
+            if fact.atom.predicate == atom.predicate and len(fact.atom.args) == arity
+        })
 
     def _note_query(self, result):
         """Tally one :meth:`query` answer into the cumulative ``query.*``

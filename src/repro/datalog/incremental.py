@@ -13,12 +13,14 @@ deletions** at delta cost, instead of re-running the fixpoint:
   non-recursive strongly connected component is a single predicate that never
   occurs in its own rule bodies, one maintenance round per component
   suffices.
-* **DRed** (recursive components) — counting is unsound under recursion (a
-  cycle of facts can keep itself alive), so recursive components use
-  delete-and-rederive: *overdelete* everything whose derivation touches a
-  deleted fact, *rederive* the overdeleted facts that still have an
-  alternative derivation (or are EDB facts), then propagate insertions
-  semi-naively.
+* **backward/forward** (recursive components; Motik, Nenov, Piro and
+  Horrocks, AAAI 2015) — counting is unsound under recursion (a cycle of
+  facts can keep itself alive), so a fact that loses a derivation becomes
+  a deletion *candidate*, and a backward check looks for a derivation of
+  it from facts that are still *proved*.  Only disproved facts are deleted
+  and propagated forward as the next round's candidates, so a fact with
+  an alternative derivation is never deleted and nothing is rederived;
+  insertions then propagate semi-naively.
 
 Components are maintained in dependency order (the same Tarjan condensation
 the engine's stratifier uses), so stratified negation falls out naturally:
@@ -44,14 +46,14 @@ run, restore; O(round delta)) and called as ``kernel(index, minus, plus,
 out)``, which is the increment discipline again.  A derivation whose
 status changed is then enumerated exactly once — at its first changed body
 position — which is what keeps the counts exact.  The build fills the
-counts with one counting pass per rule over the final model; DRed
-rederives set-at-a-time, one pass per rule whose leading ``delta`` literal
-is the rule's head over the overdeleted facts.
+counts with one counting pass per rule over the final model.  The
+backward check runs set-at-a-time: one ``"probe"`` pass per rule, whose
+leading ``delta`` literal is the rule's head, over a round's frontier.
 
-The deltas, the counting table and the DRed sets are all ``(key, row)``
-id facts (:class:`~repro.datalog.columnar.RowStore`); atoms are decoded
-only at the API edge (:class:`UpdateResult`, :meth:`MaterializedModel.model`,
-``holds`` and ``query``).
+The deltas, the counting table and the backward/forward sets are all
+``(key, row)`` id facts (:class:`~repro.datalog.columnar.RowStore`); atoms
+are decoded only at the API edge (:class:`UpdateResult`,
+:meth:`MaterializedModel.model`, ``holds`` and ``query``).
 
 The EDB is not the model's: it is ``program.facts``, an interned
 :class:`~repro.datalog.columnar.EdbStore`.  A database's views share their
@@ -65,13 +67,13 @@ not a copy of the base.  The store changes first: a batch
 written to the store once, and then every model over it stages it.
 
 Every batch is *staged*: maintained forward into the model's relations,
-the counts and the DRed seeds, then resolved one of two ways.  A *commit*
+the counts and the seeds, then resolved one of two ways.  A *commit*
 keeps it: the histograms and the :class:`UpdateResult` computed while
 staging are swapped in, which cannot fail, and the maintained model is
 what a subsequent ``engine.least_model()`` returns without a fixpoint.  A
 *rollback*, once the store is back where it was, maintains the batch's
-exact inverse (counting is integer-exact and DRed set-exact, so the state
-comes back bit for bit) and restores the maintenance counters.
+exact inverse (counting is integer-exact and backward/forward set-exact,
+so the state comes back bit for bit) and restores the maintenance counters.
 :meth:`MaterializedModel.apply` is write, stage, commit;
 :meth:`MaterializedModel.peek` — "what would the model be if this batch
 were applied?" — is write, stage, read, unwrite, rollback, and leaves no
@@ -111,6 +113,11 @@ from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter
 
 
+#: The empty removal delta of a pass that only adds support (read, never
+#: written).
+_NOTHING = RowStore()
+
+
 @dataclass
 class MaintenanceStatistics:
     """Counters describing the maintenance work done so far.
@@ -119,7 +126,9 @@ class MaintenanceStatistics:
     calls and the writes a database commits on its views), ``rounds`` the
     within-component propagation rounds, ``delta_passes`` the executed
     delta-position join passes, ``facts_added`` / ``facts_removed`` the net
-    model-level changes, ``overdeleted`` / ``rederived`` the DRed traffic,
+    model-level changes, ``overdeleted`` / ``rederived`` the deletion
+    candidates of recursive components the backward check examined and
+    those it proved,
     and ``rebuilds`` how often the model fell back to a full fixpoint
     (initial construction included).
     """
@@ -152,34 +161,60 @@ class UpdateResult:
 
 class _Component:
     """One maintenance unit: a strongly connected component of the IDB
-    dependency graph, its rules, and whether it needs DRed.
+    dependency graph, its rules, and whether it is recursive.
 
-    ``reads`` holds the ``(predicate, arity)`` keys of its rule bodies;
-    ``rederive`` holds, for a recursive component, each rule's
-    rederivation form — the rule's head prepended to its body as the
-    leading literal, so one pass with that literal as the delta finds which
-    overdeleted facts the rule still derives."""
+    ``predicates`` holds the ``(predicate, arity)`` keys of its predicates
+    and ``reads`` those of its rule bodies (``positive_reads`` and
+    ``negative_reads`` by the sign of the literal).  For a recursive
+    component, ``rederive`` holds each rule's rederivation form — the
+    rule's head prepended to its body as the leading literal, so one
+    ``"probe"`` pass with that literal as the delta lists the derivations
+    of a set of facts — and ``forward`` the ``(rule, position, key)`` of
+    every body literal over the component's own predicates, the delta
+    positions of a pass from a set of component facts to what they
+    derive."""
 
-    __slots__ = ("predicates", "rules", "recursive", "reads", "rederive")
+    __slots__ = (
+        "predicates", "rules", "recursive", "reads", "positive_reads",
+        "negative_reads", "rederive", "forward",
+    )
 
     def __init__(self, predicates, rules, recursive):
         self.predicates = predicates
         self.rules = rules
         self.recursive = recursive
-        self.reads = {
-            (literal.atom.predicate, len(literal.atom.args))
-            for rule in rules
-            for literal in rule.body
-        }
+        reads = {True: set(), False: set()}
+        for rule in rules:
+            for literal in rule.body:
+                reads[literal.positive].add(
+                    (literal.atom.predicate, len(literal.atom.args))
+                )
+        self.positive_reads, self.negative_reads = reads[True], reads[False]
+        self.reads = self.positive_reads | self.negative_reads
         self.rederive = [
             DatalogRule(rule.head, (DatalogLiteral(rule.head),) + rule.body)
             for rule in rules
+        ] if recursive else []
+        self.forward = [
+            (rule, position, key)
+            for rule in rules
+            for position, literal in enumerate(rule.body)
+            for key in [(literal.atom.predicate, len(literal.atom.args))]
+            if literal.positive and key in predicates
         ] if recursive else []
 
     def touched_by(self, plus, minus):
         """True when a delta can touch any rule body of the component
         (either polarity of any literal)."""
         return any(plus.count(*key) or minus.count(*key) for key in self.reads)
+
+    def supported_by(self, added, removed):
+        """True when a pass with deltas ``(added, removed)`` has a literal
+        to start from: *added* holds facts a positive body literal reads,
+        or *removed* facts a negated one reads."""
+        return any(added.count(*key) for key in self.positive_reads) or any(
+            removed.count(*key) for key in self.negative_reads
+        )
 
 
 def _as_ground_atom(value):
@@ -204,9 +239,9 @@ class MaterializedModel:
     derived relations this model owns and mutates from then on (its
     extensional relations are the
     :class:`~repro.datalog.columnar.EdbStore`'s that ``program.facts``
-    holds).  The counting table, the DRed sets and the per-batch deltas
-    are interned ``(key, row)`` facts, and every maintenance join is one of
-    the engine's generated kernels.  EDB updates arrive through
+    holds).  The counting table, the backward/forward sets and the
+    per-batch deltas are interned ``(key, row)`` facts, and every
+    maintenance join is one of the engine's generated kernels.  EDB updates arrive through
     :meth:`apply`; everything else (``model()``, ``holds()``, ``query()``)
     reads the maintained state.
 
@@ -235,6 +270,7 @@ class MaterializedModel:
         self._counts = None
         self._seeds = None
         self._kernels = {}
+        self._fixed_kernels = {}
         self._staged = None
         self._components = None
         self._kind = None
@@ -307,8 +343,9 @@ class MaterializedModel:
     def derivation_count(self, atom):
         """The number of derivations supporting *atom* (EDB membership
         counts as one).  Only meaningful for facts of non-recursive
-        predicates — recursive components are maintained set-wise by DRed —
-        and for extensional facts, where it is 1 or 0."""
+        predicates — recursive components are maintained set-wise, by
+        backward/forward checking — and for extensional facts, where it is
+        1 or 0."""
         self._ensure_consistent()
         atom = _as_ground_atom(atom)
         key = (atom.predicate, len(atom.args))
@@ -342,10 +379,10 @@ class MaterializedModel:
 
         Implemented as a staged batch that is always rolled back:
         maintenance of the batch, then of its exact inverse (counting is
-        integer-exact and DRed set-exact, so the round trip restores the
-        state bit-for-bit).  The EDB store is written for the duration and
-        restored bit for bit, the planner statistics and the compiled
-        kernels are never touched, and :attr:`statistics` is
+        integer-exact and backward/forward set-exact, so the round trip
+        restores the state bit-for-bit).  The EDB store is written for the
+        duration and restored bit for bit, the planner statistics and the
+        compiled kernels are never touched, and :attr:`statistics` is
         restored after the round trip, so not even the maintenance counters
         record the peek.  This is the API transaction previews should use:
         a peek can never poison the maintained state or the engine's cache.
@@ -393,6 +430,7 @@ class MaterializedModel:
         self._index = self.engine.least_index()
         self._store = store = self._index.store
         self._kernels = {}
+        self._fixed_kernels = {}
         self.planner_statistics.refresh(store)
         self._counts = counts = {}
         self._seeds = seeds = set()
@@ -438,7 +476,8 @@ class MaterializedModel:
     # -- program analysis ------------------------------------------------------
     def _analyze(self):
         """Group the IDB into strongly connected components (dependency
-        order), tag each as counting or DRed, and map predicates to kinds."""
+        order), tag each as counting or recursive, and map predicates to
+        kinds."""
         program = self.program
         idb = program.idb_predicates()
         successors = {key: set() for key in idb}
@@ -461,7 +500,7 @@ class MaterializedModel:
             rules = [rule for key in member_set for rule in rules_for[key]]
             self._components.append(_Component(member_set, rules, recursive))
             for key in member_set:
-                self._kind[key] = "dred" if recursive else "counting"
+                self._kind[key] = "recursive" if recursive else "counting"
 
     def _ensure_consistent(self):
         """Fall back to a full rebuild when the program was mutated outside
@@ -544,15 +583,16 @@ class MaterializedModel:
 
     def _commit(self):
         """Keep the staged batch: adopt the histograms it was folded into
-        (dropping the kernels planned against the old ones) and return its
-        :class:`UpdateResult`.  Both were computed while staging, so a
-        commit only swaps state and cannot fail."""
+        (dropping the kernels planned against the old ones, see
+        :meth:`_kernel`) and return its :class:`UpdateResult`.  Both were
+        computed while staging, so a commit only swaps state and cannot
+        fail."""
         _, _, result, histograms = self._staged
         self._staged = None
         self.statistics.applies += 1
         if histograms is not None:
             self.planner_statistics.adopt(histograms)
-            self._kernels = {}
+            self._kernels = dict(self._fixed_kernels)
         return result
 
     def _rollback(self):
@@ -575,7 +615,7 @@ class MaterializedModel:
 
     def _maintain(self, edb_plus, edb_minus):
         """Bring the model's own state — its derived relations, the counts
-        and the DRed seeds — to the model of the EDB changed by
+        and the seeds — to the model of the EDB changed by
         ``(edb_plus, edb_minus)`` (sets of encoded ``(key, row)`` facts),
         which the EDB store already holds.  Returns the net index change
         ``(index_plus, index_minus)``, EDB part included, as
@@ -622,7 +662,7 @@ class MaterializedModel:
         # purely extensional predicate's relation from it: that change has
         # taken effect (a relation the batch created is shared here).  EDB
         # changes for IDB predicates are handed to the owning component
-        # (base-count / DRed-seed semantics) for the model's own relation.
+        # (base-count / seed semantics) for the model's own relation.
         pending_plus = defaultdict(list)
         pending_minus = defaultdict(list)
         for fact in edb_plus:
@@ -631,7 +671,7 @@ class MaterializedModel:
                 acc_plus.add(fact)
                 continue
             pending_plus[fact[0]].append(fact)
-            if predicate_kind == "dred":
+            if predicate_kind == "recursive":
                 self._seeds.add(fact)
         for fact in edb_minus:
             predicate_kind = kind.get(fact[0])
@@ -639,7 +679,7 @@ class MaterializedModel:
                 acc_minus.add(fact)
                 continue
             pending_minus[fact[0]].append(fact)
-            if predicate_kind == "dred":
+            if predicate_kind == "recursive":
                 self._seeds.discard(fact)
         for key in acc_plus.relations() | acc_minus.relations():
             if store.get(key) is None:
@@ -650,18 +690,26 @@ class MaterializedModel:
             own_minus = [f for key in component.predicates for f in pending_minus.get(key, ())]
             if not (own_plus or own_minus) and not component.touched_by(acc_plus, acc_minus):
                 continue  # nothing below changed what its rules read
-            maintain = self._maintain_dred if component.recursive else self._maintain_counting
+            maintain = (
+                self._maintain_recursive if component.recursive
+                else self._maintain_counting
+            )
             added, removed = maintain(component, acc_plus, acc_minus, own_plus, own_minus)
             acc_plus.add_all(added)
             acc_minus.add_all(removed)
         return acc_plus, acc_minus
 
-    def _kernel(self, rule, delta_position, mode):
+    def _kernel(self, rule, delta_position, mode, within=()):
         """The engine's compiled pass for *rule* with its body planned by
         the engine's scheduler against the model's histograms; cached until
         the histograms change (every committed batch that changed the
-        index)."""
-        key = (rule, delta_position, mode)
+        index).  A pass with at most one positive literal besides its delta
+        literal has nothing for the histograms to reorder, so its kernel is
+        kept until a rebuild.  *within* is a probe's component (see
+        :func:`~repro.datalog.columnar.compile_schedule`).  Rules are keyed
+        by identity — hashing one hashes its whole body — which is safe as
+        the components hold them until a rebuild empties the cache."""
+        key = (id(rule), delta_position, mode)
         kernel = self._kernels.get(key)
         if kernel is None:
             engine = self.engine
@@ -670,8 +718,13 @@ class MaterializedModel:
             )
             kernel = self._kernels[key] = compiled_for(
                 engine._compiled_cache, rule, delta_position, schedule,
-                self._interner, mode,
+                self._interner, mode, within=within,
             )
+            if sum(
+                literal.positive and position != delta_position
+                for position, literal in enumerate(rule.body)
+            ) <= 1:
+                self._fixed_kernels[key] = kernel
         return kernel
 
     def _join(self, component, mode, plus, minus, out, old=False):
@@ -747,70 +800,68 @@ class MaterializedModel:
                     removed.append(fact)
         return added, removed
 
-    def _maintain_dred(self, component, acc_plus, acc_minus, edb_plus, edb_minus):
-        """Delete-and-rederive maintenance for a recursive component.
+    def _maintain_recursive(self, component, acc_plus, acc_minus, edb_plus, edb_minus):
+        """Backward/forward maintenance for a recursive component (after
+        Motik, Nenov, Piro and Horrocks, AAAI 2015).
 
-        1. *Overdelete*: remove every component fact with a derivation that
-           touches removed support (deleted positive facts, inserted negated
-           facts), cascading within the component.
-        2. *Rederive*: restore overdeleted facts that are still EDB facts or
-           have a derivation from the surviving database.
-        3. *Insert*: propagate added support (inserted facts, deleted negated
-           facts, rederived facts) semi-naively to a fixpoint.
+        1. *Delete*: a component fact that loses a derivation — through
+           removed support below (deleted positive facts, inserted negated
+           ones), its own EDB deletion, or a fact deleted in an earlier
+           round — is a deletion candidate.  The backward check
+           (:meth:`_disprove`) keeps every candidate with a derivation from
+           proved facts; only the disproved facts leave the index, and the
+           facts they supported are the next round's candidates.
+        2. *Insert*: propagate added support (inserted facts, deleted
+           negated facts) semi-naively to a fixpoint; a disproved fact it
+           derives again is no net change.
+
+        The component's own EDB insertions enter the index first, so the
+        backward check can prove candidates from them.
         """
         store = self._store
         statistics = self.statistics
-        empty = RowStore()
-
-        # Phase 1 — overdeletion.
-        seeds = [fact for fact in edb_minus if store.discard(fact)]
-        overdeleted = set(seeds)
-        dplus, dminus = acc_plus, acc_minus
-        if seeds:
-            dminus = RowStore(acc_minus)
-            dminus.add_all(seeds)
-        while component.touched_by(dplus, dminus):
-            statistics.rounds += 1
-            derived = {}
-            self._join(component, "count", dplus, dminus, derived, old=True)
-            # Every doomed fact is present in the round-stable index, so the
-            # whole round delta subtracts relation-wise.
-            doomed = fresh_delta([fact for fact in derived if fact in store])
-            store.retract_all(doomed)
-            overdeleted.update(doomed)
-            dplus, dminus = empty, doomed
-        statistics.overdeleted += len(overdeleted)
-
-        # Phase 2 — rederivation (one pass per rule; phase 3 propagates the
-        # rest).  The seeds already hold the new EDB.
-        rederived = [fact for fact in overdeleted if fact in self._seeds]
-        lost = fresh_delta(overdeleted.difference(rederived))
-        if lost:
-            found = set()
-            for rule in component.rederive:
-                if lost.count(rule.head.predicate, rule.head.arity):
-                    statistics.delta_passes += 1
-                    self._kernel(rule, 0, "new")(store, lost, empty, found)
-            rederived.extend(found)
-        store.add_all(rederived)
-        statistics.rederived += len(rederived)
-        removed_net = overdeleted.difference(rederived)
-
-        # Phase 3 — insertion.
         inserted = [fact for fact in edb_plus if store.add(fact)]
+
+        # Phase 1 — deletion.
+        proved = set()
+        risk = None
+        removed_net = set()
+        candidates = [fact for fact in edb_minus if fact in store]
+        if component.supported_by(acc_minus, acc_plus):
+            statistics.rounds += 1
+            lost = {}
+            self._join(component, "count", acc_plus, acc_minus, lost, old=True)
+            candidates.extend(lost)
+        while True:
+            candidates = [
+                fact for fact in dict.fromkeys(candidates)
+                if fact not in proved and fact in store
+            ]
+            if not candidates:
+                break
+            doomed, risk = self._disprove(component, candidates, proved, risk)
+            if not doomed:
+                break
+            # What the disproved facts supported, found while they are
+            # still in the index; then they leave it.
+            statistics.rounds += 1
+            candidates = list(self._reach(component, doomed))
+            store.discard_all(doomed)
+            removed_net.update(doomed)
+
+        # Phase 2 — insertion.
         added_net = set(inserted)
         dplus, dminus = acc_plus, acc_minus
-        if inserted or rederived:
+        if inserted:
             dplus = RowStore(acc_plus)
             dplus.add_all(inserted)
-            dplus.add_all(rederived)
-        while component.touched_by(dplus, dminus):
+        while component.supported_by(dplus, dminus):
             statistics.rounds += 1
             fresh = set()
             self._join(component, "new", dplus, dminus, fresh)
             # fresh is disjoint from the index by construction — merge the
             # whole round delta relation-wise.
-            dplus, dminus = fresh_delta(fresh), empty
+            dplus, dminus = fresh_delta(fresh), _NOTHING
             store.absorb(dplus)
             for fact in fresh:
                 if fact in removed_net:
@@ -818,3 +869,141 @@ class MaterializedModel:
                 else:
                     added_net.add(fact)
         return added_net, removed_net
+
+    def _disprove(self, component, candidates, proved, risk):
+        """The backward check of one deletion round: decide every candidate
+        (a component fact of the index that lost a derivation), add the
+        proved ones to *proved* and return ``(disproved, risk)``.
+
+        A fact is proved when it is an EDB fact of the component or has a
+        derivation in the index whose component body facts are all proved
+        (lower strata are final, so their facts need no proof).  The check
+        runs breadth-first and set-at-a-time: each round runs one
+        ``"probe"`` kernel per rule over the round's frontier, which lists
+        every derivation of a frontier fact with the body facts it still
+        waits on; a derivation waiting on nothing proves its head, and
+        proofs propagate along the waiting derivations.  The awaited facts
+        not yet checked form the next frontier.  Proof is thus
+        well-founded: a fact supported only through a cycle of undecided
+        facts is never proved.
+
+        The forward half bounds the backward search.  When the first round
+        leaves candidates undecided, *risk* — every fact reachable from an
+        undecided candidate through derivations in the index (see
+        :meth:`_at_risk`) — is computed once for the whole component
+        update, and from then on an awaited fact outside it is proved
+        outright: none of its derivations can lose support, so its old
+        proof stands.  The search stops as soon as every candidate is
+        proved; the facts it explored and left unproved are merely
+        undecided, and survive.  Otherwise it runs until the frontier is
+        empty, and then every checked fact left unproved has no derivation
+        from proved facts in the index: it is disproved (the insertion
+        phase derives it again if added support reaches it)."""
+        statistics = self.statistics
+        seeds = self._seeds
+        statistics.overdeleted += len(candidates)
+        undecided = set(candidates)
+        checked = set(candidates)
+        waiting = defaultdict(list)  # fact -> [head, unproved count] records
+
+        def prove(fact):
+            stack = [fact]
+            while stack:
+                fact = stack.pop()
+                if fact in proved:
+                    continue
+                proved.add(fact)
+                undecided.discard(fact)
+                for record in waiting.pop(fact, ()):
+                    record[1] -= 1
+                    if not record[1]:
+                        stack.append(record[0])
+
+        frontier = []
+        for fact in candidates:
+            if fact in seeds:
+                prove(fact)
+            else:
+                frontier.append(fact)
+        while frontier and undecided:
+            delta = fresh_delta(frontier)
+            found = []
+            for rule in component.rederive:
+                if delta.count(rule.head.predicate, rule.head.arity):
+                    statistics.delta_passes += 1
+                    self._kernel(rule, 0, "probe", component.predicates)(
+                        self._store, delta, proved, found
+                    )
+            for head, pending in found:
+                if not pending:
+                    prove(head)
+            frontier = []
+            for head, pending in found:
+                if head in proved:
+                    continue
+                unproved = []
+                for fact in dict.fromkeys(pending) if len(pending) > 1 else pending:
+                    if fact in proved:
+                        continue
+                    if fact in seeds or (risk is not None and fact not in risk):
+                        prove(fact)
+                        continue
+                    unproved.append(fact)
+                    if fact not in checked:
+                        checked.add(fact)
+                        frontier.append(fact)
+                if len(unproved) > 1:
+                    # A fact proved above may have proved an earlier one.
+                    unproved = [fact for fact in unproved if fact not in proved]
+                if not unproved:
+                    prove(head)
+                    continue
+                record = [head, len(unproved)]
+                for fact in unproved:
+                    waiting[fact].append(record)
+            if risk is None and undecided and any(
+                fact not in proved for fact in frontier
+            ):
+                risk = self._at_risk(component, undecided, proved)
+                for fact in list(waiting):
+                    if fact not in risk:
+                        prove(fact)
+            frontier = [fact for fact in frontier if fact not in proved]
+        statistics.rederived += len(candidates) - len(undecided)
+        if frontier:
+            return [], risk
+        return [fact for fact in checked if fact not in proved], risk
+
+    def _at_risk(self, component, undecided, proved):
+        """The forward half of the check: the *undecided* facts and every
+        fact they reach through derivations in the index, not passing
+        through *proved* facts — one :meth:`_reach` per round, from the
+        facts the previous round reached.
+
+        A component fact outside this set that never was a candidate keeps
+        its old proof: only a candidate loses a derivation directly, and a
+        loss travels to the facts it supported along derivations, which
+        this set follows from every undecided candidate up to the proved
+        facts (they stand)."""
+        risk = set(undecided)
+        frontier = undecided
+        while frontier:
+            frontier = [
+                fact for fact in self._reach(component, frontier)
+                if fact not in risk and fact not in proved
+            ]
+            risk.update(frontier)
+        return risk
+
+    def _reach(self, component, facts):
+        """The heads of the derivations in the index that use one of
+        *facts* (component facts the index holds), as a ``fact ->
+        derivations`` tally: one increment pass per body literal over the
+        component's predicates that *facts* populate."""
+        delta = fresh_delta(facts)
+        reached = {}
+        for rule, position, key in component.forward:
+            if delta.get(key) is not None:
+                self.statistics.delta_passes += 1
+                self._kernel(rule, position, "count")(self._store, delta, _NOTHING, reached)
+        return reached

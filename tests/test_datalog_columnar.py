@@ -263,6 +263,99 @@ class TestColumnarFactIndex:
         compile_schedule(rule, schedule, interner, "count")(store, store, removed, out)
         assert out == {encode(atom("lonely", f"n{i}")): 1 for i in (0, 2)}
 
+    def test_a_pass_reads_each_probing_literals_buckets_once(self, monkeypatch):
+        # far(x, w) :- a(x, y), b(y, z), c(z, w): a is enumerated, b and c
+        # probe a bound position.  Their bucket maps are looked up once in
+        # the prologue, not once per candidate row of the literals before.
+        interner = Interner()
+        encode = interner.encode_atom
+        W = Variable("w")
+        facts = (
+            [atom("a", f"x{i}", f"y{i % 5}") for i in range(40)]
+            + [atom("b", f"y{i}", f"z{j}") for i in range(5) for j in range(4)]
+            + [atom("c", f"z{j}", f"w{j}") for j in range(4)]
+        )
+        store = RowStore(encode(fact) for fact in facts)
+        rule = DatalogRule(
+            Atom("far", (X, W)),
+            tuple(DatalogLiteral(Atom(name, args)) for name, args in (
+                ("a", (X, Y)), ("b", (Y, Z)), ("c", (Z, W)),
+            )),
+        )
+        schedule = [(literal, "full") for literal in rule.body]
+        join = compile_schedule(rule, schedule, interner)
+        reads = []
+        buckets = ColumnarRelation.buckets
+        monkeypatch.setattr(ColumnarRelation, "buckets", property(
+            lambda relation: reads.append(relation) or buckets.fget(relation)
+        ))
+        out = set()
+        join(store, None, None, out)
+        assert len(out) == 40 * 4
+        assert len(reads) <= 2
+
+    def test_a_fully_bound_literal_is_a_membership_test(self, monkeypatch):
+        # path(x, z) :- edge(x, y), path(y, z) led by path(x, z): after the
+        # head and edge bind every variable, path(y, z) is one set probe —
+        # its buckets (here path(b, *): 50 rows) are never read.
+        interner = Interner()
+        encode = interner.encode_atom
+        rule = DatalogRule(
+            Atom("path", (X, Z)),
+            (
+                DatalogLiteral(Atom("path", (X, Z))),
+                DatalogLiteral(Atom("edge", (X, Y))),
+                DatalogLiteral(Atom("path", (Y, Z))),
+            ),
+        )
+        schedule = [(rule.body[0], "delta"), (rule.body[1], "full"), (rule.body[2], "full")]
+        pass_ = compile_schedule(rule, schedule, interner, "count")
+        facts = (
+            [atom("edge", "a", "b"), atom("path", "a", "d")]
+            + [atom("path", "b", f"d{i}") for i in range(49)] + [atom("path", "b", "d")]
+        )
+        store = RowStore(encode(fact) for fact in facts)
+        added = RowStore([encode(atom("path", "a", "d")), encode(atom("path", "a", "d7"))])
+        reads = []
+        buckets = ColumnarRelation.buckets
+        monkeypatch.setattr(ColumnarRelation, "buckets", property(
+            lambda relation: reads.append(relation) or buckets.fget(relation)
+        ))
+        out = {}
+        pass_(store, added, None, out)
+        assert out == {encode(atom("path", "a", "d")): 1, encode(atom("path", "a", "d7")): 1}
+        assert reads == [store.get(("edge", 2))]
+
+    def test_probe_lists_derivations_with_their_unproved_body_facts(self):
+        # reach(x, z) :- reach(x, y), link(y, z) in rederivation form: each
+        # derivation of a candidate comes with the component facts it
+        # waits on, and one with nothing pending ends the candidate.
+        interner = Interner()
+        encode = interner.encode_atom
+        rule = DatalogRule(
+            Atom("reach", (X, Z)),
+            (DatalogLiteral(Atom("reach", (X, Y))), DatalogLiteral(Atom("link", (Y, Z)))),
+        )
+        probe = DatalogRule(rule.head, (DatalogLiteral(rule.head),) + rule.body)
+        schedule = [(probe.body[0], "delta")] + [(literal, "full") for literal in rule.body]
+        pass_ = compile_schedule(probe, schedule, interner, "probe", within={("reach", 2)})
+        facts = [
+            atom("link", "a", "c"), atom("link", "b", "c"), atom("link", "c", "c"),
+            atom("reach", "s", "a"), atom("reach", "s", "b"), atom("reach", "s", "c"),
+        ]
+        store = RowStore(encode(fact) for fact in facts)
+        candidate = RowStore([encode(atom("reach", "s", "c"))])
+        found = []
+        pass_(store, candidate, set(), found)
+        head = encode(atom("reach", "s", "c"))
+        assert sorted(found) == sorted(
+            (head, [encode(atom("reach", "s", via))]) for via in ("a", "b", "c")
+        )
+        found = []
+        pass_(store, candidate, {encode(atom("reach", "s", "b"))}, found)
+        assert found[-1] == (head, [])  # proved: the search stopped there
+        assert len(found) <= 3
+
 
 # ---------------------------------------------------------------------------
 # Engine wiring

@@ -322,7 +322,7 @@ def test_a_maintenance_pass_that_raises_leaves_the_model_to_rebuild(
     program = transitive_closure_program(chains=2, length=3)
     materialized = MaterializedModel(program)
     before = materialized.metrics()
-    original = MaterializedModel._maintain_dred
+    original = MaterializedModel._maintain_recursive
     calls = []
 
     def counted(self, *args):
@@ -332,7 +332,7 @@ def test_a_maintenance_pass_that_raises_leaves_the_model_to_rebuild(
             raise RuntimeError("pass failed")  # the index has moved
         return result
 
-    monkeypatch.setattr(MaterializedModel, "_maintain_dred", counted)
+    monkeypatch.setattr(MaterializedModel, "_maintain_recursive", counted)
     with pytest.raises(RuntimeError, match="pass failed"):
         materialized.peek(deletions=[atom("edge", "c0_n1", "c0_n2")])
     monkeypatch.undo()

@@ -3,10 +3,11 @@
 The load-bearing property: after any sequence of EDB insertions and
 deletions, ``MaterializedModel.apply`` leaves the maintained model
 fact-for-fact identical to a from-scratch ``least_model()`` of the mutated
-program — on the recursive transitive-closure workload (DRed
-overdelete/rederive) and on a stratified-negation program (counting strata
-driven in both directions by lower-stratum changes), under hypothesis-driven
-random update sequences.
+program — on the recursive transitive-closure workload (backward/forward
+maintenance), on a stratified-negation program (counting strata driven in
+both directions by lower-stratum changes) and on recursive shapes with
+non-linear, mutual and cyclic recursion, IDB seeds and recursion under
+negation, under hypothesis-driven random update sequences.
 """
 
 import os
@@ -146,8 +147,8 @@ class TestMaterializedModel:
         assert materialized.model() == DatalogEngine(program).least_model()
 
     def test_dred_rederives_alternative_derivations(self):
-        """Deleting one of two parallel routes must resurrect the facts the
-        overdeletion tears down — the DRed rederivation step."""
+        """Deleting one of two parallel routes must keep the facts the other
+        route still derives — the backward check proves them."""
         program = DatalogProgram()
         for edge in [("s", "m1"), ("s", "m2"), ("m1", "t"), ("m2", "t"), ("t", "u")]:
             program.add_fact(atom("edge", *edge))
@@ -416,6 +417,197 @@ def test_update_stream_drives_materialized_model():
 
 
 # ---------------------------------------------------------------------------
+# Backward/forward maintenance: recursive shapes, differential per step
+# ---------------------------------------------------------------------------
+
+BF_NODES = ["a", "b", "c", "d"]
+BF_EDGES = [atom("edge", u, v) for u in BF_NODES for v in BF_NODES]  # self-loops too
+
+
+def linear_closure():
+    program = DatalogProgram()
+    program.rule(Atom("path", (x, y)), Atom("edge", (x, y)))
+    program.rule(Atom("path", (x, z)), Atom("edge", (x, y)), Atom("path", (y, z)))
+    return program
+
+
+def nonlinear_closure():
+    program = DatalogProgram()
+    program.rule(Atom("path", (x, y)), Atom("edge", (x, y)))
+    program.rule(Atom("path", (x, z)), Atom("path", (x, y)), Atom("path", (y, z)))
+    return program
+
+
+def mutual_recursion():
+    """Walks of odd and even length: two predicates, one component."""
+    program = DatalogProgram()
+    program.rule(Atom("odd", (x, y)), Atom("edge", (x, y)))
+    program.rule(Atom("even", (x, z)), Atom("odd", (x, y)), Atom("edge", (y, z)))
+    program.rule(Atom("odd", (x, z)), Atom("even", (x, y)), Atom("edge", (y, z)))
+    return program
+
+
+def recursion_under_negation():
+    """A recursive component that negates a derived predicate below it and
+    is negated by one above it."""
+    program = DatalogProgram()
+    program.rule(Atom("blocked", (x,)), Atom("wall", (x,)), (Atom("door", (x,)), False))
+    program.rule(
+        Atom("reach", (x, y)), Atom("edge", (x, y)), (Atom("blocked", (y,)), False)
+    )
+    program.rule(
+        Atom("reach", (x, z)),
+        Atom("reach", (x, y)),
+        Atom("edge", (y, z)),
+        (Atom("blocked", (z,)), False),
+    )
+    program.rule(
+        Atom("oneway", (x, y)), Atom("edge", (x, y)), (Atom("reach", (y, x)), False)
+    )
+    return program
+
+
+#: name -> (program, the facts a step draws from).  ``seeded`` tells the
+#: IDB predicate ``path`` facts of its own as EDB facts; ``cycles`` is the
+#: linear closure over a graph dense with cycles and self-loops.
+RECURSIVE_SHAPES = {
+    "nonlinear": (nonlinear_closure, BF_EDGES),
+    "mutual": (mutual_recursion, BF_EDGES),
+    "cycles": (linear_closure, BF_EDGES),
+    "seeded": (linear_closure, BF_EDGES + [
+        atom("path", u, v) for u in BF_NODES for v in BF_NODES
+    ]),
+    "negation": (recursion_under_negation, BF_EDGES + [
+        atom(predicate, node) for predicate in ("wall", "door") for node in BF_NODES
+    ]),
+}
+
+
+def semi_naive(rules, facts):
+    program = DatalogProgram(rules=rules)
+    for fact in facts:
+        program.add_fact(fact)
+    return DatalogEngine(program, strategy="semi-naive").least_model()
+
+
+def _differential(make_program, universe, initial, steps):
+    """Drive a maintained model with insertions, deletions and peeks,
+    comparing it with a ``semi-naive`` recompute after every step; a peek
+    must answer the recompute of its batch and leave the model, its
+    counters, its counts and its histograms exactly as they were."""
+    program = make_program()
+    for fact in dict.fromkeys(universe[i % len(universe)] for i in initial):
+        program.add_fact(fact)
+    rules = list(program.rules)
+    materialized = MaterializedModel(program)
+    for kind, indices in steps:
+        facts = {fact.atom for fact in program.facts}
+        if kind == "delete":
+            current = sorted(facts, key=str)
+            batch = [current[i % len(current)] for i in indices] if current else []
+            materialized.apply(deletions=batch)
+        elif kind == "insert":
+            materialized.apply(insertions=[universe[i % len(universe)] for i in indices])
+        else:
+            batch = [universe[i % len(universe)] for i in indices]
+            deletions = [fact for fact in batch if fact in facts]
+            insertions = [fact for fact in batch if fact not in facts]
+            before = (
+                materialized.model(),
+                vars(materialized.statistics).copy(),
+                dict(materialized._counts),
+                set(materialized._seeds),
+                materialized.planner_statistics.snapshot(),
+            )
+            peeked = materialized.peek(insertions=insertions, deletions=deletions)
+            assert peeked == semi_naive(rules, (facts - set(deletions)) | set(insertions))
+            assert (
+                materialized.model(),
+                vars(materialized.statistics),
+                dict(materialized._counts),
+                set(materialized._seeds),
+                materialized.planner_statistics.snapshot(),
+            ) == before
+        assert materialized.model() == semi_naive(rules, [f.atom for f in program.facts])
+    assert materialized.statistics.rebuilds == 1
+
+
+bf_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "peek"]),
+        st.lists(st.integers(0, 10_000), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("shape", sorted(RECURSIVE_SHAPES))
+@settings(max_examples=30, deadline=None)
+@given(initial=st.lists(st.integers(0, 10_000), max_size=12), steps=bf_steps)
+def test_property_recursive_shapes_agree_with_semi_naive(shape, initial, steps):
+    make_program, universe = RECURSIVE_SHAPES[shape]
+    _differential(make_program, universe, initial, steps)
+
+
+def chain_model():
+    """One 20-edge chain ``n0 -> ... -> n20`` under the linear closure."""
+    program = linear_closure()
+    for i in range(20):
+        program.add_fact(atom("edge", f"n{i}", f"n{i + 1}"))
+    return program, MaterializedModel(program)
+
+
+def test_retracting_a_shortcut_checks_only_what_it_supported():
+    """The shortcut ``n5 -> n15`` adds no path; retracting it makes
+    candidates of the six paths it supported (``path(n5, n15..n20)``), each
+    proved by its chain, and removes nothing."""
+    program, materialized = chain_model()
+    shortcut = atom("edge", "n5", "n15")
+    told = materialized.apply(insertions=[shortcut])
+    assert told.edb_added == {shortcut} and not told.derived_added
+    before = vars(materialized.statistics).copy()
+    result = materialized.apply(deletions=[shortcut])
+    after = vars(materialized.statistics)
+    assert result.edb_removed == {shortcut} and not result.derived_removed
+    checked = after["overdeleted"] - before["overdeleted"]
+    assert 0 < checked <= 6
+    assert after["rederived"] - before["rederived"] == checked
+    assert after["facts_removed"] == before["facts_removed"]
+    assert materialized.model() == DatalogEngine(program, strategy="semi-naive").least_model()
+
+
+def test_support_through_an_undecided_cycle_proves_nothing():
+    """Deleting ``start(a)`` makes ``on(a)`` a candidate, and disproving it
+    makes ``on(b)`` one.  ``on(b)`` still has a derivation from ``on(c)``,
+    which no deletion touched directly, but ``on(c)`` holds only through
+    ``on(b)``: both must go."""
+    program = DatalogProgram()
+    for fact in [atom("start", "a"), atom("link", "a", "b"), atom("link", "b", "c"),
+                 atom("link", "c", "b")]:
+        program.add_fact(fact)
+    program.rule(Atom("on", (x,)), Atom("start", (x,)))
+    program.rule(Atom("on", (y,)), Atom("on", (x,)), Atom("link", (x, y)))
+    materialized = MaterializedModel(program)
+    result = materialized.apply(deletions=[atom("start", "a")])
+    assert result.derived_removed == {atom("on", n) for n in ("a", "b", "c")}
+    assert materialized.model() == DatalogEngine(program, strategy="semi-naive").least_model()
+
+
+def test_cutting_the_middle_edge_removes_exactly_its_paths():
+    """Cutting ``n10 -> n11`` disproves every ``path(ni, nj)`` with
+    ``i <= 10 < j``: 11 * 10 = 110 facts, none of them proved."""
+    program, materialized = chain_model()
+    before = vars(materialized.statistics).copy()
+    result = materialized.apply(deletions=[atom("edge", "n10", "n11")])
+    after = vars(materialized.statistics)
+    assert len(result.derived_removed) == 110
+    assert after["facts_removed"] - before["facts_removed"] == 110
+    assert after["rederived"] == before["rederived"]
+    assert materialized.model() == DatalogEngine(program, strategy="semi-naive").least_model()
+
+
+# ---------------------------------------------------------------------------
 # Histogram-planned maintenance
 # ---------------------------------------------------------------------------
 
@@ -498,9 +690,9 @@ print(allocated, changes, materialized.statistics.overdeleted, agrees)
 
 def test_maintenance_allocates_atoms_only_for_reported_changes():
     """Applying and then retracting a shortcut edge of a 20-edge chain
-    overdeletes and rederives paths, yet builds no ``Atom`` beyond the
+    checks the paths it supported, yet builds no ``Atom`` beyond the
     changes the two :class:`UpdateResult` objects report: the joins, the
-    deltas and the DRed sets are interned id rows.
+    deltas and the backward/forward sets are interned id rows.
 
     ``Atom.__new__`` cannot be put back once wrapped (CPython keeps the
     Python-level slot), so the probe runs in a child interpreter."""

@@ -199,6 +199,41 @@ class TestQueryEdgeCases:
         assert result.mode == "edb"
         assert len(result) == 4
 
+    def test_bound_edb_goal_on_a_store_decodes_only_its_bucket(self, monkeypatch):
+        # 10k edge facts, 100 per target: a goal bound on the target reads
+        # the store's bucket for it and decodes those rows, not the facts.
+        from repro.datalog import columnar
+        from repro.datalog.columnar import EdbStore
+
+        edges = [(f"n{i}", f"m{i % 100}") for i in range(10_000)]
+        listed = path_program(edges)
+        stored = path_program(edges)
+        stored.facts = EdbStore(fact.atom for fact in listed.facts)
+        goals = [
+            Atom("edge", (x, Parameter("m7"))),
+            Atom("edge", (Parameter("n42"), y)),
+            Atom("edge", (Parameter("n42"), Parameter("m42"))),
+            Atom("edge", (Parameter("n42"), Parameter("m7"))),
+            Atom("edge", (x, Parameter("nowhere"))),
+        ]
+        expected = [DatalogEngine(listed).query(goal, mode="magic") for goal in goals]
+        engine = DatalogEngine(stored)
+        engine.ensure_checked()  # the analyzer decodes witness facts once
+        decoded = []
+        decode_row, fast_atom = Interner.decode_row, columnar.fast_atom
+        monkeypatch.setattr(Interner, "decode_row", lambda self, predicate, row: (
+            decoded.append(row) or decode_row(self, predicate, row)
+        ))
+        monkeypatch.setattr(columnar, "fast_atom", lambda predicate, args: (
+            decoded.append(args) or fast_atom(predicate, args)
+        ))
+        for goal, answers in zip(goals, expected):
+            decoded.clear()
+            result = engine.query(goal, mode="magic")
+            assert result.mode == "edb"
+            assert canonical(result) == canonical(answers)
+            assert len(decoded) == result.facts_touched <= 100
+
     def test_unknown_predicate_goal(self):
         assert DatalogEngine(path_program()).query(Atom("nope", (x,))) == []
 
