@@ -392,7 +392,9 @@ class ViolationView(MaintainedView):
 
     def _deliver(self, result):
         """Send a committed batch's net violation deltas to the delta
-        listeners, when the violation set changed."""
+        listeners, when the violation set changed.  The result's derived
+        changes are decoded only here, so a write with no delta listener
+        decodes none."""
         if not self._delta_listeners:
             return
         added = self._violation_deltas(result.derived_added)

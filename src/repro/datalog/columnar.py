@@ -24,7 +24,7 @@ Four faces are exposed, innermost first:
 
 * :class:`RowStore` — a mutable set of ``(key, row)`` facts
   (``add``/``absorb``/``discard``/``retract_all``/``candidates``/
-  ``histogram``/``bucket_size``/iteration): the model, the deltas and
+  ``histogram_sizes``/``bucket_size``/iteration): the model, the deltas and
   everything the planner statistics read;
 * the **compiled join** (:func:`compile_schedule` / :func:`compiled_for` /
   :func:`columnar_fixpoint`) — the one join executor: each rule-body
@@ -202,10 +202,6 @@ class ColumnarRelation:
                 best = owners
         return best
 
-    def histogram(self, position):
-        """``id -> row count`` for one argument position."""
-        return {value: len(owners) for value, owners in self.buckets[position].items()}
-
     def histogram_sizes(self, position):
         """Just the bucket sizes of one argument position, as a list (what
         the planner refresh consumes)."""
@@ -359,12 +355,6 @@ class RowStore:
             return iter(EMPTY)
         return ((key, row) for row in relation.best_bucket(bound))
 
-    def histogram(self, predicate, arity, position):
-        """``id -> row count`` for one argument position of
-        ``predicate/arity`` (empty for an unknown relation)."""
-        relation = self._relations.get((predicate, arity))
-        return relation.histogram(position) if relation is not None else {}
-
     def histogram_sizes(self, predicate, arity, position):
         """Just the bucket sizes of one argument position (the planner
         refresh face)."""
@@ -373,8 +363,8 @@ class RowStore:
 
     def bucket_size(self, predicate, arity, position, ident):
         """How many rows of ``predicate/arity`` carry id *ident* at argument
-        *position* — one bucket of :meth:`histogram`, read in O(1) (what
-        the planner's incremental statistics update consumes)."""
+        *position* — one bucket's size, read in O(1) (what the planner's
+        incremental statistics update consumes)."""
         relation = self._relations.get((predicate, arity))
         if relation is None:
             return 0

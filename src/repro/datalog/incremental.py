@@ -52,8 +52,8 @@ leading ``delta`` literal is the rule's head, over a round's frontier.
 
 The deltas, the counting table and the backward/forward sets are all
 ``(key, row)`` id facts (:class:`~repro.datalog.columnar.RowStore`); atoms
-are decoded only at the API edge (:class:`UpdateResult`,
-:meth:`MaterializedModel.model`, ``holds`` and ``query``).
+are decoded only at the API edge (:meth:`MaterializedModel.model`,
+``holds``, ``query`` and an :class:`UpdateResult` field when it is read).
 
 The EDB is not the model's: it is ``program.facts``, an interned
 :class:`~repro.datalog.columnar.EdbStore`.  A database's views share their
@@ -68,7 +68,7 @@ written to the store once, and then every model over it stages it.
 
 Every batch is *staged*: maintained forward into the model's relations,
 the counts and the seeds, then resolved one of two ways.  A *commit*
-keeps it: the histograms and the :class:`UpdateResult` computed while
+keeps it: the histograms and the :class:`UpdateResult` prepared while
 staging are swapped in, which cannot fail, and the maintained model is
 what a subsequent ``engine.least_model()`` returns without a fixpoint.  A
 *rollback*, once the store is back where it was, maintains the batch's
@@ -82,19 +82,29 @@ maintained view (the violation view reads its buckets meanwhile) and
 commits them all once its base holds the write, or unwrites and rolls them
 all back if the write fails first.
 
-The histograms are snapshotted only when the model is (re)built.  Both
-legs of a staged batch plan against them as they stand; a staged batch to
-be kept folds its net index change into a copy
+A write pays for its maintenance and little else.  Its
+:class:`UpdateResult` keeps the net change in id rows and decodes a field
+when it is first read, so a database that reads none decodes nothing.
+The histograms are snapshotted only when the model is (re)built, and
+after the build's counting passes only the *planned* relations are kept:
+those a re-plannable pass reads, one with two or more positive body
+literals besides its delta literal (:func:`_planned_reads`); every other
+pass has a fixed order.  Both legs of a staged batch plan against the
+histograms as they stand; a staged batch to be kept that changed a
+planned relation folds that change into a copy
 (:meth:`JoinStatistics.update <repro.datalog.stats.JoinStatistics.update>`),
 which the commit adopts, dropping the kernels compiled against the old
-ones.  So they always equal a fresh snapshot of the index while costing
-O(batch + touched buckets), and a peek re-plans and compiles nothing the
-model has already run.  This makes ``apply``, ``peek``, ``query`` and
+ones.  A batch that changed none copies, folds and drops nothing.  So
+the histograms always equal a fresh snapshot of the planned relations
+while costing O(batch + touched buckets), every plan is the one a fresh
+full snapshot gives, and a peek re-plans and compiles nothing the model
+has already run.  This makes ``apply``, ``peek``, ``query`` and
 ``holds`` independent of the size of the database.
 """
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from repro.datalog.analyze import strongly_connected_components
 from repro.datalog.columnar import (
@@ -113,8 +123,8 @@ from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter
 
 
-#: The empty removal delta of a pass that only adds support (read, never
-#: written).
+#: The empty removal delta of a pass that only adds support, and the net
+#: change of an empty batch (read, never written).
 _NOTHING = RowStore()
 
 
@@ -143,20 +153,66 @@ class MaintenanceStatistics:
     rebuilds: int = 0
 
 
-@dataclass(frozen=True)
 class UpdateResult:
     """The net effect of one :meth:`MaterializedModel.apply` call.
 
     ``edb_added`` / ``edb_removed`` are the base-fact changes that actually
     took place (set semantics: re-inserting a present fact or deleting an
     absent one is a no-op), ``derived_added`` / ``derived_removed`` the
-    resulting changes to the materialized model as a whole.
+    resulting changes to the materialized model as a whole.  Each is a
+    frozenset of atoms, decoded from the batch's id rows when it is first
+    read and cached, so a write whose result nobody reads decodes nothing.
     """
 
-    edb_added: frozenset
-    edb_removed: frozenset
-    derived_added: frozenset
-    derived_removed: frozenset
+    def __init__(self, interner, edb_plus, edb_minus, index_plus, index_minus):
+        # The batch's net change as (key, row) facts; nothing mutates them
+        # once the batch is staged.
+        self._interner = interner
+        self._edb_plus, self._edb_minus = edb_plus, edb_minus
+        self._index_plus, self._index_minus = index_plus, index_minus
+
+    def _atoms(self, facts, edb=()):
+        decode = self._interner.decode_row
+        return frozenset(decode(fact[0][0], fact[1]) for fact in facts if fact not in edb)
+
+    @cached_property
+    def edb_added(self):
+        """The base facts the batch inserted."""
+        return self._atoms(self._edb_plus)
+
+    @cached_property
+    def edb_removed(self):
+        """The base facts the batch deleted."""
+        return self._atoms(self._edb_minus)
+
+    @cached_property
+    def derived_added(self):
+        """The facts the model gained beyond the batch's base insertions."""
+        return self._atoms(self._index_plus, self._edb_plus)
+
+    @cached_property
+    def derived_removed(self):
+        """The facts the model lost beyond the batch's base deletions."""
+        return self._atoms(self._index_minus, self._edb_minus)
+
+    def _fields(self):
+        return (self.edb_added, self.edb_removed, self.derived_added, self.derived_removed)
+
+    def __eq__(self, other):
+        if not isinstance(other, UpdateResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"UpdateResult(edb_added={self.edb_added!r}, "
+            f"edb_removed={self.edb_removed!r}, "
+            f"derived_added={self.derived_added!r}, "
+            f"derived_removed={self.derived_removed!r})"
+        )
 
 
 class _Component:
@@ -217,6 +273,19 @@ class _Component:
         )
 
 
+def _planned_reads(rule, delta_position):
+    """The relations the planner reads to order the pass of *rule* from
+    *delta_position* (``None`` for no delta): its positive body literals
+    besides the delta one, when there are two or more to reorder.  A pass
+    with at most one has a fixed order, and reads none."""
+    reads = [
+        (literal.atom.predicate, len(literal.atom.args))
+        for position, literal in enumerate(rule.body)
+        if literal.positive and position != delta_position
+    ]
+    return reads if len(reads) > 1 else ()
+
+
 def _as_ground_atom(value):
     if isinstance(value, DatalogFact):
         value = value.atom
@@ -243,7 +312,9 @@ class MaterializedModel:
     per-batch deltas are interned ``(key, row)`` facts, and every
     maintenance join is one of the engine's generated kernels.  EDB updates arrive through
     :meth:`apply`; everything else (``model()``, ``holds()``, ``query()``)
-    reads the maintained state.
+    reads the maintained state.  ``planner_statistics`` holds the
+    histograms of the planned relations only, those the maintenance
+    passes the planner can reorder read.
 
     Changes that bypass :meth:`apply` are not maintained incrementally: if
     the program's rules or facts are mutated behind our back, the next
@@ -274,6 +345,7 @@ class MaterializedModel:
         self._staged = None
         self._components = None
         self._kind = None
+        self._planned = None
         self._world = None
         self._edb = None
         self._edb_version = None
@@ -419,9 +491,10 @@ class MaterializedModel:
         mutated program: a strict engine rejects a defective program here).
         The derivation counts of each counting component are then filled by
         one counting pass per rule over that final store, plus one for the
-        EDB membership of its own predicate.  Maintenance works from the
-        full rule set — never-fire rules the analyzer pruned from the
-        fixpoint derive nothing here either."""
+        EDB membership of its own predicate, planned against a snapshot of
+        every relation; the histograms then keep the planned relations
+        only.  Maintenance works from the full rule set — never-fire rules
+        the analyzer pruned from the fixpoint derive nothing here either."""
         self.statistics.rebuilds += 1
         edb = self._edb = self.program.facts = EdbStore.of(
             self.program.facts, self._interner
@@ -446,6 +519,10 @@ class MaterializedModel:
             if not component.recursive:
                 for rule in component.rules:
                     self._kernel(rule, None, "count")(store, None, None, counts)
+        # From here on the histograms hold the planned relations only: the
+        # build's passes, planned against all of them, are not kept.
+        self.planner_statistics.restrict(self._planned)
+        self._kernels = dict(self._fixed_kernels)
         self._world = None
         self._edb_version = edb.version
         self._rules_key = tuple(self.program.rules)
@@ -476,8 +553,11 @@ class MaterializedModel:
     # -- program analysis ------------------------------------------------------
     def _analyze(self):
         """Group the IDB into strongly connected components (dependency
-        order), tag each as counting or recursive, and map predicates to
-        kinds."""
+        order), tag each as counting or recursive, map predicates to kinds,
+        and collect the *planned* relations: those the re-plannable
+        maintenance passes read (:func:`_planned_reads` of every delta
+        position of the components' rules and of the probe forms), the
+        only ones the model keeps histograms of."""
         program = self.program
         idb = program.idb_predicates()
         successors = {key: set() for key in idb}
@@ -501,6 +581,13 @@ class MaterializedModel:
             self._components.append(_Component(member_set, rules, recursive))
             for key in member_set:
                 self._kind[key] = "recursive" if recursive else "counting"
+        self._planned = planned = set()
+        for component in self._components:
+            for rule in component.rules:
+                for position in range(len(rule.body)):
+                    planned.update(_planned_reads(rule, position))
+            for rule in component.rederive:
+                planned.update(_planned_reads(rule, 0))
 
     def _ensure_consistent(self):
         """Fall back to a full rebuild when the program was mutated outside
@@ -540,11 +627,12 @@ class MaterializedModel:
         this model reflects — forward and hold it staged until
         :meth:`_commit` or :meth:`_rollback`.  Reads see the staged model;
         the histograms and the kernels stay as they were.  A batch to be
-        kept (not a peek's) also gets everything a commit needs computed
-        here: its :class:`UpdateResult` and the histograms with its net
-        index change folded into a copy.  Staging that raises restores the
-        counters and leaves the model marked stale, so the next access
-        rebuilds it."""
+        kept (not a peek's) also gets everything a commit needs prepared
+        here: its :class:`UpdateResult`, which keeps the net change in id
+        rows and decodes it only when read, and — when the batch changed a
+        planned relation — a copy of the histograms with that change
+        folded in.  Staging that raises restores the counters and leaves
+        the model marked stale, so the next access rebuilds it."""
         if self._staged is not None:
             raise ReproError("a batch is already staged on this model")
         if self._edb_version != batch.before:
@@ -555,9 +643,10 @@ class MaterializedModel:
             result = histograms = None
             if keep:
                 result = self._result(batch, index_plus, index_minus)
-                if index_plus or index_minus:
+                planned = self._planned & (index_plus.relations() | index_minus.relations())
+                if planned:
                     histograms = self.planner_statistics.copy().update(
-                        self._store, index_plus, index_minus
+                        self._store, index_plus, index_minus, planned
                     )
         except BaseException:
             self._edb_version = None
@@ -568,25 +657,17 @@ class MaterializedModel:
 
     def _result(self, batch, index_plus, index_minus):
         """The :class:`UpdateResult` of a staged batch: its EDB change and
-        the rest of the net index change, decoded."""
-        decode = self._interner.decode_row
-
-        def atoms(facts, edb=()):
-            return frozenset(
-                decode(key[0], row) for key, row in facts if (key, row) not in edb
-            )
-
+        the rest of the net index change, kept in id rows until read."""
         return UpdateResult(
-            atoms(batch.plus), atoms(batch.minus),
-            atoms(index_plus, batch.plus), atoms(index_minus, batch.minus),
+            self._interner, batch.plus, batch.minus, index_plus, index_minus
         )
 
     def _commit(self):
-        """Keep the staged batch: adopt the histograms it was folded into
-        (dropping the kernels planned against the old ones, see
-        :meth:`_kernel`) and return its :class:`UpdateResult`.  Both were
-        computed while staging, so a commit only swaps state and cannot
-        fail."""
+        """Keep the staged batch: adopt the histograms it was folded into,
+        if it changed a planned relation (dropping the kernels planned
+        against the old ones, see :meth:`_kernel`), and return its
+        :class:`UpdateResult`.  Both were prepared while staging, so a
+        commit only swaps state and cannot fail."""
         _, _, result, histograms = self._staged
         self._staged = None
         self.statistics.applies += 1
@@ -620,9 +701,9 @@ class MaterializedModel:
         which the EDB store already holds.  Returns the net index change
         ``(index_plus, index_minus)``, EDB part included, as
         :class:`~repro.datalog.columnar.RowStore` objects.  An empty change
-        is a no-op and returns empty tuples."""
+        is a no-op and returns empty stores."""
         if not edb_plus and not edb_minus:
-            return (), ()
+            return _NOTHING, _NOTHING
         with self.engine.tracer.span(
             "maintenance.batch",
             insertions=len(edb_plus),
@@ -651,8 +732,8 @@ class MaterializedModel:
 
         The maintenance passes of every component order their joins against
         the pre-batch histograms (deltas are tiny next to the index, so
-        mid-batch drift is noise); :meth:`_stage` folds the net change into
-        a copy of them for the commit.
+        mid-batch drift is noise); :meth:`_stage` folds the net change to
+        the planned relations into a copy of them for the commit.
         """
         store = self._store
         kind = self._kind
@@ -702,10 +783,11 @@ class MaterializedModel:
     def _kernel(self, rule, delta_position, mode, within=()):
         """The engine's compiled pass for *rule* with its body planned by
         the engine's scheduler against the model's histograms; cached until
-        the histograms change (every committed batch that changed the
-        index).  A pass with at most one positive literal besides its delta
-        literal has nothing for the histograms to reorder, so its kernel is
-        kept until a rebuild.  *within* is a probe's component (see
+        the histograms change (every committed batch that changed a planned
+        relation).  A pass with at most one positive literal besides its
+        delta literal has nothing for the histograms to reorder (see
+        :func:`_planned_reads`), so its kernel is kept until a rebuild.
+        *within* is a probe's component (see
         :func:`~repro.datalog.columnar.compile_schedule`).  Rules are keyed
         by identity — hashing one hashes its whole body — which is safe as
         the components hold them until a rebuild empties the cache."""
@@ -720,10 +802,7 @@ class MaterializedModel:
                 engine._compiled_cache, rule, delta_position, schedule,
                 self._interner, mode, within=within,
             )
-            if sum(
-                literal.positive and position != delta_position
-                for position, literal in enumerate(rule.body)
-            ) <= 1:
+            if not _planned_reads(rule, delta_position):
                 self._fixed_kernels[key] = kernel
         return kernel
 

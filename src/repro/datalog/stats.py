@@ -30,16 +30,18 @@ back into the next round's join plans.  The snapshot is O(distinct values)
 per relation, which is negligible next to a fixpoint's joins but not next
 to a one-fact update of a large model, so the incremental maintainer
 (:class:`~repro.datalog.incremental.MaterializedModel`) snapshots only when
-it (re)builds and afterwards folds each batch's net changes in with
-:meth:`JoinStatistics.update`: O(changed facts + touched buckets), with the
-same result as a fresh snapshot.  A staged batch is folded into a
-:meth:`~JoinStatistics.copy`, which the model takes over
-(:meth:`~JoinStatistics.adopt`) when the batch commits, so a commit cannot
-fail half-way.
+it (re)builds, keeps (:meth:`~JoinStatistics.restrict`) only the relations
+its re-plannable maintenance passes read, and afterwards folds each
+batch's net changes to those relations in with :meth:`JoinStatistics.update`:
+O(changed facts + touched buckets), with the same result as a fresh
+snapshot.  A staged batch is folded into a :meth:`~JoinStatistics.copy`,
+which the model takes over (:meth:`~JoinStatistics.adopt`) when the batch
+commits, so a commit cannot fail half-way.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,10 @@ class JoinStatistics:
 
     One instance belongs to one evaluation (the engine creates a fresh one
     per fixpoint) or one maintained model; :meth:`refresh` re-snapshots
-    every relation, :meth:`update` folds one batch of index changes into
-    the snapshot, and :meth:`selectivity` answers the planner with the
-    frequency-weighted estimate.
+    every relation, :meth:`restrict` keeps some of them, :meth:`update`
+    folds one batch of index changes into the snapshot, and
+    :meth:`selectivity` answers the planner with the frequency-weighted
+    estimate.
     """
 
     __slots__ = ("_columns", "_frequencies", "refreshes")
@@ -129,19 +132,21 @@ class JoinStatistics:
             )
         return self
 
-    def update(self, index, added, removed):
-        """Fold one batch of net changes into the histograms, leaving
-        exactly what ``refresh(index)`` would.
+    def update(self, index, added, removed, relations):
+        """Fold one batch of net changes to *relations* (``(predicate,
+        arity)`` keys) into the histograms, leaving for them exactly what
+        ``refresh(index)`` would.
 
         *index*, *added* and *removed* are
         :class:`~repro.datalog.columnar.RowStore` objects: *index* already
         holds the batch, *added* and *removed* are the facts it gained and
-        lost (disjoint).  Each touched bucket moves from its old size (read
-        off the index and the batch) to its new one, and the column's
+        lost (disjoint).  The changed rows are counted per position, each
+        touched bucket moves from its old size (its new one, read off the
+        index, less the change) to its new one, and the column's
         bucket-size counts follow, so no column is rescanned.
         Cost: O(changed facts + touched buckets).  Returns ``self``.
         """
-        for key in added.relations() | removed.relations():
+        for key in relations:
             predicate, arity = key
             total = index.count(predicate, arity)
             if not total:
@@ -156,11 +161,13 @@ class JoinStatistics:
                 # New counters, not edits: a copy() taken before this fold
                 # keeps the old ones.
                 frequencies = tuple(Counter(counts) for counts in self._frequencies[key])
+            plus = added.relation(predicate, arity)
+            minus = removed.relation(predicate, arity)
             columns = []
             for position, counts in enumerate(frequencies):
-                change = added.histogram(predicate, arity, position)
-                for value, size in removed.histogram(predicate, arity, position).items():
-                    change[value] = change.get(value, 0) - size
+                value_at = itemgetter(position)
+                change = Counter(map(value_at, plus))
+                change.subtract(map(value_at, minus))
                 column = old[position]
                 distinct = column.distinct
                 max_bucket = column.max_bucket
@@ -189,6 +196,18 @@ class JoinStatistics:
                 )
             self._columns[key] = tuple(columns)
             self._frequencies[key] = frequencies
+        return self
+
+    def restrict(self, relations):
+        """Drop the histograms of every relation not in *relations* — what a
+        maintained model does after its build, keeping the relations its
+        re-plannable passes read.  Returns ``self``."""
+        self._columns = {
+            key: columns for key, columns in self._columns.items() if key in relations
+        }
+        self._frequencies = {
+            key: counts for key, counts in self._frequencies.items() if key in relations
+        }
         return self
 
     def copy(self):

@@ -130,9 +130,8 @@ class TestRowStore:
             assert sorted(store.histogram_sizes("edge", 2, position)) == sorted(
                 expected.values()
             )
-            assert store.histogram("edge", 2, position) == {
-                interner.id_of(value): size for value, size in expected.items()
-            }
+            for value, size in expected.items():
+                assert store.bucket_size("edge", 2, position, interner.id_of(value)) == size
 
     def test_to_arrays_roundtrip(self):
         store = RowStore()
@@ -544,7 +543,7 @@ def test_columnar_index_equals_fact_index_under_mutation(moves):
             interner.id_of(value): size
             for value, size in reference_histogram(plain, "edge", 2, position).items()
         }
-        assert store.histogram("edge", 2, position) == histogram
+        assert sorted(store.histogram_sizes("edge", 2, position)) == sorted(histogram.values())
         for value, size in histogram.items():
             assert store.bucket_size("edge", 2, position, value) == size
 

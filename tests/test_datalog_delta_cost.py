@@ -1,12 +1,14 @@
 """Delta-cost view maintenance: the contracts behind ``MaterializedModel``'s
 O(batch) updates and reads.
 
-* The planner histograms are kept incrementally: after every ``apply`` they
-  equal a fresh :meth:`JoinStatistics.refresh` of the maintained index (so
-  every join plan is the one a re-snapshot would give), and a ``peek``
-  leaves them untouched — under hypothesis-driven batch streams, for
-  counting, DRed and stratified-negation programs, with the maintained
-  model checked against a ``semi-naive`` recompute after every batch.
+* The planner histograms are kept incrementally, for the relations the
+  re-plannable maintenance passes read: after every ``apply`` they equal a
+  fresh :meth:`JoinStatistics.refresh` of the maintained index restricted
+  to those relations, every cached re-plannable kernel runs the plan a
+  fresh full snapshot gives, and a ``peek`` leaves them untouched — under
+  hypothesis-driven batch streams, for counting, recursive and
+  stratified-negation programs, with the maintained model checked against
+  a ``semi-naive`` recompute after every batch.
 * A one-fact ``apply`` / ``peek`` / ``query`` / ``holds`` takes no snapshot,
   reads no whole-column histogram and never iterates ``program.facts``.
 * Staleness is still caught: every way of mutating the program outside
@@ -29,19 +31,43 @@ from repro.datalog import (
     MaterializedModel,
 )
 from repro.datalog.columnar import ColumnarRelation, EdbStore, RowStore
+from repro.datalog.interner import Interner
 from repro.datalog.program import DatalogLiteral, FactList
 from repro.datalog.stats import JoinStatistics
+from repro.db.database import EpistemicDatabase
 from repro.exceptions import ReproError
 from repro.logic.builders import atom
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter, Variable
+from repro.workloads.constraints import hr_constraints, hr_facts
 from repro.workloads.generators import transitive_closure_program
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
 def fresh_snapshot(materialized):
-    return JoinStatistics().refresh(materialized._index.store).snapshot()
+    """A fresh snapshot of the maintained index, restricted to the
+    relations the model plans with."""
+    snapshot = JoinStatistics().refresh(materialized._index.store).snapshot()
+    return {
+        key: columns for key, columns in snapshot.items()
+        if key in materialized._planned
+    }
+
+
+def assert_plans_match_a_fresh_snapshot(materialized):
+    """Every cached kernel of a re-plannable pass runs the schedule the
+    planner gives against a fresh snapshot of the whole index."""
+    engine = materialized.engine
+    fresh = JoinStatistics().refresh(materialized._index.store)
+    compiled = {kernel: key for key, kernel in engine._compiled_cache.items()}
+    for key, kernel in materialized._kernels.items():
+        if key in materialized._fixed_kernels:
+            continue
+        rule, delta_position, schedule = compiled[kernel][:3]
+        assert list(schedule) == engine._schedule(
+            rule, delta_position=delta_position, stats=fresh
+        ), rule
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +76,16 @@ def fresh_snapshot(materialized):
 
 def counting_program():
     """Non-recursive joins over a skewed relation (a hub value owns the
-    largest bucket): every IDB predicate is maintained by counting."""
+    largest bucket): every IDB predicate is maintained by counting.  The
+    three-literal ``relayed`` join leaves two literals to reorder at every
+    delta position, so ``r``, ``s`` and ``joined`` are planned."""
     program = DatalogProgram()
     program.rule(Atom("joined", (x, z)), Atom("r", (x, y)), Atom("s", (y, z)))
     program.rule(Atom("source", (x,)), Atom("r", (x, y)))
+    program.rule(
+        Atom("relayed", (x, z)),
+        Atom("joined", (x, z)), Atom("r", (x, y)), Atom("s", (y, z)),
+    )
     return program
 
 
@@ -148,6 +180,7 @@ def test_incremental_histograms_equal_a_fresh_snapshot(name, initial, steps):
     statistics = materialized.planner_statistics
     refreshes = statistics.refreshes
     assert statistics.snapshot() == fresh_snapshot(materialized)
+    assert_plans_match_a_fresh_snapshot(materialized)
     for inserted, deleted in steps:
         live = sorted(program.facts.atoms(), key=str)
         insertions = [universe[i % len(universe)] for i in inserted]
@@ -161,6 +194,7 @@ def test_incremental_histograms_equal_a_fresh_snapshot(name, initial, steps):
 
         materialized.apply(insertions, deletions)
         assert statistics.snapshot() == fresh_snapshot(materialized)
+        assert_plans_match_a_fresh_snapshot(materialized)
         assert materialized.model() == semi_naive_model(program)
     assert statistics.refreshes == refreshes  # never re-snapshotted
     assert materialized.statistics.rebuilds == 1
@@ -180,17 +214,20 @@ def test_histograms_follow_a_shrinking_largest_bucket_and_an_emptied_relation():
     materialized.apply(deletions=hub[:3])
     assert statistics.column("r", 2, 1).max_bucket == 2
     assert statistics.snapshot() == fresh_snapshot(materialized)
+    assert_plans_match_a_fresh_snapshot(materialized)
 
     # s/2 empties (and joined/2 with it): both leave the histograms.
     materialized.apply(deletions=[atom("s", "hub", "t0")])
     assert statistics.column("s", 2, 0) is None
     assert statistics.column("joined", 2, 0) is None
     assert statistics.snapshot() == fresh_snapshot(materialized)
+    assert_plans_match_a_fresh_snapshot(materialized)
 
     # ... and come back on the next insertion.
     materialized.apply(insertions=[atom("s", "h0", "t1")])
     assert statistics.column("joined", 2, 1).total == 2
     assert statistics.snapshot() == fresh_snapshot(materialized)
+    assert_plans_match_a_fresh_snapshot(materialized)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +316,109 @@ def test_reinstall_and_cache_hit_read_no_facts(monkeypatch):
     assert materialized.engine.least_model() is world
     assert not calls, dict(calls)
     assert world.holds(atom("path", "c0_n0", "c1_n4"))
+
+
+# ---------------------------------------------------------------------------
+# Writes pay only for maintenance: no decoding, no fold nobody plans with
+# ---------------------------------------------------------------------------
+
+def test_checked_writes_decode_and_fold_nothing(monkeypatch):
+    """Neither model of a checked HR database — the violation view and a
+    two-literal ``DatalogView`` — has a pass the planner can reorder, and
+    no one reads their update results: a tell, a retract and a commit
+    decode no row and fold, copy or adopt no histogram."""
+    database = EpistemicDatabase(hr_facts(6, departments=4), constraints=hr_constraints())
+    violations = database.violation_view()
+    view = database.datalog_view(rules=[DatalogRule(
+        Atom("assigned", (x, z)),
+        (DatalogLiteral(Atom("emp", (x,))), DatalogLiteral(Atom("works_in", (x, z)))),
+    )])
+    assert violations.materialized._planned == view.materialized._planned == set()
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, name in [(Interner, "decode_row"), (JoinStatistics, "update"),
+                        (JoinStatistics, "copy"), (JoinStatistics, "adopt")]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    applies = view.materialized.statistics.applies
+    database.tell(atom("ss", "E0", "S99"))
+    database.retract(atom("ss", "E0", "S99"))
+    with database.transaction() as transaction:
+        transaction.tell(atom("emp", "E6"))
+        transaction.tell(atom("ss", "E6", "S6"))
+        transaction.tell(atom("works_in", "E6", "D0"))
+        transaction.retract(atom("works_in", "E2", "D2"))
+    assert view.materialized.statistics.applies == applies + 3
+    assert not calls, dict(calls)
+    monkeypatch.undo()
+    assert view.holds(atom("assigned", "E6", "D0"))
+    assert not view.holds(atom("assigned", "E2", "D2"))
+    assert database.check_constraints().satisfied
+
+
+def test_an_update_result_read_late_equals_one_read_at_once():
+    """An ``UpdateResult`` decodes the id rows its batch staged when it is
+    first read: two later batches, which reuse and undo its facts, do not
+    change what it reports."""
+    def model():
+        program = closure_program()
+        for fact in CLOSURE_FACTS[:6]:
+            program.add_fact(fact)
+        return MaterializedModel(program)
+
+    batch = {"insertions": [atom("edge", "n4", "n0")],
+             "deletions": [atom("edge", "n0", "n1")]}
+    fields = ("edb_added", "edb_removed", "derived_added", "derived_removed")
+    eager = model().apply(**batch)
+    expected = {field: getattr(eager, field) for field in fields}
+    assert expected["derived_added"] and expected["derived_removed"]
+
+    materialized = model()
+    late = materialized.apply(**batch)
+    materialized.apply(insertions=batch["deletions"], deletions=batch["insertions"])
+    materialized.apply(insertions=[atom("edge", "n3", "n4")])
+    assert {field: getattr(late, field) for field in fields} == expected
+    assert late == eager
+
+
+def test_a_write_to_no_planned_relation_keeps_the_kernels_and_histograms(monkeypatch):
+    """``label`` is read by no re-plannable pass: writing it neither copies
+    nor folds the histograms, and drops no cached kernel — not even the
+    histogram-planned probe of the closure's recursive rule."""
+    program = transitive_closure_program(chains=4, length=5)
+    program.rule(Atom("tagged", (x,)), Atom("label", (x,)))
+    materialized = MaterializedModel(program)
+    assert materialized._planned == {("edge", 2), ("path", 2)}
+    label = atom("label", "c0_n1")
+    # Peeks compile the passes and drop nothing.
+    materialized.peek(deletions=[atom("edge", "c0_n1", "c0_n2")])
+    materialized.peek(insertions=[label])
+    kernels = dict(materialized._kernels)
+    assert set(kernels) - set(materialized._fixed_kernels)  # the probe form
+    snapshot = materialized.planner_statistics.snapshot()
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("update", "copy"):
+        monkeypatch.setattr(JoinStatistics, name, counted(name, getattr(JoinStatistics, name)))
+
+    result = materialized.apply(insertions=[label])
+    assert result.derived_added == {atom("tagged", "c0_n1")}
+    assert materialized._kernels == kernels
+    assert materialized.planner_statistics.snapshot() == snapshot == fresh_snapshot(materialized)
+    assert not calls
+    assert_plans_match_a_fresh_snapshot(materialized)
+    assert materialized.model() == semi_naive_model(program)
 
 
 # ---------------------------------------------------------------------------

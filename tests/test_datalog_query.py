@@ -359,11 +359,13 @@ class TestJoinStatistics:
         facts.append(atom("r", "leaf", "t9"))
         return row_store(facts, interner)
 
-    def test_histogram_accessor(self):
+    def test_bucket_sizes_show_the_skew(self):
         interner = Interner()
-        histogram = self.skewed_index(interner).histogram("r", 2, 0)
+        store = self.skewed_index(interner)
         hub, leaf = interner.id_of(Parameter("hub")), interner.id_of(Parameter("leaf"))
-        assert histogram == {hub: 9, leaf: 1}
+        assert store.bucket_size("r", 2, 0, hub) == 9
+        assert store.bucket_size("r", 2, 0, leaf) == 1
+        assert sorted(store.histogram_sizes("r", 2, 0)) == [1, 9]
 
     def test_column_statistics_capture_skew(self):
         stats = JoinStatistics().refresh(self.skewed_index())

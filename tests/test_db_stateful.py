@@ -2,8 +2,9 @@
 
 A :class:`hypothesis.stateful.RuleBasedStateMachine` drives one small
 HR-style database, built with defaults — its constraint check is the
-maintained ``ViolationView`` — with two ``DatalogView`` objects (one of them
-derives ``dept``, which the base also stores), the ``ViolationView`` and a
+maintained ``ViolationView`` — with three ``DatalogView`` objects (one of them
+derives ``dept``, which the base also stores, and one joins three relations
+per rule, so it plans with histograms), the ``ViolationView`` and a
 ``BeliefRevisor`` all hanging off the same belief base and its one EDB
 store, with tells, retractions (of absent and duplicated sentences too),
 transaction commits and rollbacks, revisions, and tells during which one
@@ -81,6 +82,23 @@ RULES = [
 DEPT_RULES = [
     DatalogRule(Atom("dept", (D,)), (DatalogLiteral(Atom("works_in", (X, D))),)),
 ]
+S = Variable("s")
+
+
+def _join(head, *body):
+    return DatalogRule(head, tuple(DatalogLiteral(literal) for literal in body))
+
+
+#: Three-literal joins: every delta pass has two literals to reorder, so
+#: this view keeps histograms of every relation a ground atom of the pool
+#: can change, and every ground write folds them.
+JOIN_RULES = [
+    _join(Atom("badge", (X, S, D)),
+          Atom("emp", (X,)), Atom("ss", (X, S)), Atom("works_in", (X, D))),
+    _join(Atom("clash", (X,)), Atom("male", (X,)), Atom("female", (X,)), Atom("emp", (X,))),
+    _join(Atom("flagged", (X, D)),
+          Atom("r", (X,)), Atom("works_in", (X, D)), Atom("dept", (D,))),
+]
 
 sentences = st.sampled_from(POOL)
 
@@ -125,6 +143,7 @@ class DatabaseMachine(RuleBasedStateMachine):
         self.view = self.database.datalog_view(rules=RULES)
         self.database.violation_view()
         self.dept_view = self.database.datalog_view(rules=DEPT_RULES)
+        self.join_view = self.database.datalog_view(rules=JOIN_RULES)
         self.revisor = self.database.revision()
         self.checker = IntegrityChecker(constraints=CONSTRAINTS, config=CONFIG)
         self.epoch = self.database.revision_epoch
@@ -218,13 +237,17 @@ class DatabaseMachine(RuleBasedStateMachine):
         # are unchanged.
 
     @rule(sentence=sentences, step=st.sampled_from(["result", "histograms"]),
-          failing=st.sampled_from(["view", "violations", "dept view"]))
+          failing=st.sampled_from(["view", "violations", "dept view", "join view"]))
     def tell_while_a_view_fails_to_prepare_its_commit(self, sentence, step, failing):
-        # Decoding the update result and folding the histograms run while a
+        # Making the update result and folding the histograms run while a
         # view stages, before the base changes; a raise in either leaves
-        # everything as it was, and the same tell then goes through.
+        # everything as it was, and the same tell then goes through.  Only
+        # the join view plans with histograms, so only it folds.
         assume(is_ground_atom(sentence) and sentence not in self.reference)
+        if step == "histograms":
+            failing = "join view"
         view = {"view": self.view, "dept view": self.dept_view,
+                "join view": self.join_view,
                 "violations": self.database.violation_view()}[failing]
         model = view.materialized
         faults = []
@@ -232,13 +255,13 @@ class DatabaseMachine(RuleBasedStateMachine):
 
         def fail_result(*args):
             faults.append(args)
-            raise InjectedFault("decoding the update result failed")
+            raise InjectedFault("making the update result failed")
 
-        def fail_fold(statistics, index, added, removed):
+        def fail_fold(statistics, index, *args):
             if index is model._store:
                 faults.append(index)
                 raise InjectedFault("folding the histograms failed")
-            return original(statistics, index, added, removed)
+            return original(statistics, index, *args)
 
         if step == "result":
             model._result = fail_result
@@ -293,7 +316,8 @@ class DatabaseMachine(RuleBasedStateMachine):
 
     @invariant()
     def views_match_fresh_engines(self):
-        for view, rules in ((self.view, RULES), (self.dept_view, DEPT_RULES)):
+        for view, rules in ((self.view, RULES), (self.dept_view, DEPT_RULES),
+                            (self.join_view, JOIN_RULES)):
             program = DatalogProgram()
             for rule_ in rules:
                 program.add_rule(rule_)

@@ -10,9 +10,10 @@ exactly as they were (model, derivation counts, planner histograms and
 EDB store version), and must reach no update listener.
 
 Once the base holds the write nothing may fail any more: what a commit
-needs — the decoded ``UpdateResult`` and the histograms with the batch
-folded in — is computed while the view stages, so a raise there is a raise
-before the base changed, and the commit itself only swaps state.
+needs — the ``UpdateResult`` (its id rows, decoded only when read) and,
+for a view that plans a pass with the histograms, the histograms with the
+batch folded in — is prepared while the view stages, so a raise there is a
+raise before the base changed, and the commit itself only swaps state.
 """
 
 import pytest
@@ -42,6 +43,17 @@ STAFFED = DatalogRule(
     Atom("staffed", (D,)),
     (DatalogLiteral(Atom("works_in", (X, D))), DatalogLiteral(Atom("dept", (D,)))),
 )
+#: Three positive literals: every delta pass has two to reorder, so this
+#: view keeps histograms of ``emp``, ``works_in`` and ``dept`` and every
+#: write below folds them.
+PLACED = DatalogRule(
+    Atom("placed", (X, D)),
+    (
+        DatalogLiteral(Atom("emp", (X,))),
+        DatalogLiteral(Atom("works_in", (X, D))),
+        DatalogLiteral(Atom("dept", (D,))),
+    ),
+)
 
 
 class InjectedFault(Exception):
@@ -57,6 +69,7 @@ def hr_database():
         "violations": database.violation_view(),
         "assigned": database.datalog_view(rules=[ASSIGNED]),
         "staffed": database.datalog_view(rules=[STAFFED]),
+        "placed": database.datalog_view(rules=[PLACED]),
     }
     return database, views
 
@@ -114,7 +127,7 @@ WRITES = {"tell": tell, "unchecked tell": unchecked_tell, "retract": retract,
           "commit": commit}
 
 
-@pytest.mark.parametrize("target", ["violations", "assigned", "staffed"])
+@pytest.mark.parametrize("target", ["violations", "assigned", "staffed", "placed"])
 @pytest.mark.parametrize("write", sorted(WRITES))
 def test_a_view_raising_while_it_stages_leaves_everything_unchanged(
         monkeypatch, write, target):
@@ -148,6 +161,7 @@ def test_a_view_raising_while_it_stages_leaves_everything_unchanged(
     assert len(notified) == 1
     assert views["assigned"].model() == fresh_model(database, [ASSIGNED])
     assert views["staffed"].model() == fresh_model(database, [STAFFED])
+    assert views["placed"].model() == fresh_model(database, [PLACED])
     assert database.check_constraints().satisfied
 
 
@@ -200,28 +214,33 @@ def test_views_stage_no_empty_change_and_closed_views_stay_put():
 
 def fail_in_moved_step(monkeypatch, materialized, step, faults):
     """Make one step that used to run in ``_commit`` and now runs while the
-    model stages raise, for *materialized* only: decoding the
+    model stages raise, for *materialized* only: making the
     ``UpdateResult`` or folding the batch into the histograms."""
     if step == "result":
         def failing(*args):
             faults.append(args)
-            raise InjectedFault("decoding the update result failed")
+            raise InjectedFault("making the update result failed")
 
         monkeypatch.setattr(materialized, "_result", failing)
         return
     original = JoinStatistics.update
 
-    def update(statistics, index, added, removed):
+    def update(statistics, index, *args):
         if index is materialized._store:
             faults.append(index)
             raise InjectedFault("folding the histograms failed")
-        return original(statistics, index, added, removed)
+        return original(statistics, index, *args)
 
     monkeypatch.setattr(JoinStatistics, "update", update)
 
 
-@pytest.mark.parametrize("step", ["result", "histograms"])
-@pytest.mark.parametrize("target", ["violations", "assigned", "staffed"])
+#: Only a view that plans a pass with the histograms folds a write into
+#: them; the other views keep none.
+MOVED_STEPS = [("result", target) for target in ("violations", "assigned", "staffed", "placed")]
+MOVED_STEPS.append(("histograms", "placed"))
+
+
+@pytest.mark.parametrize("step, target", MOVED_STEPS)
 @pytest.mark.parametrize("write", sorted(WRITES))
 def test_a_raise_while_preparing_the_commit_leaves_everything_unchanged(
         monkeypatch, write, target, step):
@@ -250,6 +269,7 @@ def test_a_raise_while_preparing_the_commit_leaves_everything_unchanged(
     assert len(notified) == 1
     assert views["assigned"].model() == fresh_model(database, [ASSIGNED])
     assert views["staffed"].model() == fresh_model(database, [STAFFED])
+    assert views["placed"].model() == fresh_model(database, [PLACED])
     assert database.check_constraints().satisfied
 
 
