@@ -41,7 +41,7 @@ provenance, [architecture.md](architecture.md) for the module map.
 #: (module path, section title, [exported names])
 SECTIONS = [
     ("repro.datalog.program", "Programs — `repro.datalog.program`",
-     ["DatalogProgram", "FactList", "DatalogRule", "DatalogLiteral", "DatalogFact"]),
+     ["DatalogProgram", "DatalogRule", "DatalogLiteral", "DatalogFact"]),
     ("repro.datalog.analyze", "Static analysis — `repro.datalog.analyze`",
      ["analyze_program", "ProgramAnalysis", "Diagnostic", "PredicateSignature",
       "rule_safety", "condensation_of", "strongly_connected_components",

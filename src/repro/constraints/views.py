@@ -67,7 +67,6 @@ from repro.logic.syntax import (
     Or,
     free_variables,
 )
-from repro.logic.terms import Variable
 from repro.logic.transform import to_admissible_form
 
 
@@ -252,6 +251,7 @@ class ViolationView(MaintainedView):
     def violations(self):
         """The current violations as ``{constraint_id: (witness, ...)}`` —
         compiled constraints only, read straight off the maintained index."""
+        self._materialized._ensure_consistent()
         return {
             compiled.constraint_id: self._read_witnesses(compiled)
             for compiled in self._compiled_set.compiled
@@ -305,16 +305,16 @@ class ViolationView(MaintainedView):
         )
 
     def _read_witnesses(self, compiled):
-        """All witness tuples of one compiled constraint, sorted, read from
-        the (possibly staged) maintained index."""
-        goal = Atom(
-            compiled.predicate,
-            tuple(Variable(f"w{i}") for i in range(len(compiled.witnesses))),
-        )
-        answers = self._materialized.query(goal, mode="materialized")
-        witnesses = {
-            tuple(binding[variable] for variable in goal.args) for binding in answers
-        }
+        """All witness tuples of one compiled constraint, sorted, read
+        straight from its violation relation in the (possibly staged)
+        maintained store; the caller brings the model up to date first.
+        An empty relation reads as ``()``, decoding nothing."""
+        model = self._materialized
+        rows = model._store.relation(compiled.predicate, len(compiled.witnesses))
+        if not rows:
+            return ()
+        parameters = model._interner.parameters
+        witnesses = [tuple([parameters[i] for i in row]) for row in rows]
         return tuple(sorted(witnesses, key=lambda w: tuple(p.name for p in w)))
 
     def _report(self, fallback_theory, nonatomic_names, with_witnesses=True,
@@ -343,6 +343,7 @@ class ViolationView(MaintainedView):
             else:
                 view_constraints.append(compiled)
 
+        self._materialized._ensure_consistent()
         view_witnesses = {
             compiled.constraint_id: self._read_witnesses(compiled)
             for compiled in view_constraints

@@ -518,13 +518,13 @@ class ProgramAnalysis:
         predicate is provably empty (no facts, no live rules) — are pruned,
         so the least model is identical by construction; output-
         unreachability is diagnosed (``DL008``/``DL009``) but never pruned.
-        The pruned program shares the original's fact list, so later EDB
+        The pruned program shares the original's fact store, so later EDB
         growth stays visible through it.
         """
         if not self.never_fire:
             return self.program
         if self._pruned is None:
-            pruned = DatalogProgram.__new__(DatalogProgram)
+            pruned = DatalogProgram()
             pruned.facts = self.program.facts
             pruned.rules = [
                 rule for index, rule in enumerate(self.program.rules)
@@ -578,8 +578,8 @@ def analyze_program(program, outputs=None, rule_lines=None):
     lines (the CLI parser provides it) for line-precise diagnostics.
     """
     rules = list(program.rules)
-    # The facts are read through their fact list's per-relation signature
-    # (an interned store answers it per distinct constant, not per fact).
+    # The facts are read through their store's per-relation signature,
+    # answered per distinct constant, not per fact.
     facts = program.facts.signature()
     rule_lines = rule_lines or {}
     diagnostics = []

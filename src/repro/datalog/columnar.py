@@ -50,16 +50,20 @@ property-tests it against the set-based ``semi-naive`` oracle.
 """
 
 from array import array
+from itertools import count
 from operator import itemgetter
 from typing import NamedTuple
 
 from repro.datalog.interner import Interner, constant_kind, fast_atom
-from repro.datalog.program import _VERSIONS, DatalogFact
+from repro.datalog.program import DatalogFact
 from repro.logic.syntax import Atom
 from repro.logic.terms import Variable
 from repro.semantics.worlds import World
 
 EMPTY = frozenset()
+
+#: :attr:`EdbStore.version` stamps, never shared between two stores.
+_VERSIONS = count()
 
 
 class ColumnarRelation:
@@ -451,6 +455,18 @@ class ColumnarFactIndex:
             for row in relation.rows:
                 yield fast_atom(predicate, tuple([parameters[i] for i in row]))
 
+    def atoms_for(self, predicate):
+        """The decoded facts of every relation named *predicate* (the
+        :meth:`World.atoms_for <repro.semantics.worlds.World.atoms_for>`
+        face)."""
+        parameters = self._interner.parameters
+        return [
+            fast_atom(predicate, tuple([parameters[i] for i in row]))
+            for (name, _arity), relation in self._store.items()
+            if name == predicate
+            for row in relation.rows
+        ]
+
     def candidates(self, predicate, arity, bound):
         """The decoded facts of the smallest indexed bucket consistent with
         *bound* ``(position, parameter)`` pairs — a superset of the matching
@@ -496,21 +512,22 @@ class EdbStore:
     """Extensional facts interned once: id rows (:class:`RowStore`) on one
     :class:`~repro.datalog.interner.Interner`.
 
-    A database keeps one for the ground atoms of its base, and it is the
-    fact list (``program.facts``) of every view's program, so the views
-    read the very same :class:`ColumnarRelation` objects (:meth:`overlay`)
-    and keep only what they derive; a standalone
-    :class:`~repro.datalog.incremental.MaterializedModel` turns its
-    program's facts into one of its own.  Writes come as batches:
-    :meth:`batch` reduces ground atoms to the net id-row change,
-    :meth:`write` applies it and :meth:`unwrite` restores rows, buckets and
-    :attr:`version` exactly as they were.
+    It is the fact list of every
+    :class:`~repro.datalog.program.DatalogProgram` (``program.facts``),
+    with set semantics: a fact is held once, and iteration goes relation
+    by relation, in row order (:meth:`atoms`).  A database keeps one for
+    the ground atoms of its base, and it is the fact list of every view's
+    program, so the views read the very same :class:`ColumnarRelation`
+    objects (:meth:`overlay`) and keep only what they derive.  Writes come
+    as batches: :meth:`batch` reduces ground atoms to the net id-row
+    change, :meth:`write` applies it and :meth:`unwrite` restores rows,
+    buckets and :attr:`version` exactly as they were.
 
-    The atom face — iteration (of :class:`~repro.datalog.program.DatalogFact`
-    objects), ``in``, ``len``, ``append``, ``discard``, :meth:`atoms` and
-    :meth:`signature` — is the :class:`~repro.datalog.program.FactList`
-    one, with set semantics.  Every mutation moves :attr:`version`, which
-    is how a model notices a change it did not make.
+    The atom face is iteration (of
+    :class:`~repro.datalog.program.DatalogFact` objects), ``in``, ``len``,
+    ``append``, ``discard``, :meth:`atoms` and :meth:`signature`.  Every
+    mutation moves :attr:`version`, which is never shared between two
+    stores: that is how a model notices a change it did not make.
     """
 
     __slots__ = ("interner", "rows", "version", "_kinds", "_signature")
@@ -528,11 +545,16 @@ class EdbStore:
 
     @classmethod
     def of(cls, facts, interner):
-        """*facts* (a fact list) as a store on *interner*: itself when it is
-        one already, else a new store of its atoms."""
-        if isinstance(facts, cls) and facts.interner is interner:
+        """*facts* as a store: itself when it is one (on its own interner),
+        else a new store on *interner* of its
+        :class:`~repro.datalog.program.DatalogFact` objects or ground
+        atoms."""
+        if isinstance(facts, cls):
             return facts
-        return cls((fact.atom for fact in facts), interner)
+        store = cls(interner=interner)
+        for fact in facts:
+            store.append(DatalogFact(fact) if isinstance(fact, Atom) else fact)
+        return store
 
     # -- batches -------------------------------------------------------------
     def batch(self, insertions=(), deletions=()):
@@ -590,14 +612,24 @@ class EdbStore:
             other.rows.share(key, relation.copy())
         return other
 
+    def shared(self):
+        """A store on the same interner that holds this store's very
+        relation objects: a program over it reads these facts without a
+        copy, and a fact it adds under a key this store lacks stays its
+        own.  O(relations)."""
+        other = EdbStore(interner=self.interner)
+        other.rows = self.overlay()
+        return other
+
     def signature(self):
-        """What the static analyzer checks rules against, in the shape of
-        :meth:`FactList.signature <repro.datalog.program.FactList.signature>`:
+        """What the static analyzer checks rules against:
         ``{(name, arity): (rows, a fact, columns)}``, one ``{kind: witness
-        fact}`` map per column.  Kinds are read per distinct id of a
-        column, not per fact; a column of one kind takes the relation's
-        fact as its witness, so a witness is searched for only where a
-        column mixes kinds.  Cached per version."""
+        fact}`` map per column (kinds from
+        :func:`~repro.datalog.interner.constant_kind`).  Kinds are read per
+        distinct id of a column, not per fact.  Witnesses are deterministic
+        — the least row, and in a column that mixes kinds the least row
+        holding the least id of each kind — so the earliest-interned fact
+        is cited.  Cached per version."""
         if self._signature is not None and self._signature[0] == self.version:
             return self._signature[1]
         kinds = self._kinds
@@ -608,7 +640,7 @@ class EdbStore:
             rows = relation.rows
             if not rows:
                 continue
-            witness = DatalogFact(decode(key[0], next(iter(rows))))
+            witness = DatalogFact(decode(key[0], min(rows)))
             columns = []
             for position in range(key[1]):
                 if relation._buckets is not None:
@@ -617,9 +649,11 @@ class EdbStore:
                     values = set(map(itemgetter(position), rows))
                 found = {}
                 for value in values:
-                    found.setdefault(kinds[value], value)
+                    kind = kinds[value]
+                    if found.get(kind, value) >= value:
+                        found[kind] = value
                 columns.append({
-                    kind: DatalogFact(decode(key[0], next(
+                    kind: DatalogFact(decode(key[0], min(
                         row for row in rows if row[position] == value
                     ))) if len(found) > 1 else witness
                     for kind, value in found.items()
@@ -631,8 +665,7 @@ class EdbStore:
     # -- the fact-list face ----------------------------------------------------
     def append(self, fact):
         """Add *fact* (a :class:`~repro.datalog.program.DatalogFact`).  The
-        version moves even when the fact is held, as a second occurrence
-        moves a fact list's."""
+        version moves even when the fact is already held."""
         if not isinstance(fact, DatalogFact):
             raise TypeError(f"expected a DatalogFact, got {fact!r}")
         self.rows.add(self.interner.encode_atom(fact.atom))
@@ -647,10 +680,14 @@ class EdbStore:
         return True
 
     def atoms(self):
-        """The held atoms, decoded."""
+        """The held atoms, decoded relation by relation, each in row (id)
+        order: deterministic, and close to the order the constants were
+        first seen, so a store built from this sequence numbers related
+        constants close together (hash order would scatter them, and the
+        joins over such a store run measurably slower)."""
         decode = self.interner.decode_row
         for (predicate, _arity), relation in self.rows.items():
-            for row in relation.rows:
+            for row in sorted(relation.rows):
                 yield decode(predicate, row)
 
     def __iter__(self):

@@ -72,13 +72,7 @@ from repro.datalog.analyze import (
     format_cycle,
     negative_cycle,
 )
-from repro.datalog.columnar import (
-    ColumnarFactIndex,
-    EdbStore,
-    columnar_fixpoint,
-    decode_world,
-)
-from repro.datalog.interner import Interner
+from repro.datalog.columnar import ColumnarFactIndex, columnar_fixpoint, decode_world
 from repro.datalog.stats import JoinStatistics
 from repro.exceptions import (
     MagicRewriteError,
@@ -221,13 +215,10 @@ class DatalogEngine:
         self.program = program
         self.strategy = strategy
         self.tracer = NOOP_TRACER if tracer is None else tracer
-        # One symbol table per engine — the one its fact store interns on,
-        # when the program's facts are an EdbStore: append-only, so ids
-        # stay stable across evaluations; the compiled-join cache shares
-        # its lifetime.
-        facts = program.facts
-        self.interner = facts.interner if isinstance(facts, EdbStore) else Interner()
+        # The compiled-join cache: kernels embed interned constants, so it
+        # holds for one symbol table, the one it was filled on.
         self._compiled_cache = {}
+        self._compiled_interner = program.facts.interner
         self._metrics = MetricsRegistry()
         self.statistics = EvaluationStatistics()
         self.planner_statistics = JoinStatistics()
@@ -264,6 +255,13 @@ class DatalogEngine:
         # the cache (via install_model) from incrementally maintained state,
         # so a cache miss costs O(delta) instead of a fixpoint.
         self._model_provider = None
+
+    @property
+    def interner(self):
+        """The symbol table the engine evaluates on: its program's
+        (``program.facts.interner``), append-only, so ids stay stable
+        across evaluations."""
+        return self.program.facts.interner
 
     # -- static analysis ----------------------------------------------------
     def ensure_checked(self):
@@ -460,26 +458,16 @@ class DatalogEngine:
 
     def _match_facts(self, atom):
         """Match an extensional goal against ``program.facts``; return
-        ``(bindings, touched)``.  An
-        :class:`~repro.datalog.columnar.EdbStore` is probed on the goal's
-        bound positions, so only the smallest matching bucket is decoded;
-        a plain fact list takes one arity-filtered, duplicate-collapsing
-        pass."""
+        ``(bindings, touched)``.  The store is probed on the goal's bound
+        positions, so only the smallest matching bucket is decoded."""
         facts = self.program.facts
-        arity = len(atom.args)
-        if isinstance(facts, EdbStore):
-            bound = [
-                (position, arg)
-                for position, arg in enumerate(atom.args)
-                if isinstance(arg, Parameter)
-            ]
-            index = ColumnarFactIndex.from_store(facts.rows, facts.interner)
-            return _match_goal(atom, index.candidates(atom.predicate, arity, bound))
-        return _match_goal(atom, {
-            fact.atom
-            for fact in facts
-            if fact.atom.predicate == atom.predicate and len(fact.atom.args) == arity
-        })
+        bound = [
+            (position, arg)
+            for position, arg in enumerate(atom.args)
+            if isinstance(arg, Parameter)
+        ]
+        index = ColumnarFactIndex.from_store(facts.rows, facts.interner)
+        return _match_goal(atom, index.candidates(atom.predicate, len(atom.args), bound))
 
     def _note_query(self, result):
         """Tally one :meth:`query` answer into the cumulative ``query.*``
@@ -555,15 +543,19 @@ class DatalogEngine:
         with self.tracer.span(
             "magic.evaluate", goal=atom.predicate, adornment=adornment
         ):
-            model = inner.least_model()
-        answers = magic_program.answers(model)
+            # The indexed fixpoint's store is read, not decoded: only the
+            # answer relation becomes atoms, never the shared EDB.
+            model = (
+                inner.least_index() if self.strategy == "indexed"
+                else inner.least_model()
+            )
+        answer_atoms = tuple(model.atoms_for(magic_program.answer_predicate))
         while len(self._magic_models) >= MAGIC_MODEL_CACHE_SIZE:
             self._magic_models.pop(next(iter(self._magic_models)))
-        self._magic_models[model_key] = tuple(
-            model.atoms_for(magic_program.answer_predicate)
-        )
+        self._magic_models[model_key] = answer_atoms
         return self._note_query(QueryResult(
-            answers, goal=atom, mode="magic", adornment=adornment,
+            _match_goal(atom, answer_atoms)[0], goal=atom, mode="magic",
+            adornment=adornment,
             facts_touched=len(model),
             join_passes=inner.statistics.rule_applications,
             iterations=inner.statistics.iterations,
@@ -676,7 +668,7 @@ class DatalogEngine:
         return [r for r in rules if (r.head.predicate, r.head.arity) in stratum]
 
     def _evaluate_scanning(self):
-        database = {fact.atom for fact in self.program.facts}
+        database = set(self.program.facts.atoms())
         for stratum_index, stratum in enumerate(self._strata):
             self.statistics.strata = stratum_index + 1
             rules = self._stratum_rules(stratum)
@@ -691,21 +683,22 @@ class DatalogEngine:
     def _columnar_fixpoint(self):
         """Run the full stratified fixpoint in id space and return the
         resulting :class:`~repro.datalog.columnar.RowStore` (the engine's
-        interner decodes it).  The facts are an
-        :class:`~repro.datalog.columnar.EdbStore` on that interner or are
-        interned into one here, and the result shares the store's relations
+        interner decodes it).  The result shares the fact store's relations
         for every predicate no rule derives
         (:meth:`~repro.datalog.columnar.EdbStore.overlay`)."""
         interner = self.interner
+        if interner is not self._compiled_interner:
+            # The facts were replaced by a store on another symbol table:
+            # kernels compiled against the old ids do not hold on it.
+            self._compiled_cache.clear()
+            self._compiled_interner = interner
         if self._analysis is not None:
             # Pre-validate the columnar layout against the analyzer's
             # inferred signatures: one arity per predicate name, or the
             # fixed-width id columns would fork (raises with the DL003
             # diagnostics attached).
             self._analysis.validate_columns(interner)
-        store = EdbStore.of(self.program.facts, interner).overlay(
-            self.program.idb_predicates()
-        )
+        store = self.program.facts.overlay(self.program.idb_predicates())
         for stratum_index, stratum in enumerate(self._strata):
             self.statistics.strata = stratum_index + 1
             rules = self._stratum_rules(stratum)

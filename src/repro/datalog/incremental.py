@@ -56,9 +56,8 @@ are decoded only at the API edge (:meth:`MaterializedModel.model`,
 ``holds``, ``query`` and an :class:`UpdateResult` field when it is read).
 
 The EDB is not the model's: it is ``program.facts``, an interned
-:class:`~repro.datalog.columnar.EdbStore`.  A database's views share their
-database's store, and a model over a program with a plain fact list turns
-it into a store of its own.  The model's index holds the store's very
+:class:`~repro.datalog.columnar.EdbStore`, and a database's views share
+their database's store.  The model's index holds the store's very
 relation objects for every purely extensional predicate and private
 relations only for what rules derive (an IDB predicate with base facts of
 its own starts from a copy of them), so a model costs its derived facts,
@@ -108,7 +107,6 @@ from functools import cached_property
 
 from repro.datalog.analyze import strongly_connected_components
 from repro.datalog.columnar import (
-    EdbStore,
     RowStore,
     compiled_for,
     decode_world,
@@ -318,7 +316,7 @@ class MaterializedModel:
 
     Changes that bypass :meth:`apply` are not maintained incrementally: if
     the program's rules or facts are mutated behind our back, the next
-    access notices (the store's version stamp, a replaced fact list, a
+    access notices (the store's version stamp, a replaced store, a
     comparison of the rules) and falls back to a full rebuild.
     """
 
@@ -332,7 +330,7 @@ class MaterializedModel:
             self.engine = program_or_engine
         else:
             self.engine = DatalogEngine(program_or_engine)
-        self._interner = self.engine.interner
+        self._interner = None
         self.planner_statistics = JoinStatistics()
         self.program = self.engine.program
         self.statistics = MaintenanceStatistics()
@@ -482,10 +480,9 @@ class MaterializedModel:
         construction and whenever the program was mutated other than
         through :meth:`apply`.
 
-        The EDB is ``program.facts`` as an
-        :class:`~repro.datalog.columnar.EdbStore` on the engine's interner;
-        any other fact list is interned into a store of the model's own,
-        which replaces it.  The model is the engine's id-space fixpoint
+        The EDB is ``program.facts``, an
+        :class:`~repro.datalog.columnar.EdbStore` on the engine's interner.
+        The model is the engine's id-space fixpoint
         store over it (:meth:`~repro.datalog.engine.DatalogEngine.least_index`,
         which also lets the engine's static analyzer see the possibly
         mutated program: a strict engine rejects a defective program here).
@@ -496,9 +493,8 @@ class MaterializedModel:
         only.  Maintenance works from the full rule set — never-fire rules
         the analyzer pruned from the fixpoint derive nothing here either."""
         self.statistics.rebuilds += 1
-        edb = self._edb = self.program.facts = EdbStore.of(
-            self.program.facts, self._interner
-        )
+        edb = self._edb = self.program.facts
+        self._interner = edb.interner
         self._analyze()
         self._index = self.engine.least_index()
         self._store = store = self._index.store
@@ -591,7 +587,7 @@ class MaterializedModel:
 
     def _ensure_consistent(self):
         """Fall back to a full rebuild when the program was mutated outside
-        :meth:`apply`: the EDB store's version stamp moved, the fact list was
+        :meth:`apply`: the EDB store's version stamp moved, the store was
         replaced or the rules differ.  O(rules), independent of the facts."""
         if (
             self.program.facts is not self._edb

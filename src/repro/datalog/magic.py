@@ -220,13 +220,11 @@ def plan(program, goal):
     collected = DatalogProgram()
 
     rules_for = {}
-    facts_for = set()
     for index, rule in enumerate(program.rules):
         rules_for.setdefault((rule.head.predicate, rule.head.arity), []).append(
             (index, rule)
         )
-    for fact in program.facts:
-        facts_for.add((fact.atom.predicate, len(fact.atom.args)))
+    facts_for = program.facts.rows.relations()
 
     seen = set()
     worklist = [(goal.predicate, len(goal.args), adornment)]
@@ -292,7 +290,14 @@ def instantiate(template, program, goal):
     """Assemble a concrete :class:`MagicProgram` from a cached *template*,
     the current EDB facts of *program* and one *goal*'s bound constants
     (which become the magic seed fact).  The goal must match the template's
-    predicate, arity and binding pattern."""
+    predicate, arity and binding pattern.
+
+    The rewritten program's facts are a store on *program*'s interner that
+    shares its relation objects (:meth:`EdbStore.shared
+    <repro.datalog.columnar.EdbStore.shared>`) and adds only the seed:
+    O(relations), no fact is decoded or copied.  Evaluation derives into
+    copies of the rule heads' relations only, so the shared ones are never
+    written."""
     adornment = adornment_of(goal)
     if (goal.predicate, len(goal.args), adornment) != (
         template.predicate, template.arity, template.adornment
@@ -302,8 +307,7 @@ def instantiate(template, program, goal):
             f"{template.predicate}/{template.arity}#{template.adornment}"
         )
     rewritten = DatalogProgram()
-    for fact in program.facts:
-        rewritten.add_fact(fact)
+    rewritten.facts = program.facts.shared()
     seed = Atom(
         template.magic_predicate,
         tuple(arg for arg in goal.args if not isinstance(arg, Variable)),

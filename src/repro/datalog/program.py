@@ -15,10 +15,8 @@ Section 5.1.
 """
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Tuple
 
-from repro.datalog.interner import constant_kind
 from repro.exceptions import ReproError, UnsafeRuleError
 from repro.logic.builders import conj, forall
 from repro.logic.syntax import And, Atom, Forall, Implies, Not, free_variables
@@ -103,114 +101,19 @@ class DatalogRule:
         return f"{head} :- {', '.join(str(l) for l in self.body)}."
 
 
-_VERSIONS = count()
-
-
-class FactList:
-    """The facts of a :class:`DatalogProgram`: an insertion-ordered
-    sequence of :class:`DatalogFact` occurrences, keyed by atom.
-
-    It answers what the rest of the library asks of a fact list —
-    iteration in insertion order, ``len``, ``in`` and ``append`` — and
-    adds O(1) membership by atom, :meth:`discard` of every occurrence of
-    an atom and the per-predicate :meth:`signature` the static analyzer
-    reads.  Duplicates are kept, as in a list: appending a fact twice
-    stores two occurrences, both counted by ``len`` and both yielded, in
-    place, by iteration.  (The other fact list a program can hold is the
-    interned :class:`~repro.datalog.columnar.EdbStore`, which maintained
-    models evaluate over.)
-
-    :attr:`version` changes with every mutation and is never shared
-    between two lists, so a reader that remembers it can tell whether the
-    facts changed (or were replaced) since, without comparing contents.
-    """
-
-    __slots__ = ("_entries", "_repeats", "version")
-
-    def __init__(self, facts=()):
-        # The first occurrence of each atom is keyed by the atom itself,
-        # every later one by a token of its own; values are the facts.
-        self._entries = {}
-        # atom -> the tokens of its later occurrences (duplicates only).
-        self._repeats = {}
-        self.version = next(_VERSIONS)
-        for fact in facts:
-            self.append(fact)
-
-    def append(self, fact):
-        """Add one occurrence of *fact* (a :class:`DatalogFact`) at the
-        end."""
-        if not isinstance(fact, DatalogFact):
-            raise TypeError(f"expected a DatalogFact, got {fact!r}")
-        atom = fact.atom
-        if atom in self._entries:
-            token = object()
-            self._repeats.setdefault(atom, []).append(token)
-            self._entries[token] = fact
-        else:
-            self._entries[atom] = fact
-        self.version = next(_VERSIONS)
-
-    def discard(self, atom):
-        """Remove every occurrence of the fact of *atom*; return True when
-        there was one."""
-        if self._entries.pop(atom, None) is None:
-            return False
-        for token in self._repeats.pop(atom, ()):
-            del self._entries[token]
-        self.version = next(_VERSIONS)
-        return True
-
-    def atoms(self):
-        """The distinct atoms, in order of first occurrence."""
-        return (
-            fact.atom for key, fact in self._entries.items() if key is fact.atom
-        )
-
-    def signature(self):
-        """Per ``(name, arity)`` relation: ``(facts, the first fact,
-        columns)``, one ``{kind: first fact with that kind}`` map per
-        argument position (kinds from
-        :func:`~repro.datalog.interner.constant_kind`) — what the static
-        analyzer checks rules against."""
-        found = {}
-        for fact in self:
-            args = fact.atom.args
-            key = (fact.atom.predicate, len(args))
-            entry = found.get(key)
-            if entry is None:
-                entry = found[key] = [0, fact, tuple({} for _ in args)]
-            entry[0] += 1
-            for kinds, argument in zip(entry[2], args):
-                kinds.setdefault(constant_kind(argument), fact)
-        return {key: tuple(entry) for key, entry in found.items()}
-
-    def __contains__(self, item):
-        """True for a held :class:`DatalogFact` or the atom of one."""
-        if isinstance(item, DatalogFact):
-            item = item.atom
-        return isinstance(item, Atom) and item in self._entries
-
-    def __iter__(self):
-        return iter(self._entries.values())
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __repr__(self):
-        return f"FactList({list(self)!r})"
-
-
 class DatalogProgram:
     """A collection of facts and rules over an implicit schema.
 
-    :attr:`facts` is a :class:`FactList` or an interned
-    :class:`~repro.datalog.columnar.EdbStore`; assigning any other
-    iterable of facts wraps it in a :class:`FactList`.
+    :attr:`facts` is an interned
+    :class:`~repro.datalog.columnar.EdbStore`, a set of facts: a new
+    program starts with an empty one, and assigning any other iterable of
+    facts or ground atoms builds one on the program's interner.
     """
 
     def __init__(self, facts=(), rules=()):
-        self.facts = FactList()
+        from repro.datalog.columnar import EdbStore
+
+        self._facts = EdbStore()
         self.rules = []
         # Declared output predicates (``(name, arity)`` pairs): the static
         # analyzer's reachability checks treat everything that cannot feed
@@ -224,14 +127,15 @@ class DatalogProgram:
 
     @property
     def facts(self):
-        """The program's facts (a :class:`FactList`)."""
+        """The program's facts (an
+        :class:`~repro.datalog.columnar.EdbStore`)."""
         return self._facts
 
     @facts.setter
     def facts(self, facts):
         from repro.datalog.columnar import EdbStore
 
-        self._facts = facts if isinstance(facts, (FactList, EdbStore)) else FactList(facts)
+        self._facts = EdbStore.of(facts, self._facts.interner)
 
     # -- construction ------------------------------------------------------
     def add_fact(self, fact):
@@ -293,9 +197,7 @@ class DatalogProgram:
     # -- inspection ---------------------------------------------------------
     def predicates(self):
         """Return every ``(name, arity)`` pair mentioned by the program."""
-        found = set()
-        for fact in self.facts:
-            found.add((fact.atom.predicate, fact.atom.arity))
+        found = self.facts.rows.relations()
         for rule in self.rules:
             found.add((rule.head.predicate, rule.head.arity))
             for literal in rule.body:
@@ -312,9 +214,13 @@ class DatalogProgram:
 
     def parameters(self):
         """Every parameter mentioned by the program."""
-        found = set()
-        for fact in self.facts:
-            found.update(fact.atom.args)
+        parameters = self.facts.interner.parameters
+        found = {
+            parameters[ident]
+            for _, relation in self.facts.rows.items()
+            for row in relation.rows
+            for ident in row
+        }
         for rule in self.rules:
             for term in rule.head.args:
                 if isinstance(term, Parameter):
@@ -335,7 +241,13 @@ class DatalogProgram:
 
     def facts_for(self, predicate):
         """Return the fact atoms of the given predicate name."""
-        return [f.atom for f in self.facts if f.atom.predicate == predicate]
+        decode = self.facts.interner.decode_row
+        return [
+            decode(predicate, row)
+            for (name, _arity), relation in self.facts.rows.items()
+            if name == predicate
+            for row in relation.rows
+        ]
 
     def is_definite(self):
         """Return True when no rule body contains a negated literal."""
@@ -346,7 +258,7 @@ class DatalogProgram:
         """Render the program as FOPCE sentences (facts plus universally
         quantified implications).  Negative body literals become negated
         atoms in the antecedent."""
-        sentences = [fact.atom for fact in self.facts]
+        sentences = list(self.facts.atoms())
         for rule in self.rules:
             body_parts = [
                 literal.atom if literal.positive else Not(literal.atom)

@@ -461,7 +461,8 @@ def point_query(program, predicate, seed=None):
 
 def join_chain_program(relations=3, rows=200, distinct_values=40, seed=0):
     """A join-heavy single-rule workload: *relations* binary relations
-    ``r1 … rk`` of *rows* facts each, whose values are arranged in layers so
+    ``r1 … rk`` of *rows* random draws each (repeated draws collapse, the
+    facts being a set), whose values are arranged in layers so
     that ``r_i`` connects layer ``i-1`` to layer ``i``, plus one rule joining
     the whole chain::
 

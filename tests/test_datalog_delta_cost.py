@@ -14,8 +14,8 @@ O(batch) updates and reads.
 * Staleness is still caught: every way of mutating the program outside
   ``apply`` — its rules, or the EDB store its facts became when the model
   was built — triggers exactly one rebuild on the next read.
-* ``program.facts`` is a :class:`FactList` that behaves like the list it
-  replaced for everything the library does with it.
+* ``program.facts`` is an :class:`EdbStore`: every mutation moves its
+  version, a no-op keeps it, and an assigned iterable becomes a store.
 """
 
 from collections import Counter
@@ -32,7 +32,7 @@ from repro.datalog import (
 )
 from repro.datalog.columnar import ColumnarRelation, EdbStore, RowStore
 from repro.datalog.interner import Interner
-from repro.datalog.program import DatalogLiteral, FactList
+from repro.datalog.program import DatalogLiteral
 from repro.datalog.stats import JoinStatistics
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ReproError
@@ -253,8 +253,8 @@ def test_one_fact_updates_and_reads_are_delta_cost(monkeypatch):
             owner, "histogram_sizes",
             counted(f"{owner.__name__}.histogram_sizes", owner.histogram_sizes),
         )
-    monkeypatch.setattr(FactList, "__iter__", counted("facts.iter", FactList.__iter__))
-    monkeypatch.setattr(FactList, "atoms", counted("facts.atoms", FactList.atoms))
+    monkeypatch.setattr(EdbStore, "__iter__", counted("facts.iter", EdbStore.__iter__))
+    monkeypatch.setattr(EdbStore, "atoms", counted("facts.atoms", EdbStore.atoms))
 
     edge = atom("edge", "c0_n1", "c0_n2")
     shortcut = atom("edge", "c1_n0", "c1_n3")
@@ -310,8 +310,8 @@ def test_reinstall_and_cache_hit_read_no_facts(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(FactList, "__iter__", counted("facts.iter", FactList.__iter__))
-    monkeypatch.setattr(FactList, "atoms", counted("facts.atoms", FactList.atoms))
+    monkeypatch.setattr(EdbStore, "__iter__", counted("facts.iter", EdbStore.__iter__))
+    monkeypatch.setattr(EdbStore, "atoms", counted("facts.atoms", EdbStore.atoms))
     world = materialized.model()
     assert materialized.engine.least_model() is world
     assert not calls, dict(calls)
@@ -542,12 +542,14 @@ def _extra_rule():
     )
 
 
-#: ``p.facts`` is the model's EDB store from its first build on (the
-#: program's fact list turned into an EdbStore), so these hit the store.
+#: ``p.facts`` is the model's EDB store, so these hit the store.
 OUT_OF_BAND = {
     "store.write": lambda p: p.facts.write(p.facts.batch([atom("edge", "c0_n3", "c1_n0")])),
     "store replaced": lambda p: setattr(
         p, "facts", EdbStore(list(p.facts.atoms())[1:], p.facts.interner)
+    ),
+    "store replaced on its own interner": lambda p: setattr(
+        p, "facts", EdbStore(sorted(p.facts.atoms(), key=str, reverse=True)[1:])
     ),
     "facts.append": lambda p: p.facts.append(DatalogFact(atom("edge", "c0_n3", "c1_n0"))),
     "facts.append duplicate": lambda p: p.facts.append(next(iter(p.facts))),
@@ -593,30 +595,30 @@ def test_pruned_program_sees_edb_changes_made_through_apply():
 
 
 # ---------------------------------------------------------------------------
-# FactList: the list it replaced, keyed by atom
+# program.facts: an EdbStore, a set of facts with a version stamp
 # ---------------------------------------------------------------------------
 
-class TestFactList:
-    def test_order_duplicates_len_and_membership(self):
+class TestProgramFacts:
+    def test_set_semantics_len_and_membership(self):
         p, q = DatalogFact(atom("p", "a")), DatalogFact(atom("q", "b"))
-        facts = FactList([p, q, p])
-        assert list(facts) == [p, q, p]
-        assert len(facts) == 3
+        facts = DatalogProgram(facts=[p, q, p]).facts
+        assert sorted(map(str, facts)) == ["p(a).", "q(b)."]
+        assert len(facts) == 2
         assert p in facts and atom("q", "b") in facts
         assert DatalogFact(atom("r", "c")) not in facts and "p" not in facts
-        assert list(facts.atoms()) == [p.atom, q.atom]
+        assert set(facts.atoms()) == {p.atom, q.atom}
 
-    def test_discard_removes_every_occurrence(self):
-        p, q = DatalogFact(atom("p", "a")), DatalogFact(atom("q", "b"))
-        facts = FactList([p, q, p])
-        assert facts.discard(p.atom)
-        assert list(facts) == [q] and p not in facts
-        assert not facts.discard(p.atom)
-        facts.append(p)
-        assert list(facts) == [q, p]
+    def test_iteration_goes_relation_by_relation_in_row_order(self):
+        # Row (id) order: a chain told in order comes back in that order,
+        # so a store built from the sequence numbers its nodes alike.
+        chain = [atom("edge", f"n{i}", f"n{i + 1}") for i in range(200)]
+        nodes = [atom("node", f"n{i}") for i in range(0, 200, 7)]
+        facts = DatalogProgram(facts=chain + nodes[::-1]).facts
+        assert list(facts.atoms()) == chain + nodes
+        assert [fact.atom for fact in facts] == chain + nodes
 
     def test_every_mutation_moves_the_version(self):
-        facts = FactList()
+        facts = DatalogProgram().facts
         seen = {facts.version}
         facts.append(DatalogFact(atom("p", "a")))
         seen.add(facts.version)
@@ -628,18 +630,33 @@ class TestFactList:
         version = facts.version
         assert not facts.discard(atom("p", "a"))  # no-op: no mutation
         assert facts.version == version
-        assert FactList().version not in seen | {version}
+        assert DatalogProgram().facts.version not in seen | {version}
+
+    def test_an_engine_follows_a_store_on_another_interner(self):
+        program = DatalogProgram(facts=[atom("edge", "a", "b"), atom("edge", "b", "c")])
+        program.rule(Atom("path", (x, y)), Atom("edge", (x, y)))
+        program.rule(Atom("reach", (y,)), Atom("path", (Parameter("a"), y)))
+        engine = DatalogEngine(program)
+        assert atom("reach", "c") not in engine.least_model()
+        program.facts = EdbStore([atom("edge", "c", "d"), atom("edge", "a", "c")])
+        assert engine.interner is program.facts.interner
+        assert engine.least_model() == semi_naive_model(program)
+        assert atom("reach", "c") in engine.least_model()
 
     def test_append_rejects_non_facts(self):
         with pytest.raises(TypeError):
-            FactList().append(atom("p", "a"))
+            DatalogProgram().facts.append(atom("p", "a"))
 
     def test_program_wraps_assigned_facts(self):
         program = DatalogProgram(facts=[atom("p", "a")])
-        assert isinstance(program.facts, FactList)
+        assert isinstance(program.facts, EdbStore)
         shared = program.facts
         other = DatalogProgram()
         other.facts = shared
         assert other.facts is shared
-        other.facts = [DatalogFact(atom("q", "b"))]
-        assert isinstance(other.facts, FactList) and len(other.facts) == 1
+        interner = other.facts.interner
+        other.facts = [DatalogFact(atom("q", "b")), atom("r", "c")]
+        assert isinstance(other.facts, EdbStore) and len(other.facts) == 2
+        assert other.facts.interner is interner
+        with pytest.raises(TypeError):
+            other.facts = ["q(b)"]

@@ -254,6 +254,72 @@ class TestQueryEdgeCases:
         assert _names(result, x) == ["a", "b"]
 
 
+class TestMagicReadsOnlyWhatTheGoalNeeds:
+    """A magic point query shares the program's EDB relations: it encodes
+    its seed fact and decodes no EDB row, on a plain engine and through a
+    view, however many facts there are."""
+
+    GOAL = Atom("path", (Parameter("c1_n3"), y))
+
+    @staticmethod
+    def count_codec_calls(monkeypatch):
+        from repro.datalog import columnar
+
+        calls = {"encode": 0, "edge decodes": 0}
+        encode_atom, decode_row = Interner.encode_atom, Interner.decode_row
+        fast_atom = columnar.fast_atom
+
+        def counted_encode(self, atom):
+            calls["encode"] += 1
+            return encode_atom(self, atom)
+
+        def counted_decode(self, predicate, row):
+            calls["edge decodes"] += predicate == "edge"
+            return decode_row(self, predicate, row)
+
+        def counted_fast_atom(predicate, args):
+            calls["edge decodes"] += predicate == "edge"
+            return fast_atom(predicate, args)
+
+        monkeypatch.setattr(Interner, "encode_atom", counted_encode)
+        monkeypatch.setattr(Interner, "decode_row", counted_decode)
+        monkeypatch.setattr(columnar, "fast_atom", counted_fast_atom)
+        return calls
+
+    @staticmethod
+    def program():
+        return transitive_closure_program(chains=500, length=20)
+
+    def test_plain_engine(self, monkeypatch):
+        full = DatalogEngine(self.program()).query(self.GOAL, mode="full")
+        engine = DatalogEngine(self.program())
+        engine.ensure_checked()  # the analyzer decodes its witness facts once
+        calls = self.count_codec_calls(monkeypatch)
+        for _ in range(2):
+            engine._magic_templates.clear()
+            engine._magic_models.clear()
+            result = engine.query(self.GOAL, mode="magic")
+            assert result.mode == "magic" and not result.cached
+            assert canonical(result) == canonical(full) and len(full) == 17
+        assert calls == {"encode": 2, "edge decodes": 0}
+
+    def test_through_a_view(self, monkeypatch):
+        from repro.db.database import EpistemicDatabase
+
+        program = self.program()
+        database = EpistemicDatabase(list(program.facts.atoms()))
+        view = database.datalog_view(rules=program.rules)
+        full = view.query(self.GOAL, mode="full")
+        engine = view.engine
+        calls = self.count_codec_calls(monkeypatch)
+        engine._magic_templates.clear()
+        engine._magic_models.clear()
+        result = view.query(self.GOAL, mode="magic")
+        assert result.mode == "magic" and not result.cached
+        assert canonical(result) == canonical(full) and len(full) == 17
+        assert calls == {"encode": 1, "edge decodes": 0}
+
+
 class TestNegation:
     def negation_program(self):
         program = DatalogProgram()

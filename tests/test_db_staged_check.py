@@ -24,7 +24,7 @@ import pytest
 from repro.constraints.checker import IntegrityChecker
 from repro.constraints.library import mandatory_known_attribute
 from repro.constraints.views import ViolationView
-from repro.datalog import DatalogLiteral, DatalogRule
+from repro.datalog import DatalogLiteral, DatalogRule, MaterializedModel
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError
 from repro.logic.builders import atom
@@ -276,3 +276,22 @@ def test_constraint_checking_names_only_the_one_check():
     database = EpistemicDatabase(constraint_checking="incremental")
     with pytest.raises(TypeError):
         database.transaction().commit(constraints="incremental")
+
+
+def test_a_checked_write_reads_witnesses_without_querying(monkeypatch):
+    """The staged check reads each violation relation straight from the
+    model's store: a satisfied checked tell asks ``MaterializedModel.query``
+    nothing, whatever the number of compiled constraints."""
+    database = EpistemicDatabase(hr_facts(20), constraints=hr_constraints())
+    violations = database.violation_view()
+    assert violations.compiled and violations.check().satisfied
+    calls = []
+    original = MaterializedModel.query
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MaterializedModel, "query", counted)
+    assert database.tell(atom("ss", "E0", "Y0")).satisfied
+    assert calls == []
