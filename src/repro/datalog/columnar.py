@@ -56,6 +56,7 @@ from typing import NamedTuple
 
 from repro.datalog.interner import Interner, constant_kind, fast_atom
 from repro.datalog.program import DatalogFact
+from repro.datalog.stats import planned_reads
 from repro.logic.syntax import Atom
 from repro.logic.terms import Variable
 from repro.semantics.worlds import World
@@ -664,12 +665,12 @@ class EdbStore:
 
     # -- the fact-list face ----------------------------------------------------
     def append(self, fact):
-        """Add *fact* (a :class:`~repro.datalog.program.DatalogFact`).  The
-        version moves even when the fact is already held."""
+        """Add *fact* (a :class:`~repro.datalog.program.DatalogFact`).  A
+        fact already held is a no-op and keeps the version."""
         if not isinstance(fact, DatalogFact):
             raise TypeError(f"expected a DatalogFact, got {fact!r}")
-        self.rows.add(self.interner.encode_atom(fact.atom))
-        self.version = next(_VERSIONS)
+        if self.rows.add(self.interner.encode_atom(fact.atom)):
+            self.version = next(_VERSIONS)
 
     def discard(self, atom):
         """Remove the fact of *atom*; return True when it was held."""
@@ -1049,6 +1050,14 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
     ``semi-naive`` oracle, with joins planned from the observed histograms
     of *store* and executed by the generated pass functions over it.
 
+    The histograms are read only where the planner has a choice
+    (:func:`~repro.datalog.stats.planned_reads`): each round re-snapshots
+    the planned reads of the passes it runs that this call has not read
+    yet or that the previous round's delta changed, so every plan is the
+    one a fresh snapshot of the whole store gives.  The snapshot is
+    retaken on every call (once per stratum), as the strata below change
+    the store in between.
+
     When the engine's provenance sink is armed, the provenance variants of
     the compiled joins are used instead (see :func:`compile_schedule`); the
     default path runs the exact generated code it always did.
@@ -1060,13 +1069,36 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
     parameters = interner.parameters
     # The fixpoint never retracts: its negated literals read no removals.
     nothing = RowStore()
+    stats = engine.planner_statistics
+    current = set()  # snapshotted relations no delta has changed since
+    # The delta passes the planner can reorder: their delta literal's
+    # relation and the relations they read.
+    replanned = [
+        ((literal.atom.predicate, len(literal.atom.args)), reads)
+        for rule in rules
+        for position, literal in enumerate(rule.body)
+        if literal.positive
+        for reads in [planned_reads(rule, position)]
+        if reads
+    ]
     delta = None
     first_round = True
     while True:
         statistics.iterations += 1
         round_span = tracer.span("fixpoint.round", iteration=statistics.iterations)
         with round_span:
-            stats = engine.planner_statistics.refresh(store)
+            if first_round:
+                reads = {key for rule in rules for key in planned_reads(rule, None)}
+            else:
+                reads = {
+                    key
+                    for trigger, keys in replanned if delta.count(*trigger)
+                    for key in keys
+                }
+            stale = reads - current
+            if stale:
+                stats.refresh(store, stale)
+                current |= stale
             new_facts = set()
             for rule in rules:
                 if first_round:
@@ -1117,4 +1149,5 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
         statistics.facts_derived += len(new_facts)
         delta = fresh_delta(new_facts)
         store.absorb(delta)
+        current -= delta.relations()
         first_round = False

@@ -59,7 +59,9 @@ Magic work is cached per program content: the rewrite template per
 ``(predicate, adornment, bound constants)``, so repeated point queries
 share their sub-goal work (``result.cached`` says a cache answered).
 The join planner of the indexed strategy is fed by observed bucket-size
-histograms (:mod:`repro.datalog.stats`), refreshed every fixpoint round.
+histograms (:mod:`repro.datalog.stats`), snapshotted only for the relations
+a pass with a choice of order reads, and re-read only after a round changed
+them.
 """
 
 import warnings
@@ -771,7 +773,10 @@ class DatalogEngine:
         :class:`~repro.datalog.stats.JoinStatistics` histogram snapshot) is
         given, positive literals are greedily reordered by its selectivity
         estimate; without it (the scanning oracles) their program order is
-        preserved.  The fixpoints only ever pass positive delta positions.
+        preserved.  Only a choice between two or more positive literals
+        reads *stats*, so a pass reads the histograms of its
+        :func:`~repro.datalog.stats.planned_reads` and of nothing else.
+        The fixpoints only ever pass positive delta positions.
         """
         def tag_for(position):
             if delta_position is None or position > delta_position:
@@ -802,7 +807,7 @@ class DatalogEngine:
 
         while positives:
             choice = 0
-            if stats is not None:
+            if stats is not None and len(positives) > 1:
                 best_score = None
                 for slot, (_, literal) in enumerate(positives):
                     atom = literal.atom

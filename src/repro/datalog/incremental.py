@@ -85,10 +85,11 @@ A write pays for its maintenance and little else.  Its
 :class:`UpdateResult` keeps the net change in id rows and decodes a field
 when it is first read, so a database that reads none decodes nothing.
 The histograms are snapshotted only when the model is (re)built, and
-after the build's counting passes only the *planned* relations are kept:
-those a re-plannable pass reads, one with two or more positive body
-literals besides its delta literal (:func:`_planned_reads`); every other
-pass has a fixed order.  Both legs of a staged batch plan against the
+only of the relations the planner reads: after the build's counting
+passes only the *planned* relations are kept, those a re-plannable pass
+reads, one with two or more positive body literals besides its delta
+literal (:func:`~repro.datalog.stats.planned_reads`); every other pass
+has a fixed order.  Both legs of a staged batch plan against the
 histograms as they stand; a staged batch to be kept that changed a
 planned relation folds that change into a copy
 (:meth:`JoinStatistics.update <repro.datalog.stats.JoinStatistics.update>`),
@@ -115,7 +116,7 @@ from repro.datalog.columnar import (
 from repro.datalog.engine import DatalogEngine, QueryResult, _match
 from repro.datalog.magic import adornment_of
 from repro.datalog.program import DatalogFact, DatalogLiteral, DatalogRule
-from repro.datalog.stats import JoinStatistics
+from repro.datalog.stats import JoinStatistics, planned_reads
 from repro.exceptions import ReproError
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter
@@ -269,19 +270,6 @@ class _Component:
         return any(added.count(*key) for key in self.positive_reads) or any(
             removed.count(*key) for key in self.negative_reads
         )
-
-
-def _planned_reads(rule, delta_position):
-    """The relations the planner reads to order the pass of *rule* from
-    *delta_position* (``None`` for no delta): its positive body literals
-    besides the delta one, when there are two or more to reorder.  A pass
-    with at most one has a fixed order, and reads none."""
-    reads = [
-        (literal.atom.predicate, len(literal.atom.args))
-        for position, literal in enumerate(rule.body)
-        if literal.positive and position != delta_position
-    ]
-    return reads if len(reads) > 1 else ()
 
 
 def _as_ground_atom(value):
@@ -488,10 +476,11 @@ class MaterializedModel:
         mutated program: a strict engine rejects a defective program here).
         The derivation counts of each counting component are then filled by
         one counting pass per rule over that final store, plus one for the
-        EDB membership of its own predicate, planned against a snapshot of
-        every relation; the histograms then keep the planned relations
-        only.  Maintenance works from the full rule set — never-fire rules
-        the analyzer pruned from the fixpoint derive nothing here either."""
+        EDB membership of its own predicate.  The histograms are
+        snapshotted for the planned relations and for those the counting
+        passes plan with, and then keep the planned relations only.
+        Maintenance works from the full rule set — never-fire rules the
+        analyzer pruned from the fixpoint derive nothing here either."""
         self.statistics.rebuilds += 1
         edb = self._edb = self.program.facts
         self._interner = edb.interner
@@ -500,7 +489,14 @@ class MaterializedModel:
         self._store = store = self._index.store
         self._kernels = {}
         self._fixed_kernels = {}
-        self.planner_statistics.refresh(store)
+        counting = [
+            rule
+            for component in self._components if not component.recursive
+            for rule in component.rules
+        ]
+        self.planner_statistics.refresh(store, self._planned.union(
+            *(planned_reads(rule, None) for rule in counting)
+        ))
         self._counts = counts = {}
         self._seeds = seeds = set()
         for key, predicate_kind in self._kind.items():
@@ -511,12 +507,10 @@ class MaterializedModel:
                     counts.update(dict.fromkeys(own, 1))
                 else:
                     seeds.update(own)
-        for component in self._components:
-            if not component.recursive:
-                for rule in component.rules:
-                    self._kernel(rule, None, "count")(store, None, None, counts)
+        for rule in counting:
+            self._kernel(rule, None, "count")(store, None, None, counts)
         # From here on the histograms hold the planned relations only: the
-        # build's passes, planned against all of them, are not kept.
+        # build's passes are not kept.
         self.planner_statistics.restrict(self._planned)
         self._kernels = dict(self._fixed_kernels)
         self._world = None
@@ -551,9 +545,10 @@ class MaterializedModel:
         """Group the IDB into strongly connected components (dependency
         order), tag each as counting or recursive, map predicates to kinds,
         and collect the *planned* relations: those the re-plannable
-        maintenance passes read (:func:`_planned_reads` of every delta
-        position of the components' rules and of the probe forms), the
-        only ones the model keeps histograms of."""
+        maintenance passes read
+        (:func:`~repro.datalog.stats.planned_reads` of every delta position
+        of the components' rules and of the probe forms), the only ones
+        the model keeps histograms of."""
         program = self.program
         idb = program.idb_predicates()
         successors = {key: set() for key in idb}
@@ -581,9 +576,9 @@ class MaterializedModel:
         for component in self._components:
             for rule in component.rules:
                 for position in range(len(rule.body)):
-                    planned.update(_planned_reads(rule, position))
+                    planned.update(planned_reads(rule, position))
             for rule in component.rederive:
-                planned.update(_planned_reads(rule, 0))
+                planned.update(planned_reads(rule, 0))
 
     def _ensure_consistent(self):
         """Fall back to a full rebuild when the program was mutated outside
@@ -782,7 +777,8 @@ class MaterializedModel:
         the histograms change (every committed batch that changed a planned
         relation).  A pass with at most one positive literal besides its
         delta literal has nothing for the histograms to reorder (see
-        :func:`_planned_reads`), so its kernel is kept until a rebuild.
+        :func:`~repro.datalog.stats.planned_reads`), so its kernel is kept
+        until a rebuild.
         *within* is a probe's component (see
         :func:`~repro.datalog.columnar.compile_schedule`).  Rules are keyed
         by identity — hashing one hashes its whole body — which is safe as
@@ -798,7 +794,7 @@ class MaterializedModel:
                 engine._compiled_cache, rule, delta_position, schedule,
                 self._interner, mode, within=within,
             )
-            if not _planned_reads(rule, delta_position):
+            if not planned_reads(rule, delta_position):
                 self._fixed_kernels[key] = kernel
         return kernel
 

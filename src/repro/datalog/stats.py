@@ -23,12 +23,18 @@ bucket-size histograms, snapshotted from the live id-space store (a
   collapses to ``total / distinct``, so the histogram estimate strictly
   generalises the uniform one.
 
-The engine refreshes the histograms at the start of every fixpoint round
-(:meth:`JoinStatistics.refresh`), so derived relations that grow during
-evaluation — the typical recursive predicate — feed their observed shape
-back into the next round's join plans.  The snapshot is O(distinct values)
-per relation, which is negligible next to a fixpoint's joins but not next
-to a one-fact update of a large model, so the incremental maintainer
+The planner reads a relation's histograms only to order a pass that has
+two or more positive body literals besides its delta literal
+(:func:`planned_reads`); every other pass has a fixed order.  So the
+snapshot (O(distinct values) per relation, :meth:`JoinStatistics.refresh`)
+is taken only of those relations, and only when they changed: the engine's
+fixpoint snapshots the first round's planned reads when it enters a stratum
+and, before each later round, re-reads only the planned reads of that
+round's passes which the previous round's delta changed (or which it has
+not read yet), so derived relations that grow during evaluation — the
+typical recursive predicate — still feed their observed shape back into the
+next round's join plans, and every plan is the one a fresh snapshot of the
+whole store gives.  The incremental maintainer
 (:class:`~repro.datalog.incremental.MaterializedModel`) snapshots only when
 it (re)builds, keeps (:meth:`~JoinStatistics.restrict`) only the relations
 its re-plannable maintenance passes read, and afterwards folds each
@@ -42,6 +48,19 @@ commits, so a commit cannot fail half-way.
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+
+
+def planned_reads(rule, delta_position):
+    """The relations the planner reads to order the pass of *rule* from
+    *delta_position* (``None`` for no delta): its positive body literals
+    besides the delta one, when there are two or more to reorder.  A pass
+    with at most one has a fixed order, and reads none."""
+    reads = [
+        (literal.atom.predicate, len(literal.atom.args))
+        for position, literal in enumerate(rule.body)
+        if literal.positive and position != delta_position
+    ]
+    return reads if len(reads) > 1 else ()
 
 
 @dataclass(frozen=True)
@@ -85,8 +104,8 @@ class JoinStatistics:
 
     One instance belongs to one evaluation (the engine creates a fresh one
     per fixpoint) or one maintained model; :meth:`refresh` re-snapshots
-    every relation, :meth:`restrict` keeps some of them, :meth:`update`
-    folds one batch of index changes into the snapshot, and
+    every relation or some of them, :meth:`restrict` keeps some of them,
+    :meth:`update` folds one batch of index changes into the snapshot, and
     :meth:`selectivity` answers the planner with the frequency-weighted
     estimate.
     """
@@ -101,22 +120,32 @@ class JoinStatistics:
         self._frequencies = {}
         self.refreshes = 0
 
-    def refresh(self, index):
-        """Re-snapshot the bucket-size histograms of every relation held by
-        *index* — O(distinct values).  Called by the engine at the start of
-        each fixpoint round and by the incremental maintainer when it
-        (re)builds; returns ``self`` for chaining.
+    def refresh(self, index, relations=None):
+        """Re-snapshot the bucket-size histograms of *relations*
+        (``(predicate, arity)`` keys) from *index* and keep the others; a
+        relation *index* holds no row of drops its entry.  Without
+        *relations*, every relation of *index* is snapshotted and nothing
+        else is kept.  O(distinct values) per relation read.  Called by the
+        engine's fixpoint for the relations a round plans with that changed,
+        and by the incremental maintainer when it (re)builds; returns
+        ``self`` for chaining.
 
         Only bucket *sizes* feed the summary, so the index hands them over
         through ``histogram_sizes`` without materialising a value-keyed
         dict per refresh."""
         self.refreshes += 1
+        if relations is None:
+            relations = index.relations()
+            self._columns = {}
+            self._frequencies = {}
         sizes_of = index.histogram_sizes
-        self._columns = {}
-        self._frequencies = {}
-        for key in index.relations():
+        for key in relations:
             predicate, arity = key
             total = index.count(predicate, arity)
+            if not total:
+                self._columns.pop(key, None)
+                self._frequencies.pop(key, None)
+                continue
             frequencies = tuple(
                 Counter(sizes_of(predicate, arity, position)) for position in range(arity)
             )
@@ -135,7 +164,7 @@ class JoinStatistics:
     def update(self, index, added, removed, relations):
         """Fold one batch of net changes to *relations* (``(predicate,
         arity)`` keys) into the histograms, leaving for them exactly what
-        ``refresh(index)`` would.
+        ``refresh(index, relations)`` would.
 
         *index*, *added* and *removed* are
         :class:`~repro.datalog.columnar.RowStore` objects: *index* already

@@ -15,7 +15,8 @@ O(batch) updates and reads.
   ``apply`` — its rules, or the EDB store its facts became when the model
   was built — triggers exactly one rebuild on the next read.
 * ``program.facts`` is an :class:`EdbStore`: every mutation moves its
-  version, a no-op keeps it, and an assigned iterable becomes a store.
+  version, a no-op (appending a held fact, discarding an absent one) keeps
+  it, and an assigned iterable becomes a store.
 """
 
 from collections import Counter
@@ -33,7 +34,7 @@ from repro.datalog import (
 from repro.datalog.columnar import ColumnarRelation, EdbStore, RowStore
 from repro.datalog.interner import Interner
 from repro.datalog.program import DatalogLiteral
-from repro.datalog.stats import JoinStatistics
+from repro.datalog.stats import JoinStatistics, planned_reads
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ReproError
 from repro.logic.builders import atom
@@ -228,6 +229,48 @@ def test_histograms_follow_a_shrinking_largest_bucket_and_an_emptied_relation():
     assert statistics.column("joined", 2, 1).total == 2
     assert statistics.snapshot() == fresh_snapshot(materialized)
     assert_plans_match_a_fresh_snapshot(materialized)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_the_planner_reads_only_the_planned_relations_of_each_pass(monkeypatch, name):
+    """Every histogram the planner reads, while the engine's fixpoint
+    builds the model and while the model maintains it, belongs to a
+    relation in the ``planned_reads`` of the pass being planned: a pass
+    with at most one positive literal besides its delta literal has a
+    fixed order and reads none."""
+    passes, reads = [], []
+    schedule = DatalogEngine._schedule
+    selectivity = JoinStatistics.selectivity
+
+    def tracked_schedule(self, rule, delta_position=None, stats=None):
+        passes.append((rule, delta_position))
+        try:
+            return schedule(self, rule, delta_position=delta_position, stats=stats)
+        finally:
+            passes.pop()
+
+    def tracked_selectivity(self, predicate, arity, positions):
+        rule, delta_position = passes[-1]
+        reads.append(((predicate, arity), planned_reads(rule, delta_position), str(rule)))
+        return selectivity(self, predicate, arity, positions)
+
+    monkeypatch.setattr(DatalogEngine, "_schedule", tracked_schedule)
+    monkeypatch.setattr(JoinStatistics, "selectivity", tracked_selectivity)
+    make_program, universe = PROGRAMS[name]
+    program = make_program()
+    for fact in universe[::2]:
+        program.add_fact(fact)
+    materialized = MaterializedModel(program)
+    assert materialized.engine.statistics.iterations > 1
+    for fact in universe[1::2] + universe[::4]:
+        materialized.apply(insertions=[fact])
+    for fact in universe[::3]:
+        materialized.apply(deletions=[fact])
+    monkeypatch.undo()
+    assert materialized.model() == semi_naive_model(program)
+    assert reads
+    for key, planned, rule in reads:
+        assert key in planned, (key, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +595,6 @@ OUT_OF_BAND = {
         p, "facts", EdbStore(sorted(p.facts.atoms(), key=str, reverse=True)[1:])
     ),
     "facts.append": lambda p: p.facts.append(DatalogFact(atom("edge", "c0_n3", "c1_n0"))),
-    "facts.append duplicate": lambda p: p.facts.append(next(iter(p.facts))),
     "facts.discard": lambda p: p.facts.discard(atom("edge", "c0_n0", "c0_n1")),
     "facts replaced": lambda p: setattr(p, "facts", list(p.facts)[1:]),
     "add_fact": lambda p: p.add_fact(atom("edge", "c0_n3", "c1_n0")),
@@ -577,6 +619,20 @@ def test_out_of_band_mutations_rebuild_exactly_once(name):
     assert materialized.statistics.rebuilds == 2
     assert materialized.model() == semi_naive_model(program)
     assert materialized.planner_statistics.snapshot() == fresh_snapshot(materialized)
+
+
+def test_appending_a_held_fact_moves_no_version_and_rebuilds_nothing():
+    """With set semantics, appending a fact the store holds is no mutation:
+    the version stays, so no model over the store rebuilds."""
+    program = transitive_closure_program(chains=2, length=3)
+    materialized = MaterializedModel(program)
+    materialized.apply(insertions=[atom("edge", "c1_n3", "c0_n0")])
+    version = program.facts.version
+    program.facts.append(next(iter(program.facts)))
+    assert program.facts.version == version
+    assert materialized.holds(atom("path", "c1_n0", "c0_n3"))
+    assert materialized.statistics.rebuilds == 1
+    assert materialized.model() == semi_naive_model(program)
 
 
 def test_pruned_program_sees_edb_changes_made_through_apply():
@@ -622,11 +678,11 @@ class TestProgramFacts:
         seen = {facts.version}
         facts.append(DatalogFact(atom("p", "a")))
         seen.add(facts.version)
-        facts.append(DatalogFact(atom("p", "a")))
-        seen.add(facts.version)
+        facts.append(DatalogFact(atom("p", "a")))  # held: no mutation
+        assert facts.version in seen
         facts.discard(atom("p", "a"))
         seen.add(facts.version)
-        assert len(seen) == 4
+        assert len(seen) == 3
         version = facts.version
         assert not facts.discard(atom("p", "a"))  # no-op: no mutation
         assert facts.version == version

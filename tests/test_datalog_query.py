@@ -8,6 +8,8 @@ does — with fallback to full evaluation when the rewrite would lose
 stratifiability.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from repro.datalog import (
     adornment_of,
     magic_rewrite,
 )
+from repro.datalog import engine as engine_module
 from repro.datalog.columnar import RowStore
 from repro.datalog.interner import Interner
 from repro.datalog.magic import answer as magic_answer
@@ -30,6 +33,7 @@ from repro.logic.builders import atom
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter, Variable
 from repro.workloads.generators import (
+    join_chain_program,
     point_query,
     same_generation_program,
     transitive_closure_program,
@@ -459,10 +463,102 @@ class TestJoinStatistics:
     def test_unknown_relation_estimates_zero(self):
         assert JoinStatistics().selectivity("nope", 2, [0]) == 0.0
 
-    def test_engine_refreshes_per_round(self):
-        engine = DatalogEngine(path_program())
-        engine.least_model()
-        assert engine.planner_statistics.refreshes == engine.statistics.iterations
+
+# ---------------------------------------------------------------------------
+# The fixpoint snapshots only what a re-plannable pass reads
+# ---------------------------------------------------------------------------
+
+def hr_violation_program():
+    from repro.db.database import EpistemicDatabase
+    from repro.workloads.constraints import hr_constraints, hr_facts
+
+    database = EpistemicDatabase(hr_facts(12, departments=3), constraints=hr_constraints())
+    return database.violation_view().materialized.program
+
+
+def growing_join_program(chains=3, length=8, width=3):
+    """``hit``'s delta pass from ``chain(x, y)`` chooses between probing
+    ``chain(x, z)``, whose buckets grow by one fact a round, and
+    ``wide(y, w)``, whose buckets hold *width*: its plan changes half-way
+    through the fixpoint, once ``chain`` is re-read."""
+    program = DatalogProgram()
+    for c in range(chains):
+        for i in range(length):
+            program.add_fact(atom("edge", f"c{c}_{i}", f"c{c}_{i + 1}"))
+            for k in range(width):
+                program.add_fact(atom("wide", f"c{c}_{i + 1}", f"w{k}"))
+    program.rule(Atom("chain", (x, y)), Atom("edge", (x, y)))
+    program.rule(Atom("chain", (x, z)), Atom("chain", (x, y)), Atom("edge", (y, z)))
+    program.rule(
+        Atom("hit", (x, z, w)),
+        Atom("chain", (x, y)), Atom("chain", (x, z)), Atom("wide", (y, w)),
+    )
+    return program
+
+
+SCHEDULE_PROGRAMS = {
+    "growing-join": growing_join_program,
+    "transitive-closure": lambda: transitive_closure_program(
+        chains=6, length=5, extra_edges=8, seed=3
+    ),
+    "same-generation": lambda: same_generation_program(depth=4, branching=3, seed=2),
+    "join-chain": lambda: join_chain_program(relations=4, rows=60, distinct_values=12),
+    "hr-violations": hr_violation_program,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_PROGRAMS))
+def test_schedules_equal_those_of_a_full_snapshot_every_round(monkeypatch, name):
+    """The fixpoint re-reads only the planned relations a round's delta
+    changed, and plans every pass exactly as it would against a fresh
+    snapshot of the whole store taken at every round: both runs compile
+    the same (rule, delta position, schedule) kernels."""
+    program = SCHEDULE_PROGRAMS[name]()
+    engine = DatalogEngine(program)
+    model = engine.least_model()
+    assert engine.statistics.iterations > 1 or name == "join-chain"
+    if name == "growing-join":
+        passes = [key[:2] for key in engine._compiled_cache]
+        assert len(passes) > len(set(passes))  # one pass, two plans
+
+    stores = []
+    fixpoint = engine_module.columnar_fixpoint
+    schedule = DatalogEngine._schedule
+
+    def recording_fixpoint(engine, rules, store, interner, cache):
+        stores.append(store)
+        return fixpoint(engine, rules, store, interner, cache)
+
+    def fully_informed_schedule(self, rule, delta_position=None, stats=None):
+        if stats is not None:
+            stats = JoinStatistics().refresh(stores[-1])
+        return schedule(self, rule, delta_position=delta_position, stats=stats)
+
+    monkeypatch.setattr(engine_module, "columnar_fixpoint", recording_fixpoint)
+    monkeypatch.setattr(DatalogEngine, "_schedule", fully_informed_schedule)
+    reference = DatalogEngine(program)
+    assert reference.least_model() == model
+    assert stores
+    assert set(engine._compiled_cache) == set(reference._compiled_cache)
+
+
+def test_a_magic_point_query_reads_each_histogram_at_most_once(monkeypatch):
+    program = transitive_closure_program(chains=50)
+    engine = DatalogEngine(program)
+    reads = Counter()
+    histogram_sizes = RowStore.histogram_sizes
+
+    def counted(self, predicate, arity, position):
+        reads[predicate, arity, position] += 1
+        return histogram_sizes(self, predicate, arity, position)
+
+    monkeypatch.setattr(RowStore, "histogram_sizes", counted)
+    goal = Atom("path", (Parameter("c7_n3"), y))
+    result = engine.query(goal, mode="magic")
+    monkeypatch.undo()
+    assert result.mode == "magic"
+    assert canonical(result) == canonical(DatalogEngine(program).query(goal, mode="full"))
+    assert reads and max(reads.values()) == 1, dict(reads)
 
 
 # ---------------------------------------------------------------------------
