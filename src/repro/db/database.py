@@ -375,10 +375,11 @@ class EpistemicDatabase:
             self._dirty = False
             return self._reducer
         # Reuse only when the cached universe already covers the new queries.
+        # The base's parameters are covered by construction: every base
+        # change goes through _update, which marks the reducer dirty.
         from repro.logic.signature import signature_of
 
-        needed = signature_of(self._base, queries).parameters
-        if needed <= set(self._reducer.universe):
+        if signature_of(queries).parameters <= self._reducer.parameters:
             return self._reducer
         self._reducer = EpistemicReducer(
             self.sentences(), config=self.config, queries=list(queries) + list(self._constraints)

@@ -160,6 +160,24 @@ def disj(formulas):
     return result
 
 
+def balanced(connective, formulas):
+    """Join *formulas* with *connective* (``And`` or ``Or``) pairwise into a
+    balanced tree, so n items nest ⌈log2 n⌉ levels deep rather than n.
+
+    An empty iterable yields the connective's unit (``Top`` for ``And``,
+    ``Bottom`` for ``Or``); a singleton yields its only element unchanged.
+    """
+    items = list(formulas)
+    if not items:
+        return Top() if connective is And else Bottom()
+    while len(items) > 1:
+        paired = [connective(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            paired.append(items[-1])
+        items = paired
+    return items[0]
+
+
 def _bind(quantifier, names, body):
     if isinstance(names, (str, Variable)):
         names = [names]

@@ -9,6 +9,7 @@ parameters).  The output mentions only ground non-equality atoms, ``Top`` and
 """
 
 from repro.exceptions import NotFirstOrderError
+from repro.logic.builders import balanced
 from repro.logic.classify import is_first_order
 from repro.logic.syntax import (
     And,
@@ -64,20 +65,12 @@ def _ground(formula, universe):
         raise NotFirstOrderError("cannot ground a modal formula")
     if isinstance(formula, (And, Or, Implies, Iff)):
         return type(formula)(_ground(formula.left, universe), _ground(formula.right, universe))
-    if isinstance(formula, Forall):
-        parts = [_ground(instantiate(formula.body, formula.variable, p), universe) for p in universe]
-        if not parts:
-            return Top()
-        result = parts[0]
-        for part in parts[1:]:
-            result = And(result, part)
-        return result
-    if isinstance(formula, Exists):
-        parts = [_ground(instantiate(formula.body, formula.variable, p), universe) for p in universe]
-        if not parts:
-            return Bottom()
-        result = parts[0]
-        for part in parts[1:]:
-            result = Or(result, part)
-        return result
+    if isinstance(formula, (Forall, Exists)):
+        # Joined pairwise: a universe of n parameters nests ⌈log2 n⌉ deep,
+        # so later recursive passes (simplify, CNF, equality) stay shallow.
+        connective = And if isinstance(formula, Forall) else Or
+        return balanced(
+            connective,
+            (_ground(instantiate(formula.body, formula.variable, p), universe) for p in universe),
+        )
     raise TypeError(f"unknown formula node {formula!r}")

@@ -5,7 +5,8 @@ These are the cross-checks DESIGN.md commits to:
 * the DPLL solver agrees with brute-force truth-table satisfiability,
 * Tseitin and naive CNF encodings are equisatisfiable,
 * the prover-based epistemic reduction agrees with the model-enumeration
-  oracle of Definition 2.1,
+  oracle of Definition 2.1, on ground queries and on quantified ones (whose
+  ``K``-free quantifiers reach the prover unexpanded),
 * ``demo`` is sound (Theorem 5.1) and, on elementary databases with queries
   admissible wrt F_Σ, complete (Theorem 6.2) against that same oracle,
 * naive, semi-naive and indexed semi-naive Datalog evaluation compute the
@@ -20,6 +21,7 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from repro.logic.builders import atom, conj, disj, knows
+from repro.logic.parser import parse, parse_many
 from repro.logic.syntax import Atom, Not, free_variables
 from repro.logic.terms import Parameter, Variable
 from repro.prover.cnf import cnf_clauses, naive_cnf_clauses
@@ -131,6 +133,115 @@ def sentence_queries():
 def test_reduction_agrees_with_model_oracle(theory, query):
     reducer = EpistemicReducer(theory, config=CONFIG, queries=[query])
     assert reducer.entails(query) == oracle.entails(theory, query, config=CONFIG)
+
+
+# ---------------------------------------------------------------------------
+# Quantified queries: the reducer expands only quantifiers that bind into K
+# ---------------------------------------------------------------------------
+
+X, Y = Variable("x"), Variable("y")
+QUANTIFIED_THEORY = [parse("exists x. Q(x)"), parse("forall x. P(x) -> Q(x)")]
+
+
+def quantified_formulas():
+    """Random KFOPCE formulas over P and Q whose terms are the constants a
+    and b and the variables x and y, with ``exists``/``forall`` and ``K``
+    nested in any order (free variables are left open)."""
+    from repro.logic.syntax import And, Exists, Forall, Know, Or
+
+    leaves = st.sampled_from(
+        [Atom(name, (term,)) for name in ("P", "Q") for term in PARAMS + [X, Y]]
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Not, children),
+            st.builds(And, children, children),
+            st.builds(Or, children, children),
+            st.builds(Know, children),
+            st.builds(Exists, st.sampled_from([X, Y]), children),
+            st.builds(Forall, st.sampled_from([X, Y]), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=4)
+
+
+def _close(formula, choices, keep=()):
+    """Bind every free variable of *formula* not in *keep*: each by
+    ``exists`` or ``forall``, optionally under a ``K`` (so ``K`` lands both
+    inside and outside the quantifiers)."""
+    from repro.logic.syntax import Exists, Forall, Know
+
+    for variable, (universal, known) in zip((X, Y), choices):
+        if variable in keep or variable not in free_variables(formula):
+            continue
+        formula = (Forall if universal else Exists)(variable, formula)
+        if known:
+            formula = Know(formula)
+    return formula
+
+
+closing_choices = st.lists(st.tuples(st.booleans(), st.booleans()), min_size=2, max_size=2)
+
+
+def quantified_queries():
+    """Random quantified KFOPCE sentences (see :func:`quantified_formulas`)."""
+    return st.tuples(quantified_formulas(), closing_choices).map(lambda pair: _close(*pair))
+
+
+def quantified_databases():
+    return small_databases().map(lambda theory: theory + QUANTIFIED_THEORY)
+
+
+@settings(max_examples=80, deadline=None)
+@given(quantified_databases(), quantified_queries())
+def test_reducer_ask_agrees_with_model_oracle_on_quantified_queries(theory, query):
+    reducer = EpistemicReducer(theory, config=CONFIG, queries=[query])
+    assert reducer.ask(query) == oracle.ask(theory, query, config=CONFIG)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quantified_databases(), quantified_formulas(), closing_choices)
+def test_reducer_answers_agree_with_model_oracle_on_open_queries(theory, formula, choices):
+    query = _close(formula, choices, keep=(X,))
+    reducer = EpistemicReducer(theory, config=CONFIG, queries=[query])
+    assert reducer.answers(query) == oracle.answers(theory, query, config=CONFIG)
+
+
+class _RecordingProver(FirstOrderProver):
+    """A prover that records every formula ``entails`` is asked about."""
+
+    def entails(self, sentence):
+        self.asked.append(sentence)
+        return super().entails(sentence)
+
+
+def _recording_reducer(text, query):
+    theory = parse_many(text)
+    prover = _RecordingProver.for_theory(theory, queries=[query], config=CONFIG)
+    prover.asked = []
+    return EpistemicReducer(theory, prover=prover), prover.asked
+
+
+def test_k_free_quantifier_reaches_the_prover_quantified():
+    from repro.logic.syntax import Exists, subformulas
+
+    query = parse("exists x. Teach(x, Psych) & ~Teach(x, CS)")
+    reducer, asked = _recording_reducer(
+        "Teach(John, Math); exists x. Teach(x, CS); Teach(Mary, Psych) | Teach(Sue, Psych)",
+        query,
+    )
+    assert reducer.ask(query).is_unknown
+    assert asked[0] == query
+    assert all(any(isinstance(sub, Exists) for sub in subformulas(f)) for f in asked)
+    assert len(asked) == 2  # the query and its negation, each closed and quantified
+
+
+def test_existential_over_k_stops_at_first_known_instance():
+    query = parse("exists x. K p(x)")
+    reducer, asked = _recording_reducer("p(A); p(B); p(C); q(D)", query)
+    assert reducer.ask(query).is_yes
+    assert asked == [parse("p(A)")]
 
 
 # ---------------------------------------------------------------------------
