@@ -42,6 +42,8 @@ proves this):
   sentences are present, with reason ``non-atomic-sentences``.
 """
 
+from functools import lru_cache
+
 from repro.constraints.checker import (
     ConstraintReport,
     ConstraintViolation,
@@ -53,7 +55,6 @@ from repro.constraints.compile import (
     compile_constraints,
 )
 from repro.db.view import MaintainedView, _ground_atoms
-from repro.logic.substitution import substitute
 from repro.obs.tracing import NOOP_TRACER
 from repro.logic.syntax import (
     And,
@@ -98,6 +99,33 @@ def _support_atoms(formula, positive, out):
     # Equals / Top / Bottom carry no retractable support.
 
 
+@lru_cache(maxsize=256)
+def _support_template(constraint):
+    """What :func:`violation_support` needs of *constraint*, derived once:
+    its witness variables in witness order and the positive atoms of its
+    admissible body, uninstantiated — or ``None`` when the admissible form
+    is no negated existential.  :func:`~repro.logic.transform.to_admissible_form`
+    renames every quantified variable apart, so no inner quantifier binds a
+    witness variable and instantiating the atoms one by one equals
+    instantiating the body."""
+    admissible = to_admissible_form(constraint)
+    if not isinstance(admissible, Not):
+        return None
+    body = admissible.body
+    witness_variables = []
+    while isinstance(body, Exists):
+        witness_variables.append(body.variable)
+        body = body.body
+    free_names = {v.name for v in free_variables(body)}
+    by_name = {variable.name: variable for variable in witness_variables}
+    ordered = tuple(
+        by_name[name] for name in sorted(set(by_name) & free_names)
+    )
+    collected = []
+    _support_atoms(body, True, collected)
+    return ordered, tuple(dict.fromkeys(collected))
+
+
 def violation_support(constraint, witness=()):
     """The *support* of one violation witness: the atoms (instantiated at
     *witness*) whose presence in the database makes *constraint* fail there.
@@ -109,36 +137,28 @@ def violation_support(constraint, witness=()):
     both witness extractors) and the positive atoms of the instantiated body
     are the facts the violation rests on.  Retracting any of them removes
     this witness, which is what makes these the *retraction candidates* of
-    the belief-revision layer (:mod:`repro.revision`).
+    the belief-revision layer (:mod:`repro.revision`).  The admissible form
+    and the atoms are derived once per constraint; a call only substitutes
+    the witness.
 
     Atoms that keep free variables (an inner existential of the body) are
     returned as patterns; callers match them against the database.  Returns
     ``()`` when the constraint has no extractable support (not in negated
     existential form, or witness arity mismatch).
     """
-    admissible = to_admissible_form(constraint)
-    if not isinstance(admissible, Not):
+    template = _support_template(constraint)
+    if template is None:
         return ()
-    body = admissible.body
-    witness_variables = []
-    while isinstance(body, Exists):
-        witness_variables.append(body.variable)
-        body = body.body
-    free_names = {v.name for v in free_variables(body)}
-    ordered = sorted({v.name for v in witness_variables} & free_names)
-    if witness and len(ordered) != len(witness):
+    variables, atoms = template
+    if witness and len(variables) != len(witness):
         return ()
-    by_name = {variable.name: variable for variable in witness_variables}
-    mapping = {by_name[name]: value for name, value in zip(ordered, witness)}
-    instantiated = substitute(body, mapping) if mapping else body
-    collected = []
-    _support_atoms(instantiated, True, collected)
-    seen, support = set(), []
-    for candidate in collected:
-        if candidate not in seen:
-            seen.add(candidate)
-            support.append(candidate)
-    return tuple(support)
+    if not witness:
+        return atoms
+    mapping = dict(zip(variables, witness))
+    return tuple(dict.fromkeys(
+        Atom(atom.predicate, tuple([mapping.get(arg, arg) for arg in atom.args]))
+        for atom in atoms
+    ))
 
 
 class ViolationView(MaintainedView):

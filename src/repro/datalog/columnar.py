@@ -23,7 +23,7 @@ become **rows** — tuples of ids — living in per-``(predicate, arity)``
 Four faces are exposed, innermost first:
 
 * :class:`RowStore` — a mutable set of ``(key, row)`` facts
-  (``add``/``absorb``/``discard``/``retract_all``/``candidates``/
+  (``add``/``absorb``/``discard``/``discard_all``/``candidates``/
   ``histogram_sizes``/``bucket_size``/iteration): the model, the deltas and
   everything the planner statistics read;
 * the **compiled join** (:func:`compile_schedule` / :func:`compiled_for` /
@@ -50,7 +50,7 @@ property-tests it against the set-based ``semi-naive`` oracle.
 """
 
 from array import array
-from itertools import count
+from itertools import chain, count
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -304,19 +304,6 @@ class RowStore:
         for key, row in facts:
             if self.discard_row(key, row):
                 removed += 1
-        return removed
-
-    def retract_all(self, other):
-        """Subtract another :class:`RowStore`; rows not held here are
-        ignored.  Returns how many rows were removed."""
-        removed = 0
-        for key, theirs in other._relations.items():
-            mine = self._relations.get(key)
-            if mine is None:
-                continue
-            for row in theirs.rows:
-                if mine.discard(row):
-                    removed += 1
         return removed
 
     # -- lookup --------------------------------------------------------------
@@ -799,6 +786,20 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False,
     in the set *proved*; a derivation with nothing pending proves the
     candidate and ends its search.
 
+    Two more modes read both states of a write at once, *db* being the new
+    one: the *old* state of a relation is the overlay of its rows in *db*
+    not in *added*, plus its rows in *removed*, read in place (nothing is
+    written).  ``"signed"`` is the telescoped delta of the counting
+    algorithm (Gupta, Mumick and Subrahmanian, SIGMOD 1993): the ``old``
+    literals (before the delta position) read the new state, the ``full``
+    ones (after it) the old state, and the delta literal enumerates both
+    its gained support (a derivation counts ``+1``) and its lost support
+    (``-1``) into the dict *out*, so summed over the delta positions each
+    head's entry is its net change in derivations.  ``"lost"`` tallies the
+    derivations the write took away, each once: the delta literal
+    enumerates only the lost support, the ``old`` literals read support
+    unchanged as above and the ``full`` ones the old state.
+
     Every positive literal whose arguments the prefix binds completely is
     a membership test, not a bucket scan; a literal bound in part probes
     the buckets of its relation, looked up once in the prologue.
@@ -842,12 +843,34 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False,
                 binds.append((position, slots[arg]))
         bound.update(seen_here)
         plans.append((const_probes + var_probes, same_checks, binds))
+    # The state each non-delta tag reads: "new" (db), "unchanged" (db but
+    # not added; for a negated literal, neither db nor removed) or "old"
+    # (the overlay of db without added, plus removed).
+    telescoped = mode in ("signed", "lost")
+    reads = {
+        "old": "new" if mode == "signed" else "unchanged",
+        "full": "old" if telescoped else "new",
+    }
 
-    env = {"__EMPTY": {}}
+    env = {"__EMPTY": {}, "__chain": chain}
     lines = []
 
     def emit(depth, text):
         lines.append("    " * depth + text)
+
+    def rows_of(store, key_name, name):
+        emit(1, f"__t = {store}.get({key_name})")
+        emit(1, f"{name} = __t.rows if __t is not None else __EMPTY")
+
+    def best_bucket(depth, name, relation, buckets, probes):
+        # The smallest bucket consistent with the probes, or empty.
+        emit(depth, f"{name} = {relation}.rows")
+        for position, value in probes:
+            emit(depth, f"__b = {buckets}[{position}].get({value})")
+            emit(depth, "if not __b:")
+            emit(depth + 1, f"{name} = __EMPTY")
+            emit(depth, f"elif len(__b) < len({name}):")
+            emit(depth + 1, f"{name} = __b")
 
     third = "proved" if mode == "probe" else "removed"
     parameters = f"db, added, {third}, out" + (", rec" if provenance else "")
@@ -865,63 +888,109 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False,
     for index, ((literal, tag), plan) in enumerate(zip(schedule, plans)):
         key_name = f"__K{index}"
         env[key_name] = (literal.atom.predicate, len(literal.atom.args))
-        if plan is not None:
-            # An empty enumerated relation admits no derivation at all.
-            store = "db" if tag != "delta" else "added" if literal.positive else "removed"
-            emit(1, f"__r{index} = {store}.get({key_name})")
-            emit(1, f"if __r{index} is None or not __r{index}.rows:")
+        if plan is None:
+            rows_of("db", key_name, f"__nr{index}")
+            if reads[tag] != "new":
+                rows_of("removed", key_name, f"__nx{index}")
+            if reads[tag] == "old":
+                rows_of("added", key_name, f"__na{index}")
+            continue
+        if tag == "delta" and telescoped:
+            continue  # read inside the sign loop
+        probes, same_checks, binds = plan
+        read = "delta" if tag == "delta" else reads[tag]
+        relation = f"__r{index}"
+        if read == "old":
+            # An empty relation in db may still have old rows in removed.
+            env[f"__NOREL{index}"] = ColumnarRelation(len(literal.atom.args))
+            emit(1, f"{relation} = db.get({key_name}) or __NOREL{index}")
+            emit(1, f"__t = removed.get({key_name})")
+            emit(1, f"__m{index} = __t if __t is not None and __t.rows else None")
+            emit(1, f"if not {relation}.rows and __m{index} is None:")
             emit(2, "return")
-            probes, same_checks, binds = plan
             if probes and (binds or same_checks):
-                emit(1, f"__bk{index} = __r{index}.buckets")
-            if tag == "old":
-                emit(1, f"__t = added.get({key_name})")
-                emit(1, f"__sk{index} = __t.rows if __t is not None else __EMPTY")
+                emit(1, f"__bk{index} = {relation}.buckets")
+                emit(1, f"__mk{index} = __m{index}.buckets if __m{index} is not None else None")
+            if not (binds or same_checks):
+                emit(1, f"__mx{index} = __m{index}.rows if __m{index} is not None else __EMPTY")
         else:
-            emit(1, f"__t = db.get({key_name})")
-            emit(1, f"__nr{index} = __t.rows if __t is not None else __EMPTY")
-            if tag == "old":
-                emit(1, f"__t = removed.get({key_name})")
-                emit(1, f"__nx{index} = __t.rows if __t is not None else __EMPTY")
+            # An empty enumerated relation admits no derivation at all.
+            store = "db" if read != "delta" else "added" if literal.positive else "removed"
+            emit(1, f"{relation} = {store}.get({key_name})")
+            emit(1, f"if {relation} is None or not {relation}.rows:")
+            emit(2, "return")
+            if probes and (binds or same_checks):
+                emit(1, f"__bk{index} = {relation}.buckets")
+        if read in ("unchanged", "old"):
+            rows_of("added", key_name, f"__sk{index}")
 
-    # The body proper: a one-iteration dummy loop makes guard `continue`s
-    # valid even before the first real candidate loop.
-    emit(1, "for __once in ((),):")
+    # The body proper.  A one-iteration dummy loop makes guard `continue`s
+    # valid even before the first real candidate loop; the telescoped
+    # modes loop over the signed sources of the delta literal instead.
+    if telescoped:
+        literal = schedule[0][0]
+        gained, lost = ("added", "removed") if literal.positive else ("removed", "added")
+        sources = f"((1, {gained}), (-1, {lost}))" if mode == "signed" else f"((1, {lost}),)"
+        emit(1, f"for __sg, __d in {sources}:")
+        emit(2, "__r0 = __d.get(__K0)")
+        emit(2, "if __r0 is None or not __r0.rows:")
+        emit(3, "continue")
+        probes, same_checks, binds = plans[0]
+        if probes and (binds or same_checks):
+            emit(2, "__bk0 = __r0.buckets")
+    else:
+        emit(1, "for __once in ((),):")
     loops = [1]  # the depth of every emitted `for`, outermost first
     candidate_loop = 0  # the loop enumerating a probe's candidates
     depth = 2
     for index, ((literal, tag), plan) in enumerate(zip(schedule, plans)):
         row = f"__row{index}"
+        read = "delta" if tag == "delta" else reads[tag]
         if plan is None:
             row_expr = _row_expression(literal.atom.args, slots, interner)
-            if tag == "old":
-                emit(depth, f"__n = {row_expr}")
-                emit(depth, f"if __n in __nr{index} or __n in __nx{index}:")
-            else:
+            if read == "new":
                 emit(depth, f"if {row_expr} in __nr{index}:")
+            else:
+                emit(depth, f"__n = {row_expr}")
+                if read == "unchanged":
+                    emit(depth, f"if __n in __nr{index} or __n in __nx{index}:")
+                else:
+                    emit(depth, f"if (__n in __nr{index} and __n not in __na{index})"
+                                f" or __n in __nx{index}:")
             emit(depth + 1, "continue")
             continue
         probes, same_checks, binds = plan
         if not (binds or same_checks):
             # Bound throughout: one membership test.
             emit(depth, f"{row} = {_row_expression(literal.atom.args, slots, interner)}")
-            skip = f" or {row} in __sk{index}" if tag == "old" else ""
-            emit(depth, f"if {row} not in __r{index}.rows{skip}:")
+            test = f"{row} not in __r{index}.rows"
+            if read in ("unchanged", "old"):
+                test += f" or {row} in __sk{index}"
+            if read == "old":
+                test = f"({test}) and {row} not in __mx{index}"
+            emit(depth, f"if {test}:")
             emit(depth + 1, "continue")
             continue
-        emit(depth, f"__best = __r{index}.rows")
-        for position, value in probes:
-            emit(depth, f"__b = __bk{index}[{position}].get({value})")
-            emit(depth, "if not __b:")
-            emit(depth + 1, "continue")
-            emit(depth, "if len(__b) < len(__best):")
-            emit(depth + 1, "__best = __b")
+        if read == "old":
+            best_bucket(depth, "__best", f"__r{index}", f"__bk{index}", probes)
+            emit(depth, f"if __m{index} is not None:")
+            best_bucket(depth + 1, "__mb", f"__m{index}", f"__mk{index}", probes)
+            emit(depth + 1, "if __mb:")
+            emit(depth + 2, "__best = __chain(__best, __mb)")
+        else:
+            emit(depth, f"__best = __r{index}.rows")
+            for position, value in probes:
+                emit(depth, f"__b = __bk{index}[{position}].get({value})")
+                emit(depth, "if not __b:")
+                emit(depth + 1, "continue")
+                emit(depth, "if len(__b) < len(__best):")
+                emit(depth + 1, "__best = __b")
         emit(depth, f"for {row} in __best:")
         if index == 0:
             candidate_loop = len(loops)
         loops.append(depth)
         depth += 1
-        if tag == "old":
+        if read in ("unchanged", "old"):
             emit(depth, f"if {row} in __sk{index}:")
             emit(depth + 1, "continue")
         for position, value in probes:
@@ -934,9 +1003,10 @@ def compile_schedule(rule, schedule, interner, mode="new", provenance=False,
             emit(depth, f"v{slot} = {row}[{position}]")
 
     head_expr = _row_expression(rule.head.args, slots, interner)
-    if mode == "count":
+    if mode in ("count", "signed", "lost"):
         emit(depth, f"__f = ({head_key_name}, {head_expr})")
-        emit(depth, "out[__f] = __get(__f, 0) + 1")
+        step = "__sg" if telescoped else "1"
+        emit(depth, f"out[__f] = __get(__f, 0) + {step}")
     elif mode == "probe":
         emit(depth, "__p = []")
         for index, (literal, _tag) in enumerate(schedule):

@@ -35,20 +35,25 @@ model (:meth:`DatalogEngine.least_index
 (``DatalogEngine._schedule``) orders every maintenance pass by observed
 bucket-size histograms (:class:`~repro.datalog.stats.JoinStatistics`), and
 its generated kernels (:func:`~repro.datalog.columnar.compile_schedule`)
-run them over interned id rows.  A pass whose *delta position* is body
-literal *i* reads literals before *i* with **unchanged** support (tag
-``old``), literal *i* from the delta (tag ``delta``; a negated literal's
-support is added by a deletion and removed by an insertion) and the rest
-unrestricted (tag ``full``).  Increment passes run in the new database as
-``kernel(index, plus, minus, out)``; decrement passes run in the old one —
-the index is flipped for the round (retract ``plus``, absorb ``minus``,
-run, restore; O(round delta)) and called as ``kernel(index, minus, plus,
-out)``, which is the increment discipline again.  A derivation whose
-status changed is then enumerated exactly once — at its first changed body
-position — which is what keeps the counts exact.  The build fills the
-counts with one counting pass per rule over the final model.  The
-backward check runs set-at-a-time: one ``"probe"`` pass per rule, whose
-leading ``delta`` literal is the rule's head, over a round's frontier.
+run them over interned id rows.  Every pass runs in the current (new)
+database as ``kernel(index, plus, minus, out)``, *plus* and *minus* being
+what the write added to and removed from it; a pass whose *delta
+position* is body literal *i* enumerates literal *i* from the delta (a
+negated literal's support is gained by a deletion and lost by an
+insertion).  Where a pass must see the database before the write, it
+reads a relation's old state as an overlay — its rows not in *plus*,
+plus its rows in *minus* — and never writes it.  A counting component
+runs the telescoped delta of the counting algorithm (Gupta, Mumick and
+Subrahmanian, SIGMOD 1993): literals before *i* read the new state,
+literals after it the old state, and the delta literal's gained support
+counts ``+1`` and its lost support ``-1`` (``"signed"`` kernels), so one
+pass per changed literal yields each head's exact net change in
+derivations.  A recursive component's deletion candidates come from
+``"lost"`` passes, which enumerate each derivation the write took away
+once, at its first changed body position.  The build fills the counts
+with one counting pass per rule over the final model.  The backward
+check runs set-at-a-time: one ``"probe"`` pass per rule, whose leading
+``delta`` literal is the rule's head, over a round's frontier.
 
 The deltas, the counting table and the backward/forward sets are all
 ``(key, row)`` id facts (:class:`~repro.datalog.columnar.RowStore`); atoms
@@ -66,13 +71,16 @@ not a copy of the base.  The store changes first: a batch
 written to the store once, and then every model over it stages it.
 
 Every batch is *staged*: maintained forward into the model's relations,
-the counts and the seeds, then resolved one of two ways.  A *commit*
-keeps it: the histograms and the :class:`UpdateResult` prepared while
-staging are swapped in, which cannot fail, and the maintained model is
-what a subsequent ``engine.least_model()`` returns without a fixpoint.  A
-*rollback*, once the store is back where it was, maintains the batch's
-exact inverse (counting is integer-exact and backward/forward set-exact,
-so the state comes back bit for bit) and restores the maintenance counters.
+the counts and the seeds — staging only reads the store's relations —
+then resolved one of two ways.  A *commit* keeps it: the histograms and
+the :class:`UpdateResult` prepared while staging are swapped in, which
+cannot fail, and the maintained model is what a subsequent
+``engine.least_model()`` returns without a fixpoint.  A *rollback*, once
+the store is back where it was, undoes what staging wrote in O(net
+change), with no join: the net index change of the model's own
+relations, the derivation counts (journalled on first touch) and the
+seeds, so the state comes back bit for bit, and it restores the
+maintenance counters.
 :meth:`MaterializedModel.apply` is write, stage, commit;
 :meth:`MaterializedModel.peek` — "what would the model be if this batch
 were applied?" — is write, stage, read, unwrite, rollback, and leaves no
@@ -105,6 +113,7 @@ has already run.  This makes ``apply``, ``peek``, ``query`` and
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.datalog.analyze import strongly_connected_components
 from repro.datalog.columnar import (
@@ -125,6 +134,29 @@ from repro.logic.terms import Parameter
 #: The empty removal delta of a pass that only adds support, and the net
 #: change of an empty batch (read, never written).
 _NOTHING = RowStore()
+
+
+#: Which support a pass of each :meth:`MaterializedModel._join` mode starts
+#: from: ``(gained, lost)``.
+_STARTS = {"new": (True, False), "lost": (False, True), "signed": (True, True)}
+
+
+class _Staged(NamedTuple):
+    """A batch staged on a model: the :class:`EdbBatch
+    <repro.datalog.columnar.EdbBatch>`, the maintenance counters and the
+    decoded world (or ``None``) before it, the net index change it made,
+    the prior value of every derivation count it changed (``None`` for a
+    new one) — all a rollback undoes — and, for a batch to be kept, its
+    :class:`UpdateResult` and folded histograms."""
+
+    batch: object
+    counters: dict
+    world: object
+    index_plus: RowStore
+    index_minus: RowStore
+    counts: dict
+    result: object
+    histograms: object
 
 
 @dataclass
@@ -436,10 +468,10 @@ class MaterializedModel:
         have if the batch were applied — without changing anything.
 
         Implemented as a staged batch that is always rolled back:
-        maintenance of the batch, then of its exact inverse (counting is
-        integer-exact and backward/forward set-exact, so the round trip
-        restores the state bit-for-bit).  The EDB store is written for the
-        duration and restored bit for bit, the planner statistics and the
+        maintenance of the batch, then an undo of the net change it made
+        to the model's own state, which restores it bit for bit without a
+        join.  The EDB store is written for the duration and restored bit
+        for bit, staging only reads it, the planner statistics and the
         compiled kernels are never touched, and :attr:`statistics` is
         restored after the round trip, so not even the maintenance counters
         record the peek.  This is the API transaction previews should use:
@@ -629,8 +661,10 @@ class MaterializedModel:
         if self._edb_version != batch.before:
             raise ReproError("the batch was not made on the EDB this model reflects")
         counters = dict(vars(self.statistics))
+        world = self._world
+        counts = {}
         try:
-            index_plus, index_minus = self._maintain(batch.plus, batch.minus)
+            index_plus, index_minus = self._maintain(batch.plus, batch.minus, counts)
             result = histograms = None
             if keep:
                 result = self._result(batch, index_plus, index_minus)
@@ -644,7 +678,9 @@ class MaterializedModel:
             vars(self.statistics).update(counters)
             raise
         self._edb_version = batch.after
-        self._staged = (batch, counters, result, histograms)
+        self._staged = _Staged(
+            batch, counters, world, index_plus, index_minus, counts, result, histograms
+        )
 
     def _result(self, batch, index_plus, index_minus):
         """The :class:`UpdateResult` of a staged batch: its EDB change and
@@ -659,40 +695,74 @@ class MaterializedModel:
         against the old ones, see :meth:`_kernel`), and return its
         :class:`UpdateResult`.  Both were prepared while staging, so a
         commit only swaps state and cannot fail."""
-        _, _, result, histograms = self._staged
-        self._staged = None
+        staged, self._staged = self._staged, None
         self.statistics.applies += 1
-        if histograms is not None:
-            self.planner_statistics.adopt(histograms)
+        if staged.histograms is not None:
+            self.planner_statistics.adopt(staged.histograms)
             self._kernels = dict(self._fixed_kernels)
-        return result
+        return staged.result
 
     def _rollback(self):
         """Undo the staged batch, if there is one, once the EDB store is back
-        at its state before the batch: maintain the batch's exact inverse
-        against the same histograms and kernels, and restore the
-        maintenance counters."""
-        if self._staged is None:
+        at its state before the batch, in O(net change) and without a join:
+        the model's own relations drop the rows the batch added and take
+        back those it removed (the store's relations were restored by
+        :meth:`EdbStore.unwrite <repro.datalog.columnar.EdbStore.unwrite>`),
+        the derivation counts it changed get their journalled values back,
+        the seeds lose the batch's insertions and regain its deletions, and
+        the maintenance counters and the decoded world, if there was one,
+        are restored.  An undo that raises leaves the model marked stale,
+        so the next access rebuilds it."""
+        staged, self._staged = self._staged, None
+        if staged is None:
             return
-        batch, counters, _, _ = self._staged
-        self._staged = None
+        batch = staged.batch
+        kind = self._kind
+        store = self._store
         try:
-            self._maintain(batch.minus, batch.plus)
+            for key, relation in staged.index_plus.items():
+                if kind.get(key) is not None:
+                    for row in relation.rows:
+                        store.discard_row(key, row)
+            for key, relation in staged.index_minus.items():
+                if kind.get(key) is not None:
+                    for row in relation.rows:
+                        store.add_row(key, row)
+            counts = self._counts
+            for fact, prior in staged.counts.items():
+                if prior is None:
+                    counts.pop(fact, None)
+                else:
+                    counts[fact] = prior
+            seeds = self._seeds
+            for fact in batch.plus:
+                if kind.get(fact[0]) == "recursive":
+                    seeds.discard(fact)
+            for fact in batch.minus:
+                if kind.get(fact[0]) == "recursive":
+                    seeds.add(fact)
         except BaseException:
             self._edb_version = None
             raise
         finally:
-            vars(self.statistics).update(counters)
+            vars(self.statistics).update(staged.counters)
         self._edb_version = batch.before
+        self._world = staged.world
+        if staged.world is None:
+            self.engine._model = None  # a reader may have installed the staged one
+        else:
+            self.engine.install_model(staged.world)
 
-    def _maintain(self, edb_plus, edb_minus):
+    def _maintain(self, edb_plus, edb_minus, journal):
         """Bring the model's own state — its derived relations, the counts
         and the seeds — to the model of the EDB changed by
         ``(edb_plus, edb_minus)`` (sets of encoded ``(key, row)`` facts),
         which the EDB store already holds.  Returns the net index change
         ``(index_plus, index_minus)``, EDB part included, as
-        :class:`~repro.datalog.columnar.RowStore` objects.  An empty change
-        is a no-op and returns empty stores."""
+        :class:`~repro.datalog.columnar.RowStore` objects, and records in
+        the dict *journal* the prior value of every derivation count it
+        changes (``None`` for a count it creates).  An empty change is a
+        no-op and returns empty stores."""
         if not edb_plus and not edb_minus:
             return _NOTHING, _NOTHING
         with self.engine.tracer.span(
@@ -700,7 +770,7 @@ class MaterializedModel:
             insertions=len(edb_plus),
             deletions=len(edb_minus),
         ) as span:
-            index_plus, index_minus = self._propagate(edb_plus, edb_minus)
+            index_plus, index_minus = self._propagate(edb_plus, edb_minus, journal)
             facts_added = sum(fact not in edb_plus for fact in index_plus)
             facts_removed = sum(fact not in edb_minus for fact in index_minus)
             span.annotate(facts_added=facts_added, facts_removed=facts_removed)
@@ -711,7 +781,7 @@ class MaterializedModel:
         return index_plus, index_minus
 
     # -- delta propagation ------------------------------------------------------
-    def _propagate(self, edb_plus, edb_minus):
+    def _propagate(self, edb_plus, edb_minus, journal):
         """Push an EDB delta (sets of ``(key, row)`` facts) through every
         component in dependency order.
 
@@ -719,7 +789,8 @@ class MaterializedModel:
         (EDB and lower components); each component sees them as its round-one
         delta and contributes its own net changes for the components above.
         Returns the net index change ``(acc_plus, acc_minus)`` over the
-        whole model.
+        whole model; the counting components journal the counts they change
+        into *journal*.
 
         The maintenance passes of every component order their joins against
         the pre-batch histograms (deltas are tiny next to the index, so
@@ -762,11 +833,14 @@ class MaterializedModel:
             own_minus = [f for key in component.predicates for f in pending_minus.get(key, ())]
             if not (own_plus or own_minus) and not component.touched_by(acc_plus, acc_minus):
                 continue  # nothing below changed what its rules read
-            maintain = (
-                self._maintain_recursive if component.recursive
-                else self._maintain_counting
-            )
-            added, removed = maintain(component, acc_plus, acc_minus, own_plus, own_minus)
+            if component.recursive:
+                added, removed = self._maintain_recursive(
+                    component, acc_plus, acc_minus, own_plus, own_minus
+                )
+            else:
+                added, removed = self._maintain_counting(
+                    component, acc_plus, acc_minus, own_plus, own_minus, journal
+                )
             acc_plus.add_all(added)
             acc_minus.add_all(removed)
         return acc_plus, acc_minus
@@ -798,47 +872,41 @@ class MaterializedModel:
                 self._fixed_kernels[key] = kernel
         return kernel
 
-    def _join(self, component, mode, plus, minus, out, old=False):
+    def _join(self, component, mode, plus, minus, out):
         """Run every delta pass of the component whose delta literal's
-        support changed, into *out*.
-
-        Increment passes (``old=False``) run in the current database, with
-        added support ``plus`` and removed support ``minus``.  Decrement
-        passes (``old=True``) run in the old database: the index is flipped
-        for the round (retract *plus*, absorb *minus*; *plus* is held by
-        the index and *minus* is not), the kernels get ``(minus, plus)``,
-        and the index is restored."""
-        added, removed = (minus, plus) if old else (plus, minus)
-        passes = [
-            (rule, position)
-            for rule in component.rules
-            for position, literal in enumerate(rule.body)
-            if (added if literal.positive else removed).count(
-                literal.atom.predicate, len(literal.atom.args)
-            )
-        ]
+        support changed, into *out*, in the current database: *plus* and
+        *minus* are the facts the write added to and removed from it (see
+        :func:`~repro.datalog.columnar.compile_schedule` for how each mode
+        reads them).  A literal's support is gained through *plus* and lost
+        through *minus* when it is positive, the other way round when it is
+        negated.  ``"new"`` passes start from gained support, ``"lost"``
+        passes from lost support and ``"signed"`` passes from either, both
+        signs in one pass."""
+        from_gained, from_lost = _STARTS[mode]
+        passes = []
+        for rule in component.rules:
+            for position, literal in enumerate(rule.body):
+                key = (literal.atom.predicate, len(literal.atom.args))
+                gained, lost = (plus, minus) if literal.positive else (minus, plus)
+                if (from_gained and gained.count(*key)) or (from_lost and lost.count(*key)):
+                    passes.append((rule, position))
         if not passes:
             return
         self.statistics.delta_passes += len(passes)
         store = self._store
-        if old:
-            store.retract_all(plus)
-            store.absorb(minus)
-        try:
-            for rule, position in passes:
-                self._kernel(rule, position, mode)(store, added, removed, out)
-        finally:
-            if old:
-                store.retract_all(minus)
-                store.absorb(plus)
+        for rule, position in passes:
+            self._kernel(rule, position, mode)(store, plus, minus, out)
 
-    def _maintain_counting(self, component, acc_plus, acc_minus, edb_plus, edb_minus):
+    def _maintain_counting(self, component, acc_plus, acc_minus, edb_plus, edb_minus,
+                           journal):
         """Counting maintenance for a non-recursive component.
 
         Adjust base counts for the component's own EDB changes, run one set
-        of increment and decrement passes against everything accumulated
-        below, and turn count transitions into index updates.  One round
-        suffices: a non-recursive component never reads its own predicate.
+        of ``"signed"`` passes (the telescoped delta: each head's net change
+        in derivations) against everything accumulated below, and turn
+        count transitions into index updates, journalling the prior value
+        of every count it changes.  One round suffices: a non-recursive
+        component never reads its own predicate.
         """
         change = defaultdict(int)
         for fact in edb_plus:
@@ -847,20 +915,16 @@ class MaterializedModel:
             change[fact] -= 1
         if component.touched_by(acc_plus, acc_minus):
             self.statistics.rounds += 1
-            gained, lost = {}, {}
-            self._join(component, "count", acc_plus, acc_minus, gained)
-            self._join(component, "count", acc_plus, acc_minus, lost, old=True)
-            for fact, derivations in gained.items():
-                change[fact] += derivations
-            for fact, derivations in lost.items():
-                change[fact] -= derivations
+            self._join(component, "signed", acc_plus, acc_minus, change)
         counts = self._counts
         store = self._store
         added, removed = [], []
         for fact, difference in change.items():
             if not difference:
                 continue
-            count = counts.get(fact, 0) + difference
+            prior = counts.get(fact)
+            journal.setdefault(fact, prior)
+            count = (prior or 0) + difference
             if count > 0:
                 counts[fact] = count
                 if store.add(fact):
@@ -901,7 +965,7 @@ class MaterializedModel:
         if component.supported_by(acc_minus, acc_plus):
             statistics.rounds += 1
             lost = {}
-            self._join(component, "count", acc_plus, acc_minus, lost, old=True)
+            self._join(component, "lost", acc_plus, acc_minus, lost)
             candidates.extend(lost)
         while True:
             candidates = [

@@ -183,14 +183,14 @@ class TestColumnarFactIndex:
             assert matching <= mine <= relation
         assert set(columnar.candidates("edge", 2, [(0, Parameter("zz"))])) == set()
 
-    def test_absorb_and_retract_all_fast_paths(self):
+    def test_absorb_and_discard_all_fast_paths(self):
         # Writes go to the backing RowStore, relation-wise over one interner;
         # the read view sees them at once.
         interner = Interner()
         base = columnar_index(edge_atoms([(0, 1), (1, 2)]), interner)
         base.store.absorb(columnar_index(edge_atoms([(2, 3)]), interner).store)
         assert atom("edge", "n2", "n3") in base and len(base) == 3
-        removed = base.store.retract_all(
+        removed = base.store.discard_all(
             columnar_index(edge_atoms([(0, 1), (9, 9)]), interner).store
         )
         assert removed == 1

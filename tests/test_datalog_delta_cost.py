@@ -31,6 +31,7 @@ from repro.datalog import (
     DatalogRule,
     MaterializedModel,
 )
+from repro.datalog import incremental
 from repro.datalog.columnar import ColumnarRelation, EdbStore, RowStore
 from repro.datalog.interner import Interner
 from repro.datalog.program import DatalogLiteral
@@ -40,6 +41,7 @@ from repro.exceptions import ReproError
 from repro.logic.builders import atom
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter, Variable
+from repro.obs import Tracer
 from repro.workloads.constraints import hr_constraints, hr_facts
 from repro.workloads.generators import transitive_closure_program
 
@@ -477,6 +479,33 @@ def test_peek_of_a_rejected_batch_keeps_the_maintenance_counters():
     assert materialized.statistics.rebuilds == 1
 
 
+def test_a_peek_keeps_the_decoded_world(monkeypatch):
+    """A rolled-back batch leaves the model as it was, so the world decoded
+    before a peek stays the model's and the engine's: reading it again
+    decodes nothing and runs no fixpoint, also after a peek whose reader
+    decoded the staged world.  With no world decoded before, none is
+    kept from the peek."""
+    program = transitive_closure_program(chains=2, length=3)
+    materialized = MaterializedModel(program)
+    cut = {"deletions": [atom("edge", "c0_n1", "c0_n2")]}
+    assert materialized.peek(**cut, reader=lambda model: model.model()) != materialized.model()
+    assert materialized.engine.least_model() == semi_naive_model(program)
+    world = materialized.model()
+    materialized.peek(**cut)
+    staged = materialized.peek(
+        insertions=[atom("edge", "c0_n3", "c1_n0")], reader=lambda model: model.model()
+    )
+    assert staged != world
+    decoded, evaluated = [], []
+    monkeypatch.setattr(incremental, "decode_world", lambda *args: decoded.append(args))
+    monkeypatch.setattr(
+        DatalogEngine, "_begin_evaluation", lambda self: evaluated.append(self)
+    )
+    assert materialized.model() is world
+    assert materialized.engine.least_model() is world
+    assert decoded == [] and evaluated == []
+
+
 def test_peek_with_a_raising_reader_restores_state_and_counters():
     program = transitive_closure_program(chains=2, length=3)
     materialized = MaterializedModel(program)
@@ -494,28 +523,91 @@ def test_peek_with_a_raising_reader_restores_state_and_counters():
     assert materialized.model() == world
 
 
-@pytest.mark.parametrize("failing_call", [1, 2], ids=["forward", "rollback"])
+#: Facts each program's batches may insert: none is held at the start.
+FRESH_FACTS = {
+    "counting": [atom("r", "a9", "hub"), atom("s", "hub", "t9"), atom("r", "a0", "h9")],
+    "dred": [atom("edge", "n0", "n9"), atom("edge", "n9", "n1"), atom("path", "n9", "n0")],
+    "negation": [atom("edge", "n0", "n9"), atom("shadow", "n9"), atom("node", "n9")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_a_peek_rolls_back_without_a_join(monkeypatch, name):
+    """A peek maintains its batch once, forward.  Rolling it back undoes
+    the net change that maintenance made, so no kernel runs and no second
+    maintenance batch is traced once the reader has seen the staged
+    model."""
+    make_program, facts = PROGRAMS[name]
+    program = make_program()
+    for fact in facts:
+        program.add_fact(fact)
+    materialized = MaterializedModel(program)
+    world = materialized.model()
+    held = sorted((fact.atom for fact in program.facts), key=str)
+    batch = {"insertions": FRESH_FACTS[name], "deletions": held[::3]}
+    expected = make_program()
+    for fact in set(held) - set(batch["deletions"]) | set(batch["insertions"]):
+        expected.add_fact(fact)
+    tracer = Tracer()
+    materialized.engine.tracer = tracer
+    rolling, kernels = [], []
+    rollback, kernel = MaterializedModel._rollback, MaterializedModel._kernel
+
+    def watched_rollback(self):
+        rolling.append(None)
+        try:
+            rollback(self)
+        finally:
+            rolling.pop()
+
+    def watched_kernel(self, *args):
+        if rolling:
+            kernels.append(args)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(MaterializedModel, "_rollback", watched_rollback)
+    monkeypatch.setattr(MaterializedModel, "_kernel", watched_kernel)
+    assert materialized.peek(**batch) == semi_naive_model(expected)
+    assert kernels == []
+    assert [entry["name"] for entry in tracer.entries].count("maintenance.batch") == 1
+    assert materialized.model() == world == semi_naive_model(program)
+
+
+@pytest.mark.parametrize("failing", ["forward", "rollback"])
 def test_a_maintenance_pass_that_raises_leaves_the_model_to_rebuild(
-    monkeypatch, failing_call
+    monkeypatch, failing
 ):
-    """A batch that fails half-way through maintenance (forward, or on the
-    inverse that rolls a peek back) leaves the index in no known state: the
+    """A batch that fails half-way through maintenance (forward, or in the
+    undo that rolls a peek back) leaves the index in no known state: the
     next access rebuilds it from the unchanged program.  The counters do
     not record the failed peek; only the rebuild shows."""
     program = transitive_closure_program(chains=2, length=3)
     materialized = MaterializedModel(program)
     before = materialized.metrics()
-    original = MaterializedModel._maintain_recursive
-    calls = []
+    if failing == "forward":
+        original = MaterializedModel._maintain_recursive
 
-    def counted(self, *args):
-        result = original(self, *args)
-        calls.append(None)
-        if len(calls) == failing_call:
+        def maintain(self, *args):
+            original(self, *args)
             raise RuntimeError("pass failed")  # the index has moved
-        return result
 
-    monkeypatch.setattr(MaterializedModel, "_maintain_recursive", counted)
+        monkeypatch.setattr(MaterializedModel, "_maintain_recursive", maintain)
+    else:
+        rollback, add_row = MaterializedModel._rollback, RowStore.add_row
+
+        def failing_add_row(store, key, row):
+            add_row(store, key, row)
+            raise RuntimeError("pass failed")  # one removed path is back
+
+        def failing_rollback(self):
+            # The peek deletes an edge, so the undo re-adds the paths it cut.
+            monkeypatch.setattr(RowStore, "add_row", failing_add_row)
+            try:
+                rollback(self)
+            finally:
+                monkeypatch.setattr(RowStore, "add_row", add_row)
+
+        monkeypatch.setattr(MaterializedModel, "_rollback", failing_rollback)
     with pytest.raises(RuntimeError, match="pass failed"):
         materialized.peek(deletions=[atom("edge", "c0_n1", "c0_n2")])
     monkeypatch.undo()

@@ -4,7 +4,8 @@ back otherwise.
 
 * An accepted ``tell``, ``retract`` or ``commit`` runs exactly one
   maintenance round per maintained model; a rejected one runs the violation
-  model forward and back and leaves every other model alone.
+  model forward, undoes that without a join, and leaves every other model
+  alone.
 * A rejected or raising check leaves the violation model exactly as it was:
   its model, its derivation counts, its planner histograms and the version
   stamp of the EDB store it reads.  A raising check also leaves the base,
@@ -25,6 +26,7 @@ from repro.constraints.checker import IntegrityChecker
 from repro.constraints.library import mandatory_known_attribute
 from repro.constraints.views import ViolationView
 from repro.datalog import DatalogLiteral, DatalogRule, MaterializedModel
+from repro.datalog.columnar import ColumnarRelation, EdbStore
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError
 from repro.logic.builders import atom
@@ -34,7 +36,7 @@ from repro.logic.terms import Variable
 from repro.obs import Tracer
 from repro.semantics.config import SemanticsConfig
 from repro.semantics.reduction import EpistemicReducer
-from repro.workloads.constraints import hr_constraints, hr_facts
+from repro.workloads.constraints import hr_constraints, hr_facts, hr_group
 
 X, D = Variable("x"), Variable("d")
 ASSIGNED = DatalogRule(
@@ -114,7 +116,8 @@ def test_accepted_writes_maintain_each_model_once():
         with pytest.raises(ConstraintViolationError):
             database.tell(atom("female", "E0"))  # E0 is male
 
-    assert rounds(rejected) == {"violations": 2, "view": 0}
+    # Rolling the rejected write back undoes it: no second maintenance batch.
+    assert rounds(rejected) == {"violations": 1, "view": 0}
     assert database.check_constraints().satisfied
     assert violations.materialized.model() == fresh_state(database)[0]
 
@@ -176,6 +179,89 @@ def test_a_raising_check_rolls_back_and_notifies_nobody(monkeypatch, write):
     monkeypatch.undo()
     assert database.tell(atom("dept", "D9")).satisfied
     assert materialized.model() == fresh_state(database)[0]
+
+
+# ---------------------------------------------------------------------------
+# Staging only reads the shared EDB store
+# ---------------------------------------------------------------------------
+
+def shared_relation_writes(monkeypatch, database):
+    """Record every row write to one of the database's shared EDB relations
+    that :meth:`EdbStore.write` or :meth:`EdbStore.unwrite` does not make."""
+    shared = database._edb_store().rows
+    inside, writes = [], []
+
+    def through(name):
+        original = getattr(EdbStore, name)
+
+        def wrapped(self, batch):
+            inside.append(name)
+            try:
+                return original(self, batch)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(EdbStore, name, wrapped)
+
+    def watched(name):
+        original = getattr(ColumnarRelation, name)
+
+        def wrapped(self, *args):
+            if not inside and any(self is relation for _, relation in shared.items()):
+                writes.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(ColumnarRelation, name, wrapped)
+
+    for name in ("write", "unwrite"):
+        through(name)
+    for name in ("add", "discard", "absorb"):
+        watched(name)
+    return writes
+
+
+def shared_state(database):
+    """The rows and the probe buckets of every shared EDB relation."""
+    return {
+        key: (frozenset(relation.rows), tuple(
+            {value: frozenset(rows) for value, rows in bucket.items()}
+            for bucket in relation.buckets
+        ))
+        for key, relation in database._edb_store().rows.items()
+    }
+
+
+def test_staging_never_writes_the_shared_edb_store(monkeypatch):
+    """Only the store's own write and unwrite touch its relations: a checked
+    commit, a preview and a rejected tell stage and undo their batches on
+    both models while the shared relations are only read, and the preview
+    and the rejected tell leave their rows and buckets as they were."""
+    database, violations, view = hr_database(200)
+    writes = shared_relation_writes(monkeypatch, database)
+
+    with database.transaction() as transaction:  # a hire and a departure
+        for fact in hr_group(200, departments=4):
+            transaction.tell(fact)
+        for fact in hr_group(150, departments=4):
+            transaction.retract(fact)
+    assert writes == []
+
+    before = shared_state(database)
+    report = violations.preview_report(
+        additions=[atom("female", "E1")],
+        retractions=[atom("ss", "E2", "S2"), atom("works_in", "E3", "D3")],
+    )
+    assert not report.satisfied
+    assert writes == []
+    assert shared_state(database) == before
+
+    with pytest.raises(ConstraintViolationError):
+        database.tell(atom("female", "E0"))  # E0 is male
+    assert writes == []
+    assert shared_state(database) == before
+    monkeypatch.undo()
+    assert violations.materialized.model() == fresh_state(database)[0]
+    assert view.materialized.statistics.rebuilds == 1
 
 
 # ---------------------------------------------------------------------------

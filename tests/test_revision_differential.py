@@ -416,3 +416,66 @@ def test_retract_rejection_preserves_sentence_order():
     assert not checked(database, lambda: database.retract(dept), retractions=[dept])
     assert database.sentences() == base
     assert database.check_constraints().satisfied
+
+
+# ---------------------------------------------------------------------------
+# Support templates
+# ---------------------------------------------------------------------------
+
+def uncached_support(constraint, witness):
+    """The support of one witness derived from scratch: the admissible
+    form, the body's witness variables sorted by name, the witness
+    substituted into the body, its positive atoms."""
+    from repro.constraints.views import _support_atoms
+    from repro.logic.substitution import substitute
+    from repro.logic.syntax import Exists, Not, free_variables
+    from repro.logic.transform import to_admissible_form
+
+    admissible = to_admissible_form(constraint)
+    if not isinstance(admissible, Not):
+        return ()
+    body, variables = admissible.body, []
+    while isinstance(body, Exists):
+        variables.append(body.variable)
+        body = body.body
+    names = sorted({v.name for v in variables} & {v.name for v in free_variables(body)})
+    if witness and len(names) != len(witness):
+        return ()
+    by_name = {variable.name: variable for variable in variables}
+    mapping = {by_name[name]: value for name, value in zip(names, witness)}
+    collected = []
+    _support_atoms(substitute(body, mapping) if mapping else body, True, collected)
+    return tuple(dict.fromkeys(collected))
+
+
+def test_support_templates_match_the_uncached_derivation():
+    """Every witness of every HR constraint (the fallback one included)
+    gets the support a from-scratch derivation gives, and so do a bare
+    pattern call and a witness of the wrong arity."""
+    from repro.constraints.views import violation_support
+
+    constraints = hr_constraints(with_fallback=True)
+    base = [
+        atom("emp", "A"),                                  # no ss
+        atom("male", "B"), atom("female", "B"),            # both genders
+        atom("person", "C"),                               # no gender
+        atom("works_in", "A", "D9"),                       # unknown dept
+        atom("ss", "B", "S1"), atom("ss", "B", "S2"),      # two ss
+    ]
+    report = IntegrityChecker(constraints=constraints, config=CONFIG).check(
+        base, witness_limit=None
+    )
+    violated = {violation.constraint for violation in report.violations}
+    assert violated == set(constraints)
+    for violation in report.violations:
+        constraint = violation.constraint
+        assert violation.witnesses
+        for witness in violation.witnesses:
+            assert violation_support(constraint, witness) == uncached_support(
+                constraint, witness
+            )
+        assert violation_support(constraint) == uncached_support(constraint, ())
+        too_long = violation.witnesses[0] + violation.witnesses[0]
+        assert violation_support(constraint, too_long) == () == uncached_support(
+            constraint, too_long
+        )
