@@ -37,9 +37,11 @@ This subpackage provides that substrate:
 * :mod:`repro.datalog.magic` — goal-directed query evaluation: adornment
   propagation and magic-set rewriting (supplementary predicates / sideways
   information passing), behind ``DatalogEngine.query``;
-* :mod:`repro.datalog.stats` — observed per-predicate bucket-size
-  histograms (:class:`~repro.datalog.stats.JoinStatistics`) feeding the
-  indexed strategy's join planner;
+* :mod:`repro.datalog.stats` — the observed bucket-size estimate of the
+  indexed strategy's join planner, which reads it live off the relations
+  (:meth:`RowStore.selectivity
+  <repro.datalog.columnar.RowStore.selectivity>`), and its from-scratch
+  snapshot (:class:`~repro.datalog.stats.JoinStatistics`);
 * :mod:`repro.datalog.completion` — Clark's completion ``Comp(DB)`` as a set
   of FOPCE sentences (plus unique-names handled by the FOPCE semantics
   itself).

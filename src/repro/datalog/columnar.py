@@ -24,8 +24,8 @@ Four faces are exposed, innermost first:
 
 * :class:`RowStore` — a mutable set of ``(key, row)`` facts
   (``add``/``absorb``/``discard``/``discard_all``/``candidates``/
-  ``histogram_sizes``/``bucket_size``/iteration): the model, the deltas and
-  everything the planner statistics read;
+  ``selectivity``/iteration): the model, the deltas and the statistics the
+  join planner reads, kept live by every write;
 * the **compiled join** (:func:`compile_schedule` / :func:`compiled_for` /
   :func:`columnar_fixpoint`) — the one join executor: each rule-body
   schedule is *generated as a specialized Python function* (constants
@@ -71,25 +71,31 @@ class ColumnarRelation:
     """The rows of one ``(predicate, arity)`` relation.
 
     ``rows`` is the membership structure — a set of id tuples, hashed and
-    compared at C speed.  The two derived structures are materialised
-    lazily from it and kept consistent only while they exist:
+    compared at C speed.  The derived structures are materialised lazily
+    from it and kept consistent only while they exist:
 
     * :attr:`buckets` — one ``id -> set of rows`` map per argument
       position, the join's probe structure (emptied value buckets are
       dropped so distinct-value counts stay honest).
       Built on first probe; short-lived relations that are only ever
       enumerated — the per-round semi-naive deltas — never pay for them.
+      Alongside them, :attr:`squares` keeps per position the sum of the
+      squared bucket sizes, the planner's statistic
+      (:meth:`RowStore.selectivity`): computed with the buckets, then
+      moved by every :meth:`add`, :meth:`discard` and :meth:`absorb` in
+      O(1) per row and position.
     * :attr:`columns` — one ``array('q')`` per position, the at-rest /
       exchange face (:meth:`RowStore.to_arrays`); machine-word compactness
       is paid only when rows are actually shipped.
     """
 
-    __slots__ = ("arity", "rows", "_buckets", "_columns")
+    __slots__ = ("arity", "rows", "_buckets", "_squares", "_columns")
 
     def __init__(self, arity):
         self.arity = arity
         self.rows = set()
         self._buckets = None
+        self._squares = None
         self._columns = None
 
     @property
@@ -98,7 +104,7 @@ class ColumnarRelation:
         demand from the live rows (treat as read-only)."""
         buckets = self._buckets
         if buckets is None:
-            buckets = self._buckets = tuple({} for _ in range(self.arity))
+            buckets = tuple({} for _ in range(self.arity))
             for row in self.rows:
                 for bucket, value in zip(buckets, row):
                     owners = bucket.get(value)
@@ -106,7 +112,19 @@ class ColumnarRelation:
                         bucket[value] = {row}
                     else:
                         owners.add(row)
+            self._squares = [
+                sum(len(owners) ** 2 for owners in bucket.values()) for bucket in buckets
+            ]
+            self._buckets = buckets
         return buckets
+
+    @property
+    def squares(self):
+        """Per argument position, the sum of the squared sizes of its
+        buckets (builds the buckets on first read; treat as read-only)."""
+        if self._squares is None:
+            self.buckets
+        return self._squares
 
     @property
     def columns(self):
@@ -137,11 +155,16 @@ class ColumnarRelation:
         rows.add(row)
         buckets = self._buckets
         if buckets is not None:
-            for bucket, value in zip(buckets, row):
+            squares = self._squares
+            for position, value in enumerate(row):
+                bucket = buckets[position]
                 owners = bucket.get(value)
                 if owners is None:
                     bucket[value] = {row}
+                    squares[position] += 1
                 else:
+                    # A bucket of n rows grows to n + 1: (n + 1)² - n².
+                    squares[position] += 2 * len(owners) + 1
                     owners.add(row)
         self._columns = None
         return True
@@ -154,39 +177,56 @@ class ColumnarRelation:
         rows.discard(row)
         buckets = self._buckets
         if buckets is not None:
-            for bucket, value in zip(buckets, row):
-                owners = bucket.get(value)
-                if owners is not None:
-                    owners.discard(row)
-                    if not owners:
-                        del bucket[value]
+            squares = self._squares
+            for position, value in enumerate(row):
+                bucket = buckets[position]
+                owners = bucket[value]
+                # A bucket of n rows shrinks to n - 1: n² - (n - 1)².
+                squares[position] -= 2 * len(owners) - 1
+                owners.discard(row)
+                if not owners:
+                    del bucket[value]
         self._columns = None
         return True
 
     def absorb(self, other):
-        """Merge another relation of the same arity set-wise, assuming
-        disjointness (the semi-naive delta guarantee).  Materialised probe
-        buckets are maintained in place: bucket-wise when *other* has its
-        own, row-wise when it was enumeration-only (the typical delta)."""
+        """Merge another relation of the same arity set-wise.  Materialised
+        probe buckets and their squared sizes are maintained in place:
+        bucket-wise when *other* has its own, row-wise (over its rows not
+        held yet) when it was enumeration-only (the typical delta)."""
         buckets = self._buckets
         if buckets is not None:
+            squares = self._squares
             theirs = other._buckets
             if theirs is not None:
-                for bucket, their_bucket in zip(buckets, theirs):
+                for position, (bucket, their_bucket) in enumerate(zip(buckets, theirs)):
+                    change = 0
                     for value, owners in their_bucket.items():
                         mine = bucket.get(value)
                         if mine is None:
-                            bucket[value] = set(owners)
+                            mine = bucket[value] = set(owners)
+                            change += len(mine) ** 2
                         else:
+                            # From the sizes around the merge, so the sum
+                            # stays exact even for overlapping rows.
+                            before = len(mine)
                             mine |= owners
+                            change += len(mine) ** 2 - before * before
+                    squares[position] += change
             else:
-                for row in other.rows:
-                    for bucket, value in zip(buckets, row):
+                fresh = other.rows - self.rows
+                for position, bucket in enumerate(buckets):
+                    total = squares[position]
+                    for row in fresh:
+                        value = row[position]
                         owners = bucket.get(value)
                         if owners is None:
                             bucket[value] = {row}
+                            total += 1
                         else:
+                            total += 2 * len(owners) + 1
                             owners.add(row)
+                    squares[position] = total
         self.rows |= other.rows
         self._columns = None
         return self
@@ -209,7 +249,7 @@ class ColumnarRelation:
 
     def histogram_sizes(self, position):
         """Just the bucket sizes of one argument position, as a list (what
-        the planner refresh consumes)."""
+        a :class:`~repro.datalog.stats.JoinStatistics` snapshot reads)."""
         return [len(owners) for owners in self.buckets[position].values()]
 
     def __len__(self):
@@ -348,19 +388,39 @@ class RowStore:
         return ((key, row) for row in relation.best_bucket(bound))
 
     def histogram_sizes(self, predicate, arity, position):
-        """Just the bucket sizes of one argument position (the planner
-        refresh face)."""
+        """Just the bucket sizes of one argument position (what a
+        :class:`~repro.datalog.stats.JoinStatistics` snapshot reads)."""
         relation = self._relations.get((predicate, arity))
         return relation.histogram_sizes(position) if relation is not None else []
 
     def bucket_size(self, predicate, arity, position, ident):
         """How many rows of ``predicate/arity`` carry id *ident* at argument
-        *position* — one bucket's size, read in O(1) (what the planner's
-        incremental statistics update consumes)."""
+        *position* — one bucket's size, read in O(1)."""
         relation = self._relations.get((predicate, arity))
         if relation is None:
             return 0
         return len(relation.buckets[position].get(ident, EMPTY))
+
+    def selectivity(self, predicate, arity, positions):
+        """The planner's estimate of how many rows of ``predicate/arity``
+        survive binding the argument *positions*, read off the live
+        relation: its size times, per bound position, the fraction of it
+        a data-drawn probe hits, ``(squares / total) / total`` — exactly
+        what :meth:`JoinStatistics.selectivity
+        <repro.datalog.stats.JoinStatistics.selectivity>` gives from a
+        fresh snapshot (the same integers, the same arithmetic).  An empty
+        or unknown relation estimates to 0.0, and so does a nullary one:
+        it binds nothing, and testing it first costs one lookup.
+        O(bound positions), once the relation's buckets exist."""
+        relation = self._relations.get((predicate, arity))
+        if relation is None or not relation.rows or not arity:
+            return 0.0
+        total = len(relation.rows)
+        squares = relation.squares
+        estimate = float(total)
+        for position in positions:
+            estimate *= squares[position] / total / total
+        return estimate
 
     # -- array exchange ------------------------------------------------------
     def to_arrays(self):
@@ -1117,16 +1177,15 @@ def _edge_recorder(sink, rule, slot_variables, parameters):
 def columnar_fixpoint(engine, rules, store, interner, cache):
     """The engine's indexed semi-naive fixpoint in id space: the
     non-duplicating round/pass structure (and statistics counters) of the
-    ``semi-naive`` oracle, with joins planned from the observed histograms
-    of *store* and executed by the generated pass functions over it.
+    ``semi-naive`` oracle, with joins planned from the live statistics of
+    *store* (:meth:`RowStore.selectivity`) and executed by the generated
+    pass functions over it.
 
-    The histograms are read only where the planner has a choice
-    (:func:`~repro.datalog.stats.planned_reads`): each round re-snapshots
-    the planned reads of the passes it runs that this call has not read
-    yet or that the previous round's delta changed, so every plan is the
-    one a fresh snapshot of the whole store gives.  The snapshot is
-    retaken on every call (once per stratum), as the strata below change
-    the store in between.
+    The statistics are read only where the planner has a choice
+    (:func:`~repro.datalog.stats.planned_reads`): such a pass is planned
+    again every round it runs, against the store as the previous round
+    left it, so every plan is the one a fresh snapshot of the whole store
+    gives.  A pass with a fixed order is planned once per call.
 
     When the engine's provenance sink is armed, the provenance variants of
     the compiled joins are used instead (see :func:`compile_schedule`); the
@@ -1139,44 +1198,31 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
     parameters = interner.parameters
     # The fixpoint never retracts: its negated literals read no removals.
     nothing = RowStore()
-    stats = engine.planner_statistics
-    current = set()  # snapshotted relations no delta has changed since
-    # The delta passes the planner can reorder: their delta literal's
-    # relation and the relations they read.
-    replanned = [
-        ((literal.atom.predicate, len(literal.atom.args)), reads)
-        for rule in rules
-        for position, literal in enumerate(rule.body)
-        if literal.positive
-        for reads in [planned_reads(rule, position)]
-        if reads
-    ]
+    fixed = {}  # (rule id, delta position) -> the kernel of a fixed-order pass
+
+    def join_for(rule, delta_position):
+        key = (id(rule), delta_position)
+        join = fixed.get(key)
+        if join is None:
+            schedule = engine._schedule(rule, delta_position=delta_position, stats=store)
+            join = compiled_for(
+                cache, rule, delta_position, schedule, interner, provenance=recording
+            )
+            if not planned_reads(rule, delta_position):
+                fixed[key] = join
+        return join
+
     delta = None
     first_round = True
     while True:
         statistics.iterations += 1
         round_span = tracer.span("fixpoint.round", iteration=statistics.iterations)
         with round_span:
-            if first_round:
-                reads = {key for rule in rules for key in planned_reads(rule, None)}
-            else:
-                reads = {
-                    key
-                    for trigger, keys in replanned if delta.count(*trigger)
-                    for key in keys
-                }
-            stale = reads - current
-            if stale:
-                stats.refresh(store, stale)
-                current |= stale
             new_facts = set()
             for rule in rules:
                 if first_round:
                     statistics.rule_applications += 1
-                    schedule = engine._schedule(rule, stats=stats)
-                    join = compiled_for(
-                        cache, rule, None, schedule, interner, provenance=recording
-                    )
+                    join = join_for(rule, None)
                     with tracer.span("join.pass", rule=rule.head.predicate):
                         if recording:
                             join(store, None, nothing, new_facts, _edge_recorder(
@@ -1193,13 +1239,7 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
                         statistics.delta_passes_skipped += 1
                         continue
                     statistics.rule_applications += 1
-                    schedule = engine._schedule(
-                        rule, delta_position=delta_position, stats=stats
-                    )
-                    join = compiled_for(
-                        cache, rule, delta_position, schedule, interner,
-                        provenance=recording,
-                    )
+                    join = join_for(rule, delta_position)
                     with tracer.span(
                         "join.pass",
                         rule=rule.head.predicate,
@@ -1219,5 +1259,4 @@ def columnar_fixpoint(engine, rules, store, interner, cache):
         statistics.facts_derived += len(new_facts)
         delta = fresh_delta(new_facts)
         store.absorb(delta)
-        current -= delta.relations()
         first_round = False

@@ -58,10 +58,11 @@ Magic work is cached per program content: the rewrite template per
 ``(predicate, adornment)`` and the evaluated goal-relevant model per
 ``(predicate, adornment, bound constants)``, so repeated point queries
 share their sub-goal work (``result.cached`` says a cache answered).
-The join planner of the indexed strategy is fed by observed bucket-size
-histograms (:mod:`repro.datalog.stats`), snapshotted only for the relations
-a pass with a choice of order reads, and re-read only after a round changed
-them.
+The join planner of the indexed strategy reads the statistics each
+relation of the store keeps live (:meth:`RowStore.selectivity
+<repro.datalog.columnar.RowStore.selectivity>`, the sums of squared bucket
+sizes of :mod:`repro.datalog.stats`), and only for a pass with a choice of
+order.
 """
 
 import warnings
@@ -75,7 +76,6 @@ from repro.datalog.analyze import (
     negative_cycle,
 )
 from repro.datalog.columnar import ColumnarFactIndex, columnar_fixpoint, decode_world
-from repro.datalog.stats import JoinStatistics
 from repro.exceptions import (
     MagicRewriteError,
     ProgramAnalysisError,
@@ -223,7 +223,6 @@ class DatalogEngine:
         self._compiled_interner = program.facts.interner
         self._metrics = MetricsRegistry()
         self.statistics = EvaluationStatistics()
-        self.planner_statistics = JoinStatistics()
         # Provenance: one derivation edge per derived fact, recorded only
         # while _provenance_sink is armed (the engine's own fixpoints).
         self.provenance = bool(provenance)
@@ -542,6 +541,9 @@ class DatalogEngine:
             magic_program.program, strategy=self.strategy, check="off",
             tracer=self.tracer,
         )
+        if inner._compiled_interner is self._compiled_interner:
+            # Same symbol table: the goals of one template share kernels.
+            inner._compiled_cache = self._compiled_cache
         with self.tracer.span(
             "magic.evaluate", goal=atom.predicate, adornment=adornment
         ):
@@ -597,13 +599,11 @@ class DatalogEngine:
     # -- observability ------------------------------------------------------
     def _begin_evaluation(self):
         """Reset the per-evaluation state: a *fresh* statistics object
-        (callers detect "a fixpoint ran" by object identity), a fresh
-        planner snapshot, and — with
+        (callers detect "a fixpoint ran" by object identity) and — with
         provenance on — a fresh edge store with the recording sink armed
         (the caller disarms it when the fixpoint ends, so joins run on
         behalf of other machinery never record)."""
         self.statistics = EvaluationStatistics()
-        self.planner_statistics = JoinStatistics()
         if self.provenance:
             self._provenance = ProvenanceRecorder()
             self._provenance_sink = self._provenance.record
@@ -769,13 +769,15 @@ class DatalogEngine:
         (:func:`~repro.datalog.columnar.compile_schedule` says how each tag
         reads the database and the deltas).
         Negative non-delta literals are deferred until every variable they
-        mention is bound by the prefix.  When *stats* (a
-        :class:`~repro.datalog.stats.JoinStatistics` histogram snapshot) is
-        given, positive literals are greedily reordered by its selectivity
-        estimate; without it (the scanning oracles) their program order is
-        preserved.  Only a choice between two or more positive literals
-        reads *stats*, so a pass reads the histograms of its
-        :func:`~repro.datalog.stats.planned_reads` and of nothing else.
+        mention is bound by the prefix.  When *stats* is given — the
+        :class:`~repro.datalog.columnar.RowStore` the pass runs over, or a
+        :class:`~repro.datalog.stats.JoinStatistics` snapshot, anything
+        with their ``selectivity`` — positive literals are greedily
+        reordered by its selectivity estimate; without it (the scanning
+        oracles) their program order is preserved.  Only a choice between
+        two or more positive literals reads *stats*, so a pass reads the
+        statistics of its :func:`~repro.datalog.stats.planned_reads` and of
+        nothing else.
         The fixpoints only ever pass positive delta positions.
         """
         def tag_for(position):

@@ -32,9 +32,10 @@ per-literal "support changed" notion.
 Every join is the engine's: the engine's id-space fixpoint builds the
 model (:meth:`DatalogEngine.least_index
 <repro.datalog.engine.DatalogEngine.least_index>`), its one planner
-(``DatalogEngine._schedule``) orders every maintenance pass by observed
-bucket-size histograms (:class:`~repro.datalog.stats.JoinStatistics`), and
-its generated kernels (:func:`~repro.datalog.columnar.compile_schedule`)
+(``DatalogEngine._schedule``) orders every maintenance pass by the
+statistics the index's relations keep live
+(:meth:`RowStore.selectivity <repro.datalog.columnar.RowStore.selectivity>`),
+and its generated kernels (:func:`~repro.datalog.columnar.compile_schedule`)
 run them over interned id rows.  Every pass runs in the current (new)
 database as ``kernel(index, plus, minus, out)``, *plus* and *minus* being
 what the write added to and removed from it; a pass whose *delta
@@ -72,10 +73,10 @@ written to the store once, and then every model over it stages it.
 
 Every batch is *staged*: maintained forward into the model's relations,
 the counts and the seeds — staging only reads the store's relations —
-then resolved one of two ways.  A *commit* keeps it: the histograms and
-the :class:`UpdateResult` prepared while staging are swapped in, which
-cannot fail, and the maintained model is what a subsequent
-``engine.least_model()`` returns without a fixpoint.  A *rollback*, once
+then resolved one of two ways.  A *commit* keeps it: it hands over the
+:class:`UpdateResult` prepared while staging, which cannot fail, and the
+maintained model is what a subsequent ``engine.least_model()`` returns
+without a fixpoint.  A *rollback*, once
 the store is back where it was, undoes what staging wrote in O(net
 change), with no join: the net index change of the model's own
 relations, the derivation counts (journalled on first touch) and the
@@ -92,22 +93,19 @@ all back if the write fails first.
 A write pays for its maintenance and little else.  Its
 :class:`UpdateResult` keeps the net change in id rows and decodes a field
 when it is first read, so a database that reads none decodes nothing.
-The histograms are snapshotted only when the model is (re)built, and
-only of the relations the planner reads: after the build's counting
-passes only the *planned* relations are kept, those a re-plannable pass
-reads, one with two or more positive body literals besides its delta
-literal (:func:`~repro.datalog.stats.planned_reads`); every other pass
-has a fixed order.  Both legs of a staged batch plan against the
-histograms as they stand; a staged batch to be kept that changed a
-planned relation folds that change into a copy
-(:meth:`JoinStatistics.update <repro.datalog.stats.JoinStatistics.update>`),
-which the commit adopts, dropping the kernels compiled against the old
-ones.  A batch that changed none copies, folds and drops nothing.  So
-the histograms always equal a fresh snapshot of the planned relations
-while costing O(batch + touched buckets), every plan is the one a fresh
-full snapshot gives, and a peek re-plans and compiles nothing the model
-has already run.  This makes ``apply``, ``peek``, ``query`` and
-``holds`` independent of the size of the database.
+No write touches a histogram: each relation keeps the sums of squared
+bucket sizes the planner reads as part of every row it adds or drops, so
+the planner always reads what a fresh snapshot would.  The planner reads
+them only for a re-plannable pass, one with two or more positive body
+literals besides its delta literal
+(:func:`~repro.datalog.stats.planned_reads`); its relations are the
+model's *planned* relations, and every other pass has a fixed order.  A
+kernel planned while a batch is staged read the state of that moment, so
+a staged batch that changed a planned relation drops the re-plannable
+kernels when it ends, committed or rolled back; a batch that changed none
+drops nothing.  So every cached plan is the one a fresh full snapshot
+gives.  This makes ``apply``, ``peek``, ``query`` and ``holds``
+independent of the size of the database.
 """
 
 from collections import defaultdict
@@ -125,7 +123,7 @@ from repro.datalog.columnar import (
 from repro.datalog.engine import DatalogEngine, QueryResult, _match
 from repro.datalog.magic import adornment_of
 from repro.datalog.program import DatalogFact, DatalogLiteral, DatalogRule
-from repro.datalog.stats import JoinStatistics, planned_reads
+from repro.datalog.stats import planned_reads
 from repro.exceptions import ReproError
 from repro.logic.syntax import Atom
 from repro.logic.terms import Parameter
@@ -146,8 +144,9 @@ class _Staged(NamedTuple):
     <repro.datalog.columnar.EdbBatch>`, the maintenance counters and the
     decoded world (or ``None``) before it, the net index change it made,
     the prior value of every derivation count it changed (``None`` for a
-    new one) — all a rollback undoes — and, for a batch to be kept, its
-    :class:`UpdateResult` and folded histograms."""
+    new one) — all a rollback undoes —, for a batch to be kept its
+    :class:`UpdateResult`, and whether it changed a planned relation (its
+    end then drops the re-plannable kernels)."""
 
     batch: object
     counters: dict
@@ -156,7 +155,7 @@ class _Staged(NamedTuple):
     index_minus: RowStore
     counts: dict
     result: object
-    histograms: object
+    replans: bool
 
 
 @dataclass
@@ -330,9 +329,7 @@ class MaterializedModel:
     per-batch deltas are interned ``(key, row)`` facts, and every
     maintenance join is one of the engine's generated kernels.  EDB updates arrive through
     :meth:`apply`; everything else (``model()``, ``holds()``, ``query()``)
-    reads the maintained state.  ``planner_statistics`` holds the
-    histograms of the planned relations only, those the maintenance
-    passes the planner can reorder read.
+    reads the maintained state.
 
     Changes that bypass :meth:`apply` are not maintained incrementally: if
     the program's rules or facts are mutated behind our back, the next
@@ -351,7 +348,6 @@ class MaterializedModel:
         else:
             self.engine = DatalogEngine(program_or_engine)
         self._interner = None
-        self.planner_statistics = JoinStatistics()
         self.program = self.engine.program
         self.statistics = MaintenanceStatistics()
         self._index = None
@@ -471,11 +467,12 @@ class MaterializedModel:
         maintenance of the batch, then an undo of the net change it made
         to the model's own state, which restores it bit for bit without a
         join.  The EDB store is written for the duration and restored bit
-        for bit, staging only reads it, the planner statistics and the
-        compiled kernels are never touched, and :attr:`statistics` is
-        restored after the round trip, so not even the maintenance counters
-        record the peek.  This is the API transaction previews should use:
-        a peek can never poison the maintained state or the engine's cache.
+        for bit, staging only reads it, and :attr:`statistics` is restored
+        after the round trip, so not even the maintenance counters record
+        the peek; only a peek that changed a planned relation drops the
+        re-plannable kernels (see :meth:`_kernel`).  This is the API
+        transaction previews should use: a peek can never poison the
+        maintained state or the engine's cache.
 
         Building a :class:`World` materializes the whole model — O(model)
         even for a one-fact batch.  Callers that only need to probe a few
@@ -508,9 +505,7 @@ class MaterializedModel:
         mutated program: a strict engine rejects a defective program here).
         The derivation counts of each counting component are then filled by
         one counting pass per rule over that final store, plus one for the
-        EDB membership of its own predicate.  The histograms are
-        snapshotted for the planned relations and for those the counting
-        passes plan with, and then keep the planned relations only.
+        EDB membership of its own predicate; their kernels are not kept.
         Maintenance works from the full rule set — never-fire rules the
         analyzer pruned from the fixpoint derive nothing here either."""
         self.statistics.rebuilds += 1
@@ -521,14 +516,6 @@ class MaterializedModel:
         self._store = store = self._index.store
         self._kernels = {}
         self._fixed_kernels = {}
-        counting = [
-            rule
-            for component in self._components if not component.recursive
-            for rule in component.rules
-        ]
-        self.planner_statistics.refresh(store, self._planned.union(
-            *(planned_reads(rule, None) for rule in counting)
-        ))
         self._counts = counts = {}
         self._seeds = seeds = set()
         for key, predicate_kind in self._kind.items():
@@ -539,11 +526,11 @@ class MaterializedModel:
                     counts.update(dict.fromkeys(own, 1))
                 else:
                     seeds.update(own)
-        for rule in counting:
-            self._kernel(rule, None, "count")(store, None, None, counts)
-        # From here on the histograms hold the planned relations only: the
-        # build's passes are not kept.
-        self.planner_statistics.restrict(self._planned)
+        for component in self._components:
+            if not component.recursive:
+                for rule in component.rules:
+                    self._kernel(rule, None, "count")(store, None, None, counts)
+        # The build's passes may read relations no batch's end re-plans on.
         self._kernels = dict(self._fixed_kernels)
         self._world = None
         self._edb_version = edb.version
@@ -580,7 +567,7 @@ class MaterializedModel:
         maintenance passes read
         (:func:`~repro.datalog.stats.planned_reads` of every delta position
         of the components' rules and of the probe forms), the only ones
-        the model keeps histograms of."""
+        whose change re-plans the cached kernels."""
         program = self.program
         idb = program.idb_predicates()
         successors = {key: set() for key in idb}
@@ -648,14 +635,14 @@ class MaterializedModel:
         """Maintain *batch* — an :class:`~repro.datalog.columnar.EdbBatch`
         the EDB store already holds, made while the store was at the state
         this model reflects — forward and hold it staged until
-        :meth:`_commit` or :meth:`_rollback`.  Reads see the staged model;
-        the histograms and the kernels stay as they were.  A batch to be
-        kept (not a peek's) also gets everything a commit needs prepared
-        here: its :class:`UpdateResult`, which keeps the net change in id
-        rows and decodes it only when read, and — when the batch changed a
-        planned relation — a copy of the histograms with that change
-        folded in.  Staging that raises restores the counters and leaves
-        the model marked stale, so the next access rebuilds it."""
+        :meth:`_commit` or :meth:`_rollback`.  Reads see the staged model.
+        A batch to be kept (not a peek's) also gets its
+        :class:`UpdateResult` prepared here, which keeps the net change in
+        id rows and decodes it only when read, so a commit has nothing left
+        to compute.  Staging notes whether the batch changed a planned
+        relation, at any point of its maintenance.  Staging that raises
+        restores the counters and leaves the model marked stale, so the
+        next access rebuilds it."""
         if self._staged is not None:
             raise ReproError("a batch is already staged on this model")
         if self._edb_version != batch.before:
@@ -663,23 +650,21 @@ class MaterializedModel:
         counters = dict(vars(self.statistics))
         world = self._world
         counts = {}
+        moved = set()
         try:
-            index_plus, index_minus = self._maintain(batch.plus, batch.minus, counts)
-            result = histograms = None
-            if keep:
-                result = self._result(batch, index_plus, index_minus)
-                planned = self._planned & (index_plus.relations() | index_minus.relations())
-                if planned:
-                    histograms = self.planner_statistics.copy().update(
-                        self._store, index_plus, index_minus, planned
-                    )
+            index_plus, index_minus = self._maintain(batch.plus, batch.minus, counts, moved)
+            result = self._result(batch, index_plus, index_minus) if keep else None
         except BaseException:
             self._edb_version = None
             vars(self.statistics).update(counters)
             raise
+        planned = self._planned
+        replans = bool(planned) and not planned.isdisjoint(
+            moved | index_plus.relations() | index_minus.relations()
+        )
         self._edb_version = batch.after
         self._staged = _Staged(
-            batch, counters, world, index_plus, index_minus, counts, result, histograms
+            batch, counters, world, index_plus, index_minus, counts, result, replans
         )
 
     def _result(self, batch, index_plus, index_minus):
@@ -690,15 +675,13 @@ class MaterializedModel:
         )
 
     def _commit(self):
-        """Keep the staged batch: adopt the histograms it was folded into,
-        if it changed a planned relation (dropping the kernels planned
-        against the old ones, see :meth:`_kernel`), and return its
-        :class:`UpdateResult`.  Both were prepared while staging, so a
-        commit only swaps state and cannot fail."""
+        """Keep the staged batch: drop the re-plannable kernels if it changed
+        a planned relation (see :meth:`_kernel`) and return its
+        :class:`UpdateResult`, prepared while staging, so a commit only
+        swaps state and cannot fail."""
         staged, self._staged = self._staged, None
         self.statistics.applies += 1
-        if staged.histograms is not None:
-            self.planner_statistics.adopt(staged.histograms)
+        if staged.replans:
             self._kernels = dict(self._fixed_kernels)
         return staged.result
 
@@ -711,8 +694,10 @@ class MaterializedModel:
         the derivation counts it changed get their journalled values back,
         the seeds lose the batch's insertions and regain its deletions, and
         the maintenance counters and the decoded world, if there was one,
-        are restored.  An undo that raises leaves the model marked stale,
-        so the next access rebuilds it."""
+        are restored.  If the batch changed a planned relation, the
+        re-plannable kernels go, as after a commit: those planned while it
+        was staged read its state.  An undo that raises leaves the model
+        marked stale, so the next access rebuilds it."""
         staged, self._staged = self._staged, None
         if staged is None:
             return
@@ -747,22 +732,26 @@ class MaterializedModel:
         finally:
             vars(self.statistics).update(staged.counters)
         self._edb_version = batch.before
+        if staged.replans:
+            self._kernels = dict(self._fixed_kernels)
         self._world = staged.world
         if staged.world is None:
             self.engine._model = None  # a reader may have installed the staged one
         else:
             self.engine.install_model(staged.world)
 
-    def _maintain(self, edb_plus, edb_minus, journal):
+    def _maintain(self, edb_plus, edb_minus, journal, moved):
         """Bring the model's own state — its derived relations, the counts
         and the seeds — to the model of the EDB changed by
         ``(edb_plus, edb_minus)`` (sets of encoded ``(key, row)`` facts),
         which the EDB store already holds.  Returns the net index change
         ``(index_plus, index_minus)``, EDB part included, as
-        :class:`~repro.datalog.columnar.RowStore` objects, and records in
+        :class:`~repro.datalog.columnar.RowStore` objects, records in
         the dict *journal* the prior value of every derivation count it
-        changes (``None`` for a count it creates).  An empty change is a
-        no-op and returns empty stores."""
+        changes (``None`` for a count it creates), and adds to the set
+        *moved* the keys of relations it changed only for a while (the
+        net change does not show them).  An empty change is a no-op and
+        returns empty stores."""
         if not edb_plus and not edb_minus:
             return _NOTHING, _NOTHING
         with self.engine.tracer.span(
@@ -770,7 +759,7 @@ class MaterializedModel:
             insertions=len(edb_plus),
             deletions=len(edb_minus),
         ) as span:
-            index_plus, index_minus = self._propagate(edb_plus, edb_minus, journal)
+            index_plus, index_minus = self._propagate(edb_plus, edb_minus, journal, moved)
             facts_added = sum(fact not in edb_plus for fact in index_plus)
             facts_removed = sum(fact not in edb_minus for fact in index_minus)
             span.annotate(facts_added=facts_added, facts_removed=facts_removed)
@@ -781,7 +770,7 @@ class MaterializedModel:
         return index_plus, index_minus
 
     # -- delta propagation ------------------------------------------------------
-    def _propagate(self, edb_plus, edb_minus, journal):
+    def _propagate(self, edb_plus, edb_minus, journal, moved):
         """Push an EDB delta (sets of ``(key, row)`` facts) through every
         component in dependency order.
 
@@ -790,12 +779,8 @@ class MaterializedModel:
         delta and contributes its own net changes for the components above.
         Returns the net index change ``(acc_plus, acc_minus)`` over the
         whole model; the counting components journal the counts they change
-        into *journal*.
-
-        The maintenance passes of every component order their joins against
-        the pre-batch histograms (deltas are tiny next to the index, so
-        mid-batch drift is noise); :meth:`_stage` folds the net change to
-        the planned relations into a copy of them for the commit.
+        into *journal*, and the recursive ones add to *moved* the keys of
+        the facts they delete and derive again.
         """
         store = self._store
         kind = self._kind
@@ -831,15 +816,16 @@ class MaterializedModel:
         for component in self._components:
             own_plus = [f for key in component.predicates for f in pending_plus.get(key, ())]
             own_minus = [f for key in component.predicates for f in pending_minus.get(key, ())]
-            if not (own_plus or own_minus) and not component.touched_by(acc_plus, acc_minus):
+            touched = component.touched_by(acc_plus, acc_minus)
+            if not (own_plus or own_minus or touched):
                 continue  # nothing below changed what its rules read
             if component.recursive:
                 added, removed = self._maintain_recursive(
-                    component, acc_plus, acc_minus, own_plus, own_minus
+                    component, acc_plus, acc_minus, own_plus, own_minus, moved
                 )
             else:
                 added, removed = self._maintain_counting(
-                    component, acc_plus, acc_minus, own_plus, own_minus, journal
+                    component, touched, acc_plus, acc_minus, own_plus, own_minus, journal
                 )
             acc_plus.add_all(added)
             acc_minus.add_all(removed)
@@ -847,10 +833,11 @@ class MaterializedModel:
 
     def _kernel(self, rule, delta_position, mode, within=()):
         """The engine's compiled pass for *rule* with its body planned by
-        the engine's scheduler against the model's histograms; cached until
-        the histograms change (every committed batch that changed a planned
-        relation).  A pass with at most one positive literal besides its
-        delta literal has nothing for the histograms to reorder (see
+        the engine's scheduler against the live statistics of the model's
+        index; cached until a staged batch that changed a planned relation
+        ends (committed or rolled back: a kernel planned meanwhile read the
+        staged state).  A pass with at most one positive literal besides
+        its delta literal has nothing for the statistics to reorder (see
         :func:`~repro.datalog.stats.planned_reads`), so its kernel is kept
         until a rebuild.
         *within* is a probe's component (see
@@ -862,7 +849,7 @@ class MaterializedModel:
         if kernel is None:
             engine = self.engine
             schedule = engine._schedule(
-                rule, delta_position=delta_position, stats=self.planner_statistics
+                rule, delta_position=delta_position, stats=self._store
             )
             kernel = self._kernels[key] = compiled_for(
                 engine._compiled_cache, rule, delta_position, schedule,
@@ -897,13 +884,14 @@ class MaterializedModel:
         for rule, position in passes:
             self._kernel(rule, position, mode)(store, plus, minus, out)
 
-    def _maintain_counting(self, component, acc_plus, acc_minus, edb_plus, edb_minus,
-                           journal):
+    def _maintain_counting(self, component, touched, acc_plus, acc_minus, edb_plus,
+                           edb_minus, journal):
         """Counting maintenance for a non-recursive component.
 
         Adjust base counts for the component's own EDB changes, run one set
         of ``"signed"`` passes (the telescoped delta: each head's net change
-        in derivations) against everything accumulated below, and turn
+        in derivations) against everything accumulated below when it
+        *touched* the component's rule bodies, and turn
         count transitions into index updates, journalling the prior value
         of every count it changes.  One round suffices: a non-recursive
         component never reads its own predicate.
@@ -913,7 +901,7 @@ class MaterializedModel:
             change[fact] += 1
         for fact in edb_minus:
             change[fact] -= 1
-        if component.touched_by(acc_plus, acc_minus):
+        if touched:
             self.statistics.rounds += 1
             self._join(component, "signed", acc_plus, acc_minus, change)
         counts = self._counts
@@ -935,7 +923,8 @@ class MaterializedModel:
                     removed.append(fact)
         return added, removed
 
-    def _maintain_recursive(self, component, acc_plus, acc_minus, edb_plus, edb_minus):
+    def _maintain_recursive(self, component, acc_plus, acc_minus, edb_plus, edb_minus,
+                            moved):
         """Backward/forward maintenance for a recursive component (after
         Motik, Nenov, Piro and Horrocks, AAAI 2015).
 
@@ -951,7 +940,9 @@ class MaterializedModel:
            derives again is no net change.
 
         The component's own EDB insertions enter the index first, so the
-        backward check can prove candidates from them.
+        backward check can prove candidates from them.  A disproved fact
+        derived again is no net change, but the index held it apart for a
+        while: its key goes to *moved*.
         """
         store = self._store
         statistics = self.statistics
@@ -1001,6 +992,7 @@ class MaterializedModel:
             for fact in fresh:
                 if fact in removed_net:
                     removed_net.discard(fact)
+                    moved.add(fact[0])
                 else:
                     added_net.add(fact)
         return added_net, removed_net

@@ -1,11 +1,11 @@
 """Delta-cost view maintenance: the contracts behind ``MaterializedModel``'s
 O(batch) updates and reads.
 
-* The planner histograms are kept incrementally, for the relations the
-  re-plannable maintenance passes read: after every ``apply`` they equal a
-  fresh :meth:`JoinStatistics.refresh` of the maintained index restricted
-  to those relations, every cached re-plannable kernel runs the plan a
-  fresh full snapshot gives, and a ``peek`` leaves them untouched — under
+* The planner reads the statistics the index's relations keep live: after
+  every ``apply`` and every ``peek`` each relation's sums of squared
+  bucket sizes, and so every estimate, equal those of a fresh
+  :meth:`JoinStatistics.refresh` of the maintained index, and every cached
+  re-plannable kernel runs the plan a fresh full snapshot gives — under
   hypothesis-driven batch streams, for counting, recursive and
   stratified-negation programs, with the maintained model checked against
   a ``semi-naive`` recompute after every batch.
@@ -20,6 +20,7 @@ O(batch) updates and reads.
 """
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from repro.datalog import (
     DatalogRule,
     MaterializedModel,
 )
-from repro.datalog import incremental
+from repro.datalog import columnar, incremental
 from repro.datalog.columnar import ColumnarRelation, EdbStore, RowStore
 from repro.datalog.interner import Interner
 from repro.datalog.program import DatalogLiteral
@@ -48,13 +49,30 @@ from repro.workloads.generators import transitive_closure_program
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
-def fresh_snapshot(materialized):
-    """A fresh snapshot of the maintained index, restricted to the
-    relations the model plans with."""
-    snapshot = JoinStatistics().refresh(materialized._index.store).snapshot()
+def assert_statistics_match_a_fresh_snapshot(materialized):
+    """Every relation of the maintained index keeps the sums of squared
+    bucket sizes of a fresh snapshot, so the planner's live estimate
+    equals the snapshot's for every set of bound positions."""
+    store = materialized._index.store
+    fresh = JoinStatistics().refresh(store)
+    columns = fresh.snapshot()
+    for (predicate, arity), relation in store.items():
+        if relation.rows:
+            assert relation.squares == [
+                column.sum_of_squares for column in columns[predicate, arity]
+            ], (predicate, arity)
+        for size in range(arity + 1):
+            for positions in combinations(range(arity), size):
+                assert store.selectivity(predicate, arity, positions) == (
+                    fresh.selectivity(predicate, arity, positions)
+                ), (predicate, arity, positions)
+
+
+def live_statistics(materialized):
+    """The sums of squared bucket sizes the planner reads, per relation."""
     return {
-        key: columns for key, columns in snapshot.items()
-        if key in materialized._planned
+        key: tuple(relation.squares)
+        for key, relation in materialized._index.store.items() if relation.rows
     }
 
 
@@ -151,7 +169,7 @@ PROGRAMS = {
 
 
 # ---------------------------------------------------------------------------
-# Incremental histograms ≡ a fresh snapshot
+# Live statistics ≡ a fresh snapshot
 # ---------------------------------------------------------------------------
 
 batches = st.lists(
@@ -180,26 +198,24 @@ def test_incremental_histograms_equal_a_fresh_snapshot(name, initial, steps):
     for index in initial:
         program.add_fact(universe[index % len(universe)])
     materialized = MaterializedModel(program)
-    statistics = materialized.planner_statistics
-    refreshes = statistics.refreshes
-    assert statistics.snapshot() == fresh_snapshot(materialized)
+    assert_statistics_match_a_fresh_snapshot(materialized)
     assert_plans_match_a_fresh_snapshot(materialized)
     for inserted, deleted in steps:
         live = sorted(program.facts.atoms(), key=str)
         insertions = [universe[i % len(universe)] for i in inserted]
         deletions = [live[i % len(live)] for i in deleted] if live else []
 
-        before = statistics.snapshot()
+        before = live_statistics(materialized)
         model = materialized.model()
         materialized.peek(insertions, deletions)
-        assert statistics.snapshot() == before
+        assert live_statistics(materialized) == before
+        assert_plans_match_a_fresh_snapshot(materialized)
         assert materialized.model() == model
 
         materialized.apply(insertions, deletions)
-        assert statistics.snapshot() == fresh_snapshot(materialized)
+        assert_statistics_match_a_fresh_snapshot(materialized)
         assert_plans_match_a_fresh_snapshot(materialized)
         assert materialized.model() == semi_naive_model(program)
-    assert statistics.refreshes == refreshes  # never re-snapshotted
     assert materialized.statistics.rebuilds == 1
 
 
@@ -209,40 +225,40 @@ def test_histograms_follow_a_shrinking_largest_bucket_and_an_emptied_relation():
     for fact in hub + [atom("r", "a0", "h0"), atom("r", "a1", "h0"), atom("s", "hub", "t0")]:
         program.add_fact(fact)
     materialized = MaterializedModel(program)
-    statistics = materialized.planner_statistics
-    assert statistics.column("r", 2, 1).max_bucket == 4
+    store = materialized._index.store
+    # r's second column: a hub bucket of 4 and an h0 bucket of 2.
+    assert store.get(("r", 2)).squares[1] == 4 * 4 + 2 * 2
 
     # The largest bucket shrinks below the next one's size: 4 -> 1 with a
     # bucket of 2 (h0) left as the largest.
     materialized.apply(deletions=hub[:3])
-    assert statistics.column("r", 2, 1).max_bucket == 2
-    assert statistics.snapshot() == fresh_snapshot(materialized)
+    assert store.get(("r", 2)).squares[1] == 1 * 1 + 2 * 2
+    assert_statistics_match_a_fresh_snapshot(materialized)
     assert_plans_match_a_fresh_snapshot(materialized)
 
-    # s/2 empties (and joined/2 with it): both leave the histograms.
+    # s/2 empties (and joined/2 with it): both estimate to nothing.
     materialized.apply(deletions=[atom("s", "hub", "t0")])
-    assert statistics.column("s", 2, 0) is None
-    assert statistics.column("joined", 2, 0) is None
-    assert statistics.snapshot() == fresh_snapshot(materialized)
+    assert store.selectivity("s", 2, ()) == store.selectivity("joined", 2, [0]) == 0.0
+    assert_statistics_match_a_fresh_snapshot(materialized)
     assert_plans_match_a_fresh_snapshot(materialized)
 
     # ... and come back on the next insertion.
     materialized.apply(insertions=[atom("s", "h0", "t1")])
-    assert statistics.column("joined", 2, 1).total == 2
-    assert statistics.snapshot() == fresh_snapshot(materialized)
+    assert store.selectivity("joined", 2, ()) == 2.0
+    assert_statistics_match_a_fresh_snapshot(materialized)
     assert_plans_match_a_fresh_snapshot(materialized)
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_the_planner_reads_only_the_planned_relations_of_each_pass(monkeypatch, name):
-    """Every histogram the planner reads, while the engine's fixpoint
+    """Every statistic the planner reads, while the engine's fixpoint
     builds the model and while the model maintains it, belongs to a
     relation in the ``planned_reads`` of the pass being planned: a pass
     with at most one positive literal besides its delta literal has a
     fixed order and reads none."""
     passes, reads = [], []
     schedule = DatalogEngine._schedule
-    selectivity = JoinStatistics.selectivity
+    selectivity = RowStore.selectivity
 
     def tracked_schedule(self, rule, delta_position=None, stats=None):
         passes.append((rule, delta_position))
@@ -257,7 +273,7 @@ def test_the_planner_reads_only_the_planned_relations_of_each_pass(monkeypatch, 
         return selectivity(self, predicate, arity, positions)
 
     monkeypatch.setattr(DatalogEngine, "_schedule", tracked_schedule)
-    monkeypatch.setattr(JoinStatistics, "selectivity", tracked_selectivity)
+    monkeypatch.setattr(RowStore, "selectivity", tracked_selectivity)
     make_program, universe = PROGRAMS[name]
     program = make_program()
     for fact in universe[::2]:
@@ -364,14 +380,14 @@ def test_reinstall_and_cache_hit_read_no_facts(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Writes pay only for maintenance: no decoding, no fold nobody plans with
+# Writes pay only for maintenance: no decoding, no statistics nobody reads
 # ---------------------------------------------------------------------------
 
 def test_checked_writes_decode_and_fold_nothing(monkeypatch):
     """Neither model of a checked HR database — the violation view and a
     two-literal ``DatalogView`` — has a pass the planner can reorder, and
     no one reads their update results: a tell, a retract and a commit
-    decode no row and fold, copy or adopt no histogram."""
+    decode no row and read or snapshot no statistic."""
     database = EpistemicDatabase(hr_facts(6, departments=4), constraints=hr_constraints())
     violations = database.violation_view()
     view = database.datalog_view(rules=[DatalogRule(
@@ -387,8 +403,8 @@ def test_checked_writes_decode_and_fold_nothing(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for owner, name in [(Interner, "decode_row"), (JoinStatistics, "update"),
-                        (JoinStatistics, "copy"), (JoinStatistics, "adopt")]:
+    for owner, name in [(Interner, "decode_row"), (RowStore, "selectivity"),
+                        (JoinStatistics, "refresh"), (JoinStatistics, "selectivity")]:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     applies = view.materialized.statistics.applies
     database.tell(atom("ss", "E0", "S99"))
@@ -431,21 +447,51 @@ def test_an_update_result_read_late_equals_one_read_at_once():
     assert late == eager
 
 
+def test_a_planned_relation_moved_only_for_a_while_still_replans():
+    """``p`` and ``q`` are one recursive component, and only ``p`` is
+    planned (the probe form of ``q``'s rule reorders ``p`` and ``f``).
+    Trading ``a(n1, c)`` for ``b(n1, c)`` deletes ``p(n1, c)`` and
+    ``p(n2, c)`` and derives them again, so ``p`` ends as it began, but
+    ``q``'s probe was planned while they were gone, on a ``p`` whose
+    column 1 looked uniform.  The batch must drop it all the same."""
+    w = Variable("w")
+    program = DatalogProgram()
+    program.rule(Atom("p", (x, w)), Atom("a", (x, w)))
+    program.rule(Atom("p", (x, w)), Atom("q", (x, w)))
+    program.rule(Atom("q", (x, w)), Atom("b", (x, w)))
+    program.rule(Atom("q", (y, w)), Atom("p", (x, w)), Atom("f", (x, y)))
+    program.add_fact(atom("a", "n1", "c"))
+    program.add_fact(atom("f", "n1", "n2"))
+    materialized = MaterializedModel(program)
+    assert materialized._planned == {("p", 2), ("f", 2)}
+    result = materialized.apply(
+        insertions=[atom("b", "n1", "c")], deletions=[atom("a", "n1", "c")]
+    )
+    assert result.derived_added == {atom("q", "n1", "c")}
+    assert result.derived_removed == frozenset()
+    assert materialized.statistics.overdeleted > 0
+    assert_plans_match_a_fresh_snapshot(materialized)
+    assert materialized.model() == semi_naive_model(program)
+
+
 def test_a_write_to_no_planned_relation_keeps_the_kernels_and_histograms(monkeypatch):
-    """``label`` is read by no re-plannable pass: writing it neither copies
-    nor folds the histograms, and drops no cached kernel — not even the
-    histogram-planned probe of the closure's recursive rule."""
+    """``label`` is read by no re-plannable pass, only negated in one:
+    writing it re-plans nothing and drops no cached kernel — not even the
+    statistics-planned pass from ``not label`` that a peek compiled."""
     program = transitive_closure_program(chains=4, length=5)
     program.rule(Atom("tagged", (x,)), Atom("label", (x,)))
+    program.rule(
+        Atom("open", (x, z)),
+        Atom("edge", (x, y)), Atom("path", (y, z)), (Atom("label", (z,)), False),
+    )
     materialized = MaterializedModel(program)
     assert materialized._planned == {("edge", 2), ("path", 2)}
-    label = atom("label", "c0_n1")
-    # Peeks compile the passes and drop nothing.
-    materialized.peek(deletions=[atom("edge", "c0_n1", "c0_n2")])
+    label = atom("label", "c0_n3")
+    # A peek compiles the passes and drops nothing.
     materialized.peek(insertions=[label])
     kernels = dict(materialized._kernels)
-    assert set(kernels) - set(materialized._fixed_kernels)  # the probe form
-    snapshot = materialized.planner_statistics.snapshot()
+    assert set(kernels) - set(materialized._fixed_kernels)  # the pass from not label
+    statistics = live_statistics(materialized)
     calls = Counter()
 
     def counted(name, original):
@@ -454,14 +500,20 @@ def test_a_write_to_no_planned_relation_keeps_the_kernels_and_histograms(monkeyp
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("update", "copy"):
-        monkeypatch.setattr(JoinStatistics, name, counted(name, getattr(JoinStatistics, name)))
+    monkeypatch.setattr(
+        DatalogEngine, "_schedule", counted("schedule", DatalogEngine._schedule)
+    )
+    monkeypatch.setattr(RowStore, "selectivity", counted("selectivity", RowStore.selectivity))
 
     result = materialized.apply(insertions=[label])
-    assert result.derived_added == {atom("tagged", "c0_n1")}
-    assert materialized._kernels == kernels
-    assert materialized.planner_statistics.snapshot() == snapshot == fresh_snapshot(materialized)
+    assert result.derived_added == {atom("tagged", "c0_n3")}
+    assert result.derived_removed == {atom("open", f"c0_n{i}", "c0_n3") for i in range(2)}
     assert not calls
+    monkeypatch.undo()
+    assert materialized._kernels == kernels
+    after = live_statistics(materialized)
+    assert all(after[key] == statistics[key] for key in materialized._planned)
+    assert_statistics_match_a_fresh_snapshot(materialized)
     assert_plans_match_a_fresh_snapshot(materialized)
     assert materialized.model() == semi_naive_model(program)
 
@@ -511,7 +563,7 @@ def test_peek_with_a_raising_reader_restores_state_and_counters():
     materialized = MaterializedModel(program)
     world = materialized.model()
     before = vars(materialized.statistics).copy()
-    snapshot = materialized.planner_statistics.snapshot()
+    statistics = live_statistics(materialized)
 
     def reader(model):
         raise RuntimeError("reader failed")
@@ -519,7 +571,8 @@ def test_peek_with_a_raising_reader_restores_state_and_counters():
     with pytest.raises(RuntimeError):
         materialized.peek(deletions=[atom("edge", "c0_n0", "c0_n1")], reader=reader)
     assert vars(materialized.statistics) == before
-    assert materialized.planner_statistics.snapshot() == snapshot
+    assert live_statistics(materialized) == statistics
+    assert_plans_match_a_fresh_snapshot(materialized)
     assert materialized.model() == world
 
 
@@ -616,14 +669,16 @@ def test_a_maintenance_pass_that_raises_leaves_the_model_to_rebuild(
     after = materialized.metrics()
     assert after.pop("maintenance.rebuilds") == before.pop("maintenance.rebuilds") + 1 == 2
     assert after == before
-    assert materialized.planner_statistics.snapshot() == fresh_snapshot(materialized)
+    assert_statistics_match_a_fresh_snapshot(materialized)
+    assert_plans_match_a_fresh_snapshot(materialized)
 
 
-def test_a_warm_peek_plans_and_compiles_nothing(monkeypatch):
-    """Both legs of a peek plan against the histograms as they stand, so
-    once the kernels a batch needs are compiled, peeking it again neither
-    re-plans nor folds anything into the histograms; the next apply still
-    leaves them equal to a fresh snapshot."""
+def test_a_warm_peek_compiles_nothing(monkeypatch):
+    """A peek plans on the live statistics and its end drops the kernels
+    it planned on the staged state, but the engine keeps their code: once
+    a batch was peeked, peeking it again generates no kernel and touches
+    no snapshot, its plans still match a fresh snapshot after it, and so
+    do the next apply's."""
     program = transitive_closure_program(chains=4, length=6)
     materialized = MaterializedModel(program)
     materialized.apply(insertions=[atom("edge", "c3_n6", "c0_n0")])
@@ -643,12 +698,12 @@ def test_a_warm_peek_plans_and_compiles_nothing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        DatalogEngine, "_schedule", counted("schedule", DatalogEngine._schedule)
+        columnar, "compile_schedule", counted("compile", columnar.compile_schedule)
     )
     monkeypatch.setattr(
-        JoinStatistics, "update", counted("update", JoinStatistics.update)
+        JoinStatistics, "refresh", counted("refresh", JoinStatistics.refresh)
     )
-    snapshot = materialized.planner_statistics.snapshot()
+    statistics = live_statistics(materialized)
     kernels = set(materialized._kernels)
 
     assert materialized.peek(**batch) == world
@@ -657,12 +712,14 @@ def test_a_warm_peek_plans_and_compiles_nothing(monkeypatch):
     )
     assert reads is True
     assert calls == Counter()
-    assert materialized.planner_statistics.snapshot() == snapshot
+    assert live_statistics(materialized) == statistics
     assert set(materialized._kernels) == kernels
+    monkeypatch.undo()
+    assert_plans_match_a_fresh_snapshot(materialized)
 
     materialized.apply(**batch)
-    assert calls["update"] == 1
-    assert materialized.planner_statistics.snapshot() == fresh_snapshot(materialized)
+    assert_statistics_match_a_fresh_snapshot(materialized)
+    assert_plans_match_a_fresh_snapshot(materialized)
     assert materialized.model() == semi_naive_model(program)
 
 
@@ -710,7 +767,8 @@ def test_out_of_band_mutations_rebuild_exactly_once(name):
     assert len(materialized) == len(semi_naive_model(program))
     assert materialized.statistics.rebuilds == 2
     assert materialized.model() == semi_naive_model(program)
-    assert materialized.planner_statistics.snapshot() == fresh_snapshot(materialized)
+    assert_statistics_match_a_fresh_snapshot(materialized)
+    assert_plans_match_a_fresh_snapshot(materialized)
 
 
 def test_appending_a_held_fact_moves_no_version_and_rebuilds_nothing():

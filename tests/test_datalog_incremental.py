@@ -505,12 +505,21 @@ def private_state(materialized):
     }
 
 
+def planner_statistics(materialized):
+    """The sums of squared bucket sizes every relation of the index keeps
+    for the planner."""
+    return {
+        key: tuple(relation.squares)
+        for key, relation in materialized._store.items() if relation.rows
+    }
+
+
 def _differential(make_program, universe, initial, steps):
     """Drive a maintained model with insertions, deletions and peeks,
     comparing it with a ``semi-naive`` recompute after every step; a peek
     must answer the recompute of its batch and leave the model, its own
-    relations' rows and buckets, its counters, its counts and its
-    histograms exactly as they were."""
+    relations' rows and buckets, its counters, its counts and the
+    statistics its relations keep for the planner exactly as they were."""
     program = make_program()
     for fact in dict.fromkeys(universe[i % len(universe)] for i in initial):
         program.add_fact(fact)
@@ -534,7 +543,7 @@ def _differential(make_program, universe, initial, steps):
                 vars(materialized.statistics).copy(),
                 dict(materialized._counts),
                 set(materialized._seeds),
-                materialized.planner_statistics.snapshot(),
+                planner_statistics(materialized),
             )
             peeked = materialized.peek(insertions=insertions, deletions=deletions)
             assert peeked == semi_naive(rules, (facts - set(deletions)) | set(insertions))
@@ -544,7 +553,7 @@ def _differential(make_program, universe, initial, steps):
                 vars(materialized.statistics),
                 dict(materialized._counts),
                 set(materialized._seeds),
-                materialized.planner_statistics.snapshot(),
+                planner_statistics(materialized),
             ) == before
         assert materialized.model() == semi_naive(rules, [f.atom for f in program.facts])
     assert materialized.statistics.rebuilds == 1
@@ -729,7 +738,7 @@ def test_cutting_the_middle_edge_removes_exactly_its_paths():
 class TestMaintenancePlanning:
     def test_maintenance_schedules_are_reordered_by_histograms(self):
         # joined(x, z) :- r1(x, y), r2(y, z) with r2 much smaller than r1:
-        # the engine's planner, fed the build's histograms, starts the
+        # the engine's planner, fed the index's statistics, starts the
         # no-delta schedule (the build's counting pass) from the small
         # relation, not from the textually first one.
         program = DatalogProgram()
@@ -744,7 +753,6 @@ class TestMaintenancePlanning:
         program.add_rule(rule)
 
         ordered = MaterializedModel(program)
-        assert ordered.planner_statistics.refreshes > 0
         [schedule] = [
             key[2] for key in ordered.engine._compiled_cache
             if key[0] == rule and key[1] is None and key[3] == "count"
@@ -752,8 +760,8 @@ class TestMaintenancePlanning:
         assert rule.body[0].atom.predicate == "r1"
         assert schedule[0][0].atom.predicate == "r2"
         # Each delta pass has one literal besides its delta: nothing for
-        # the histograms to reorder, so the model keeps none after the build.
-        assert ordered.planner_statistics.snapshot() == {}
+        # the statistics to reorder, so no write re-plans after the build.
+        assert ordered._planned == set()
 
     def test_non_indexed_engine_rejected(self):
         program = transitive_closure_program(chains=2, length=2)

@@ -10,7 +10,7 @@ predicates its rules only read.  So:
 * a write reaches the store once, whatever the number of views, and a
   database without views never builds a store;
 * a peek and a rejected check leave the store's rows, buckets and version
-  and every model's histograms exactly as they were;
+  and the statistics every model's relations keep exactly as they were;
 * a predicate that is both derived and told keeps a private relation seeded
   from the store, and stays equal to a ``semi-naive`` recompute through
   tells, retractions, commits and rollbacks.
@@ -141,12 +141,21 @@ def test_a_database_without_views_builds_no_store():
     assert database._edb is None
 
 
+def planner_statistics(materialized):
+    """The sums of squared bucket sizes every relation of a model's index
+    keeps for the planner."""
+    return {
+        key: tuple(relation.squares)
+        for key, relation in materialized._store.items() if relation.rows
+    }
+
+
 def test_a_peek_and_a_rejected_check_leave_the_store_and_the_histograms():
     database, violations, view = hr_database()
     store = database._edb_store()
     models = [violations.materialized, view.materialized]
     before = store_state(store)
-    histograms = [model.planner_statistics.snapshot() for model in models]
+    histograms = [planner_statistics(model) for model in models]
     worlds = [model.model() for model in models]
 
     transaction = database.transaction()
@@ -160,7 +169,7 @@ def test_a_peek_and_a_rejected_check_leave_the_store_and_the_histograms():
         database.tell(atom("female", "E0"))  # E0 is male
 
     assert store_state(store) == before
-    assert [model.planner_statistics.snapshot() for model in models] == histograms
+    assert [planner_statistics(model) for model in models] == histograms
     assert [model.model() for model in models] == worlds
 
 

@@ -7,7 +7,7 @@ back otherwise.
   model forward, undoes that without a join, and leaves every other model
   alone.
 * A rejected or raising check leaves the violation model exactly as it was:
-  its model, its derivation counts, its planner histograms and the version
+  its model, its derivation counts, its planner statistics and the version
   stamp of the EDB store it reads.  A raising check also leaves the base,
   the epoch and every update listener untouched.
 * Violation deltas reach delta listeners exactly once, when the staged
@@ -69,17 +69,27 @@ def maintained_state(materialized):
         model,
         counting,
         dict(materialized._counts),  # also no count left on a vanished atom
-        materialized.planner_statistics.snapshot(),
+        planner_statistics(materialized),
         materialized.program.facts.version,
     )
 
 
+def planner_statistics(materialized):
+    """The sums of squared bucket sizes every relation of a model's index
+    keeps for the planner."""
+    return {
+        key: tuple(relation.squares)
+        for key, relation in materialized._store.items() if relation.rows
+    }
+
+
 def fresh_state(database):
-    """The violation model and histograms a freshly built view would have."""
+    """The violation model and planner statistics a freshly built view
+    would have."""
     fresh = ViolationView(database, constraints=database.constraints(),
                           config=database.config)
     fresh.close()
-    return fresh.materialized.model(), fresh.materialized.planner_statistics.snapshot()
+    return fresh.materialized.model(), planner_statistics(fresh.materialized)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A :class:`hypothesis.stateful.RuleBasedStateMachine` drives one small
 HR-style database, built with defaults — its constraint check is the
 maintained ``ViolationView`` — with three ``DatalogView`` objects (one of them
 derives ``dept``, which the base also stores, and one joins three relations
-per rule, so it plans with histograms), the ``ViolationView`` and a
+per rule, so it plans with the statistics its relations keep), the
+``ViolationView`` and a
 ``BeliefRevisor`` all hanging off the same belief base and its one EDB
 store, with tells, retractions (of absent and duplicated sentences too),
 transaction commits and rollbacks, revisions, and tells during which one
@@ -35,8 +36,8 @@ from repro.datalog import (
     DatalogLiteral,
     DatalogProgram,
     DatalogRule,
-    JoinStatistics,
 )
+from repro.datalog.columnar import RowStore
 from repro.db.database import EpistemicDatabase
 from repro.exceptions import ConstraintViolationError, RevisionError
 from repro.logic.builders import atom, disj
@@ -90,8 +91,8 @@ def _join(head, *body):
 
 
 #: Three-literal joins: every delta pass has two literals to reorder, so
-#: this view keeps histograms of every relation a ground atom of the pool
-#: can change, and every ground write folds them.
+#: this view plans on the statistics of every relation a ground atom of
+#: the pool can change, and every ground write re-plans its passes.
 JOIN_RULES = [
     _join(Atom("badge", (X, S, D)),
           Atom("emp", (X,)), Atom("ss", (X, S)), Atom("works_in", (X, D))),
@@ -101,6 +102,15 @@ JOIN_RULES = [
 ]
 
 sentences = st.sampled_from(POOL)
+
+
+def planner_statistics(materialized):
+    """The sums of squared bucket sizes every relation of a model's index
+    keeps for the planner."""
+    return {
+        key: tuple(relation.squares)
+        for key, relation in materialized._store.items() if relation.rows
+    }
 
 
 def is_ground_atom(sentence):
@@ -239,10 +249,10 @@ class DatabaseMachine(RuleBasedStateMachine):
     @rule(sentence=sentences, step=st.sampled_from(["result", "histograms"]),
           failing=st.sampled_from(["view", "violations", "dept view", "join view"]))
     def tell_while_a_view_fails_to_prepare_its_commit(self, sentence, step, failing):
-        # Making the update result and folding the histograms run while a
-        # view stages, before the base changes; a raise in either leaves
-        # everything as it was, and the same tell then goes through.  Only
-        # the join view plans with histograms, so only it folds.
+        # Making the update result and planning on the histograms' live
+        # sums run while a view stages, before the base changes; a raise in
+        # either leaves everything as it was, and the same tell then goes
+        # through.  Only the join view plans with the histograms.
         assume(is_ground_atom(sentence) and sentence not in self.reference)
         if step == "histograms":
             failing = "join view"
@@ -251,29 +261,29 @@ class DatabaseMachine(RuleBasedStateMachine):
                 "violations": self.database.violation_view()}[failing]
         model = view.materialized
         faults = []
-        original = JoinStatistics.update
+        original = RowStore.selectivity
 
         def fail_result(*args):
             faults.append(args)
             raise InjectedFault("making the update result failed")
 
-        def fail_fold(statistics, index, *args):
-            if index is model._store:
-                faults.append(index)
-                raise InjectedFault("folding the histograms failed")
-            return original(statistics, index, *args)
+        def fail_plan(store, *args):
+            if store is model._store:
+                faults.append(store)
+                raise InjectedFault("planning on the histograms failed")
+            return original(store, *args)
 
         if step == "result":
             model._result = fail_result
         else:
-            JoinStatistics.update = fail_fold
+            RowStore.selectivity = fail_plan
         notified = len(self.notified)
         try:
             with pytest.raises(InjectedFault):
                 self.database.tell(sentence, check_constraints=False)
         finally:
             vars(model).pop("_result", None)
-            JoinStatistics.update = original
+            RowStore.selectivity = original
         assert len(faults) == 1
         assert len(self.notified) == notified
         assert self.database.sentences() == self.reference
@@ -341,8 +351,7 @@ class DatabaseMachine(RuleBasedStateMachine):
         fresh = ViolationView(self.database, constraints=CONSTRAINTS, config=CONFIG)
         fresh.close()
         assert maintained.model() == fresh.materialized.model()
-        assert (maintained.planner_statistics.snapshot()
-                == fresh.materialized.planner_statistics.snapshot())
+        assert planner_statistics(maintained) == planner_statistics(fresh.materialized)
 
     @invariant()
     def epoch_counts_applied_changes(self):

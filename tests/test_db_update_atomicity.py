@@ -6,13 +6,14 @@ on each maintained view before the base changes and commits them all once
 it has.  A raise while any view stages — the violation view's, during the
 incremental check or without one, or a ``DatalogView``'s — must therefore
 leave the base sentences, the revision epoch and every maintained model
-exactly as they were (model, derivation counts, planner histograms and
-EDB store version), and must reach no update listener.
+exactly as they were (model, derivation counts, the statistics its
+relations keep for the planner and EDB store version), and must reach no
+update listener.
 
 Once the base holds the write nothing may fail any more: what a commit
-needs — the ``UpdateResult`` (its id rows, decoded only when read) and,
-for a view that plans a pass with the histograms, the histograms with the
-batch folded in — is prepared while the view stages, so a raise there is a
+needs — the ``UpdateResult`` (its id rows, decoded only when read) — is
+prepared while the view stages, and so is every plan, read off the live
+statistics, of a view that plans a pass with them.  A raise there is a
 raise before the base changed, and the commit itself only swaps state.
 """
 
@@ -26,6 +27,7 @@ from repro.datalog import (
     JoinStatistics,
     MaterializedModel,
 )
+from repro.datalog.columnar import RowStore
 from repro.datalog.interner import Interner
 from repro.db.base import is_ground_atom
 from repro.db.database import EpistemicDatabase
@@ -44,8 +46,8 @@ STAFFED = DatalogRule(
     (DatalogLiteral(Atom("works_in", (X, D))), DatalogLiteral(Atom("dept", (D,)))),
 )
 #: Three positive literals: every delta pass has two to reorder, so this
-#: view keeps histograms of ``emp``, ``works_in`` and ``dept`` and every
-#: write below folds them.
+#: view plans on the statistics of ``emp``, ``works_in`` and ``dept``, and
+#: every write below re-plans its passes.
 PLACED = DatalogRule(
     Atom("placed", (X, D)),
     (
@@ -86,7 +88,10 @@ def maintained_state(materialized):
         model,
         counting,
         dict(materialized._counts),
-        materialized.planner_statistics.snapshot(),
+        {
+            key: tuple(relation.squares)
+            for key, relation in materialized._store.items() if relation.rows
+        },
         materialized.program.facts.version,
         materialized._staged,
     )
@@ -213,9 +218,9 @@ def test_views_stage_no_empty_change_and_closed_views_stay_put():
 # ---------------------------------------------------------------------------
 
 def fail_in_moved_step(monkeypatch, materialized, step, faults):
-    """Make one step that used to run in ``_commit`` and now runs while the
-    model stages raise, for *materialized* only: making the
-    ``UpdateResult`` or folding the batch into the histograms."""
+    """Make one step that runs while the model stages, never in
+    ``_commit``, raise for *materialized* only: making the
+    ``UpdateResult``, or planning a pass on the histograms' live sums."""
     if step == "result":
         def failing(*args):
             faults.append(args)
@@ -223,19 +228,19 @@ def fail_in_moved_step(monkeypatch, materialized, step, faults):
 
         monkeypatch.setattr(materialized, "_result", failing)
         return
-    original = JoinStatistics.update
+    original = RowStore.selectivity
 
-    def update(statistics, index, *args):
-        if index is materialized._store:
-            faults.append(index)
-            raise InjectedFault("folding the histograms failed")
-        return original(statistics, index, *args)
+    def selectivity(store, *args):
+        if store is materialized._store:
+            faults.append(store)
+            raise InjectedFault("planning on the histograms failed")
+        return original(store, *args)
 
-    monkeypatch.setattr(JoinStatistics, "update", update)
+    monkeypatch.setattr(RowStore, "selectivity", selectivity)
 
 
-#: Only a view that plans a pass with the histograms folds a write into
-#: them; the other views keep none.
+#: Only a view that plans a pass with the histograms reads them while a
+#: write stages; the other views have a fixed order everywhere.
 MOVED_STEPS = [("result", target) for target in ("violations", "assigned", "staffed", "placed")]
 MOVED_STEPS.append(("histograms", "placed"))
 
@@ -295,7 +300,8 @@ def test_a_commit_decodes_folds_and_maintains_nothing(monkeypatch):
 
     monkeypatch.setattr(MaterializedModel, "_commit", commit)
     for owner, name in [(MaterializedModel, "_maintain"), (MaterializedModel, "_result"),
-                        (JoinStatistics, "update"), (Interner, "decode_row")]:
+                        (RowStore, "selectivity"), (JoinStatistics, "refresh"),
+                        (Interner, "decode_row")]:
         monkeypatch.setattr(owner, name, forbidden(name, getattr(owner, name)))
     for write in WRITES.values():
         write(database)
