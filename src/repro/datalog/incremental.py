@@ -56,6 +56,15 @@ with one counting pass per rule over the final model.  The backward
 check runs set-at-a-time: one ``"probe"`` pass per rule, whose leading
 ``delta`` literal is the rule's head, over a round's frontier.
 
+Which passes run is looked up, not searched for.  Each component keeps
+one *pass table*, from every relation its rule bodies read to the body
+literals over it, and one selector (``_Component.starts``) returns the
+passes a delta starts in a mode, from the keys of the relations it
+changed, read once per delta; a backward round takes the rederivation
+forms of its frontier's keys.  A component whose table holds no changed
+key, and which owns no fact of the batch, is skipped (the operator-level
+dispatch of DBSP, Budiu et al., VLDB 2023).
+
 The deltas, the counting table and the backward/forward sets are all
 ``(key, row)`` id facts (:class:`~repro.datalog.columnar.RowStore`); atoms
 are decoded only at the API edge (:meth:`MaterializedModel.model`,
@@ -134,8 +143,8 @@ from repro.logic.terms import Parameter
 _NOTHING = RowStore()
 
 
-#: Which support a pass of each :meth:`MaterializedModel._join` mode starts
-#: from: ``(gained, lost)``.
+#: Which support a pass of each mode starts from, ``(gained, lost)``, as
+#: :meth:`_Component.starts` selects them.
 _STARTS = {"new": (True, False), "lost": (False, True), "signed": (True, True)}
 
 
@@ -247,60 +256,60 @@ class UpdateResult:
 
 class _Component:
     """One maintenance unit: a strongly connected component of the IDB
-    dependency graph, its rules, and whether it is recursive.
+    dependency graph, its rules, whether it is recursive, and its pass
+    table.
 
-    ``predicates`` holds the ``(predicate, arity)`` keys of its predicates
-    and ``reads`` those of its rule bodies (``positive_reads`` and
-    ``negative_reads`` by the sign of the literal).  For a recursive
-    component, ``rederive`` holds each rule's rederivation form — the
-    rule's head prepended to its body as the leading literal, so one
-    ``"probe"`` pass with that literal as the delta lists the derivations
-    of a set of facts — and ``forward`` the ``(rule, position, key)`` of
-    every body literal over the component's own predicates, the delta
-    positions of a pass from a set of component facts to what they
-    derive."""
+    ``predicates`` holds the ``(predicate, arity)`` keys of its
+    predicates.  ``passes``, the pass table, maps each key its rule bodies
+    read to the ``(order, rule, position, positive)`` of every body
+    literal over it, *order* numbering the literals of all its rules in
+    rule and position order: the delta passes a change to that relation
+    can start, which :meth:`starts` selects.  For a recursive component,
+    ``probes`` maps each head key to the ``(form, 0)`` passes of its
+    rules' rederivation forms — the rule's head prepended to its body as
+    the leading literal, so one ``"probe"`` pass with that literal as the
+    delta lists the derivations of a set of facts."""
 
-    __slots__ = (
-        "predicates", "rules", "recursive", "reads", "positive_reads",
-        "negative_reads", "rederive", "forward",
-    )
+    __slots__ = ("predicates", "rules", "recursive", "passes", "probes")
 
     def __init__(self, predicates, rules, recursive):
         self.predicates = predicates
         self.rules = rules
         self.recursive = recursive
-        reads = {True: set(), False: set()}
-        for rule in rules:
-            for literal in rule.body:
-                reads[literal.positive].add(
-                    (literal.atom.predicate, len(literal.atom.args))
+        self.passes = {}
+        literals = [(rule, position, literal)
+                    for rule in rules for position, literal in enumerate(rule.body)]
+        for order, (rule, position, literal) in enumerate(literals):
+            key = (literal.atom.predicate, len(literal.atom.args))
+            self.passes.setdefault(key, []).append((order, rule, position, literal.positive))
+        self.probes = {}
+        if recursive:
+            for rule in rules:
+                form = DatalogRule(rule.head, (DatalogLiteral(rule.head),) + rule.body)
+                self.probes.setdefault((rule.head.predicate, rule.head.arity), []).append(
+                    (form, 0)
                 )
-        self.positive_reads, self.negative_reads = reads[True], reads[False]
-        self.reads = self.positive_reads | self.negative_reads
-        self.rederive = [
-            DatalogRule(rule.head, (DatalogLiteral(rule.head),) + rule.body)
-            for rule in rules
-        ] if recursive else []
-        self.forward = [
-            (rule, position, key)
-            for rule in rules
-            for position, literal in enumerate(rule.body)
-            for key in [(literal.atom.predicate, len(literal.atom.args))]
-            if literal.positive and key in predicates
-        ] if recursive else []
 
-    def touched_by(self, plus, minus):
-        """True when a delta can touch any rule body of the component
-        (either polarity of any literal)."""
-        return any(plus.count(*key) or minus.count(*key) for key in self.reads)
-
-    def supported_by(self, added, removed):
-        """True when a pass with deltas ``(added, removed)`` has a literal
-        to start from: *added* holds facts a positive body literal reads,
-        or *removed* facts a negated one reads."""
-        return any(added.count(*key) for key in self.positive_reads) or any(
-            removed.count(*key) for key in self.negative_reads
-        )
+    def starts(self, mode, plus_keys, minus_keys):
+        """The ``(rule, position)`` passes of *mode* that a delta starts, in
+        rule and position order, given the keys of the relations it adds
+        rows to (*plus_keys*) and removes rows from (*minus_keys*): those
+        whose delta literal's support it changed.  A positive literal
+        gains support through a plus key and loses it through a minus key,
+        a negated one the other way round; ``"new"`` passes start from
+        gained support, ``"lost"`` passes from lost support and
+        ``"signed"`` passes from either (a pass starts once, whichever
+        side starts it)."""
+        from_gained, from_lost = _STARTS[mode]
+        started = {}
+        for keys, if_positive, if_negated in (
+            (plus_keys, from_gained, from_lost), (minus_keys, from_lost, from_gained)
+        ):
+            for key in keys:
+                for order, rule, position, positive in self.passes.get(key, ()):
+                    if if_positive if positive else if_negated:
+                        started[order] = (rule, position)
+        return [started[order] for order in sorted(started)]
 
 
 def _as_ground_atom(value):
@@ -359,6 +368,7 @@ class MaterializedModel:
         self._staged = None
         self._components = None
         self._kind = None
+        self._owner = None
         self._planned = None
         self._world = None
         self._edb = None
@@ -562,9 +572,9 @@ class MaterializedModel:
     # -- program analysis ------------------------------------------------------
     def _analyze(self):
         """Group the IDB into strongly connected components (dependency
-        order), tag each as counting or recursive, map predicates to kinds,
-        and collect the *planned* relations: those the re-plannable
-        maintenance passes read
+        order), tag each as counting or recursive, map predicates to kinds
+        and to their owning component, and collect the *planned* relations:
+        those the re-plannable maintenance passes read
         (:func:`~repro.datalog.stats.planned_reads` of every delta position
         of the components' rules and of the probe forms), the only ones
         whose change re-plans the cached kernels."""
@@ -583,21 +593,25 @@ class MaterializedModel:
             rules_for[(rule.head.predicate, rule.head.arity)].append(rule)
         self._components = []
         self._kind = {}
+        self._owner = {}
         for member_set in components:
             recursive = len(member_set) > 1 or any(
                 key in successors[key] for key in member_set
             )
             rules = [rule for key in member_set for rule in rules_for[key]]
-            self._components.append(_Component(member_set, rules, recursive))
+            component = _Component(member_set, rules, recursive)
+            self._components.append(component)
             for key in member_set:
                 self._kind[key] = "recursive" if recursive else "counting"
+                self._owner[key] = component
         self._planned = planned = set()
         for component in self._components:
             for rule in component.rules:
                 for position in range(len(rule.body)):
                     planned.update(planned_reads(rule, position))
-            for rule in component.rederive:
-                planned.update(planned_reads(rule, 0))
+            for probes in component.probes.values():
+                for form, position in probes:
+                    planned.update(planned_reads(form, position))
 
     def _ensure_consistent(self):
         """Fall back to a full rebuild when the program was mutated outside
@@ -777,13 +791,15 @@ class MaterializedModel:
         ``acc_plus`` / ``acc_minus`` accumulate all changes applied so far
         (EDB and lower components); each component sees them as its round-one
         delta and contributes its own net changes for the components above.
+        Their keys are read once per delta; they skip a component or
+        select its passes (:meth:`_Component.starts`).
         Returns the net index change ``(acc_plus, acc_minus)`` over the
         whole model; the counting components journal the counts they change
         into *journal*, and the recursive ones add to *moved* the keys of
         the facts they delete and derive again.
         """
         store = self._store
-        kind = self._kind
+        owner = self._owner
         acc_plus = RowStore()
         acc_minus = RowStore()
         # The EDB store holds the batch already, and the index reads a
@@ -791,44 +807,38 @@ class MaterializedModel:
         # taken effect (a relation the batch created is shared here).  EDB
         # changes for IDB predicates are handed to the owning component
         # (base-count / seed semantics) for the model's own relation.
-        pending_plus = defaultdict(list)
-        pending_minus = defaultdict(list)
-        for fact in edb_plus:
-            predicate_kind = kind.get(fact[0])
-            if predicate_kind is None:
-                acc_plus.add(fact)
-                continue
-            pending_plus[fact[0]].append(fact)
-            if predicate_kind == "recursive":
-                self._seeds.add(fact)
-        for fact in edb_minus:
-            predicate_kind = kind.get(fact[0])
-            if predicate_kind is None:
-                acc_minus.add(fact)
-                continue
-            pending_minus[fact[0]].append(fact)
-            if predicate_kind == "recursive":
-                self._seeds.discard(fact)
-        for key in acc_plus.relations() | acc_minus.relations():
+        own = {}
+        for side, (facts, acc) in enumerate(((edb_plus, acc_plus), (edb_minus, acc_minus))):
+            for fact in facts:
+                component = owner.get(fact[0])
+                if component is None:
+                    acc.add(fact)
+                else:
+                    own.setdefault(component, ([], []))[side].append(fact)
+        keys = acc_plus.relations(), acc_minus.relations()
+        changed = keys[0] | keys[1]
+        for key in changed:
             if store.get(key) is None:
                 store.share(key, self._edb.rows.get(key))
 
         for component in self._components:
-            own_plus = [f for key in component.predicates for f in pending_plus.get(key, ())]
-            own_minus = [f for key in component.predicates for f in pending_minus.get(key, ())]
-            touched = component.touched_by(acc_plus, acc_minus)
-            if not (own_plus or own_minus or touched):
+            rows = own.get(component)
+            if rows is None and component.passes.keys().isdisjoint(changed):
                 continue  # nothing below changed what its rules read
+            own_plus, own_minus = rows or ((), ())
             if component.recursive:
                 added, removed = self._maintain_recursive(
-                    component, acc_plus, acc_minus, own_plus, own_minus, moved
+                    component, acc_plus, acc_minus, keys, own_plus, own_minus, moved
                 )
             else:
                 added, removed = self._maintain_counting(
-                    component, touched, acc_plus, acc_minus, own_plus, own_minus, journal
+                    component, acc_plus, acc_minus, keys, own_plus, own_minus, journal
                 )
-            acc_plus.add_all(added)
-            acc_minus.add_all(removed)
+            if added or removed:
+                acc_plus.add_all(added)
+                acc_minus.add_all(removed)
+                keys = acc_plus.relations(), acc_minus.relations()
+                changed = keys[0] | keys[1]
         return acc_plus, acc_minus
 
     def _kernel(self, rule, delta_position, mode, within=()):
@@ -859,41 +869,32 @@ class MaterializedModel:
                 self._fixed_kernels[key] = kernel
         return kernel
 
-    def _join(self, component, mode, plus, minus, out):
-        """Run every delta pass of the component whose delta literal's
-        support changed, into *out*, in the current database: *plus* and
-        *minus* are the facts the write added to and removed from it (see
+    def _join(self, passes, mode, plus, minus, out, within=()):
+        """Run the ``(rule, position)`` delta *passes* of *mode* into *out*,
+        in the current database: *plus* and *minus* are the facts the write
+        added to and removed from it (see
         :func:`~repro.datalog.columnar.compile_schedule` for how each mode
-        reads them).  A literal's support is gained through *plus* and lost
-        through *minus* when it is positive, the other way round when it is
-        negated.  ``"new"`` passes start from gained support, ``"lost"``
-        passes from lost support and ``"signed"`` passes from either, both
-        signs in one pass."""
-        from_gained, from_lost = _STARTS[mode]
-        passes = []
-        for rule in component.rules:
-            for position, literal in enumerate(rule.body):
-                key = (literal.atom.predicate, len(literal.atom.args))
-                gained, lost = (plus, minus) if literal.positive else (minus, plus)
-                if (from_gained and gained.count(*key)) or (from_lost and lost.count(*key)):
-                    passes.append((rule, position))
-        if not passes:
-            return
+        reads them; a probe's *minus* is the proved set, and *within* its
+        component).  The passes come from a component's pass table:
+        :meth:`_Component.starts` selects, by the keys of the relations a
+        delta changed, those whose delta literal's support it changed, and
+        a probe round takes the rederivation forms of its frontier's keys.
+        No pass is chosen by reading a relation's size."""
         self.statistics.delta_passes += len(passes)
         store = self._store
         for rule, position in passes:
-            self._kernel(rule, position, mode)(store, plus, minus, out)
+            self._kernel(rule, position, mode, within)(store, plus, minus, out)
 
-    def _maintain_counting(self, component, touched, acc_plus, acc_minus, edb_plus,
+    def _maintain_counting(self, component, acc_plus, acc_minus, keys, edb_plus,
                            edb_minus, journal):
         """Counting maintenance for a non-recursive component.
 
-        Adjust base counts for the component's own EDB changes, run one set
-        of ``"signed"`` passes (the telescoped delta: each head's net change
-        in derivations) against everything accumulated below when it
-        *touched* the component's rule bodies, and turn
-        count transitions into index updates, journalling the prior value
-        of every count it changes.  One round suffices: a non-recursive
+        Adjust base counts for the component's own EDB changes, run the
+        ``"signed"`` passes (the telescoped delta: each head's net change
+        in derivations) that everything accumulated below starts — *keys*
+        are the keys of its relations, ``(plus_keys, minus_keys)`` — and
+        turn count transitions into index updates, journalling the prior
+        value of every count it changes.  One round suffices: a non-recursive
         component never reads its own predicate.
         """
         change = defaultdict(int)
@@ -901,9 +902,10 @@ class MaterializedModel:
             change[fact] += 1
         for fact in edb_minus:
             change[fact] -= 1
-        if touched:
+        passes = component.starts("signed", *keys)
+        if passes:
             self.statistics.rounds += 1
-            self._join(component, "signed", acc_plus, acc_minus, change)
+            self._join(passes, "signed", acc_plus, acc_minus, change)
         counts = self._counts
         store = self._store
         added, removed = [], []
@@ -923,8 +925,8 @@ class MaterializedModel:
                     removed.append(fact)
         return added, removed
 
-    def _maintain_recursive(self, component, acc_plus, acc_minus, edb_plus, edb_minus,
-                            moved):
+    def _maintain_recursive(self, component, acc_plus, acc_minus, keys, edb_plus,
+                            edb_minus, moved):
         """Backward/forward maintenance for a recursive component (after
         Motik, Nenov, Piro and Horrocks, AAAI 2015).
 
@@ -939,13 +941,16 @@ class MaterializedModel:
            negated facts) semi-naively to a fixpoint; a disproved fact it
            derives again is no net change.
 
-        The component's own EDB insertions enter the index first, so the
-        backward check can prove candidates from them.  A disproved fact
-        derived again is no net change, but the index held it apart for a
-        while: its key goes to *moved*.
+        The component's own EDB changes move its seeds, and its insertions
+        enter the index first, so the backward check can prove candidates
+        from them.  *keys* are those of the relations accumulated below.  A
+        disproved fact derived again is no net change, but the index held
+        it apart for a while: its key goes to *moved*.
         """
         store = self._store
         statistics = self.statistics
+        self._seeds.update(edb_plus)
+        self._seeds.difference_update(edb_minus)
         inserted = [fact for fact in edb_plus if store.add(fact)]
 
         # Phase 1 — deletion.
@@ -953,10 +958,11 @@ class MaterializedModel:
         risk = None
         removed_net = set()
         candidates = [fact for fact in edb_minus if fact in store]
-        if component.supported_by(acc_minus, acc_plus):
+        passes = component.starts("lost", *keys)
+        if passes:
             statistics.rounds += 1
             lost = {}
-            self._join(component, "lost", acc_plus, acc_minus, lost)
+            self._join(passes, "lost", acc_plus, acc_minus, lost)
             candidates.extend(lost)
         while True:
             candidates = [
@@ -981,13 +987,18 @@ class MaterializedModel:
         if inserted:
             dplus = RowStore(acc_plus)
             dplus.add_all(inserted)
-        while component.supported_by(dplus, dminus):
+            keys = dplus.relations(), keys[1]
+        while True:
+            passes = component.starts("new", *keys)
+            if not passes:
+                break
             statistics.rounds += 1
             fresh = set()
-            self._join(component, "new", dplus, dminus, fresh)
+            self._join(passes, "new", dplus, dminus, fresh)
             # fresh is disjoint from the index by construction — merge the
             # whole round delta relation-wise.
             dplus, dminus = fresh_delta(fresh), _NOTHING
+            keys = dplus.relations(), ()
             store.absorb(dplus)
             for fact in fresh:
                 if fact in removed_net:
@@ -1054,13 +1065,11 @@ class MaterializedModel:
                 frontier.append(fact)
         while frontier and undecided:
             delta = fresh_delta(frontier)
+            keys = delta.relations()
             found = []
-            for rule in component.rederive:
-                if delta.count(rule.head.predicate, rule.head.arity):
-                    statistics.delta_passes += 1
-                    self._kernel(rule, 0, "probe", component.predicates)(
-                        self._store, delta, proved, found
-                    )
+            for key, probes in component.probes.items():
+                if key in keys:
+                    self._join(probes, "probe", delta, proved, found, component.predicates)
             for head, pending in found:
                 if not pending:
                     prove(head)
@@ -1125,12 +1134,11 @@ class MaterializedModel:
     def _reach(self, component, facts):
         """The heads of the derivations in the index that use one of
         *facts* (component facts the index holds), as a ``fact ->
-        derivations`` tally: one increment pass per body literal over the
-        component's predicates that *facts* populate."""
+        derivations`` tally: one increment pass per positive body literal
+        over the relations *facts* populate, the passes *facts* start as
+        an insertion."""
         delta = fresh_delta(facts)
         reached = {}
-        for rule, position, key in component.forward:
-            if delta.get(key) is not None:
-                self.statistics.delta_passes += 1
-                self._kernel(rule, position, "count")(self._store, delta, _NOTHING, reached)
+        passes = component.starts("new", delta.relations(), ())
+        self._join(passes, "count", delta, _NOTHING, reached)
         return reached

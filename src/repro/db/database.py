@@ -32,6 +32,7 @@ from repro.exceptions import ConstraintViolationError, NotFirstOrderError
 from repro.logic.classify import is_first_order
 from repro.logic.parser import parse, parse_many
 from repro.logic.printer import to_text
+from repro.logic.signature import signature_of
 from repro.logic.syntax import Formula, free_variables
 from repro.constraints.checker import ConstraintReport, IntegrityChecker
 from repro.constraints.triggers import TriggerManager
@@ -366,24 +367,19 @@ class EpistemicDatabase:
 
     # -- evaluation ---------------------------------------------------------------
     def _reducer_for(self, queries):
-        if self._dirty or self._reducer is None:
-            self._reducer = EpistemicReducer(
-                self.sentences(),
-                config=self.config,
-                queries=list(queries) + list(self._constraints),
-            )
-            self._dirty = False
-            return self._reducer
         # Reuse only when the cached universe already covers the new queries.
         # The base's parameters are covered by construction: every base
         # change goes through _update, which marks the reducer dirty.
-        from repro.logic.signature import signature_of
-
-        if signature_of(queries).parameters <= self._reducer.parameters:
+        if (
+            not self._dirty
+            and self._reducer is not None
+            and signature_of(queries).parameters <= self._reducer.parameters
+        ):
             return self._reducer
         self._reducer = EpistemicReducer(
             self.sentences(), config=self.config, queries=list(queries) + list(self._constraints)
         )
+        self._dirty = False
         return self._reducer
 
     def ask(self, query, strategy="reduction"):

@@ -54,13 +54,6 @@ class DemoStatistics:
     prove_calls: int = 0
     negation_as_failure_calls: int = 0
 
-    def snapshot(self):
-        return DemoStatistics(
-            demo_calls=self.demo_calls,
-            prove_calls=self.prove_calls,
-            negation_as_failure_calls=self.negation_as_failure_calls,
-        )
-
 
 class DemoEvaluator:
     """Evaluates admissible KFOPCE queries against a first-order database.

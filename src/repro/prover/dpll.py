@@ -4,8 +4,8 @@ The solver works on clauses of integer literals (positive for the atom,
 negative for its negation), with variables numbered from 1.  It implements
 the classic Davis–Putnam–Logemann–Loveland procedure with:
 
-* unit propagation,
-* pure-literal elimination (once, before search),
+* unit propagation (each round re-simplifies every clause under the
+  current assignment; there are no watched literals),
 * a most-occurrences branching heuristic,
 * optional model extraction and model enumeration (used by the prover's
   consistency checks and by the Datalog completion tests).

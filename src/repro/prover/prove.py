@@ -15,7 +15,7 @@ stresses: Σ may be an open theory with disjunctions and existentials, a
 definite Datalog program, or a mix; the prover only sees FOPCE sentences.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from repro.exceptions import NotFirstOrderError
@@ -36,14 +36,6 @@ class ProverStatistics:
     entailment_checks: int = 0
     satisfiability_checks: int = 0
     answer_tuples_tested: int = 0
-
-    def snapshot(self):
-        """Return a copy of the current counters (for benchmarking deltas)."""
-        return ProverStatistics(
-            entailment_checks=self.entailment_checks,
-            satisfiability_checks=self.satisfiability_checks,
-            answer_tuples_tested=self.answer_tuples_tested,
-        )
 
 
 class FirstOrderProver:

@@ -9,7 +9,7 @@ running away on inputs that are too large for them; callers then fall back to
 the prover-based reduction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.logic.signature import DEFAULT_EXTRA_PARAMETERS
 
@@ -43,13 +43,7 @@ class SemanticsConfig:
 
     def with_extra_parameters(self, extra_parameters):
         """Return a copy with a different number of fresh witnesses."""
-        return SemanticsConfig(
-            extra_parameters=extra_parameters,
-            max_relevant_atoms=self.max_relevant_atoms,
-            max_models=self.max_models,
-            max_validity_atoms=self.max_validity_atoms,
-            max_prove_tuples=self.max_prove_tuples,
-        )
+        return replace(self, extra_parameters=extra_parameters)
 
 
 #: The configuration used when callers do not supply one.
